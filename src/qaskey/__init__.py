@@ -12,7 +12,6 @@ limit claims, and a CLI runs the whole suite with deterministic reports.
 __version__ = "0.1.0"
 
 from .errors import (
-    DenominatorVanished,
     InadmissiblePoint,
     NonConvergence,
     NonFinite,
@@ -39,7 +38,6 @@ from .series import HyperSeriesSpec, Rat, terminating_hyper
 __all__ = [
     "__version__",
     "AWParams",
-    "DenominatorVanished",
     "HahnParams",
     "HyperSeriesSpec",
     "InadmissiblePoint",

@@ -12,105 +12,211 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from . import __version__
+from . import families as fam
+from . import identities as ids
+from . import numerics as num
 from .errors import QAskeyError
-from .families import (
-    AWParams,
-    HahnParams,
-    JacobiParams,
-    KrawtchoukParams,
-    QParams,
-    QRacahParams,
-    RacahParams,
-    WilsonParams,
-    askey_wilson_r,
-    askey_wilson_r_at,
-    cqu_r,
-    cqu_r_alt,
-    dual_hahn,
-    hahn,
-    hahn_weight,
-    jacobi_r,
-    krawtchouk,
-    krawtchouk_weight,
-    qracah,
-    qracah_norms,
-    qracah_weight,
-    racah,
-    racah_norms,
-    racah_weight,
-    ultraspherical_r,
-    wilson_dual_phi,
-)
-from .identities import (
-    ADDITION_POINTS_U,
-    ADDITION_POINTS_V,
-    ADDITION_QPARAMS,
-    DEFAULT_ALPHAS,
-    DEFAULT_QPARAMS,
-    PYTHAGOREAN_PAIRS,
-    LinearizationLattice,
-    ParamGrid,
-    check_addition,
-    check_backward_shift,
-    check_cqu_representations,
-    check_difference_formula,
-    check_dual_addition,
-    check_dual_addition_a_form,
-    check_duality_cqu,
-    check_duality_discrete,
-    check_linearization,
-    check_orthogonality_discrete,
-    check_product_formula_classical,
-    check_restriction_equivalence,
-    check_theorem_5_1,
-    check_weight_ratio,
-    linearization_racah_params,
-)
-from .numerics import (
-    bessel_script_j,
-    float_family_consistency,
-    limit_check,
-    numeric_orthogonality,
-    numeric_weight,
-)
 from .series import format_rat, parse_rat
 
-SUITE_NAMES = (
-    "duality",
-    "orthogonality",
-    "weight-recurrence",
-    "difference",
-    "backward-shift",
-    "linearization",
-    "theorem-5-1",
-    "dual-addition",
-    "addition",
-    "restriction",
-    "product-formula",
-    "limits",
-    "numeric-orthogonality",
-    "all",
-)
+F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# suite construction
+# suites: each yields (check, kwargs) rows of plain values, lazily and in
+# report order.  Checks are looked up on their modules when a row is made,
+# so a rebound module attribute is what runs.
 # ---------------------------------------------------------------------------
 
 
-def _record_from_report(report) -> dict:
-    return report.to_dict()
+def _descending(top: int, length: int):
+    """Tuples (l, m, j, ...) of the given length with top >= l >= m >= ... >= 0."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(top + 1):
+        for rest in _descending(first, length - 1):
+            yield (first, *rest)
 
 
-def _limit_record(kind: str, params: dict) -> dict:
-    r = limit_check(kind, params)
-    rec = {
+def _duality(g):
+    for qp in g.qparams:
+        yield ids.check_duality_cqu, {"qp": qp, "mmax": 6}
+    discrete = [("krawtchouk", fam.KrawtchoukParams(F(1, 3), N)) for N in range(1, 6)]
+    discrete += [("krawtchouk", fam.KrawtchoukParams(F(1, 2), N)) for N in (3, 5)]
+    discrete += [("hahn-dual-hahn", fam.HahnParams(a, b, N))
+                 for a, b in ((F(1, 2), F(1, 3)), (F(2), F(1))) for N in range(1, 6)]
+    discrete += [("racah", fam.RacahParams(F(1, 2), F(1, 3), N, F(1, 5))) for N in range(1, 5)]
+    for family, params in discrete:
+        yield ids.check_duality_discrete, {"family": family, "params_obj": params}
+    yield ids.check_duality_discrete, {"family": "wilson", "nmax": 4,
+                                       "params_obj": fam.WilsonParams(1, F(3, 2), 2, F(5, 2))}
+
+
+def _orthogonality_q_racah(qp, l: int, m: int):
+    return ids.check_orthogonality_discrete("q-racah", ids.LinearizationLattice(qp, l, m).qrp)
+
+
+def _orthogonality(g):
+    for family, params in (
+        ("krawtchouk", fam.KrawtchoukParams(F(1, 3), 5)),
+        ("krawtchouk", fam.KrawtchoukParams(F(1, 2), 4)),
+        ("hahn", fam.HahnParams(F(1, 2), F(1, 3), 4)),
+        ("hahn", fam.HahnParams(F(1), F(0), 5)),
+        ("racah", ids.linearization_racah_params(F(1, 2), 5, 3)),
+        ("racah", ids.linearization_racah_params(F(1), 4, 4)),
+    ):
+        yield ids.check_orthogonality_discrete, {"family": family, "params_obj": params}
+    yield _orthogonality_q_racah, {"qp": g.qparams[0], "l": 5, "m": 4}
+    yield _orthogonality_q_racah, {"qp": g.qparams[-1], "l": 4, "m": 3}
+
+
+def _weight_recurrence(g):
+    for qp in g.qparams:
+        yield ids.check_weight_ratio, {"qp": qp}
+        yield ids.check_cqu_representations, {"qp": qp, "nmax": 8}
+
+
+def _difference(g):
+    for qp in g.qparams:
+        yield ids.check_difference_formula, {"qp": qp, "nmax": 8}
+
+
+def _backward_shift_on_lattice(qp, l: int, m: int, nmax: int):
+    return ids.check_backward_shift(ids.LinearizationLattice(qp, l, m).qrp, nmax)
+
+
+def _backward_shift(g):
+    qps = g.qparams
+    yield _backward_shift_on_lattice, {"qp": qps[0], "l": 4, "m": 3, "nmax": 3}
+    yield _backward_shift_on_lattice, {"qp": qps[min(1, len(qps) - 1)], "l": 5, "m": 4, "nmax": 4}
+
+
+def _linearization(g):
+    for qp in g.qparams:
+        for l, m in g.lm_pairs():
+            yield ids.check_linearization, {"target": "q", "l": l, "m": m, "qp": qp}
+    for alpha in g.alphas:
+        for l, m in _descending(6, 2):
+            yield ids.check_linearization, {"target": "classical", "l": l, "m": m, "alpha": alpha}
+    for l, m in _descending(6, 2):
+        yield ids.check_linearization, {"target": "legendre", "l": l, "m": m}
+
+
+def _theorem_5_1_on_carrier(qp, lmax: int, mmax: int):
+    return ids.check_theorem_5_1(ids.ParamGrid(lmax, mmax, qparams=(qp,)))
+
+
+def _theorem_5_1(g):
+    for qp in g.qparams:
+        yield _theorem_5_1_on_carrier, {"qp": qp, "lmax": g.lmax, "mmax": g.mmax}
+
+
+def _dual_addition(g):
+    for qp in g.qparams:
+        for l, m in g.lm_pairs():
+            row = {"target": "q", "l": l, "m": m, "qp": qp}
+            yield ids.check_dual_addition, {**row, "mode": "inversion"}
+            for j in range(m + 1):
+                yield ids.check_dual_addition, {**row, "j": j, "mode": "direct"}
+    for alpha in (F(1, 2), F(1)):
+        for l, m, j in _descending(4, 3):
+            yield ids.check_dual_addition, {"target": "classical", "l": l, "m": m, "j": j,
+                                            "alpha": alpha}
+    for l, m, j in _descending(3, 3):
+        yield ids.check_dual_addition_a_form, {"qp": g.qparams[0], "l": l, "m": m, "j": j}
+
+
+def _addition(g):
+    for qp, u, v, n in product(ids.ADDITION_QPARAMS, ids.ADDITION_POINTS_U,
+                               ids.ADDITION_POINTS_V, range(6)):
+        yield ids.check_addition, {"target": "q", "n": n, "qp": qp, "u": u, "v": v}
+    p = ids.PYTHAGOREAN_PAIRS
+    combos = ((p[0], p[1], p[2]), (p[1], p[2], p[0]), (p[2], p[0], p[1]))
+    for alpha, (xp, yp, tp), n in product((F(0), F(1, 2), F(1)), combos, range(6)):
+        yield ids.check_addition, {"target": "classical", "n": n, "alpha": alpha,
+                                   "xpair": xp, "ypair": yp, "tpoint": tp[0]}
+    for (xp, yp, pp), n in product(combos, range(6)):
+        yield ids.check_addition, {"target": "legendre", "n": n, "xpair": xp, "ypair": yp,
+                                   "phipair": pp}
+
+
+def _restriction(g):
+    for l, m, j in _descending(3, 3):
+        for n in range(m, 5):
+            yield ids.check_restriction_equivalence, {"qp": g.qparams[0], "l": l, "m": m,
+                                                      "j": j, "n": n}
+
+
+def _product_formula(g):
+    p = ids.PYTHAGOREAN_PAIRS
+    for alpha, (xp, yp), n in product((F(0), F(1, 2), F(1)), ((p[0], p[1]), (p[1], p[2])),
+                                      range(7)):
+        yield ids.check_product_formula_classical, {"alpha": alpha, "n": n,
+                                                    "xpair": xp, "ypair": yp}
+
+
+def _limits(g):
+    yield _limit, {"kind": "cqu-to-ultra", "alpha": 0.5, "n": 3}
+    yield _limit, {"kind": "hahn-to-jacobi", "alpha": 0.0, "beta": 0.0, "n": 2}
+    for lam in (1.0, 2.0):
+        yield _limit, {"kind": "jacobi-to-bessel", "alpha": 0.5, "beta": 1.0 / 3.0, "lam": lam}
+    yield _limit, {"kind": "dual-addition-q-to-1", "alpha": 0.5, "l": 3, "m": 2}
+    yield _bessel_special_cases, {"points": (0.5, 1.0, 2.0, 5.0, 10.0)}
+    yield _float_exact_consistency, {"qp": fam.QParams(F(19, 20), F(1, 2)), "nmax": 8}
+
+
+def _numeric_orthogonality(g):
+    qp = g.qparams[0]
+    for m in range(5):
+        for n in range(m + 1, 5):
+            yield _numeric_orthogonality_cqu, {"qp": qp, "m": m, "n": n}
+    for probe in (_numeric_aw_h0, _numeric_weight_ratio, _numeric_weight_symmetry,
+                  _numeric_weight_aw_vs_cqu):
+        yield probe, {"qp": qp}
+
+
+def _all(g):
+    for name, rows in SUITES.items():
+        if name != "all":
+            yield from rows(g)
+
+
+SUITES = {
+    "duality": _duality,
+    "orthogonality": _orthogonality,
+    "weight-recurrence": _weight_recurrence,
+    "difference": _difference,
+    "backward-shift": _backward_shift,
+    "linearization": _linearization,
+    "theorem-5-1": _theorem_5_1,
+    "dual-addition": _dual_addition,
+    "addition": _addition,
+    "restriction": _restriction,
+    "product-formula": _product_formula,
+    "limits": _limits,
+    "numeric-orthogonality": _numeric_orthogonality,
+    "all": _all,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
+# ---------------------------------------------------------------------------
+# floating-point probes: each returns its record
+# ---------------------------------------------------------------------------
+
+
+def _limit(kind: str, **params) -> dict:
+    r = num.limit_check(kind, params)
+    return {
         "id": f"limit-{kind}",
         "params": {k: str(v) for k, v in sorted(params.items())},
         "verdict": r.verdict,
@@ -118,7 +224,6 @@ def _limit_record(kind: str, params: dict) -> dict:
         "errors": [repr(e) for e in r.errors],
         "ratios": [repr(e) for e in r.ratios],
     }
-    return rec
 
 
 def _threshold_record(check_id: str, params: dict, value: float, threshold: float) -> dict:
@@ -131,273 +236,115 @@ def _threshold_record(check_id: str, params: dict, value: float, threshold: floa
     }
 
 
-def _suite_jobs(suite: str, grid: ParamGrid):
-    """Ordered list of (job id, thunk) pairs for one suite."""
-    grid = grid.with_defaults()
-    qps = grid.qparams
-    jobs = []
-
-    def add(job):
-        jobs.append(job)
-
-    if suite in ("duality", "all"):
-        for qp in qps:
-            add(lambda qp=qp: _record_from_report(check_duality_cqu(qp, 6)))
-        for N in range(1, 6):
-            add(lambda N=N: _record_from_report(
-                check_duality_discrete("krawtchouk", KrawtchoukParams(Fraction(1, 3), N))))
-        for N in (3, 5):
-            add(lambda N=N: _record_from_report(
-                check_duality_discrete("krawtchouk", KrawtchoukParams(Fraction(1, 2), N))))
-        for alpha, beta in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(2), Fraction(1))):
-            for N in range(1, 6):
-                add(lambda a=alpha, b=beta, N=N: _record_from_report(
-                    check_duality_discrete("hahn-dual-hahn", HahnParams(a, b, N))))
-        for N in range(1, 5):
-            add(lambda N=N: _record_from_report(check_duality_discrete(
-                "racah", RacahParams(Fraction(1, 2), Fraction(1, 3), N, Fraction(1, 5)))))
-        add(lambda: _record_from_report(check_duality_discrete(
-            "wilson", WilsonParams(1, Fraction(3, 2), 2, Fraction(5, 2)), nmax=4)))
-
-    if suite in ("orthogonality", "all"):
-        add(lambda: _record_from_report(
-            check_orthogonality_discrete("krawtchouk", KrawtchoukParams(Fraction(1, 3), 5))))
-        add(lambda: _record_from_report(
-            check_orthogonality_discrete("krawtchouk", KrawtchoukParams(Fraction(1, 2), 4))))
-        add(lambda: _record_from_report(
-            check_orthogonality_discrete("hahn", HahnParams(Fraction(1, 2), Fraction(1, 3), 4))))
-        add(lambda: _record_from_report(
-            check_orthogonality_discrete("hahn", HahnParams(Fraction(1), Fraction(0), 5))))
-        add(lambda: _record_from_report(
-            check_orthogonality_discrete("racah", linearization_racah_params(Fraction(1, 2), 5, 3))))
-        add(lambda: _record_from_report(
-            check_orthogonality_discrete("racah", linearization_racah_params(Fraction(1), 4, 4))))
-        add(lambda: _record_from_report(check_orthogonality_discrete(
-            "q-racah", LinearizationLattice(qps[0], 5, 4).qrp)))
-        add(lambda: _record_from_report(check_orthogonality_discrete(
-            "q-racah", LinearizationLattice(qps[-1], 4, 3).qrp)))
-
-    if suite in ("weight-recurrence", "all"):
-        for qp in qps:
-            add(lambda qp=qp: _record_from_report(check_weight_ratio(qp)))
-            add(lambda qp=qp: _record_from_report(check_cqu_representations(qp, 8)))
-
-    if suite in ("difference", "all"):
-        for qp in qps:
-            add(lambda qp=qp: _record_from_report(check_difference_formula(qp, 8)))
-
-    if suite in ("backward-shift", "all"):
-        add(lambda: _record_from_report(
-            check_backward_shift(LinearizationLattice(qps[0], 4, 3).qrp, 3)))
-        add(lambda: _record_from_report(
-            check_backward_shift(LinearizationLattice(qps[1], 5, 4).qrp, 4)))
-
-    if suite in ("linearization", "all"):
-        for qp in qps:
-            for l, m in grid.lm_pairs():
-                add(lambda qp=qp, l=l, m=m: _record_from_report(
-                    check_linearization("q", l, m, qp=qp)))
-        for alpha in grid.alphas:
-            for l in range(7):
-                for m in range(l + 1):
-                    add(lambda a=alpha, l=l, m=m: _record_from_report(
-                        check_linearization("classical", l, m, alpha=a)))
-        for l in range(7):
-            for m in range(l + 1):
-                add(lambda l=l, m=m: _record_from_report(check_linearization("legendre", l, m)))
-
-    if suite in ("theorem-5-1", "all"):
-        for qp in qps:
-            sub = ParamGrid(grid.lmax, grid.mmax, grid.nmax, (qp,), grid.alphas)
-            add(lambda sub=sub: _record_from_report(check_theorem_5_1(sub)))
-
-    if suite in ("dual-addition", "all"):
-        for qp in qps:
-            for l, m in grid.lm_pairs():
-                add(lambda qp=qp, l=l, m=m: _record_from_report(
-                    check_dual_addition("q", l, m, mode="inversion", qp=qp)))
-                for j in range(m + 1):
-                    add(lambda qp=qp, l=l, m=m, j=j: _record_from_report(
-                        check_dual_addition("q", l, m, j, "direct", qp=qp)))
-        for alpha in (Fraction(1, 2), Fraction(1)):
-            for l in range(5):
-                for m in range(l + 1):
-                    for j in range(m + 1):
-                        add(lambda a=alpha, l=l, m=m, j=j: _record_from_report(
-                            check_dual_addition("classical", l, m, j, alpha=a)))
-        for l in range(4):
-            for m in range(l + 1):
-                for j in range(m + 1):
-                    add(lambda l=l, m=m, j=j: _record_from_report(
-                        check_dual_addition_a_form(qps[0], l, m, j)))
-
-    if suite in ("addition", "all"):
-        for qp in ADDITION_QPARAMS:
-            for u in ADDITION_POINTS_U:
-                for v in ADDITION_POINTS_V:
-                    for n in range(6):
-                        add(lambda qp=qp, u=u, v=v, n=n: _record_from_report(
-                            check_addition("q", n, qp=qp, u=u, v=v)))
-        combos = (
-            (PYTHAGOREAN_PAIRS[0], PYTHAGOREAN_PAIRS[1], PYTHAGOREAN_PAIRS[2]),
-            (PYTHAGOREAN_PAIRS[1], PYTHAGOREAN_PAIRS[2], PYTHAGOREAN_PAIRS[0]),
-            (PYTHAGOREAN_PAIRS[2], PYTHAGOREAN_PAIRS[0], PYTHAGOREAN_PAIRS[1]),
-        )
-        for alpha in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            for xp, yp, tp in combos:
-                for n in range(6):
-                    add(lambda a=alpha, xp=xp, yp=yp, tp=tp, n=n: _record_from_report(
-                        check_addition("classical", n, alpha=a, xpair=xp, ypair=yp, tpoint=tp[0])))
-        for xp, yp, pp in combos:
-            for n in range(6):
-                add(lambda xp=xp, yp=yp, pp=pp, n=n: _record_from_report(
-                    check_addition("legendre", n, xpair=xp, ypair=yp, phipair=pp)))
-
-    if suite in ("restriction", "all"):
-        qp = qps[0]
-        for l in range(4):
-            for m in range(l + 1):
-                for j in range(m + 1):
-                    for n in range(m, 5):
-                        add(lambda l=l, m=m, j=j, n=n: _record_from_report(
-                            check_restriction_equivalence(qp, l, m, j, n)))
-
-    if suite in ("product-formula", "all"):
-        pairs = ((PYTHAGOREAN_PAIRS[0], PYTHAGOREAN_PAIRS[1]),
-                 (PYTHAGOREAN_PAIRS[1], PYTHAGOREAN_PAIRS[2]))
-        for alpha in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            for xp, yp in pairs:
-                for n in range(7):
-                    add(lambda a=alpha, xp=xp, yp=yp, n=n: _record_from_report(
-                        check_product_formula_classical(a, n, xp, yp)))
-
-    if suite in ("limits", "all"):
-        add(lambda: _limit_record("cqu-to-ultra", {"alpha": 0.5, "n": 3}))
-        add(lambda: _limit_record("hahn-to-jacobi", {"alpha": 0.0, "beta": 0.0, "n": 2}))
-        add(lambda: _limit_record("jacobi-to-bessel", {"alpha": 0.5, "beta": 1.0 / 3.0, "lam": 1.0}))
-        add(lambda: _limit_record("jacobi-to-bessel", {"alpha": 0.5, "beta": 1.0 / 3.0, "lam": 2.0}))
-        add(lambda: _limit_record("dual-addition-q-to-1", {"alpha": 0.5, "l": 3, "m": 2}))
-        add(lambda: _bessel_special_cases_record())
-        add(lambda: _float_consistency_record())
-
-    if suite in ("numeric-orthogonality", "all"):
-        qp = qps[0]
-        for m in range(5):
-            for n in range(m + 1, 5):
-                add(lambda m=m, n=n: _threshold_record(
-                    "numeric-orthogonality-cqu",
-                    {"m": m, "n": n, "t": qp.t, "s": qp.s},
-                    numeric_orthogonality("cqu", {"qp": qp}, m, n),
-                    1e-8,
-                ))
-        add(lambda: _aw_h0_record(qp))
-        add(lambda: _weight_ratio_probe(qp))
-        add(lambda: _weight_symmetry_probe(qp))
-        add(lambda: _weight_aw_vs_cqu_probe(qp))
-
-    if not jobs:
-        raise QAskeyError(f"unknown suite {suite!r}")
-    return jobs
+def _numeric_orthogonality_cqu(qp, m: int, n: int) -> dict:
+    value = num.numeric_orthogonality("cqu", {"qp": qp}, m, n)
+    return _threshold_record("numeric-orthogonality-cqu", {"m": m, "n": n, "t": qp.t, "s": qp.s},
+                             value, 1e-8)
 
 
-def _aw_params_floats(qp: QParams) -> dict:
+def _aw_params_floats(qp) -> dict:
     a = float(qp.a)
     qh = float(qp.qhalf)
     return {"q": float(qp.q), "a": a, "b": qh * a, "c": -a, "d": -qh * a}
 
 
-def _aw_h0_record(qp: QParams) -> dict:
-    value = numeric_orthogonality("aw-h0", _aw_params_floats(qp), 0, 0)
+def _numeric_aw_h0(qp) -> dict:
+    value = num.numeric_orthogonality("aw-h0", _aw_params_floats(qp), 0, 0)
     return _threshold_record("numeric-aw-h0", {"t": qp.t, "s": qp.s}, value, 1e-8)
 
 
 _PROBE_THETAS = (0.4, 1.0, 1.7, 2.3, 2.8)
 
 
-def _weight_ratio_probe(qp: QParams) -> dict:
+def _numeric_weight_ratio(qp) -> dict:
     """Beta-promoted over base weight against its exact quadratic value."""
-    import math
-
     q, beta = float(qp.q), float(qp.beta)
     worst = 0.0
     for theta in _PROBE_THETAS:
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w_promoted = numeric_weight("cqu", {"q": q, "beta": beta * q}, theta)
+        w = num.numeric_weight("cqu", {"q": q, "beta": beta}, theta)
+        w_promoted = num.numeric_weight("cqu", {"q": q, "beta": beta * q}, theta)
         x = math.cos(theta)
         exact = (1 + q ** 0.5 * beta) ** 2 - 4 * q ** 0.5 * beta * x * x
         worst = max(worst, abs(w_promoted / w - exact))
     return _threshold_record("numeric-weight-ratio", {"t": qp.t, "s": qp.s}, worst, 1e-10)
 
 
-def _weight_symmetry_probe(qp: QParams) -> dict:
+def _numeric_weight_symmetry(qp) -> dict:
     """The weight is even in x: values at theta and pi - theta agree."""
-    import math
-
     q, beta = float(qp.q), float(qp.beta)
     worst = 0.0
     for theta in _PROBE_THETAS:
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w_mirror = numeric_weight("cqu", {"q": q, "beta": beta}, math.pi - theta)
+        w = num.numeric_weight("cqu", {"q": q, "beta": beta}, theta)
+        w_mirror = num.numeric_weight("cqu", {"q": q, "beta": beta}, math.pi - theta)
         worst = max(worst, abs(w_mirror - w) / abs(w))
     return _threshold_record("numeric-weight-symmetry", {"t": qp.t, "s": qp.s}, worst, 1e-12)
 
 
-def _weight_aw_vs_cqu_probe(qp: QParams) -> dict:
+def _numeric_weight_aw_vs_cqu(qp) -> dict:
     """The specialized circle weight equals the one-parameter weight as a
     theta-density up to a theta-independent factor (spread of the ratio)."""
-    import math
-
     q, beta = float(qp.q), float(qp.beta)
     ratios = []
     for theta in _PROBE_THETAS:
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        waw = numeric_weight("aw", _aw_params_floats(qp), theta)
+        w = num.numeric_weight("cqu", {"q": q, "beta": beta}, theta)
+        waw = num.numeric_weight("aw", _aw_params_floats(qp), theta)
         ratios.append(waw / (w * math.sin(theta)))
     spread = max(ratios) - min(ratios)
     return _threshold_record("numeric-weight-aw-vs-cqu", {"t": qp.t, "s": qp.s}, spread, 1e-10)
 
 
-def _bessel_special_cases_record() -> dict:
-    import math
-
+def _bessel_special_cases(points: tuple) -> dict:
     worst = 0.0
-    for x in (0.5, 1.0, 2.0, 5.0, 10.0):
-        worst = max(worst, abs(bessel_script_j(-0.5, x) - math.cos(x)))
-        worst = max(worst, abs(bessel_script_j(0.5, x) - math.sin(x) / x))
+    for x in points:
+        worst = max(worst, abs(num.bessel_script_j(-0.5, x) - math.cos(x)))
+        worst = max(worst, abs(num.bessel_script_j(0.5, x) - math.sin(x) / x))
     return _threshold_record("bessel-special-cases", {}, worst, 1e-12)
 
 
-def _float_consistency_record() -> dict:
-    qp = QParams(Fraction(19, 20), Fraction(1, 2))
-    gap = float_family_consistency(qp, 8, Fraction(7, 5))
-    return _threshold_record(
-        "float-exact-consistency", {"t": qp.t, "s": qp.s, "nmax": 8}, gap, 1e-12
-    )
+def _float_exact_consistency(qp, nmax: int) -> dict:
+    gap = num.float_family_consistency(qp, nmax, F(7, 5))
+    return _threshold_record("float-exact-consistency", {"t": qp.t, "s": qp.s, "nmax": nmax},
+                             gap, 1e-12)
 
 
-def run_suite(suite: str, grid: ParamGrid, jobs: int = 1) -> dict:
+# ---------------------------------------------------------------------------
+# the runner
+# ---------------------------------------------------------------------------
+
+
+def _text(value) -> str:
+    """Exact text of a row argument; parameter records list their fields."""
+    if is_dataclass(value):
+        return ",".join(f"{f.name}={_text(getattr(value, f.name))}" for f in fields(value))
+    if isinstance(value, tuple):
+        return "(" + ",".join(_text(v) for v in value) + ")"
+    return str(value)
+
+
+def _run_row(check, kwargs: dict) -> dict:
+    """The record of one row: its check's report or probe record, or an
+    error record named after the check and carrying the row's arguments."""
+    try:
+        out = check(**kwargs)
+    except Exception as exc:  # errors become records; the suite keeps going
+        name = check.__name__.lstrip("_").removeprefix("check_").replace("_", "-")
+        return {"id": name, "params": {k: _text(v) for k, v in sorted(kwargs.items())},
+                "verdict": "error", "message": f"{type(exc).__name__}: {exc}"}
+    return out if isinstance(out, dict) else out.to_dict()
+
+
+def run_suite(suite: str, grid: ids.ParamGrid) -> dict:
     """Run one suite and assemble the deterministic report document."""
-    thunks = _suite_jobs(suite, grid)
+    if suite not in SUITES:
+        raise QAskeyError(f"unknown suite {suite!r}")
+    grid = grid.with_defaults()
     started = time.monotonic()
-
-    def run_one(thunk):
-        try:
-            return thunk()
-        except Exception as exc:  # errors become records; the suite keeps going
-            return {"id": "error", "params": {}, "verdict": "error",
-                    "message": f"{type(exc).__name__}: {exc}"}
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_one, thunks))
-    else:
-        records = [run_one(t) for t in thunks]
+    records = [_run_row(check, kwargs) for check, kwargs in SUITES[suite](grid)]
     wall_ms = int((time.monotonic() - started) * 1000)
     summary = {"pass": 0, "fail": 0, "error": 0}
     for rec in records:
         summary[rec["verdict"]] += 1
-    grid = grid.with_defaults()
-    doc = {
+    return {
         "version": __version__,
         "suite": suite,
         "grid": {
@@ -411,7 +358,6 @@ def run_suite(suite: str, grid: ParamGrid, jobs: int = 1) -> dict:
         "summary": summary,
         "wallTimeMs": wall_ms,
     }
-    return doc
 
 
 def exit_code_for(doc: dict) -> int:
@@ -463,15 +409,143 @@ RENDERERS = {"json": render_json, "text": render_text, "csv": render_csv}
 
 
 # ---------------------------------------------------------------------------
-# argument handling
+# the eval and table commands: parameter records from flags, family tables
 # ---------------------------------------------------------------------------
 
 
-def _parse_qparams(text: str) -> QParams:
+def _parse_qparams(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise QAskeyError(f"--qparams expects 't,s', got {text!r}")
-    return QParams(parse_rat(parts[0]), parse_rat(parts[1]))
+    return fam.QParams(parse_rat(parts[0]), parse_rat(parts[1]))
+
+
+def _flag(args, flag: str):
+    """A required flag's value: a QParams, an int, or an exact rational."""
+    value = getattr(args, flag[2:].replace("-", "_"))
+    if value is None:
+        raise QAskeyError(f"family {args.family!r} requires {flag}")
+    if flag == "--qparams":
+        return _parse_qparams(value)
+    return parse_rat(value) if isinstance(value, str) else value
+
+
+# parameter record -> the flags of its fields, in order
+_RECORD_FLAGS = {
+    fam.JacobiParams: ("--alpha", "--beta"),
+    fam.KrawtchoukParams: ("--p", "--N"),
+    fam.HahnParams: ("--alpha", "--beta", "--N"),
+    fam.RacahParams: ("--alpha", "--beta", "--N", "--delta"),
+    fam.WilsonParams: ("--a", "--b", "--c", "--d"),
+    fam.AWParams: ("--a", "--b", "--c", "--d", "--qbase"),
+    fam.QRacahParams: ("--alpha", "--beta", "--delta", "--N", "--qparams"),
+}
+
+
+def _record(args, cls):
+    return cls(*(_flag(args, flag) for flag in _RECORD_FLAGS[cls]))
+
+
+def _at_z(args, poly):
+    """The Laurent polynomial, or its value at --at-z when that is given."""
+    return poly if args.at_z is None else poly.eval_at(parse_rat(args.at_z))
+
+
+def _askey_wilson(args):
+    awp = _record(args, fam.AWParams)
+    if args.at_z is None:
+        return fam.askey_wilson_r(args.n, awp)
+    return fam.askey_wilson_r_at(args.n, awp, parse_rat(args.at_z))
+
+
+# family -> value of `eval` (a Fraction or a Laurent polynomial)
+EVAL_FAMILIES = {
+    "jacobi": lambda a: fam.jacobi_r(a.n, _record(a, fam.JacobiParams), _flag(a, "--at")),
+    "ultraspherical": lambda a: fam.ultraspherical_r(a.n, _flag(a, "--alpha"), _flag(a, "--at")),
+    "krawtchouk": lambda a: fam.krawtchouk(a.n, _flag(a, "--x"), _record(a, fam.KrawtchoukParams)),
+    "hahn": lambda a: fam.hahn(a.n, _flag(a, "--x"), _record(a, fam.HahnParams)),
+    "dual-hahn": lambda a: fam.dual_hahn(a.n, _flag(a, "--x"), _record(a, fam.HahnParams)),
+    "racah": lambda a: fam.racah(a.n, _flag(a, "--x"), _record(a, fam.RacahParams)),
+    "wilson-dual": lambda a: fam.wilson_dual_phi(a.n, _flag(a, "--m"), _record(a, fam.WilsonParams)),
+    "askey-wilson": _askey_wilson,
+    "cqu": lambda a: _at_z(a, fam.cqu_r(a.n, _flag(a, "--qparams"))),
+    "cqu-alt": lambda a: _at_z(a, fam.cqu_r_alt(a.n, _flag(a, "--qparams"))),
+    "q-racah": lambda a: fam.qracah(a.n, _flag(a, "--x"), _record(a, fam.QRacahParams)),
+}
+FAMILY_IDS = tuple(EVAL_FAMILIES)
+
+
+def _norm(norms, params, n: int) -> Fraction:
+    ratio, h0 = norms(n, params)
+    return ratio * h0
+
+
+def _cqu_value(qp, z: Fraction, n: int) -> Fraction:
+    return fam.cqu_r(n, qp).eval_at(z)
+
+
+# family -> (index -> value of `table`).  The *-weights and *-norms families
+# live on the lattice 0..N, which is their default --range.
+TABLE_FAMILIES = {
+    "krawtchouk-weights": lambda a: partial(
+        fam.krawtchouk_weight, kp=_record(a, fam.KrawtchoukParams)),
+    "hahn-weights": lambda a: partial(fam.hahn_weight, hp=_record(a, fam.HahnParams)),
+    "racah-weights": lambda a: partial(fam.racah_weight, rp=_record(a, fam.RacahParams)),
+    "racah-norms": lambda a: partial(_norm, fam.racah_norms, _record(a, fam.RacahParams)),
+    "q-racah-weights": lambda a: partial(fam.qracah_weight, qrp=_record(a, fam.QRacahParams)),
+    "q-racah-norms": lambda a: partial(_norm, fam.qracah_norms, _record(a, fam.QRacahParams)),
+    "ultraspherical-values": lambda a: partial(
+        fam.ultraspherical_r, alpha=_flag(a, "--alpha"), x=_flag(a, "--at")),
+    "cqu-values": lambda a: partial(_cqu_value, _flag(a, "--qparams"), _flag(a, "--at-z")),
+}
+
+
+def _cmd_eval(args) -> int:
+    if args.family not in EVAL_FAMILIES:
+        raise QAskeyError(f"unknown family {args.family!r}")
+    value = EVAL_FAMILIES[args.family](args)
+    if isinstance(value, Fraction):
+        print(f"exact: {format_rat(value)}")
+        print(f"float: {float(value):.17g}")
+    else:
+        terms = [f"{float(c):.17g} z^{k}" for k, c in sorted(value.items(), reverse=True)]
+        print(f"exact: {value}")
+        print(f"float: {' + '.join(terms) if terms else '0'}")
+    return 0
+
+
+def _index_range(text: str) -> tuple:
+    lo, sep, hi = text.partition(":")
+    try:
+        if sep:
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise QAskeyError(f"--range expects lo:hi with integer bounds, got {text!r}")
+
+
+def _cmd_table(args) -> int:
+    if args.family not in TABLE_FAMILIES:
+        raise QAskeyError(f"unknown table family {args.family!r}")
+    on_lattice = args.family.endswith(("-weights", "-norms"))
+    top = _flag(args, "--N") if on_lattice else None
+    if args.index_range:
+        lo, hi = _index_range(args.index_range)
+    elif on_lattice:
+        lo, hi = 0, top
+    else:
+        raise QAskeyError(f"family {args.family!r} requires --range lo:hi")
+    value_at = TABLE_FAMILIES[args.family](args)
+    rows = [(i, value_at(i)) for i in range(lo, hi + 1)]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["index", "exact", "float"])
+    writer.writerows((i, format_rat(v), repr(float(v))) for i, v in rows)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# argument handling
+# ---------------------------------------------------------------------------
 
 
 def _read_config(path: str) -> dict:
@@ -488,7 +562,14 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _grid_from_args(args) -> ParamGrid:
+def _config_int(config: dict, key: str):
+    try:
+        return int(config[key]) if key in config else None
+    except ValueError:
+        raise QAskeyError(f"config key {key} expects an integer, got {config[key]!r}") from None
+
+
+def _grid_from_args(args) -> ids.ParamGrid:
     config = _read_config(args.config) if args.config else {}
     qparams = tuple(_parse_qparams(s) for s in args.qparams) if args.qparams else None
     if qparams is None and "qparams" in config:
@@ -496,14 +577,13 @@ def _grid_from_args(args) -> ParamGrid:
     alphas = tuple(parse_rat(a) for a in args.alpha) if args.alpha else None
     if alphas is None and "alphas" in config:
         alphas = tuple(parse_rat(a) for a in config["alphas"].split(",") if a)
-    lmax = args.grid_lmax if args.grid_lmax is not None else int(config.get("lmax", 5))
-    mmax = args.grid_mmax if args.grid_mmax is not None else (
-        int(config["mmax"]) if "mmax" in config else None)
-    return ParamGrid(
-        lmax=lmax,
+    lmax = args.grid_lmax if args.grid_lmax is not None else _config_int(config, "lmax")
+    mmax = args.grid_mmax if args.grid_mmax is not None else _config_int(config, "mmax")
+    return ids.ParamGrid(
+        lmax=5 if lmax is None else lmax,
         mmax=mmax,
-        qparams=qparams or DEFAULT_QPARAMS,
-        alphas=alphas or DEFAULT_ALPHAS,
+        qparams=qparams or ids.DEFAULT_QPARAMS,
+        alphas=alphas or ids.DEFAULT_ALPHAS,
     )
 
 
@@ -514,214 +594,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    v.add_argument("--format", default="json", choices=("json", "text", "csv"))
+    v.add_argument("--format", default="json", choices=tuple(RENDERERS))
     v.add_argument("--out", default=None, help="write the report to this path")
     v.add_argument("--qparams", action="append", help="t,s pair (repeatable)")
     v.add_argument("--alpha", action="append", help="classical alpha (repeatable)")
     v.add_argument("--grid-lmax", type=int, default=None)
     v.add_argument("--grid-mmax", type=int, default=None)
     v.add_argument("--config", default=None, help="key=value configuration file")
-    v.add_argument("--jobs", type=int, default=1)
 
     e = sub.add_parser("eval", help="evaluate one family member")
     e.add_argument("--family", required=True)
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--m", type=int, default=None)
-    e.add_argument("--x", type=int, default=None)
-    e.add_argument("--alpha", default=None)
-    e.add_argument("--beta", default=None)
-    e.add_argument("--delta", default=None)
-    e.add_argument("--p", default=None)
-    e.add_argument("--N", type=int, default=None)
-    e.add_argument("--a", default=None)
-    e.add_argument("--b", default=None)
-    e.add_argument("--c", default=None)
-    e.add_argument("--d", default=None)
-    e.add_argument("--qbase", default=None)
+    for flag in ("--m", "--x", "--N"):
+        e.add_argument(flag, type=int, default=None)
+    for flag in ("--alpha", "--beta", "--delta", "--p", "--a", "--b", "--c", "--d", "--qbase"):
+        e.add_argument(flag, default=None)
     e.add_argument("--qparams", default=None, help="t,s pair")
     e.add_argument("--at", default=None, help="evaluation point x")
     e.add_argument("--at-z", default=None, help="evaluation point z")
 
     t = sub.add_parser("table", help="emit a CSV table of values, weights or norms")
     t.add_argument("--family", required=True)
-    t.add_argument("--alpha", default=None)
-    t.add_argument("--beta", default=None)
-    t.add_argument("--delta", default=None)
-    t.add_argument("--p", default=None)
+    for flag in ("--alpha", "--beta", "--delta", "--p", "--qparams", "--at", "--at-z"):
+        t.add_argument(flag, default=None)
     t.add_argument("--N", type=int, default=None)
-    t.add_argument("--qparams", default=None)
-    t.add_argument("--at", default=None)
-    t.add_argument("--at-z", default=None)
     t.add_argument("--range", dest="index_range", default=None, help="lo:hi inclusive")
     return parser
 
 
-def _laurent_float_text(poly) -> str:
-    parts = [f"{float(c):.17g} z^{k}" for k, c in sorted(poly.items(), reverse=True)]
-    return " + ".join(parts) if parts else "0"
-
-
-def _cmd_eval(args) -> int:
-    fam = args.family
-    need = lambda name, value: _require_flag(fam, name, value)
-    if fam == "jacobi":
-        value = jacobi_r(args.n, JacobiParams(need("--alpha", args.alpha), need("--beta", args.beta)),
-                         parse_rat(need("--at", args.at)))
-    elif fam == "ultraspherical":
-        value = ultraspherical_r(args.n, parse_rat(need("--alpha", args.alpha)),
-                                 parse_rat(need("--at", args.at)))
-    elif fam == "krawtchouk":
-        kp = KrawtchoukParams(parse_rat(need("--p", args.p)), need("--N", args.N))
-        value = krawtchouk(args.n, need("--x", args.x), kp)
-    elif fam in ("hahn", "dual-hahn"):
-        hp = HahnParams(parse_rat(need("--alpha", args.alpha)), parse_rat(need("--beta", args.beta)),
-                        need("--N", args.N))
-        fn = hahn if fam == "hahn" else dual_hahn
-        value = fn(args.n, need("--x", args.x), hp)
-    elif fam == "racah":
-        rp = RacahParams(parse_rat(need("--alpha", args.alpha)), parse_rat(need("--beta", args.beta)),
-                         need("--N", args.N), parse_rat(need("--delta", args.delta)))
-        value = racah(args.n, need("--x", args.x), rp)
-    elif fam == "wilson-dual":
-        wp = WilsonParams(parse_rat(need("--a", args.a)), parse_rat(need("--b", args.b)),
-                          parse_rat(need("--c", args.c)), parse_rat(need("--d", args.d)))
-        value = wilson_dual_phi(args.n, need("--m", args.m), wp)
-    elif fam == "askey-wilson":
-        awp = AWParams(parse_rat(need("--a", args.a)), parse_rat(need("--b", args.b)),
-                       parse_rat(need("--c", args.c)), parse_rat(need("--d", args.d)),
-                       parse_rat(need("--qbase", args.qbase)))
-        if args.at_z is not None:
-            value = askey_wilson_r_at(args.n, awp, parse_rat(args.at_z))
-        else:
-            value = askey_wilson_r(args.n, awp)
-    elif fam in ("cqu", "cqu-alt"):
-        qp = _parse_qparams(need("--qparams", args.qparams))
-        poly = cqu_r(args.n, qp) if fam == "cqu" else cqu_r_alt(args.n, qp)
-        value = poly.eval_at(parse_rat(args.at_z)) if args.at_z is not None else poly
-    elif fam == "q-racah":
-        qp = _parse_qparams(need("--qparams", args.qparams))
-        qrp = QRacahParams(parse_rat(need("--alpha", args.alpha)),
-                           parse_rat(need("--beta", args.beta)),
-                           parse_rat(need("--delta", args.delta)), need("--N", args.N), qp)
-        value = qracah(args.n, need("--x", args.x), qrp)
-    else:
-        raise QAskeyError(f"unknown family {fam!r}")
-    if isinstance(value, Fraction):
-        print(f"exact: {format_rat(value)}")
-        print(f"float: {float(value):.17g}")
-    else:
-        print(f"exact: {value}")
-        print(f"float: {_laurent_float_text(value)}")
-    return 0
-
-
-def _require_flag(family: str, flag: str, value):
-    if value is None:
-        raise QAskeyError(f"family {family!r} requires {flag}")
-    return value
-
-
-def _cmd_table(args) -> int:
-    fam = args.family
-    need = lambda name, value: _require_flag(fam, name, value)
-    rows = []
-    if fam in ("krawtchouk-weights", "hahn-weights", "racah-weights", "q-racah-weights",
-               "racah-norms", "q-racah-norms"):
-        N = need("--N", args.N)
-        default_range = (0, N)
-    else:
-        default_range = None
-    if args.index_range:
-        lo_s, _, hi_s = args.index_range.partition(":")
-        lo, hi = int(lo_s), int(hi_s)
-    elif default_range:
-        lo, hi = default_range
-    else:
-        raise QAskeyError(f"family {fam!r} requires --range lo:hi")
-
-    def emit(i, value):
-        rows.append((i, format_rat(value), repr(float(value))))
-
-    if fam == "krawtchouk-weights":
-        kp = KrawtchoukParams(parse_rat(need("--p", args.p)), args.N)
-        for x in range(lo, hi + 1):
-            emit(x, krawtchouk_weight(x, kp))
-    elif fam == "hahn-weights":
-        hp = HahnParams(parse_rat(need("--alpha", args.alpha)),
-                        parse_rat(need("--beta", args.beta)), args.N)
-        for x in range(lo, hi + 1):
-            emit(x, hahn_weight(x, hp))
-    elif fam == "racah-weights":
-        rp = RacahParams(parse_rat(need("--alpha", args.alpha)),
-                         parse_rat(need("--beta", args.beta)), args.N,
-                         parse_rat(need("--delta", args.delta)))
-        for x in range(lo, hi + 1):
-            emit(x, racah_weight(x, rp))
-    elif fam == "racah-norms":
-        rp = RacahParams(parse_rat(need("--alpha", args.alpha)),
-                         parse_rat(need("--beta", args.beta)), args.N,
-                         parse_rat(need("--delta", args.delta)))
-        for n in range(lo, hi + 1):
-            ratio, h0 = racah_norms(n, rp)
-            emit(n, ratio * h0)
-    elif fam == "q-racah-weights":
-        qp = _parse_qparams(need("--qparams", args.qparams))
-        qrp = QRacahParams(parse_rat(need("--alpha", args.alpha)),
-                           parse_rat(need("--beta", args.beta)),
-                           parse_rat(need("--delta", args.delta)), args.N, qp)
-        for x in range(lo, hi + 1):
-            emit(x, qracah_weight(x, qrp))
-    elif fam == "q-racah-norms":
-        qp = _parse_qparams(need("--qparams", args.qparams))
-        qrp = QRacahParams(parse_rat(need("--alpha", args.alpha)),
-                           parse_rat(need("--beta", args.beta)),
-                           parse_rat(need("--delta", args.delta)), args.N, qp)
-        for n in range(lo, hi + 1):
-            ratio, h0 = qracah_norms(n, qrp)
-            emit(n, ratio * h0)
-    elif fam == "ultraspherical-values":
-        alpha = parse_rat(need("--alpha", args.alpha))
-        x = parse_rat(need("--at", args.at))
-        for n in range(lo, hi + 1):
-            emit(n, ultraspherical_r(n, alpha, x))
-    elif fam == "cqu-values":
-        qp = _parse_qparams(need("--qparams", args.qparams))
-        z = parse_rat(need("--at-z", args.at_z))
-        for n in range(lo, hi + 1):
-            emit(n, cqu_r(n, qp).eval_at(z))
-    else:
-        raise QAskeyError(f"unknown table family {fam!r}")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["index", "exact", "float"])
-    writer.writerows(rows)
-    return 0
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            grid = _grid_from_args(args)
-            doc = run_suite(args.suite, grid, jobs=max(1, args.jobs))
-            text = RENDERERS[args.format](doc)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return exit_code_for(doc)
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "table":
             return _cmd_table(args)
-    except QAskeyError as exc:
+        doc = run_suite(args.suite, _grid_from_args(args))
+        text = RENDERERS[args.format](doc)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return exit_code_for(doc)
+    except (QAskeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -5,22 +5,9 @@ class QAskeyError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DenominatorVanished(QAskeyError):
-    """A denominator Pochhammer factor vanished inside a terminating series.
-
-    `index` is the term index k at which the factor is zero.
-    """
-
-    def __init__(self, index, detail=""):
-        self.index = index
-        msg = f"denominator factor vanishes at index {index}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
-
-
 class VanishingDenominator(QAskeyError):
-    """A weight or norm denominator vanished; `index` witnesses where."""
+    """A denominator vanished: a Pochhammer factor inside a terminating
+    series, or a weight or norm denominator; `index` witnesses where."""
 
     def __init__(self, index, detail=""):
         self.index = index

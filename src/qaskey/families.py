@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .errors import ParameterError, VanishingDenominator
+from .errors import ParameterError, VanishingDenominator, ZeroArgument
 from .laurent import LaurentPoly, SymmetricLaurent
 from .series import (
     HyperSeriesSpec,
@@ -421,6 +421,8 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> Lau
     c_k = (scalar_nums; q)_k / ((q; q)_k (scalar_dens; q)_k), accumulated
     by term ratios exactly as in the scalar engine.
     """
+    if nterms < 0:
+        raise ParameterError(f"degree must be >= 0, got {nterms}")
     scalar_nums = [Fraction(v) for v in scalar_nums]
     scalar_dens = [Fraction(v) for v in scalar_dens]
     a_laurent = Fraction(a_laurent)
@@ -470,6 +472,8 @@ def askey_wilson_r_at(n: int, awp: AWParams, z0) -> Fraction:
     """Scalar value of the Askey-Wilson polynomial at z = z0."""
     a, b, c, d, q = awp.a, awp.b, awp.c, awp.d, awp.qbase
     z0 = Fraction(z0)
+    if z0 == 0:
+        raise ZeroArgument("cannot evaluate an Askey-Wilson polynomial at z = 0")
     spec = HyperSeriesSpec(
         numerator=(q ** (-n), q ** (n - 1) * a * b * c * d, a * z0, a / z0),
         denominator=(a * b, a * c, a * d),
@@ -666,25 +670,6 @@ def hahn_float(n: int, x_real, alpha, beta, N) -> float:
     from .series import hyper_sum
 
     return hyper_sum((-n, n + alpha + beta + 1, -x_real), (alpha + 1, -N), 1.0, n)
-
-
-# ---------------------------------------------------------------------------
-# registry for the CLI
-# ---------------------------------------------------------------------------
-
-FAMILY_IDS = (
-    "jacobi",
-    "ultraspherical",
-    "krawtchouk",
-    "hahn",
-    "dual-hahn",
-    "racah",
-    "wilson-dual",
-    "askey-wilson",
-    "cqu",
-    "cqu-alt",
-    "q-racah",
-)
 
 
 def _check_lattice(n: int, x: int, N: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Optional
 
 from .errors import InadmissiblePoint, NonPositiveWeight, ParameterError
@@ -116,6 +116,12 @@ class ParamGrid:
     qparams: tuple = ()
     alphas: tuple = ()
 
+    def __post_init__(self):
+        for name in ("lmax", "mmax", "nmax"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ParameterError(f"grid {name} must be >= 0, got {value}")
+
     def with_defaults(self) -> "ParamGrid":
         qps = self.qparams or DEFAULT_QPARAMS
         alphas = self.alphas or DEFAULT_ALPHAS
@@ -152,10 +158,6 @@ ADDITION_POINTS_U = (F(2), F(3, 2))
 ADDITION_POINTS_V = (F(3), F(5, 4))
 
 
-def _fmt(value) -> str:
-    return str(value)
-
-
 def _render_xpoly(coeffs) -> str:
     parts = [f"{c} x^{i}" for i, c in enumerate(coeffs) if c]
     return " + ".join(parts) if parts else "0"
@@ -190,7 +192,7 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
             right += [F(0)] * (size - len(right))
             diff = [a - b for a, b in zip(left, right)]
             exp = next(i for i, v in enumerate(diff) if v)
-            witness = Witness(f"{loc}, x^{exp}", _fmt(left[exp]), _fmt(right[exp]))
+            witness = Witness(f"{loc}, x^{exp}", str(left[exp]), str(right[exp]))
             return CheckReport(check_id, params, "fail", witness, _render_xpoly(diff))
         residual = lhs - rhs
         if isinstance(lhs, LaurentPoly) or isinstance(rhs, LaurentPoly):
@@ -198,10 +200,10 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
             exp = min(k for k, v in diff.items() if v)
             lv = lhs.coeff(exp) if isinstance(lhs, LaurentPoly) else Fraction(lhs)
             rv = rhs.coeff(exp) if isinstance(rhs, LaurentPoly) else Fraction(rhs)
-            witness = Witness(f"{loc}, z^{exp}", _fmt(lv), _fmt(rv))
+            witness = Witness(f"{loc}, z^{exp}", str(lv), str(rv))
         else:
-            witness = Witness(loc, _fmt(lhs), _fmt(rhs))
-        return CheckReport(check_id, params, "fail", witness, _fmt(residual))
+            witness = Witness(loc, str(lhs), str(rhs))
+        return CheckReport(check_id, params, "fail", witness, str(residual))
     return CheckReport(check_id, params, "pass")
 
 
@@ -374,81 +376,52 @@ def check_duality_discrete(family: str, params_obj, nmax: Optional[int] = None, 
 def check_orthogonality_discrete(family: str, params_obj, mutation=None) -> CheckReport:
     """Full Gram matrix against the closed-form norms (off-diagonal only
     for Hahn, whose diagonal norm is not in scope)."""
-    items = []
-    if family == "krawtchouk":
-        kp: KrawtchoukParams = params_obj
-        N = kp.N
-        weights = [krawtchouk_weight(x, kp) for x in range(N + 1)]
-        _require_positive(weights)
-        values = [[krawtchouk(n, x, kp) for x in range(N + 1)] for n in range(N + 1)]
-        for m in range(N + 1):
-            for n in range(m, N + 1):
-                g = sum(values[m][x] * values[n][x] * weights[x] for x in range(N + 1))
-                expected = (1 - kp.p) ** N / weights[n] if m == n else F(0)
-                items.append((f"m={m}, n={n}", g, expected))
-        params = {"family": family, "p": kp.p, "N": N}
-    elif family == "hahn":
-        hp: HahnParams = params_obj
-        N = hp.N
-        weights = [hahn_weight(x, hp) for x in range(N + 1)]
-        _require_positive(weights)
-        values = [[hahn(n, x, hp) for x in range(N + 1)] for n in range(N + 1)]
-        for m in range(N + 1):
-            for n in range(m + 1, N + 1):
-                g = sum(values[m][x] * values[n][x] * weights[x] for x in range(N + 1))
-                items.append((f"m={m}, n={n}", g, F(0)))
-        params = {"family": family, "alpha": hp.alpha, "beta": hp.beta, "N": N}
-    elif family == "racah":
-        rp: RacahParams = params_obj
-        N = rp.N
-        weights = [racah_weight(x, rp) for x in range(N + 1)]
-        _require_positive(weights)
-        values = [[racah(n, x, rp) for x in range(N + 1)] for n in range(N + 1)]
-        items.append(("sum-of-weights", sum(weights), racah_h0(rp)))
-        for m in range(N + 1):
-            for n in range(m, N + 1):
-                g = sum(values[m][x] * values[n][x] * weights[x] for x in range(N + 1))
-                if m == n:
-                    ratio, h0 = racah_norms(n, rp)
-                    expected = ratio * h0
-                else:
-                    expected = F(0)
-                items.append((f"m={m}, n={n}", g, expected))
-        params = {"family": family, "alpha": rp.alpha, "beta": rp.beta, "delta": rp.delta, "N": N}
-    elif family == "q-racah":
-        qrp: QRacahParams = params_obj
-        N = qrp.N
-        weights = [qracah_weight(x, qrp) for x in range(N + 1)]
-        _require_positive(weights)
-        values = [[qracah(n, x, qrp) for x in range(N + 1)] for n in range(N + 1)]
-        items.append(("sum-of-weights", sum(weights), qracah_h0(qrp)))
-        for m in range(N + 1):
-            for n in range(m, N + 1):
-                g = sum(values[m][x] * values[n][x] * weights[x] for x in range(N + 1))
-                if m == n:
-                    ratio, h0 = qracah_norms(n, qrp)
-                    expected = ratio * h0
-                else:
-                    expected = F(0)
-                items.append((f"m={m}, n={n}", g, expected))
-        params = {
-            "family": family,
-            "alpha": qrp.alpha,
-            "beta": qrp.beta,
-            "delta": qrp.delta,
-            "N": N,
-            "t": qrp.qp.t,
-            "s": qrp.qp.s,
-        }
-    else:
+    if family not in ("krawtchouk", "hahn", "racah", "q-racah"):
         raise ParameterError(f"unknown orthogonality family {family!r}")
+    p = params_obj
+    lattice = range(p.N + 1)
+    if family == "krawtchouk":
+        weights = _positive([krawtchouk_weight(x, p) for x in lattice])
+        values = [[krawtchouk(n, x, p) for x in lattice] for n in lattice]
+        items = _gram_items(weights, values, lambda n: (1 - p.p) ** p.N / weights[n])
+        params = {"family": family, "p": p.p, "N": p.N}
+    elif family == "hahn":
+        weights = _positive([hahn_weight(x, p) for x in lattice])
+        values = [[hahn(n, x, p) for x in lattice] for n in lattice]
+        items = _gram_items(weights, values)
+        params = {"family": family, "alpha": p.alpha, "beta": p.beta, "N": p.N}
+    elif family == "racah":
+        weights = _positive([racah_weight(x, p) for x in lattice])
+        values = [[racah(n, x, p) for x in lattice] for n in lattice]
+        items = _gram_items(weights, values, lambda n: prod(racah_norms(n, p)), racah_h0(p))
+        params = {"family": family, "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N}
+    else:
+        weights = _positive([qracah_weight(x, p) for x in lattice])
+        values = [[qracah(n, x, p) for x in lattice] for n in lattice]
+        items = _gram_items(weights, values, lambda n: prod(qracah_norms(n, p)), qracah_h0(p))
+        params = {"family": family, "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N,
+                  "t": p.qp.t, "s": p.qp.s}
     return _compare(f"orthogonality-{family}", params, items, mutation)
 
 
-def _require_positive(weights):
+def _positive(weights):
     for x, w in enumerate(weights):
         if w <= 0:
             raise NonPositiveWeight(x, w)
+    return weights
+
+
+def _gram_items(weights, values, norm=None, h0=None):
+    """Items of the Gram matrix sum_x values[m][x] values[n][x] weights[x]:
+    the total mass against h0 when given, each diagonal entry against
+    norm(n) when given (left out otherwise), each off-diagonal one against 0."""
+    items = [] if h0 is None else [("sum-of-weights", sum(weights), h0)]
+    lattice = range(len(weights))
+    for m in lattice:
+        for n in range(m if norm else m + 1, len(weights)):
+            g = sum(values[m][x] * values[n][x] * weights[x] for x in lattice)
+            items.append((f"m={m}, n={n}", g, norm(n) if m == n else F(0)))
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +670,8 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
             report.check_id,
             params,
             "fail",
-            Witness(loc, _fmt(value), ">= 0"),
-            _fmt(value),
+            Witness(loc, str(value), ">= 0"),
+            str(value),
         )
     return report
 
@@ -778,6 +751,20 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
     raise ParameterError(f"unknown dual addition target {target!r}")
 
 
+def _dual_addition_coeff_a(k: int, l: int, m: int, qp: QParams) -> Fraction:
+    """The scalar part of the k-th coefficient of the dual addition
+    expansion in the parameter a = q^(1/4) beta^(1/2): the lattice
+    polynomial and the z-dependent factors are left to the caller."""
+    a, q, qh, t = qp.a, qp.q, qp.qhalf, qp.t
+    a2, a4 = a * a, a ** 4
+    c = F(-1) ** k * t ** (2 * k * (k + l + m + 1)) * a2 ** k
+    c *= (1 - a4 * q ** (2 * k) / q) / (1 - a4 * q ** k / q)
+    c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(a4, q, k)
+    c /= qpochhammer(qh * a2, q, k) ** 2 * qpochhammer(q, q, k)
+    c /= qpochhammer(-a2, qh, 2 * k) ** 2
+    return c
+
+
 def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=None) -> CheckReport:
     """The dual addition expansion rewritten in the alternative parameter
     a = q^(1/4) beta^(1/2), as an exact Laurent identity.
@@ -788,15 +775,10 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
     """
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
-    a, q, qh, t = qp.a, qp.q, qp.qhalf, qp.t
-    a2, a4 = a * a, a ** 4
+    a2, q = qp.a * qp.a, qp.q
     rhs = LaurentPoly()
     for k in range(m + 1):
-        c = F(-1) ** k * t ** (2 * k * (k + l + m + 1)) * a2 ** k
-        c *= (1 - a4 * q ** (2 * k) / q) / (1 - a4 * q ** k / q)
-        c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(a4, q, k)
-        c /= qpochhammer(qh * a2, q, k) ** 2 * qpochhammer(q, q, k)
-        c /= qpochhammer(-a2, qh, 2 * k) ** 2
+        c = _dual_addition_coeff_a(k, l, m, qp)
         if not c:
             continue
         c *= qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
@@ -955,37 +937,20 @@ def check_restriction_equivalence(qp: QParams, l: int, m: int, j: int, n: int,
     """
     if not (0 <= j <= m <= l and m <= n):
         raise ParameterError("need 0 <= j <= m <= l and m <= n")
-    a, q, qh, t = qp.a, qp.q, qp.qhalf, qp.t
-    a2, a4 = a * a, a ** 4
+    a, q, t = qp.a, qp.q, qp.t
     zpt = t ** (-2 * (l + m - 2 * j)) / a
     zu, zv = t ** (-2 * l) / a, t ** (-2 * m) / a
     base = _rv_aw_params(qp)
     kernel = _restriction_kernel_params(qp, l, m) if m >= 1 else None
 
-    def coeff_restricted(k):
-        # restricted dual-addition coefficient
-        c = F(-1) ** k * t ** (2 * k * (k + l + m + 1)) * a2 ** k
-        c *= (1 - a4 * q ** (2 * k) / q) / (1 - a4 * q ** k / q)
-        c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(a4, q, k)
-        c /= qpochhammer(qh * a2, q, k) ** 2 * qpochhammer(q, q, k)
-        c /= qpochhammer(-a2, qh, 2 * k) ** 2
-        c *= qpochhammer(q ** (-n), q, k) * qpochhammer(q ** n * a4, q, k)
-        return c
-
-    def coeff_addition(k):
-        # addition coefficient specialized to the lattice points
-        c = F(-1) ** k * t ** (2 * k * (k + l + m + 1)) * a2 ** k
-        for b in (q ** (-n), q ** (-l), q ** (-m), a2, q ** n * a4, a4 / q):
-            c *= qpochhammer(b, q, k)
-        for b in (qh * a2, -qh * a2, -a2):
-            c /= qpochhammer(b, q, k)
-        c /= qpochhammer(q, q, k) * qpochhammer(a4 / q, q, 2 * k)
-        return c
-
     items = []
     total_r, total_a = F(0), F(0)
     for k in range(n + 1):
-        cr, ca = coeff_restricted(k), coeff_addition(k)
+        # the dual addition coefficient restricted to the lattice, and the
+        # addition coefficient at the lattice points u = zu, v = zv
+        cr = _dual_addition_coeff_a(k, l, m, qp)
+        cr *= qpochhammer(q ** (-n), q, k) * qpochhammer(q ** n * a ** 4, q, k)
+        ca = _addition_coeff_q(k, n, qp, zu, zv)
         if cr == 0 and ca == 0:
             items.append((f"term k={k}", F(0), F(0)))
             continue

@@ -242,10 +242,3 @@ def qpoch_laurent_pow(a, zexp: int, qbase, k: int) -> LaurentPoly:
         out = out * (LaurentPoly.constant(1) - LaurentPoly.monomial(zexp, factor_c))
         factor_c *= qb
     return out
-
-
-def qpoch_laurent(a, direction: int, qbase, k: int) -> LaurentPoly:
-    """(a z; q)_k for direction +1, (a z^-1; q)_k for direction -1."""
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    return qpoch_laurent_pow(a, direction, qbase, k)

@@ -281,18 +281,7 @@ def numeric_weight(kind: str, params: dict, theta: float) -> float:
         value = (f * fc).real / math.sin(theta)
         return _require_finite(value)
     if kind == "aw":
-        q = float(params["q"])
-        abcd = [float(params[name]) for name in ("a", "b", "c", "d")]
-        z = cmath.exp(1j * theta)
-
-        def g(w):
-            out = qpoch_infinite(w * w, q)
-            for p in abcd:
-                out /= qpoch_infinite(p * w, q)
-            return out
-
-        value = (g(z) * g(1 / z)).real
-        return _require_finite(value)
+        return _require_finite(_aw_weight_circle(params, theta))
     raise ParameterError(f"unknown weight kind {kind!r}")
 
 
@@ -374,6 +363,7 @@ def numeric_orthogonality(kind: str, params: dict, m: int, n: int,
 
 
 def _aw_weight_circle(params: dict, theta: float) -> float:
+    """The four-parameter circle weight at z = exp(i theta)."""
     q = float(params["q"])
     abcd = [float(params[name]) for name in ("a", "b", "c", "d")]
     z = cmath.exp(1j * theta)

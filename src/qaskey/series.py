@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DenominatorVanished, ParameterError
+from .errors import ParameterError, VanishingDenominator
 
 Rat = Fraction
-
-
-def rat(value, den=None) -> Fraction:
-    """Coerce to an exact rational; accepts ints, Fractions and 'p/q' text."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -62,14 +55,6 @@ def pm_qpochhammer(a, qbase, k: int):
     return qpochhammer(a, qbase, k) * qpochhammer(-a, qbase, k)
 
 
-def qpochhammer_multi(bs: Sequence, qbase, k: int):
-    """(b_1, ..., b_r; q)_k = prod (b_i; q)_k."""
-    out = qbase - qbase + 1
-    for b in bs:
-        out *= qpochhammer(b, qbase, k)
-    return out
-
-
 def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
     """Terminating ordinary hypergeometric sum over k = 0..nterms.
 
@@ -85,7 +70,7 @@ def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
         for b in dens:
             den *= b + k
         if den == 0:
-            raise DenominatorVanished(k + 1)
+            raise VanishingDenominator(k + 1)
         term = term * arg / den
         total += term
     return total
@@ -108,7 +93,7 @@ def qhyper_sum(nums: Sequence, dens: Sequence, qbase, arg, nterms: int):
         for b in dens:
             den *= 1 - (qpow / qbase) * b
         if den == 0:
-            raise DenominatorVanished(k + 1)
+            raise VanishingDenominator(k + 1)
         term = term * arg / den
         total += term
     return total
@@ -146,7 +131,7 @@ class HyperSeriesSpec:
             for b in self.denominator:
                 for k in range(n):
                     if b + k == 0:
-                        raise DenominatorVanished(k + 1, f"(b)_k factor with b={b}")
+                        raise VanishingDenominator(k + 1, f"(b)_k factor with b={b}")
         else:
             if not 0 < self.base < 1:
                 raise ParameterError(f"series base must lie in (0, 1), got {self.base}")
@@ -156,7 +141,7 @@ class HyperSeriesSpec:
             for k in range(n):
                 for b in self.denominator:
                     if qpow * b == 1:
-                        raise DenominatorVanished(k + 1, f"(b; q)_k factor with b={b}")
+                        raise VanishingDenominator(k + 1, f"(b; q)_k factor with b={b}")
                 qpow *= self.base
 
 

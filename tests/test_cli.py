@@ -1,13 +1,27 @@
 """CLI surface: suites, report formats, determinism, eval/table commands."""
 
 import csv
+import hashlib
 import io
 import json
 import contextlib
+import re
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qaskey.cli import main, render_json, run_suite
+from qaskey.cli import (
+    FAMILY_IDS,
+    SUITE_NAMES,
+    TABLE_FAMILIES,
+    main,
+    render_csv,
+    render_json,
+    render_text,
+    run_suite,
+)
+from qaskey.families import QParams
 from qaskey.identities import ParamGrid
 
 
@@ -52,21 +66,62 @@ def test_verify_rejects_unknown_suite():
 
 
 def test_every_declared_suite_is_wired_and_green():
-    from qaskey.cli import SUITE_NAMES, exit_code_for
+    from qaskey.cli import exit_code_for
 
-    grid = ParamGrid(lmax=1)
-    for name in SUITE_NAMES:
-        doc = run_suite(name, grid)
-        assert doc["summary"]["pass"] == len(doc["checks"]) > 0, name
-        assert exit_code_for(doc) == 0, name
+    one_carrier = (QParams(F(1, 2), F(2, 3)),)
+    for grid in (ParamGrid(lmax=1), ParamGrid(lmax=1, qparams=one_carrier)):
+        for name in SUITE_NAMES:
+            doc = run_suite(name, grid)
+            assert doc["summary"]["pass"] == len(doc["checks"]) > 0, (name, grid.qparams)
+            assert exit_code_for(doc) == 0, (name, grid.qparams)
 
 
-def test_report_determinism_across_runs_and_jobs():
+def test_report_determinism_across_runs():
     d1 = run_suite("orthogonality", ParamGrid())
-    d2 = run_suite("orthogonality", ParamGrid(), jobs=3)
+    d2 = run_suite("orthogonality", ParamGrid())
     d1.pop("wallTimeMs")
     d2.pop("wallTimeMs")
     assert render_json(d1) == render_json(d2)
+
+
+# SHA-256 of the lmax=1 `all` report with its wall time removed.  Any change
+# to a verdict, a parameter, a witness or the record order changes them;
+# record them again only when the reports are meant to change.
+GOLDEN_ALL_LMAX1 = {
+    "json": "ca4e7afe8f6797aa80a9b32967bec43af257808d2c2398b96b3be8ae5703d869",
+    "text": "48f368aae100be650c52682ed45a0ce5d2a510376a95e3affd24fd789a1f6f35",
+    "csv": "a0641959889a4b78bd52bc899740139b91bd8ae3c56aca3877d5b43fa8ce0a79",
+}
+
+
+def test_reports_are_byte_identical_to_the_recorded_digests():
+    doc = run_suite("all", ParamGrid(lmax=1))
+    text = re.sub(r" wallTimeMs=\d+", "", render_text(doc))
+    doc.pop("wallTimeMs")
+    rendered = {"json": render_json(doc), "text": text, "csv": render_csv(doc)}
+    digests = {fmt: hashlib.sha256(out.encode()).hexdigest() for fmt, out in rendered.items()}
+    assert digests == GOLDEN_ALL_LMAX1
+
+
+def test_errored_check_names_itself():
+    # q = 1/16, beta = 1: the q-Racah lattices of the orthogonality suite
+    # have a vanishing norm denominator
+    doc = run_suite("orthogonality", ParamGrid(lmax=1, qparams=(QParams(F(1, 2), F(1)),)))
+    errors = [rec for rec in doc["checks"] if rec["verdict"] == "error"]
+    assert len(errors) == 2
+    for rec, (l, m) in zip(errors, ((5, 4), (4, 3))):
+        assert rec["id"] == "orthogonality-q-racah"
+        assert rec["params"] == {"l": str(l), "m": str(m), "qp": "t=1/2,s=1"}
+        assert rec["message"].startswith("VanishingDenominator: ")
+
+
+def test_verify_errors():
+    for bad in (["--grid-lmax", "-1"], ["--grid-mmax", "-1"]):
+        code, out, err = run_cli(["verify", "--suite", "theorem-5-1"] + bad)
+        assert code == 2 and out == "" and err.startswith("error: ") and "must be >= 0" in err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suite", "difference", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_text_and_csv_formats():
@@ -106,6 +161,9 @@ def test_config_file(tmp_path):
                             "--grid-lmax", "1", "--format", "json"])
     doc = json.loads(out)
     assert doc["grid"]["lmax"] == 1
+    cfg.write_text("lmax=x\n")
+    code, out, err = run_cli(["verify", "--suite", "theorem-5-1", "--config", str(cfg)])
+    assert code == 2 and out == "" and "lmax" in err and len(err.splitlines()) == 1
 
 
 def test_eval_examples():
@@ -145,8 +203,6 @@ def test_eval_laurent_output():
 
 
 def test_eval_covers_every_family_id():
-    from qaskey.families import FAMILY_IDS
-
     argv_by_family = {
         "jacobi": ["--alpha", "1/2", "--beta", "1/3", "--at", "2/5"],
         "ultraspherical": ["--alpha", "1/2", "--at", "2/5"],
@@ -178,6 +234,19 @@ def test_eval_errors():
     assert code == 2 and "unknown family" in err
     code, _, err = run_cli(["eval", "--family", "ultraspherical", "--n", "1"])
     assert code == 2 and "--alpha" in err
+    code, out, err = run_cli(["eval", "--family", "askey-wilson", "--n", "2", "--a", "1/3",
+                              "--b", "1/12", "--c=-1/3", "--d=-1/12", "--qbase", "1/16",
+                              "--at-z", "0"])
+    assert code == 2 and out == "" and "z = 0" in err
+    code, out, err = run_cli(["eval", "--family", "cqu", "--n", "-1", "--qparams", "1/2,2/3"])
+    assert code == 2 and out == "" and "degree" in err
+
+
+def test_table_errors():
+    for bad in ("a:b", "5"):
+        code, out, err = run_cli(["table", "--family", "krawtchouk-weights", "--p", "1/3",
+                                  "--N", "3", "--range", bad])
+        assert code == 2 and out == "" and "--range" in err and len(err.splitlines()) == 1
 
 
 def test_table_qracah_weights():
@@ -229,3 +298,59 @@ def test_table_values_families():
                             "--at-z", "7/5", "--range", "0:2"])
     assert code == 0
     assert len(out.splitlines()) == 4
+
+
+# The vocabulary of the fuzz test: every command, family and cheap suite,
+# with rationals (0 and negatives among them), bad numbers and bad ranges.
+RATIONALS = ("0", "1", "-1", "1/2", "2/3", "-3/4", "5/2", "1/0", "abc", "")
+INTS = ("-1", "0", "1", "2", "3", "x")
+FLAG_VALUES = {
+    "--n": INTS, "--m": INTS, "--x": INTS, "--N": INTS,
+    "--alpha": RATIONALS, "--beta": RATIONALS, "--delta": RATIONALS, "--p": RATIONALS,
+    "--a": RATIONALS, "--b": RATIONALS, "--c": RATIONALS, "--d": RATIONALS,
+    "--qbase": RATIONALS, "--at": RATIONALS, "--at-z": RATIONALS,
+    "--qparams": ("1/2,2/3", "2/3,1/2", "1/2,1", "0,1", "1/2", "a,b", "1/2,-1"),
+    "--range": ("0:2", "1:0", "-1:1", "a:b", "5", ":", "0:x"),
+    "--grid-lmax": ("-1", "0", "1"), "--grid-mmax": ("-1", "0", "1"),
+    "--format": ("json", "text", "csv", "xml"),
+}
+COMMAND_FLAGS = {
+    "verify": ("--qparams", "--alpha", "--grid-mmax", "--format"),
+    "eval": ("--m", "--x", "--N", "--alpha", "--beta", "--delta", "--p", "--a", "--b", "--c",
+             "--d", "--qbase", "--qparams", "--at", "--at-z"),
+    "table": ("--alpha", "--beta", "--delta", "--p", "--qparams", "--at", "--at-z", "--N",
+              "--range"),
+}
+CHEAP_SUITES = ("weight-recurrence", "difference", "backward-shift", "theorem-5-1",
+                "orthogonality", "product-formula", "nonsense")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(CHEAP_SUITES)),
+                 f"--grid-lmax={draw(st.sampled_from(FLAG_VALUES['--grid-lmax']))}"]
+    else:
+        names = FAMILY_IDS if command == "eval" else tuple(TABLE_FAMILIES)
+        argv += ["--family", draw(st.sampled_from(names + ("nosuch",)))]
+    if command == "eval":
+        argv.append(f"--n={draw(st.sampled_from(INTS))}")
+    for flag in COMMAND_FLAGS[command]:
+        if draw(st.integers(0, 4)):  # each flag is there four times in five
+            argv.append(f"{flag}={draw(st.sampled_from(FLAG_VALUES[flag]))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_argv_ends_in_an_exit_code(argv):
+    try:
+        code, _, err = run_cli(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        assert exc.code in (0, 2), argv
+        return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaskey.errors import DenominatorVanished, ParameterError
+from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.series import (
     HyperSeriesSpec,
     format_rat,
@@ -80,10 +80,10 @@ def test_spec_requires_terminating_numerator():
 
 
 def test_spec_rejects_vanishing_denominator_with_index():
-    with pytest.raises(DenominatorVanished) as err:
+    with pytest.raises(VanishingDenominator) as err:
         HyperSeriesSpec(numerator=(-4,), denominator=(-2,), argument=1, termination=4)
     assert err.value.index == 3
-    with pytest.raises(DenominatorVanished) as err:
+    with pytest.raises(VanishingDenominator) as err:
         HyperSeriesSpec(numerator=(F(16),), denominator=(F(4),), argument=1, termination=2,
                         base=F(1, 4))
     assert err.value.index == 2
