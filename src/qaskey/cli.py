@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -165,22 +164,22 @@ def _product_formula(g):
 
 
 def _limits(g):
-    yield _limit, {"kind": "cqu-to-ultra", "alpha": 0.5, "n": 3}
-    yield _limit, {"kind": "hahn-to-jacobi", "alpha": 0.0, "beta": 0.0, "n": 2}
+    yield num.limit, {"kind": "cqu-to-ultra", "alpha": 0.5, "n": 3}
+    yield num.limit, {"kind": "hahn-to-jacobi", "alpha": 0.0, "beta": 0.0, "n": 2}
     for lam in (1.0, 2.0):
-        yield _limit, {"kind": "jacobi-to-bessel", "alpha": 0.5, "beta": 1.0 / 3.0, "lam": lam}
-    yield _limit, {"kind": "dual-addition-q-to-1", "alpha": 0.5, "l": 3, "m": 2}
-    yield _bessel_special_cases, {"points": (0.5, 1.0, 2.0, 5.0, 10.0)}
-    yield _float_exact_consistency, {"qp": fam.QParams(F(19, 20), F(1, 2)), "nmax": 8}
+        yield num.limit, {"kind": "jacobi-to-bessel", "alpha": 0.5, "beta": 1.0 / 3.0, "lam": lam}
+    yield num.limit, {"kind": "dual-addition-q-to-1", "alpha": 0.5, "l": 3, "m": 2}
+    yield num.bessel_special_cases, {"points": (0.5, 1.0, 2.0, 5.0, 10.0)}
+    yield num.float_exact_consistency, {"qp": fam.QParams(F(19, 20), F(1, 2)), "nmax": 8}
 
 
 def _numeric_orthogonality(g):
     qp = g.qparams[0]
     for m in range(5):
         for n in range(m + 1, 5):
-            yield _numeric_orthogonality_cqu, {"qp": qp, "m": m, "n": n}
-    for probe in (_numeric_aw_h0, _numeric_weight_ratio, _numeric_weight_symmetry,
-                  _numeric_weight_aw_vs_cqu):
+            yield num.numeric_orthogonality_cqu, {"qp": qp, "m": m, "n": n}
+    for probe in (num.numeric_aw_h0, num.numeric_weight_ratio, num.numeric_weight_symmetry,
+                  num.numeric_weight_aw_vs_cqu):
         yield probe, {"qp": qp}
 
 
@@ -207,104 +206,6 @@ SUITES = {
     "all": _all,
 }
 SUITE_NAMES = tuple(SUITES)
-
-
-# ---------------------------------------------------------------------------
-# floating-point probes: each returns its record
-# ---------------------------------------------------------------------------
-
-
-def _limit(kind: str, **params) -> dict:
-    r = num.limit_check(kind, params)
-    return {
-        "id": f"limit-{kind}",
-        "params": {k: str(v) for k, v in sorted(params.items())},
-        "verdict": r.verdict,
-        "schedule": [str(v) for v in r.schedule],
-        "errors": [repr(e) for e in r.errors],
-        "ratios": [repr(e) for e in r.ratios],
-    }
-
-
-def _threshold_record(check_id: str, params: dict, value: float, threshold: float) -> dict:
-    return {
-        "id": check_id,
-        "params": {k: str(v) for k, v in sorted(params.items())},
-        "verdict": "pass" if value < threshold else "fail",
-        "residual": repr(value),
-        "threshold": repr(threshold),
-    }
-
-
-def _numeric_orthogonality_cqu(qp, m: int, n: int) -> dict:
-    value = num.numeric_orthogonality("cqu", {"qp": qp}, m, n)
-    return _threshold_record("numeric-orthogonality-cqu", {"m": m, "n": n, "t": qp.t, "s": qp.s},
-                             value, 1e-8)
-
-
-def _aw_params_floats(qp) -> dict:
-    a = float(qp.a)
-    qh = float(qp.qhalf)
-    return {"q": float(qp.q), "a": a, "b": qh * a, "c": -a, "d": -qh * a}
-
-
-def _numeric_aw_h0(qp) -> dict:
-    value = num.numeric_orthogonality("aw-h0", _aw_params_floats(qp), 0, 0)
-    return _threshold_record("numeric-aw-h0", {"t": qp.t, "s": qp.s}, value, 1e-8)
-
-
-_PROBE_THETAS = (0.4, 1.0, 1.7, 2.3, 2.8)
-
-
-def _numeric_weight_ratio(qp) -> dict:
-    """Beta-promoted over base weight against its exact quadratic value."""
-    q, beta = float(qp.q), float(qp.beta)
-    worst = 0.0
-    for theta in _PROBE_THETAS:
-        w = num.numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w_promoted = num.numeric_weight("cqu", {"q": q, "beta": beta * q}, theta)
-        x = math.cos(theta)
-        exact = (1 + q ** 0.5 * beta) ** 2 - 4 * q ** 0.5 * beta * x * x
-        worst = max(worst, abs(w_promoted / w - exact))
-    return _threshold_record("numeric-weight-ratio", {"t": qp.t, "s": qp.s}, worst, 1e-10)
-
-
-def _numeric_weight_symmetry(qp) -> dict:
-    """The weight is even in x: values at theta and pi - theta agree."""
-    q, beta = float(qp.q), float(qp.beta)
-    worst = 0.0
-    for theta in _PROBE_THETAS:
-        w = num.numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w_mirror = num.numeric_weight("cqu", {"q": q, "beta": beta}, math.pi - theta)
-        worst = max(worst, abs(w_mirror - w) / abs(w))
-    return _threshold_record("numeric-weight-symmetry", {"t": qp.t, "s": qp.s}, worst, 1e-12)
-
-
-def _numeric_weight_aw_vs_cqu(qp) -> dict:
-    """The specialized circle weight equals the one-parameter weight as a
-    theta-density up to a theta-independent factor (spread of the ratio)."""
-    q, beta = float(qp.q), float(qp.beta)
-    ratios = []
-    for theta in _PROBE_THETAS:
-        w = num.numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        waw = num.numeric_weight("aw", _aw_params_floats(qp), theta)
-        ratios.append(waw / (w * math.sin(theta)))
-    spread = max(ratios) - min(ratios)
-    return _threshold_record("numeric-weight-aw-vs-cqu", {"t": qp.t, "s": qp.s}, spread, 1e-10)
-
-
-def _bessel_special_cases(points: tuple) -> dict:
-    worst = 0.0
-    for x in points:
-        worst = max(worst, abs(num.bessel_script_j(-0.5, x) - math.cos(x)))
-        worst = max(worst, abs(num.bessel_script_j(0.5, x) - math.sin(x) / x))
-    return _threshold_record("bessel-special-cases", {}, worst, 1e-12)
-
-
-def _float_exact_consistency(qp, nmax: int) -> dict:
-    gap = num.float_family_consistency(qp, nmax, F(7, 5))
-    return _threshold_record("float-exact-consistency", {"t": qp.t, "s": qp.s, "nmax": nmax},
-                             gap, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Constructors and evaluators for the polynomial families of the scheme.
+"""Constructors and exact evaluators for the polynomial families of the
+scheme.  Their float counterparts live in `numerics`.
 
 Classical side: Jacobi/ultraspherical, Krawtchouk, Hahn, dual Hahn, Racah
 (with weights and norms), Wilson in its real-rational dual form.  q-side:
@@ -24,7 +25,6 @@ from .laurent import LaurentPoly, SymmetricLaurent
 from .series import (
     HyperSeriesSpec,
     pochhammer,
-    qhyper_sum,
     qpochhammer,
     terminating_hyper,
 )
@@ -498,7 +498,6 @@ def cqu_r(n: int, qp: QParams) -> SymmetricLaurent:
     return askey_wilson_r(n, cqu_aw_params(qp))
 
 
-@lru_cache(maxsize=None)
 def cqu_r_alt(n: int, qp: QParams) -> SymmetricLaurent:
     """The alternative base-q^(1/2) representation of the same polynomial."""
     t, s = qp.t, qp.s
@@ -619,57 +618,6 @@ def qracah_at_top(n: int, qrp: QRacahParams) -> Fraction:
     if den == 0:
         raise VanishingDenominator(n, "q-Racah top-evaluation denominator vanishes")
     return num / den * d ** n
-
-
-# ---------------------------------------------------------------------------
-# float evaluation (shared by the numeric companion)
-# ---------------------------------------------------------------------------
-
-
-def jacobi_r_float(n: int, alpha: float, beta: float, x: float) -> float:
-    from .series import hyper_sum
-
-    return hyper_sum((-n, n + alpha + beta + 1), (alpha + 1,), (1 - x) / 2, n)
-
-
-def ultraspherical_r_float(n: int, alpha: float, x: float) -> float:
-    return jacobi_r_float(n, alpha, alpha, x)
-
-
-def cqu_r_float(n: int, qbase: float, beta: float, x: float) -> float:
-    """Float value of the continuous q-ultraspherical polynomial at
-    x = cos(theta), evaluated through z = exp(i theta) on the unit circle."""
-    z = complex(x, (1 - x * x) ** 0.5)
-    a = qbase ** 0.25 * beta ** 0.5
-    nums = (qbase ** (-n), beta * beta * qbase ** (n + 1), a * z, a / z)
-    dens = (beta * qbase, -beta * qbase ** 0.5, -beta * qbase)
-    return qhyper_sum(nums, dens, qbase, qbase, n).real
-
-
-def qracah_phi_float(n, x_real, alpha, beta, gamma, delta, qbase) -> float:
-    """Float q-Racah value; x_real may sit off the integer lattice."""
-    nums = (
-        qbase ** (-n),
-        qbase ** (n + 1) * alpha * beta,
-        qbase ** (-x_real),
-        qbase ** (x_real + 1) * gamma * delta,
-    )
-    dens = (qbase * alpha, qbase * beta * delta, qbase * gamma)
-    return qhyper_sum(nums, dens, qbase, qbase, n)
-
-
-def racah_phi_float(n: int, j_real, alpha, beta, gamma, delta) -> float:
-    from .series import hyper_sum
-
-    nums = (-n, n + alpha + beta + 1, -j_real, j_real + gamma + delta + 1)
-    dens = (alpha + 1, beta + delta + 1, gamma + 1)
-    return hyper_sum(nums, dens, 1.0, n)
-
-
-def hahn_float(n: int, x_real, alpha, beta, N) -> float:
-    from .series import hyper_sum
-
-    return hyper_sum((-n, n + alpha + beta + 1, -x_real), (alpha + 1, -N), 1.0, n)
 
 
 def _check_lattice(n: int, x: int, N: int) -> None:

@@ -30,6 +30,7 @@ from .families import (
     cqu_duality_point,
     cqu_r,
     cqu_r_alt,
+    cqu_r_at,
     dual_hahn,
     hahn,
     hahn_weight,
@@ -485,10 +486,7 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
             lhs = qracah_weight(x, qrp) * qracah(n, x, qrp)
             rhs = shifted_term(n, x)
             if x >= 1:
-                w2 = qracah_weight_raw(x - 1, **shifted)
-                rhs -= lead / (q ** (-x + 1) - g * d * q ** (x + 1)) * w2 * qracah_phi(
-                    n - 1, x - 1, **shifted
-                )
+                rhs -= shifted_term(n, x - 1)
             items.append((f"pointwise n={n}, x={x}", lhs, rhs))
     for n in range(1, nmax + 1):
         for fname, fval in (("x", lambda x: F(x)), ("q^x", lambda x: q ** x)):
@@ -686,7 +684,8 @@ def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     polynomial in the dual addition expansion (shifted product included)."""
     q, b, qh, t = qp.q, qp.beta, qp.qhalf, qp.t
     c = t ** (2 * k * (k + l + m + 2)) * b ** k
-    c *= (1 - b * b * q ** (2 * k)) / (1 - b * b * q ** k)
+    if k >= 1:  # at k = 0 the ratio is 1, also where beta = 1 makes it 0/0
+        c *= (1 - b * b * q ** (2 * k)) / (1 - b * b * q ** k)
     c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
     c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
     c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
@@ -758,7 +757,8 @@ def _dual_addition_coeff_a(k: int, l: int, m: int, qp: QParams) -> Fraction:
     a, q, qh, t = qp.a, qp.q, qp.qhalf, qp.t
     a2, a4 = a * a, a ** 4
     c = F(-1) ** k * t ** (2 * k * (k + l + m + 1)) * a2 ** k
-    c *= (1 - a4 * q ** (2 * k) / q) / (1 - a4 * q ** k / q)
+    if k >= 1:  # at k = 0 the ratio is 1, also where a^4 = q makes it 0/0
+        c *= (1 - a4 * q ** (2 * k) / q) / (1 - a4 * q ** k / q)
     c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(a4, q, k)
     c /= qpochhammer(qh * a2, q, k) ** 2 * qpochhammer(q, q, k)
     c /= qpochhammer(-a2, qh, 2 * k) ** 2
@@ -783,8 +783,8 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
             continue
         c *= qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
         lpart = qpoch_laurent_pow(a2, 2, q, k) * qpoch_laurent_pow(a2, -2, q, k)
-        shifted = _rv_aw_params(qp, k)
-        rhs = rhs + lpart * askey_wilson_r(l - k, shifted) * askey_wilson_r(m - k, shifted) * c
+        shifted = qp.beta_shift(k)
+        rhs = rhs + lpart * cqu_r(l - k, shifted) * cqu_r(m - k, shifted) * c
     items = [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]
     params = {"l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
     return _compare("dual-addition-a-form", params, items, mutation)
@@ -793,13 +793,6 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
 # ---------------------------------------------------------------------------
 # addition formulas
 # ---------------------------------------------------------------------------
-
-
-def _rv_aw_params(qp: QParams, k: int = 0) -> AWParams:
-    """The degree-k shifted quadruple (q^(k/2)a, q^((k+1)/2)a, and their
-    negatives) of the a-parameterized subfamily."""
-    a = qp.a * qp.t ** (2 * k)
-    return AWParams(a, qp.qhalf * a, -a, -qp.qhalf * a, qp.q)
 
 
 def _addition_kernel_params(qp: QParams, u: Fraction, v: Fraction) -> AWParams:
@@ -813,11 +806,12 @@ def _addition_coeff_q(k: int, n: int, qp: QParams, u: Fraction, v: Fraction) -> 
     a, q, qh = qp.a, qp.q, qp.qhalf
     a2, a4 = a * a, a ** 4
     c = F(-1) ** k * qh ** (k * (k + 1))
-    for base in (q ** (-n), a2, q ** n * a4, a4 / q):
+    for base in (q ** (-n), a2, q ** n * a4):
         c *= qpochhammer(base, q, k)
     for base in (qh * a2, -qh * a2, -a2):
         c /= qpochhammer(base, q, k)
-    c /= qpochhammer(q, q, k) * qpochhammer(a4 / q, q, 2 * k)
+    # (a^4/q; q)_k / (a^4/q; q)_2k, cancelled so that a^4 = q stays finite
+    c /= qpochhammer(q, q, k) * qpochhammer(a4 * q ** (k - 1), q, k)
     c *= u ** (-k) * qpochhammer(a2 * u * u, q, k)
     c *= v ** (-k) * qpochhammer(a2 * v * v, q, k)
     return c
@@ -849,8 +843,8 @@ def check_addition(target: str, n: int, qp: Optional[QParams] = None,
             c = _addition_coeff_q(k, n, qp, u, v)
             if not c:
                 continue
-            shifted = _rv_aw_params(qp, k)
-            c *= askey_wilson_r_at(n - k, shifted, u) * askey_wilson_r_at(n - k, shifted, v)
+            shifted = qp.beta_shift(k)
+            c *= cqu_r_at(n - k, shifted, u) * cqu_r_at(n - k, shifted, v)
             rhs = rhs + askey_wilson_r(k, kernel) * c
         items.append((f"n={n}, u={u}, v={v}", rhs, cqu_r(n, qp)))
         params = {"target": target, "n": n, "u": u, "v": v, "t": qp.t, "s": qp.s}
@@ -940,7 +934,6 @@ def check_restriction_equivalence(qp: QParams, l: int, m: int, j: int, n: int,
     a, q, t = qp.a, qp.q, qp.t
     zpt = t ** (-2 * (l + m - 2 * j)) / a
     zu, zv = t ** (-2 * l) / a, t ** (-2 * m) / a
-    base = _rv_aw_params(qp)
     kernel = _restriction_kernel_params(qp, l, m) if m >= 1 else None
 
     items = []
@@ -954,15 +947,15 @@ def check_restriction_equivalence(qp: QParams, l: int, m: int, j: int, n: int,
         if cr == 0 and ca == 0:
             items.append((f"term k={k}", F(0), F(0)))
             continue
-        shifted = _rv_aw_params(qp, k)
-        shared = askey_wilson_r_at(n - k, shifted, zu) * askey_wilson_r_at(n - k, shifted, zv)
+        shifted = qp.beta_shift(k)
+        shared = cqu_r_at(n - k, shifted, zu) * cqu_r_at(n - k, shifted, zv)
         shared *= askey_wilson_r_at(k, kernel, zpt) if k >= 1 else F(1)
         term_r, term_a = cr * shared, ca * shared
         items.append((f"term k={k}", term_r, term_a))
         total_r += term_r
         total_a += term_a
-    lhs = askey_wilson_r_at(n, base, zpt)
-    transported = askey_wilson_r_at(l + m - 2 * j, base, t ** (-2 * n) / a)
+    lhs = cqu_r_at(n, qp, zpt)
+    transported = cqu_r_at(l + m - 2 * j, qp, t ** (-2 * n) / a)
     items.append(("duality transport", lhs, transported))
     items.append(("restricted total", total_r, lhs))
     items.append(("addition total", total_a, lhs))

@@ -64,9 +64,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def min_degree(self):
-        return min(self._c) if self._c else None
-
     def max_degree(self):
         return max(self._c) if self._c else None
 

@@ -1,6 +1,7 @@
-"""Floating-point companion: Bessel-type series, truncated infinite
-products for the continuous weights, quadrature orthogonality spot checks,
-and convergence verification of the limit claims.
+"""Floating-point companion: float evaluators of the families, Bessel-type
+series, truncated infinite products for the continuous weights, quadrature
+orthogonality spot checks, convergence verification of the limit claims,
+and the probes that turn each of these into a suite record.
 
 Limit claims carry no rates in their source statements, so acceptance is
 empirical: errors must decrease along the schedule and the final
@@ -22,18 +23,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import NonConvergence, NonFinite, ParameterError
-from .families import (
-    QParams,
-    cqu_r,
-    cqu_r_at,
-    cqu_r_float,
-    hahn_float,
-    jacobi_r_float,
-    qracah_phi_float,
-    racah_phi_float,
-    ultraspherical_r_float,
-)
-from .series import hyper_sum, pochhammer, qpochhammer
+from .families import QParams, cqu_r, cqu_r_at
+from .series import hyper_sum, pochhammer, qhyper_sum, qpochhammer
 
 # Expected final error ratios under halving of (1-q) or doubling of N.
 # Hahn -> Jacobi converges at first order (ratio 1/2).  The q -> 1 limits of
@@ -79,6 +70,56 @@ def bessel_script_j(alpha: float, x: float, tol: float = 1e-16) -> float:
         if abs(term) <= tol * max(1.0, abs(total)):
             return _require_finite(total)
     raise NonConvergence("Bessel series did not converge within 1000 terms")
+
+
+# ---------------------------------------------------------------------------
+# float evaluation of the families
+# ---------------------------------------------------------------------------
+
+
+def jacobi_r_float(n: int, alpha: float, beta: float, x: float) -> float:
+    return hyper_sum((-n, n + alpha + beta + 1), (alpha + 1,), (1 - x) / 2, n)
+
+
+def ultraspherical_r_float(n: int, alpha: float, x: float) -> float:
+    return jacobi_r_float(n, alpha, alpha, x)
+
+
+def _cqu_phi(n: int, q: float, beta: float, a: float, z):
+    """The 4phi3 of the continuous q-ultraspherical polynomial of degree n
+    at the point z, for the normalizing parameter a = q^(1/4) beta^(1/2)."""
+    nums = (q ** (-n), beta * beta * q ** (n + 1), a * z, a / z)
+    dens = (beta * q, -beta * q ** 0.5, -beta * q)
+    return qhyper_sum(nums, dens, q, q, n)
+
+
+def cqu_r_float(n: int, qbase: float, beta: float, x: float) -> float:
+    """Float value of the continuous q-ultraspherical polynomial at
+    x = cos(theta), evaluated through z = exp(i theta) on the unit circle."""
+    z = complex(x, (1 - x * x) ** 0.5)
+    return _cqu_phi(n, qbase, beta, qbase ** 0.25 * beta ** 0.5, z).real
+
+
+def qracah_phi_float(n, x_real, alpha, beta, gamma, delta, qbase) -> float:
+    """Float q-Racah value; x_real may sit off the integer lattice."""
+    nums = (
+        qbase ** (-n),
+        qbase ** (n + 1) * alpha * beta,
+        qbase ** (-x_real),
+        qbase ** (x_real + 1) * gamma * delta,
+    )
+    dens = (qbase * alpha, qbase * beta * delta, qbase * gamma)
+    return qhyper_sum(nums, dens, qbase, qbase, n)
+
+
+def racah_phi_float(n: int, j_real, alpha, beta, gamma, delta) -> float:
+    nums = (-n, n + alpha + beta + 1, -j_real, j_real + gamma + delta + 1)
+    dens = (alpha + 1, beta + delta + 1, gamma + 1)
+    return hyper_sum(nums, dens, 1.0, n)
+
+
+def hahn_float(n: int, x_real, alpha, beta, N) -> float:
+    return hyper_sum((-n, n + alpha + beta + 1, -x_real), (alpha + 1, -N), 1.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +172,67 @@ def _make_report(kind: str, schedule, errors, mutation_bump: float = 0.0) -> Lim
     return LimitReport(kind, tuple(schedule), tuple(errors), ratios, _limit_verdict(kind, errors))
 
 
+def _q_to_1(js):
+    return [1.0 - 2.0 ** (-j) for j in js]
+
+
+def _doubling(js):
+    return [2 ** j for j in js]
+
+
+def _cqu_to_ultra_error(params: dict, q: float) -> float:
+    alpha = float(params.get("alpha", 0.5))
+    n = int(params.get("n", 3))
+    beta = q ** alpha
+    return max(abs(cqu_r_float(n, q, beta, x) - ultraspherical_r_float(n, alpha, x))
+               for x in params.get("points", (0.0, 0.3, -0.3, 0.7, -0.7)))
+
+
+def _hahn_to_jacobi_error(params: dict, N: int) -> float:
+    alpha = float(params.get("alpha", 0.0))
+    beta = float(params.get("beta", 0.0))
+    n = int(params.get("n", 2))
+    return max(abs(hahn_float(n, N * x, alpha, beta, N)
+                   - hyper_sum((-n, n + alpha + beta + 1), (alpha + 1,), x, n))
+               for x in params.get("points", (0.1, 0.5, 0.9)))
+
+
+def _jacobi_to_bessel_error(params: dict, nu: int) -> float:
+    alpha = float(params.get("alpha", 0.5))
+    beta = float(params.get("beta", 1.0 / 3.0))
+    lam = float(params.get("lam", 1.0))
+    n = int(round(nu * lam))
+    return max(abs(jacobi_r_float(n, alpha, beta, math.cos(x / nu)) - bessel_script_j(alpha, lam * x))
+               for x in params.get("points", (0.5, 1.0, 2.0)))
+
+
+def _dual_addition_error(params: dict, q: float) -> float:
+    """Term-by-term distance of the q-side dual addition expansion from its
+    classical counterpart, with beta = q^alpha."""
+    alpha = float(params.get("alpha", 0.5))
+    l = int(params.get("l", 3))
+    m = int(params.get("m", 2))
+    js = params.get("js", tuple(range(m + 1)))
+    xs = params.get("points", (0.15, 0.45, 0.8))
+    beta = q ** alpha
+    err = 0.0
+    for k in range(m + 1):
+        for j in js:
+            for x in xs:
+                err = max(err, abs(_dual_addition_term_q(k, l, m, j, q, beta, x)
+                                   - _dual_addition_term_classical(k, l, m, j, alpha, x)))
+    return err
+
+
+# limit kind -> (schedule from the exponents j, error at one schedule step)
+_LIMITS = {
+    "cqu-to-ultra": (_q_to_1, _cqu_to_ultra_error),
+    "hahn-to-jacobi": (_doubling, _hahn_to_jacobi_error),
+    "jacobi-to-bessel": (_doubling, _jacobi_to_bessel_error),
+    "dual-addition-q-to-1": (_q_to_1, _dual_addition_error),
+}
+
+
 def limit_check(kind: str, params: Optional[dict] = None, schedule: Optional[Sequence] = None,
                 mutation_bump: float = 0.0) -> LimitReport:
     """Convergence check of one limit transition along a dyadic schedule.
@@ -141,81 +243,13 @@ def limit_check(kind: str, params: Optional[dict] = None, schedule: Optional[Seq
     `mutation_bump` adds a spurious amount to the final error for the
     fail-negative suite.
     """
+    if kind not in _LIMITS:
+        raise ParameterError(f"unknown limit kind {kind!r}")
     params = dict(params or {})
-    if kind == "cqu-to-ultra":
-        alpha = float(params.get("alpha", 0.5))
-        n = int(params.get("n", 3))
-        xs = params.get("points", (0.0, 0.3, -0.3, 0.7, -0.7))
-        js = schedule if schedule is not None else range(4, 11)
-        qs = [1.0 - 2.0 ** (-j) for j in js]
-        errors = []
-        for q in qs:
-            beta = q ** alpha
-            err = max(
-                abs(cqu_r_float(n, q, beta, x) - ultraspherical_r_float(n, alpha, x)) for x in xs
-            )
-            errors.append(err)
-        return _make_report(kind, qs, errors, mutation_bump=mutation_bump)
-    if kind == "hahn-to-jacobi":
-        alpha = float(params.get("alpha", 0.0))
-        beta = float(params.get("beta", 0.0))
-        n = int(params.get("n", 2))
-        xs = params.get("points", (0.1, 0.5, 0.9))
-        js = schedule if schedule is not None else range(4, 11)
-        Ns = [2 ** j for j in js]
-        errors = []
-        for N in Ns:
-            err = max(
-                abs(
-                    hahn_float(n, N * x, alpha, beta, N)
-                    - hyper_sum((-n, n + alpha + beta + 1), (alpha + 1,), x, n)
-                )
-                for x in xs
-            )
-            errors.append(err)
-        return _make_report(kind, Ns, errors, mutation_bump=mutation_bump)
-    if kind == "jacobi-to-bessel":
-        alpha = float(params.get("alpha", 0.5))
-        beta = float(params.get("beta", 1.0 / 3.0))
-        lam = float(params.get("lam", 1.0))
-        xs = params.get("points", (0.5, 1.0, 2.0))
-        js = schedule if schedule is not None else range(4, 11)
-        nus = [2 ** j for j in js]
-        errors = []
-        for nu in nus:
-            n = int(round(nu * lam))
-            err = max(
-                abs(jacobi_r_float(n, alpha, beta, math.cos(x / nu)) - bessel_script_j(alpha, lam * x))
-                for x in xs
-            )
-            errors.append(err)
-        return _make_report(kind, nus, errors, mutation_bump=mutation_bump)
-    if kind == "dual-addition-q-to-1":
-        return _limit_dual_addition(params, schedule, mutation_bump)
-    raise ParameterError(f"unknown limit kind {kind!r}")
-
-
-def _limit_dual_addition(params: dict, schedule, mutation_bump: float) -> LimitReport:
-    """Term-by-term convergence of the q-side dual addition expansion to
-    its classical counterpart, with beta = q^alpha."""
-    alpha = float(params.get("alpha", 0.5))
-    l = int(params.get("l", 3))
-    m = int(params.get("m", 2))
-    js_lattice = params.get("js", tuple(range(m + 1)))
-    xs = params.get("points", (0.15, 0.45, 0.8))
-    js = schedule if schedule is not None else range(4, 11)
-    qs = [1.0 - 2.0 ** (-j) for j in js]
-    errors = []
-    for q in qs:
-        beta = q ** alpha
-        err = 0.0
-        for k in range(m + 1):
-            for j in js_lattice:
-                for x in xs:
-                    err = max(err, abs(_dual_addition_term_q(k, l, m, j, q, beta, x)
-                                       - _dual_addition_term_classical(k, l, m, j, alpha, x)))
-        errors.append(err)
-    return _make_report("dual-addition-q-to-1", qs, errors, mutation_bump=mutation_bump)
+    steps_from, error_at = _LIMITS[kind]
+    steps = steps_from(schedule if schedule is not None else range(4, 11))
+    errors = [error_at(params, step) for step in steps]
+    return _make_report(kind, steps, errors, mutation_bump=mutation_bump)
 
 
 def _dual_addition_term_q(k, l, m, j, q, beta, x) -> float:
@@ -264,6 +298,14 @@ def qpoch_infinite(b, qbase: float):
     return out
 
 
+def _cqu_circle_weight(e2: complex, q: float, beta: float) -> float:
+    """|(e2; q)_inf / (q^(1/2) beta e2; q)_inf|^2 at e2 = z^2 on the unit
+    circle: the one-parameter weight without its (1-x^2)^(-1/2) factor."""
+    f = qpoch_infinite(e2, q) / qpoch_infinite(q ** 0.5 * beta * e2, q)
+    fc = qpoch_infinite(e2.conjugate(), q) / qpoch_infinite(q ** 0.5 * beta * e2.conjugate(), q)
+    return (f * fc).real
+
+
 def numeric_weight(kind: str, params: dict, theta: float) -> float:
     """Continuous weight values at x = cos(theta), theta in (0, pi).
 
@@ -275,10 +317,7 @@ def numeric_weight(kind: str, params: dict, theta: float) -> float:
     if kind == "cqu":
         q = float(params["q"])
         beta = float(params["beta"])
-        e2 = cmath.exp(2j * theta)
-        f = qpoch_infinite(e2, q) / qpoch_infinite(q ** 0.5 * beta * e2, q)
-        fc = qpoch_infinite(e2.conjugate(), q) / qpoch_infinite(q ** 0.5 * beta * e2.conjugate(), q)
-        value = (f * fc).real / math.sin(theta)
+        value = _cqu_circle_weight(cmath.exp(2j * theta), q, beta) / math.sin(theta)
         return _require_finite(value)
     if kind == "aw":
         return _require_finite(_aw_weight_circle(params, theta))
@@ -341,12 +380,7 @@ def numeric_orthogonality(kind: str, params: dict, m: int, n: int,
                 z = cmath.exp(1j * theta)
                 p1 = sum(c * z ** k for k, c in polys[d1]).real
                 p2 = sum(c * z ** k for k, c in polys[d2]).real
-                e2 = z * z
-                g = qpoch_infinite(e2, q) / qpoch_infinite(q ** 0.5 * beta * e2, q)
-                gc = qpoch_infinite(e2.conjugate(), q) / qpoch_infinite(
-                    q ** 0.5 * beta * e2.conjugate(), q
-                )
-                return p1 * p2 * (g * gc).real
+                return p1 * p2 * _cqu_circle_weight(z * z, q, beta)
 
             return refine_integral(f, 0.0, 2 * math.pi, quad_points)
 
@@ -381,8 +415,6 @@ def float_family_consistency(qp: QParams, nmax: int, z0: Fraction) -> float:
     """Largest relative gap between exact evaluation (converted to float)
     and direct float evaluation of the one-parameter family, reusing the
     same series kernel with float scalars."""
-    from .series import qhyper_sum
-
     z0 = Fraction(z0)
     q, beta = float(qp.q), float(qp.beta)
     a = float(qp.a)
@@ -390,9 +422,107 @@ def float_family_consistency(qp: QParams, nmax: int, z0: Fraction) -> float:
     worst = 0.0
     for n in range(nmax + 1):
         exact = float(cqu_r_at(n, qp, z0))
-        nums = (q ** (-n), beta * beta * q ** (n + 1), a * zf, a / zf)
-        dens = (beta * q, -beta * q ** 0.5, -beta * q)
-        approx = qhyper_sum(nums, dens, q, q, n)
+        approx = _cqu_phi(n, q, beta, a, zf)
         scale = max(1.0, abs(exact))
         worst = max(worst, abs(exact - approx) / scale)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# probes: each returns its suite record
+# ---------------------------------------------------------------------------
+
+
+def limit(kind: str, **params) -> dict:
+    """The record of one limit transition, with its schedule, errors and
+    successive ratios."""
+    r = limit_check(kind, params)
+    return {
+        "id": f"limit-{kind}",
+        "params": {k: str(v) for k, v in sorted(params.items())},
+        "verdict": r.verdict,
+        "schedule": [str(v) for v in r.schedule],
+        "errors": [repr(e) for e in r.errors],
+        "ratios": [repr(e) for e in r.ratios],
+    }
+
+
+def _threshold_record(check_id: str, params: dict, value: float, threshold: float) -> dict:
+    return {
+        "id": check_id,
+        "params": {k: str(v) for k, v in sorted(params.items())},
+        "verdict": "pass" if value < threshold else "fail",
+        "residual": repr(value),
+        "threshold": repr(threshold),
+    }
+
+
+def numeric_orthogonality_cqu(qp: QParams, m: int, n: int) -> dict:
+    value = numeric_orthogonality("cqu", {"qp": qp}, m, n)
+    return _threshold_record("numeric-orthogonality-cqu", {"m": m, "n": n, "t": qp.t, "s": qp.s},
+                             value, 1e-8)
+
+
+def _aw_params_floats(qp: QParams) -> dict:
+    a = float(qp.a)
+    qh = float(qp.qhalf)
+    return {"q": float(qp.q), "a": a, "b": qh * a, "c": -a, "d": -qh * a}
+
+
+def numeric_aw_h0(qp: QParams) -> dict:
+    value = numeric_orthogonality("aw-h0", _aw_params_floats(qp), 0, 0)
+    return _threshold_record("numeric-aw-h0", {"t": qp.t, "s": qp.s}, value, 1e-8)
+
+
+_PROBE_THETAS = (0.4, 1.0, 1.7, 2.3, 2.8)
+
+
+def numeric_weight_ratio(qp: QParams) -> dict:
+    """Beta-promoted over base weight against its exact quadratic value."""
+    q, beta = float(qp.q), float(qp.beta)
+    worst = 0.0
+    for theta in _PROBE_THETAS:
+        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
+        w_promoted = numeric_weight("cqu", {"q": q, "beta": beta * q}, theta)
+        x = math.cos(theta)
+        exact = (1 + q ** 0.5 * beta) ** 2 - 4 * q ** 0.5 * beta * x * x
+        worst = max(worst, abs(w_promoted / w - exact))
+    return _threshold_record("numeric-weight-ratio", {"t": qp.t, "s": qp.s}, worst, 1e-10)
+
+
+def numeric_weight_symmetry(qp: QParams) -> dict:
+    """The weight is even in x: values at theta and pi - theta agree."""
+    q, beta = float(qp.q), float(qp.beta)
+    worst = 0.0
+    for theta in _PROBE_THETAS:
+        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
+        w_mirror = numeric_weight("cqu", {"q": q, "beta": beta}, math.pi - theta)
+        worst = max(worst, abs(w_mirror - w) / abs(w))
+    return _threshold_record("numeric-weight-symmetry", {"t": qp.t, "s": qp.s}, worst, 1e-12)
+
+
+def numeric_weight_aw_vs_cqu(qp: QParams) -> dict:
+    """The specialized circle weight equals the one-parameter weight as a
+    theta-density up to a theta-independent factor (spread of the ratio)."""
+    q, beta = float(qp.q), float(qp.beta)
+    ratios = []
+    for theta in _PROBE_THETAS:
+        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
+        waw = numeric_weight("aw", _aw_params_floats(qp), theta)
+        ratios.append(waw / (w * math.sin(theta)))
+    spread = max(ratios) - min(ratios)
+    return _threshold_record("numeric-weight-aw-vs-cqu", {"t": qp.t, "s": qp.s}, spread, 1e-10)
+
+
+def bessel_special_cases(points: tuple) -> dict:
+    worst = 0.0
+    for x in points:
+        worst = max(worst, abs(bessel_script_j(-0.5, x) - math.cos(x)))
+        worst = max(worst, abs(bessel_script_j(0.5, x) - math.sin(x) / x))
+    return _threshold_record("bessel-special-cases", {}, worst, 1e-12)
+
+
+def float_exact_consistency(qp: QParams, nmax: int) -> dict:
+    gap = float_family_consistency(qp, nmax, Fraction(7, 5))
+    return _threshold_record("float-exact-consistency", {"t": qp.t, "s": qp.s, "nmax": nmax},
+                             gap, 1e-12)

@@ -50,11 +50,6 @@ def qpochhammer(b, qbase, k: int):
     return out
 
 
-def pm_qpochhammer(a, qbase, k: int):
-    """(+-a; q)_k := (a; q)_k (-a; q)_k."""
-    return qpochhammer(a, qbase, k) * qpochhammer(-a, qbase, k)
-
-
 def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
     """Terminating ordinary hypergeometric sum over k = 0..nterms.
 

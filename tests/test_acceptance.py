@@ -26,7 +26,6 @@ from qaskey.families import (
     WilsonParams,
     cqu_leading_z_coeff,
     cqu_r,
-    cqu_r_float,
 )
 from qaskey.identities import (
     ADDITION_POINTS_U,
@@ -54,6 +53,7 @@ from qaskey.identities import (
 from qaskey.numerics import (
     _dual_addition_term_q,
     bessel_script_j,
+    cqu_r_float,
     limit_check,
     numeric_orthogonality,
 )

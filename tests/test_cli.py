@@ -103,6 +103,48 @@ def test_reports_are_byte_identical_to_the_recorded_digests():
     assert digests == GOLDEN_ALL_LMAX1
 
 
+# SHA-256 of the lmax=1 `all` json report, wall time removed, with the
+# default carriers in another order: the first carrier, which the a-form,
+# restriction and numeric-orthogonality rows use, is not the default one.
+GOLDEN_ALL_LMAX1_SECOND_ORDERING = "1adde3064909c9d20f9c15f44027fb85b7001b966db457844aee563c8ae909a0"
+
+
+def test_second_carrier_ordering_is_byte_identical_to_its_recorded_digest():
+    qparams = (QParams(F(2, 3), F(1, 2)), QParams(F(1, 2), F(1, 3)), QParams(F(1, 2), F(2, 3)))
+    doc = run_suite("all", ParamGrid(lmax=1, qparams=qparams))
+    doc.pop("wallTimeMs")
+    digest = hashlib.sha256(render_json(doc).encode()).hexdigest()
+    assert digest == GOLDEN_ALL_LMAX1_SECOND_ORDERING
+
+
+def test_every_record_id_has_a_fail_negative():
+    from tests.test_identities import MUTATION_TARGETS
+    from tests.test_numerics import LIMIT_ROWS, THRESHOLD_PROBES
+
+    covered = {thunk(None).check_id for thunk in MUTATION_TARGETS}
+    covered |= {f"limit-{kind}" for kind, _ in LIMIT_ROWS}
+    covered |= {probe.replace("_", "-") for probe, _, _ in THRESHOLD_PROBES}
+    doc = run_suite("all", ParamGrid(lmax=1))
+    assert {rec["id"] for rec in doc["checks"]} - covered == set()
+
+
+def test_beta_one_errors_only_where_the_lattice_degenerates():
+    # beta = 1 (s = 1): the k = 0 coefficients are finite; only the q-Racah
+    # norms of the inversion rows vanish
+    grid = ParamGrid(lmax=2, qparams=(QParams(F(1, 2), F(1)),))
+    doc = run_suite("restriction", grid)
+    assert doc["summary"]["pass"] == len(doc["checks"]) > 0
+    doc = run_suite("dual-addition", grid)
+    assert doc["summary"]["fail"] == 0
+    errors = [rec for rec in doc["checks"] if rec["verdict"] == "error"]
+    assert {(rec["params"]["mode"], rec["params"]["l"], rec["params"]["m"]) for rec in errors} == {
+        ("inversion", str(l), str(m)) for l, m in grid.lm_pairs() if m >= 1}
+    assert len(errors) == 3
+    for rec in errors:
+        assert rec["id"] == "dual-addition"
+        assert rec["message"].startswith("VanishingDenominator: ")
+
+
 def test_errored_check_names_itself():
     # q = 1/16, beta = 1: the q-Racah lattices of the orthogonality suite
     # have a vanishing norm denominator

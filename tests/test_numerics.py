@@ -6,6 +6,7 @@ import pytest
 
 from fractions import Fraction as F
 
+from qaskey import numerics
 from qaskey.errors import NonConvergence, ParameterError
 from qaskey.families import QParams
 from qaskey.numerics import (
@@ -83,9 +84,19 @@ def test_limit_degenerate_degree_zero():
     assert all(e == 0.0 for e in report.errors)
 
 
+# each limit kind with the parameters of its `limits` suite row
+LIMIT_ROWS = (
+    ("cqu-to-ultra", {"alpha": 0.5, "n": 3}),
+    ("hahn-to-jacobi", {"alpha": 0.0, "beta": 0.0, "n": 2}),
+    ("jacobi-to-bessel", {"alpha": 0.5, "beta": 1.0 / 3.0, "lam": 1.0}),
+    ("dual-addition-q-to-1", {"alpha": 0.5, "l": 3, "m": 2}),
+)
+
+
 def test_limit_mutation_bump_fails():
-    report = limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 3}, mutation_bump=1.0)
-    assert not report.passed
+    for kind, params in LIMIT_ROWS:
+        report = limit_check(kind, params, mutation_bump=1.0)
+        assert not report.passed, kind
 
 
 def test_limit_report_serialization():
@@ -171,3 +182,30 @@ def test_float_exact_consistency():
     # low degrees survive even at small q
     gap = float_family_consistency(QP, 3, F(7, 5))
     assert gap < 1e-12
+
+
+# each threshold probe with the arguments of its suite row, and the numerics
+# function whose value it thresholds
+THRESHOLD_PROBES = (
+    ("numeric_orthogonality_cqu", {"qp": QP, "m": 1, "n": 2}, "numeric_orthogonality"),
+    ("numeric_aw_h0", {"qp": QP}, "numeric_orthogonality"),
+    ("numeric_weight_ratio", {"qp": QP}, "numeric_weight"),
+    ("numeric_weight_symmetry", {"qp": QP}, "numeric_weight"),
+    ("numeric_weight_aw_vs_cqu", {"qp": QP}, "numeric_weight"),
+    ("bessel_special_cases", {"points": (0.5, 1.0, 2.0, 5.0, 10.0)}, "bessel_script_j"),
+    ("float_exact_consistency", {"qp": QParams(F(19, 20), F(1, 2)), "nmax": 8},
+     "float_family_consistency"),
+)
+
+
+@pytest.mark.parametrize("probe,kwargs,thresholded", THRESHOLD_PROBES)
+def test_threshold_probe_fails_when_its_value_is_off(monkeypatch, probe, kwargs, thresholded):
+    record = getattr(numerics, probe)(**kwargs)
+    assert record["id"] == probe.replace("_", "-")
+    assert record["verdict"] == "pass", record
+    exact = getattr(numerics, thresholded)
+    # off by 1e-6 (1 + last argument): the last argument of numeric_weight is
+    # theta, so its ratios, mirror images and spreads move as well
+    monkeypatch.setattr(numerics, thresholded,
+                        lambda *args: exact(*args) + 1e-6 * (1 + float(args[-1])))
+    assert getattr(numerics, probe)(**kwargs)["verdict"] == "fail"

@@ -11,7 +11,6 @@ from qaskey.series import (
     HyperSeriesSpec,
     format_rat,
     parse_rat,
-    pm_qpochhammer,
     pochhammer,
     qpochhammer,
     terminating_hyper,
@@ -32,13 +31,6 @@ def test_qpochhammer_values():
     assert qpochhammer(F(3), F(1, 2), 0) == 1
     # b = 1/q makes the second factor vanish
     assert qpochhammer(F(4), F(1, 4), 2) == 0
-
-
-def test_pm_qpochhammer_values():
-    assert pm_qpochhammer(F(5), F(1, 3), 0) == 1
-    assert pm_qpochhammer(F(1, 2), F(1, 4), 1) == F(3, 4)
-    assert pm_qpochhammer(F(1), F(1, 3), 1) == 0
-    assert pm_qpochhammer(F(1), F(1, 3), 4) == 0
 
 
 @given(rationals, small_naturals, small_naturals)
