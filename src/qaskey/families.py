@@ -546,7 +546,6 @@ def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, qbase) -> Fraction:
     return terminating_hyper(spec)
 
 
-@lru_cache(maxsize=None)
 def qracah(n: int, x: int, qrp: QRacahParams) -> Fraction:
     """q-Racah polynomial at lattice index x, with gamma = q^(-N-1)."""
     _check_lattice(n, x, qrp.N)

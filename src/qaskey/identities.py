@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Optional
 
@@ -268,6 +269,10 @@ class LinearizationLattice:
 
     The m = 0 lattice is a single point with unit weight and trivial norm,
     below the smallest admissible q-Racah family, so it is special-cased.
+
+    Each weight, lattice value and h0 is computed the first time it is
+    asked for and kept.  A computation that raises keeps nothing, so its
+    error surfaces again at the next request.
     """
 
     def __init__(self, qp: QParams, l: int, m: int):
@@ -275,6 +280,7 @@ class LinearizationLattice:
             raise ParameterError("linearization lattice requires l >= m")
         self.qp, self.l, self.m = qp, l, m
         self.qrp = None
+        self._weights, self._polys, self._h0 = {}, {}, None
         if m >= 1:
             alpha = qp.beta / qp.qhalf
             delta = 1 / (qp.beta * qp.qhalf * qp.q ** l)
@@ -283,22 +289,39 @@ class LinearizationLattice:
     def weight(self, j: int) -> Fraction:
         if self.m == 0:
             return F(1)
-        w = qracah_weight(j, self.qrp)
-        if w <= 0:
-            raise NonPositiveWeight(j, w)
-        return w
+        if j not in self._weights:
+            w = qracah_weight(j, self.qrp)
+            if w <= 0:
+                raise NonPositiveWeight(j, w)
+            self._weights[j] = w
+        return self._weights[j]
 
     def poly(self, k: int, j: int) -> Fraction:
-        return F(1) if self.m == 0 else qracah(k, j, self.qrp)
+        if self.m == 0:
+            return F(1)
+        if (k, j) not in self._polys:
+            self._polys[k, j] = qracah(k, j, self.qrp)
+        return self._polys[k, j]
 
     def h0(self) -> Fraction:
-        return F(1) if self.m == 0 else qracah_h0(self.qrp)
+        if self.m == 0:
+            return F(1)
+        if self._h0 is None:
+            self._h0 = qracah_h0(self.qrp)
+        return self._h0
 
     def norm(self, k: int) -> Fraction:
         if self.m == 0:
             return F(1)
         ratio, h0 = qracah_norms(k, self.qrp)
         return ratio * h0
+
+
+# Key (carrier, l, m).  Every suite runs the rows of one lattice one after
+# another (the k-loop of theorem 5.1 too), so one entry catches every reuse.
+@lru_cache(maxsize=1)
+def _shared_lattice(qp: QParams, l: int, m: int) -> LinearizationLattice:
+    return LinearizationLattice(qp, l, m)
 
 
 def linearization_racah_params(alpha, l: int, m: int) -> RacahParams:
@@ -481,16 +504,17 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
             return F(0)
         return lead / (q ** (-x) - g * d * q ** (x + 2)) * w * qracah_phi(n - 1, x, **shifted)
 
+    weighted = {}  # w(x) R_n(x), shared by the pointwise and the summed forms
     for n in range(1, nmax + 1):
         for x in range(N + 1):
-            lhs = qracah_weight(x, qrp) * qracah(n, x, qrp)
+            lhs = weighted[n, x] = qracah_weight(x, qrp) * qracah(n, x, qrp)
             rhs = shifted_term(n, x)
             if x >= 1:
                 rhs -= shifted_term(n, x - 1)
             items.append((f"pointwise n={n}, x={x}", lhs, rhs))
     for n in range(1, nmax + 1):
         for fname, fval in (("x", lambda x: F(x)), ("q^x", lambda x: q ** x)):
-            lhs = sum(qracah_weight(x, qrp) * qracah(n, x, qrp) * fval(x) for x in range(N + 1))
+            lhs = sum(weighted[n, x] * fval(x) for x in range(N + 1))
             rhs = sum(shifted_term(n, x) * (fval(x) - fval(x + 1)) for x in range(N))
             items.append((f"summed n={n}, f={fname}", lhs, rhs))
     params = {
@@ -530,7 +554,7 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> Symme
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
     if mode == "brute":
-        lat = LinearizationLattice(qp, l, m)
+        lat = _shared_lattice(qp, l, m)
         total = LaurentPoly()
         for j in range(m + 1):
             total = total + cqu_r(l + m - 2 * j, qp) * (lat.weight(j) * lat.poly(k, j))
@@ -697,6 +721,13 @@ def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     return square_factor * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * c
 
 
+# Key (carrier, l, m), as for `_shared_lattice`: the inversion row and the
+# m + 1 direct rows of one (l, m) come one after another.
+@lru_cache(maxsize=1)
+def _dual_addition_coeffs_q(qp: QParams, l: int, m: int) -> tuple:
+    return tuple(_dual_addition_coeff_q(k, l, m, qp) for k in range(m + 1))
+
+
 def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "direct",
                         qp: Optional[QParams] = None, alpha=None, mutation=None) -> CheckReport:
     """Expansion of a single family member R_{l+m-2j} over the
@@ -714,8 +745,8 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
     if target == "q":
         if qp is None:
             raise ParameterError("q dual addition needs qp")
-        lat = LinearizationLattice(qp, l, m)
-        closed = [_dual_addition_coeff_q(k, l, m, qp) for k in range(m + 1)]
+        lat = _shared_lattice(qp, l, m)
+        closed = _dual_addition_coeffs_q(qp, l, m)
         if mode == "inversion":
             for k in range(m + 1):
                 inv = dual_projection_sum(k, l, m, qp, "brute") * (1 / lat.norm(k))

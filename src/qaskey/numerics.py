@@ -20,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import NonConvergence, NonFinite, ParameterError
@@ -369,31 +370,38 @@ def numeric_orthogonality(kind: str, params: dict, m: int, n: int,
     """
     if kind == "cqu":
         qp: QParams = params["qp"]
-        q, beta = float(qp.q), float(qp.beta)
-        polys = {}
-        for deg in {m, n}:
-            coeffs = [(k, float(c)) for k, c in cqu_r(deg, qp).items()]
-            polys[deg] = coeffs
-
-        def inner(d1, d2):
-            def f(theta):
-                z = cmath.exp(1j * theta)
-                p1 = sum(c * z ** k for k, c in polys[d1]).real
-                p2 = sum(c * z ** k for k, c in polys[d2]).real
-                return p1 * p2 * _cqu_circle_weight(z * z, q, beta)
-
-            return refine_integral(f, 0.0, 2 * math.pi, quad_points)
-
         if m == n:
-            return inner(m, m)
-        off = inner(m, n)
-        return abs(off) / math.sqrt(inner(m, m) * inner(n, n))
+            return _cqu_diagonal(qp, m, quad_points)
+        off = _cqu_inner(qp, m, n, quad_points)
+        return abs(off) / math.sqrt(_cqu_diagonal(qp, m, quad_points)
+                                    * _cqu_diagonal(qp, n, quad_points))
     if kind == "aw-h0":
         integral = refine_integral(lambda th: _aw_weight_circle(params, th), 0.0, 2 * math.pi,
                                    quad_points)
         h0 = aw_h0_closed(params)
         return abs(integral - h0) / abs(h0)
     raise ParameterError(f"unknown orthogonality kind {kind!r}")
+
+
+def _cqu_inner(qp: QParams, d1: int, d2: int, quad_points: int) -> float:
+    """I_(d1 d2): the integral of R_d1 R_d2 against the circle weight."""
+    q, beta = float(qp.q), float(qp.beta)
+    polys = {deg: [(k, float(c)) for k, c in cqu_r(deg, qp).items()] for deg in {d1, d2}}
+
+    def f(theta):
+        z = cmath.exp(1j * theta)
+        p1 = sum(c * z ** k for k, c in polys[d1]).real
+        p2 = sum(c * z ** k for k, c in polys[d2]).real
+        return p1 * p2 * _cqu_circle_weight(z * z, q, beta)
+
+    return refine_integral(f, 0.0, 2 * math.pi, quad_points)
+
+
+# Key (carrier, degree, quad_points).  The numeric-orthogonality rows pair
+# the degrees 0..4 of one carrier, so five entries catch every reuse.
+@lru_cache(maxsize=5)
+def _cqu_diagonal(qp: QParams, n: int, quad_points: int) -> float:
+    return _cqu_inner(qp, n, n, quad_points)
 
 
 def _aw_weight_circle(params: dict, theta: float) -> float:

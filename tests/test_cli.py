@@ -117,6 +117,21 @@ def test_second_carrier_ordering_is_byte_identical_to_its_recorded_digest():
     assert digest == GOLDEN_ALL_LMAX1_SECOND_ORDERING
 
 
+# SHA-256 of json reports, wall time removed, deep enough that many rows
+# share one linearization lattice and one set of closed coefficients.
+GOLDEN_DEEP = {
+    ("dual-addition", 4): "cbd2a558dc253254c6376bd0a4ef1bbe71645e0b46e99e9597e7ae32bcc69adb",
+    ("theorem-5-1", 3): "30994121b7b765ad880e0ab8ed4fbe0566139da9e5a3d3e045068af5317e281a",
+}
+
+
+@pytest.mark.parametrize("suite,lmax", sorted(GOLDEN_DEEP))
+def test_deep_reports_are_byte_identical_to_their_recorded_digests(suite, lmax):
+    doc = run_suite(suite, ParamGrid(lmax=lmax))
+    doc.pop("wallTimeMs")
+    assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_DEEP[suite, lmax]
+
+
 def test_every_record_id_has_a_fail_negative():
     from tests.test_identities import MUTATION_TARGETS
     from tests.test_numerics import LIMIT_ROWS, THRESHOLD_PROBES

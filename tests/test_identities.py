@@ -368,6 +368,25 @@ def test_mutation_witness_localizes():
     assert "sum" in r.witness.location or "j=" in r.witness.location
 
 
+@pytest.mark.parametrize("mutated_first", (True, False))
+def test_shared_lattice_serves_no_mutated_or_stale_value(mutated_first):
+    # (l, m) = (3, 2): the inversion row and a direct row share one lattice
+    # and one set of closed coefficients; the (2, 2) direct row and theorem
+    # 5.1 on the small grid evict them, and the second pass builds them again
+    thunks = (
+        lambda mut: check_dual_addition("q", 3, 2, mode="inversion", qp=QP, mutation=mut),
+        lambda mut: check_dual_addition("q", 3, 2, 1, "direct", qp=QP, mutation=mut),
+        lambda mut: check_dual_addition("q", 2, 2, 1, "direct", qp=QP, mutation=mut),
+        lambda mut: check_theorem_5_1(ParamGrid(lmax=2, qparams=(QP,)), mutation=mut),
+    )
+    for thunk in thunks * 2:
+        for index in range(3):
+            runs = (Mutation(index=index), None) if mutated_first else (None, Mutation(index=index))
+            for mut in runs:
+                report = thunk(mut)
+                assert report.passed == (mut is None), (index, mut, report)
+
+
 def test_report_serialization_shape():
     r = check_weight_ratio(QP)
     d = r.to_dict()
