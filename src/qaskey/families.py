@@ -243,7 +243,8 @@ def ultraspherical_r(n: int, alpha, x) -> Fraction:
     return jacobi_r(n, JacobiParams(alpha, alpha), x)
 
 
-@lru_cache(maxsize=None)
+# Key (n, alpha); `verify --suite all` reuses 81 of them over the whole run.
+@lru_cache(maxsize=256)
 def ultraspherical_coeffs(n: int, alpha) -> tuple:
     """Exact coefficient vector of the degree-n ultraspherical polynomial,
     lowest degree first."""
@@ -491,7 +492,9 @@ def cqu_aw_params(qp: QParams) -> AWParams:
     return AWParams(a, qp.qhalf * a, -a, -qp.qhalf * a, qp.q)
 
 
-@lru_cache(maxsize=None)
+# Key (n, carrier), beta-shifted carriers included; dual-addition at lmax 11
+# reuses 267 of them across the whole run, so 1024 keep every reuse up to there.
+@lru_cache(maxsize=1024)
 def cqu_r(n: int, qp: QParams) -> SymmetricLaurent:
     """Continuous q-ultraspherical polynomial (value 1 at z = ts), as a
     symmetric Laurent polynomial."""

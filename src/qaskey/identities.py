@@ -498,11 +498,14 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
     lead = 1 - q * q * g * d
     items = []
 
+    terms = {}  # shifted_term(n, x), each evaluated once
+
     def shifted_term(n, x):
-        w = qracah_weight_raw(x, **shifted)
-        if not w:
-            return F(0)
-        return lead / (q ** (-x) - g * d * q ** (x + 2)) * w * qracah_phi(n - 1, x, **shifted)
+        if (n, x) not in terms:
+            w = qracah_weight_raw(x, **shifted)
+            terms[n, x] = F(0) if not w else (
+                lead / (q ** (-x) - g * d * q ** (x + 2)) * w * qracah_phi(n - 1, x, **shifted))
+        return terms[n, x]
 
     weighted = {}  # w(x) R_n(x), shared by the pointwise and the summed forms
     for n in range(1, nmax + 1):
@@ -534,6 +537,9 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
 # ---------------------------------------------------------------------------
 
 
+# Key (a, q^(1/2), k), that is (carrier, k).  The rows of one carrier ask for
+# k = 0..lmax again and again, so 32 entries keep a whole carrier to lmax 31.
+@lru_cache(maxsize=32)
 def _pm_qpoch_laurent(a, qbase, k: int) -> LaurentPoly:
     """(+-a z; q)_k (+-a z^-1; q)_k as a Laurent polynomial."""
     out = LaurentPoly.constant(1)
@@ -713,12 +719,20 @@ def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
     c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
     c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
+    promoted = qp.beta_shift(k)
+    return _dual_addition_square_factor(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * c
+
+
+# Key (carrier, k), bounded as `_pm_qpoch_laurent`: k <= m <= lmax in every row.
+@lru_cache(maxsize=32)
+def _dual_addition_square_factor(qp: QParams, k: int) -> LaurentPoly:
+    """prod_{i<k} (4 w_i x^2 - (1 + w_i)^2) with w_i = q^i q^(1/2) beta."""
+    q, b, qh = qp.q, qp.beta, qp.qhalf
     square_factor = LaurentPoly.constant(1)
     for i in range(k):
         w = q ** i * qh * b
         square_factor = square_factor * x_embed([-((1 + w) ** 2), 0, 4 * w])
-    promoted = qp.beta_shift(k)
-    return square_factor * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * c
+    return square_factor
 
 
 # Key (carrier, l, m), as for `_shared_lattice`: the inversion row and the

@@ -213,6 +213,7 @@ class SymmetricLaurent(LaurentPoly):
         return cls(p._c)
 
 
+# Unbounded: one entry per degree ever embedded, and qaskey embeds only quadratics.
 @lru_cache(maxsize=None)
 def _x_power(k: int) -> LaurentPoly:
     # ((z + 1/z)/2)^k

@@ -2,10 +2,20 @@
 
 Every scalar in the exact layer is a `fractions.Fraction`, which is always
 stored gcd-reduced with a positive denominator, so canonical form is free.
-Series are summed by incremental term ratios; no Pochhammer symbol is ever
-evaluated beyond the termination index, which keeps denominator parameters
-of the form -N (ordinary) or q^N-like values (q-case) harmless as long as
-the series terminates in time.
+A terminating series is summed from its term ratios; no Pochhammer symbol
+is evaluated beyond the termination index, which keeps denominator
+parameters of the form -N (ordinary) or q^N-like values (q-case) harmless
+as long as the series terminates in time.
+
+Exact q-series arguments (ints and Fractions) never pass through `Fraction`
+arithmetic term by term.  Each term ratio is formed as a pair of integers
+from the numerators and denominators of the parameters and of q^k = P^k/Q^k,
+the sum is taken by Horner's rule from the top term, S <- 1 + (A_k/B_k) S,
+on an integer numerator and denominator, and the result is reduced once.
+`qpochhammer` likewise takes one integer product for each of numerator and
+denominator.  Ordinary series, and floats and complex values as `numerics`
+passes them, run a duck-typed loop over incremental term ratios instead, in
+a fixed operation order.
 """
 
 from __future__ import annotations
@@ -40,14 +50,45 @@ def pochhammer(b, k: int):
     return out
 
 
+def _exact(*values) -> bool:
+    """True when every value is exactly an int or a Fraction: these take
+    the integer paths; anything else (subclasses too) takes the loops."""
+    return all(type(v) is Fraction or type(v) is int for v in values)
+
+
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def qpochhammer(b, qbase, k: int):
-    """q-shifted factorial (b; q)_k = (1-b)(1-qb)...(1-q^(k-1) b)."""
+    """q-shifted factorial (b; q)_k = (1-b)(1-qb)...(1-q^(k-1) b).
+
+    Exact arguments (int or Fraction) give a Fraction built from one
+    integer product each for numerator and denominator, reduced once;
+    floats and complex values multiply the factors in order.
+    """
+    if _exact(b, qbase):
+        return _qpochhammer_exact(b, qbase, k)
     out = qbase - qbase + 1
     qpow = out
     for _ in range(k):
         out *= 1 - qpow * b
         qpow *= qbase
     return out
+
+
+def _qpochhammer_exact(b, qbase, k: int) -> Fraction:
+    # 1 - q^j b = (Q^j b_den - P^j b_num) / (Q^j b_den) with q = P/Q
+    bn, bd = b.numerator, b.denominator
+    p, qd = qbase.numerator, qbase.denominator
+    num = den = 1
+    pj = qj = 1
+    for _ in range(k):
+        num *= qj * bd - pj * bn
+        den *= qj * bd
+        pj *= p
+        qj *= qd
+    return Fraction(num, den)
 
 
 def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
@@ -74,9 +115,12 @@ def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
 def qhyper_sum(nums: Sequence, dens: Sequence, qbase, arg, nterms: int):
     """Terminating basic hypergeometric sum over k = 0..nterms.
 
-    Computes sum_k (nums; q)_k / ((dens; q)_k (q; q)_k) arg^k incrementally.
-    Duck-typed like `hyper_sum`.
+    Computes sum_k (nums; q)_k / ((dens; q)_k (q; q)_k) arg^k.  Exact
+    arguments take `_qhyper_sum_exact`; floats and complex values the
+    term-ratio loop, in the operation order `numerics` relies on.
     """
+    if _exact(qbase, arg, *nums, *dens):
+        return _qhyper_sum_exact(nums, dens, qbase, arg, nterms)
     term = arg - arg + 1
     total = term
     qpow = term  # q^k
@@ -92,6 +136,43 @@ def qhyper_sum(nums: Sequence, dens: Sequence, qbase, arg, nterms: int):
         term = term * arg / den
         total += term
     return total
+
+
+def _qhyper_sum_exact(nums, dens, qbase, arg, nterms: int) -> Fraction:
+    # t_(k+1) / t_k = arg prod(1 - q^k a) / ((1 - q^(k+1)) prod(1 - q^k b)),
+    # where 1 - q^k v = (Q^k v_den - P^k v_num) / (Q^k v_den) with q = P/Q.
+    # The powers of Q meet in one factor Q^e, e = k (|dens| + 1 - |nums|) + 1.
+    a_pairs = [(a.numerator, a.denominator) for a in nums]
+    b_pairs = [(b.numerator, b.denominator) for b in dens]
+    up0, down0 = arg.numerator, arg.denominator
+    for _, bd in b_pairs:
+        up0 *= bd
+    for _, ad in a_pairs:
+        down0 *= ad
+    p, qd = qbase.numerator, qbase.denominator
+    ratios = []
+    pk = qk = 1  # q^k = pk / qk
+    for k in range(nterms):
+        up, down = up0, down0 * (qk * qd - pk * p)
+        for an, ad in a_pairs:
+            up *= qk * ad - pk * an
+        for bn, bd in b_pairs:
+            down *= qk * bd - pk * bn
+        if not down:
+            raise VanishingDenominator(k + 1)
+        e = k * (len(b_pairs) + 1 - len(a_pairs)) + 1
+        if e >= 0:
+            up *= qd ** e
+        else:
+            down *= qd ** -e
+        ratios.append((up, down))
+        pk *= p
+        qk *= qd
+    # Horner's rule from the top term: S <- 1 + (up_k / down_k) S
+    num = den = 1
+    for up, down in reversed(ratios):
+        num, den = down * den + up * num, down * den
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -112,11 +193,11 @@ class HyperSeriesSpec:
     base: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(Fraction(a) for a in self.numerator))
-        object.__setattr__(self, "denominator", tuple(Fraction(b) for b in self.denominator))
-        object.__setattr__(self, "argument", Fraction(self.argument))
+        object.__setattr__(self, "numerator", tuple(map(_fraction, self.numerator)))
+        object.__setattr__(self, "denominator", tuple(map(_fraction, self.denominator)))
+        object.__setattr__(self, "argument", _fraction(self.argument))
         if self.base is not None:
-            object.__setattr__(self, "base", Fraction(self.base))
+            object.__setattr__(self, "base", _fraction(self.base))
         n = self.termination
         if n < 0:
             raise ParameterError("termination index must be a natural number")
@@ -130,14 +211,19 @@ class HyperSeriesSpec:
         else:
             if not 0 < self.base < 1:
                 raise ParameterError(f"series base must lie in (0, 1), got {self.base}")
-            if all(a != self.base ** (-n) for a in self.numerator):
+            # with q = P/Q: a = q^(-n) iff a_num P^n = a_den Q^n, and
+            # q^k b = 1 iff P^k b_num = Q^k b_den
+            p, qd = self.base.numerator, self.base.denominator
+            pn, qn = p ** n, qd ** n
+            if all(a.numerator * pn != a.denominator * qn for a in self.numerator):
                 raise ParameterError(f"no numerator parameter equals base^(-{n})")
-            qpow = Fraction(1)
+            pk = qk = 1
             for k in range(n):
                 for b in self.denominator:
-                    if qpow * b == 1:
+                    if pk * b.numerator == qk * b.denominator:
                         raise VanishingDenominator(k + 1, f"(b; q)_k factor with b={b}")
-                qpow *= self.base
+                pk *= p
+                qk *= qd
 
 
 def terminating_hyper(spec: HyperSeriesSpec) -> Fraction:

@@ -132,6 +132,17 @@ def test_deep_reports_are_byte_identical_to_their_recorded_digests(suite, lmax):
     assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_DEEP[suite, lmax]
 
 
+# SHA-256 of the json report, wall time removed, on the carrier beta = 1,
+# whose error records carry the full text of their messages.
+GOLDEN_BETA_ONE = "644caec60558c0576be4bf695a17c40abb56321888d142dfb96fcfba4eebde3f"
+
+
+def test_beta_one_report_is_byte_identical_to_its_recorded_digest():
+    doc = run_suite("all", ParamGrid(lmax=2, qparams=(QParams(F(1, 2), F(1)),)))
+    doc.pop("wallTimeMs")
+    assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_BETA_ONE
+
+
 def test_every_record_id_has_a_fail_negative():
     from tests.test_identities import MUTATION_TARGETS
     from tests.test_numerics import LIMIT_ROWS, THRESHOLD_PROBES

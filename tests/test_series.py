@@ -12,6 +12,7 @@ from qaskey.series import (
     format_rat,
     parse_rat,
     pochhammer,
+    qhyper_sum,
     qpochhammer,
     terminating_hyper,
 )
@@ -162,6 +163,101 @@ def test_incremental_matches_naive_q(spec):
     assert terminating_hyper(spec) == _naive_q(
         spec.numerator, spec.denominator, spec.base, spec.argument, spec.termination
     )
+
+
+class _LoopRational(F):
+    """Exact values that `qhyper_sum` sums by its term-ratio loop: only
+    plain ints and Fractions take the integer path."""
+
+
+def _loop_values(values):
+    return tuple(_LoopRational(v) for v in values)
+
+
+@st.composite
+def random_q_specs(draw):
+    q = draw(st.fractions(min_value=0, max_value=1, max_denominator=9).filter(lambda v: 0 < v < 1))
+    n = draw(st.integers(min_value=0, max_value=8))
+    extra = draw(st.lists(rationals, max_size=3))
+    dens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        b = draw(rationals)
+        while any(q ** k * b == 1 for k in range(n)):
+            b += F(1, 7)
+        dens.append(b)
+    arg = draw(rationals)
+    return HyperSeriesSpec(numerator=tuple([q ** (-n)] + extra), denominator=tuple(dens),
+                           argument=arg, termination=n, base=q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_q_specs())
+def test_integer_path_matches_naive_and_loop_q(spec):
+    value = terminating_hyper(spec)
+    assert type(value) is F
+    assert value == _naive_q(spec.numerator, spec.denominator, spec.base, spec.argument,
+                             spec.termination)
+    loop = qhyper_sum(_loop_values(spec.numerator), _loop_values(spec.denominator),
+                      _LoopRational(spec.base), _LoopRational(spec.argument), spec.termination)
+    assert value == loop
+
+
+def test_integer_path_raises_as_the_loop_past_a_zero_term():
+    # the term vanishes from k = 1 on, and (b; q)_k vanishes at k = 3
+    q = F(1, 2)
+    nums, dens = (q ** -1, F(3)), (q ** -2,)
+    for values in (lambda v: v, _loop_values):
+        with pytest.raises(VanishingDenominator) as err:
+            qhyper_sum(values(nums), values(dens), q, F(1), 4)
+        assert err.value.index == 3
+    assert qhyper_sum(nums, dens, q, F(1), 2) == qhyper_sum(_loop_values(nums),
+                                                            _loop_values(dens), q, F(1), 2)
+
+
+def _qpochhammer_loop(b, qbase, k):
+    out = qbase - qbase + 1
+    qpow = out
+    for _ in range(k):
+        out *= 1 - qpow * b
+        qpow *= qbase
+    return out
+
+
+@given(rationals, st.fractions(min_value=-2, max_value=2, max_denominator=9), small_naturals)
+def test_rational_qpochhammer_matches_reference_loop(b, qbase, k):
+    value = qpochhammer(b, qbase, k)
+    assert type(value) is F
+    assert value == _qpochhammer_loop(b, qbase, k)
+    assert qpochhammer(b.numerator, qbase, k) == _qpochhammer_loop(b.numerator, qbase, k)
+
+
+@given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-1, max_value=1),
+       st.floats(min_value=-1, max_value=1), small_naturals)
+def test_float_and_complex_qpochhammer_are_bit_identical_to_the_loop(b, qbase, im, k):
+    assert qpochhammer(b, qbase, k) == _qpochhammer_loop(b, qbase, k)
+    bz, qz = complex(b, im), complex(qbase, -im)
+    assert qpochhammer(bz, qz, k) == _qpochhammer_loop(bz, qz, k)
+    assert qpochhammer(bz, qbase, k) == _qpochhammer_loop(bz, qbase, k)
+
+
+@pytest.mark.parametrize("spec,index,message", [
+    (dict(numerator=(-4,), denominator=(-2,), argument=1, termination=4),
+     3, "vanishing denominator at index 3 ((b)_k factor with b=-2)"),
+    # the first vanishing b in order, not the one that vanishes first in k
+    (dict(numerator=(-4,), denominator=(F(1, 2), -2, -1), argument=1, termination=4),
+     3, "vanishing denominator at index 3 ((b)_k factor with b=-2)"),
+    (dict(numerator=(F(16),), denominator=(F(4),), argument=1, termination=2, base=F(1, 4)),
+     2, "vanishing denominator at index 2 ((b; q)_k factor with b=4)"),
+    # the first k at which any b vanishes, then the first such b in order
+    (dict(numerator=(F(64),), denominator=(F(16), F(1, 3), F(4)), argument=1, termination=3,
+          base=F(1, 4)),
+     2, "vanishing denominator at index 2 ((b; q)_k factor with b=4)"),
+])
+def test_spec_vanishing_denominator_index_and_message(spec, index, message):
+    with pytest.raises(VanishingDenominator) as err:
+        HyperSeriesSpec(**spec)
+    assert err.value.index == index
+    assert str(err.value) == message
 
 
 @given(ordinary_specs())
