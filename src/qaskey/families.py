@@ -586,6 +586,9 @@ def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
     return qracah_weight_raw(x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q)
 
 
+# Key qrp: the rows of one lattice come one after another, so one entry
+# catches every reuse.
+@lru_cache(maxsize=1)
 def qracah_h0(qrp: QRacahParams) -> Fraction:
     """Closed form of h_0 = sum of the q-Racah weights (gamma = q^(-N-1))."""
     a, b, d, q = qrp.alpha, qrp.beta, qrp.delta, qrp.qp.q

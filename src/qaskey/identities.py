@@ -270,9 +270,10 @@ class LinearizationLattice:
     The m = 0 lattice is a single point with unit weight and trivial norm,
     below the smallest admissible q-Racah family, so it is special-cased.
 
-    Each weight, lattice value and h0 is computed the first time it is
-    asked for and kept.  A computation that raises keeps nothing, so its
-    error surfaces again at the next request.
+    Each weight and lattice value is computed the first time it is asked
+    for and kept; h0 comes from the cache of `qracah_h0`.  A computation
+    that raises keeps nothing, so its error surfaces again at the next
+    request.
     """
 
     def __init__(self, qp: QParams, l: int, m: int):
@@ -280,7 +281,7 @@ class LinearizationLattice:
             raise ParameterError("linearization lattice requires l >= m")
         self.qp, self.l, self.m = qp, l, m
         self.qrp = None
-        self._weights, self._polys, self._h0 = {}, {}, None
+        self._weights, self._polys = {}, {}
         if m >= 1:
             alpha = qp.beta / qp.qhalf
             delta = 1 / (qp.beta * qp.qhalf * qp.q ** l)
@@ -306,9 +307,7 @@ class LinearizationLattice:
     def h0(self) -> Fraction:
         if self.m == 0:
             return F(1)
-        if self._h0 is None:
-            self._h0 = qracah_h0(self.qrp)
-        return self._h0
+        return qracah_h0(self.qrp)
 
     def norm(self, k: int) -> Fraction:
         if self.m == 0:

@@ -1,15 +1,26 @@
-"""Sparse exact Laurent polynomials in one variable z over the rationals.
+"""Exact Laurent polynomials in one variable z over the rationals.
 
 Askey-Wilson-type polynomials live in the symmetric subspace (invariant
 under z -> 1/z), where they are ordinary polynomials in x = (z + 1/z)/2.
-Coefficients are Fractions; canonical form never stores a zero coefficient,
-so equality is plain coefficient comparison.  Instances are immutable.
+
+A polynomial is stored fraction-free, in the layout of FLINT's `fmpq_poly`:
+the lowest exponent `lo`, a tuple `n` of integer numerators and one common
+denominator `den`, so that the coefficient of z^(lo + i) is n[i]/den.  The
+canonical form has no zero at either end of `n`, den > 0 and
+gcd(den, *n) == 1, and zero is (0, (), 1).  Sums and products work on
+integers and reduce each result with one gcd; the variable maps keep the
+canonical form as it is.  Equality is exact comparison of the three
+fields.  `_c` (exponent -> nonzero reduced Fraction, ascending) is a view
+derived from them on each access; `items`, `coeff`, `eval_at`, `__str__`
+and the span tracer in `bench/` read it.  Instances are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 
 from .errors import SymmetryViolation, ZeroArgument
 
@@ -17,30 +28,12 @@ _SCALARS = (int, Fraction)
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial: exponent -> nonzero Fraction."""
+    """Immutable Laurent polynomial sum_i n[i]/den z^(lo + i), canonical."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_lo", "_n", "_den")
 
     def __init__(self, coeffs=()):
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        c = {}
-        for k, v in items:
-            k = int(k)
-            v = Fraction(v)
-            if not v:
-                continue
-            w = c.get(k, 0) + v
-            if w:
-                c[k] = w
-            else:
-                del c[k]
-        self._c = c
-
-    @classmethod
-    def _raw(cls, c: dict) -> "LaurentPoly":
-        out = object.__new__(LaurentPoly)
-        out._c = c
-        return out
+        self._lo, self._n, self._den = _fields(_collect(coeffs))
 
     @classmethod
     def constant(cls, value) -> "LaurentPoly":
@@ -50,22 +43,28 @@ class LaurentPoly:
     def monomial(cls, exponent: int, coeff=1) -> "LaurentPoly":
         return cls({exponent: Fraction(coeff)})
 
+    @property
+    def _c(self) -> dict:
+        """exponent -> reduced nonzero Fraction, ascending exponent."""
+        lo, den = self._lo, self._den
+        return {lo + i: Fraction(v, den) for i, v in enumerate(self._n) if v}
+
     def coeff(self, exponent: int) -> Fraction:
         return self._c.get(exponent, Fraction(0))
 
     def items(self):
         """Sorted (exponent, coefficient) pairs, ascending exponent."""
-        return sorted(self._c.items())
+        return list(self._c.items())
 
     @property
     def support(self):
-        return sorted(self._c)
+        return [self._lo + i for i, v in enumerate(self._n) if v]
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def max_degree(self):
-        return max(self._c) if self._c else None
+        return self._lo + len(self._n) - 1 if self._n else None
 
     # ring operations -----------------------------------------------------
 
@@ -74,19 +73,26 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for k, v in other._c.items():
-            w = c.get(k, 0) + v
-            if w:
-                c[k] = w
-            else:
-                c.pop(k, None)
-        return LaurentPoly._raw(c)
+        a, b = self._n, other._n
+        d1, d2 = self._den, other._den
+        den = d1
+        if d1 != d2:
+            g = gcd(d1, d2)
+            den = d1 // g * d2
+            a = [v * (d2 // g) for v in a]
+            b = [v * (d1 // g) for v in b]
+        lo1, lo2 = self._lo, other._lo
+        lo = min(lo1, lo2)
+        out = [0] * (max(lo1 + len(a), lo2 + len(b)) - lo)
+        out[lo1 - lo:lo1 - lo + len(a)] = a
+        for i, v in enumerate(b, lo2 - lo):
+            out[i] += v
+        return _poly(lo, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({k: -v for k, v in self._c.items()})
+        return _raw(self._lo, tuple(-v for v in self._n), self._den)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -100,22 +106,24 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            s = Fraction(other)
-            if not s:
-                return LaurentPoly._raw({})
-            return LaurentPoly._raw({k: v * s for k, v in self._c.items()})
+            p = other.numerator
+            return _poly(self._lo, [v * p for v in self._n] if p else [],
+                         self._den * other.denominator)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                w = c.get(k, 0) + v1 * v2
-                if w:
-                    c[k] = w
-                else:
-                    c.pop(k, None)
-        return LaurentPoly._raw(c)
+        a, b = self._n, other._n
+        if not a or not b:
+            return _raw(0, (), 1)
+        # out[k] = sum_i a[i] b[k - i], one C-level sum per output exponent.
+        la, lb = len(a), len(b)
+        rb = b[::-1]
+        out = []
+        for k in range(la + lb - 1):
+            i0 = k - lb + 1 if k >= lb else 0
+            i1 = k + 1 if k < la else la
+            j0 = lb - 1 - k
+            out.append(sum(map(mul, a[i0:i1], rb[j0 + i0:j0 + i1])))
+        return _poly(self._lo + other._lo, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -139,10 +147,10 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._n == other._n and self._lo == other._lo and self._den == other._den
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        return hash((self._lo, self._n, self._den))
 
     # evaluation and variable maps ----------------------------------------
 
@@ -161,23 +169,28 @@ class LaurentPoly:
 
     def invert_variable(self):
         """The image under z -> 1/z (every exponent negated)."""
-        return LaurentPoly._raw({-k: v for k, v in self._c.items()})
+        n = self._n
+        return _raw(1 - self._lo - len(n) if n else 0, n[::-1], self._den)
 
     def negate_variable(self):
         """The image under z -> -z."""
-        return LaurentPoly._raw({k: (v if k % 2 == 0 else -v) for k, v in self._c.items()})
+        lo = self._lo
+        return _raw(lo, tuple(-v if (lo + i) & 1 else v for i, v in enumerate(self._n)),
+                    self._den)
 
     def is_symmetric(self) -> bool:
-        return all(self._c.get(-k) == v for k, v in self._c.items())
+        n = self._n
+        return not n or (2 * self._lo + len(n) == 1 and n == n[::-1])
 
     # rendering ------------------------------------------------------------
 
     def __str__(self):
-        if not self._c:
+        c = self._c
+        if not c:
             return "0"
         parts = []
-        for k in sorted(self._c, reverse=True):
-            v = self._c[k]
+        for k in sorted(c, reverse=True):
+            v = c[k]
             mag = -v if v < 0 else v
             if k == 0:
                 body = str(mag)
@@ -194,23 +207,89 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.items())!r})"
 
 
+def _collect(coeffs) -> dict:
+    """exponent -> nonzero Fraction from a mapping or (exponent, value)
+    pairs, in input order, with repeated exponents summed."""
+    items = coeffs.items() if hasattr(coeffs, "items") else coeffs
+    c = {}
+    for k, v in items:
+        k = int(k)
+        v = Fraction(v)
+        if not v:
+            continue
+        w = c.get(k, 0) + v
+        if w:
+            c[k] = w
+        else:
+            del c[k]
+    return c
+
+
+def _fields(c: dict) -> tuple:
+    """(lo, n, den) of exponent -> nonzero Fraction.  den is the lcm of the
+    reduced denominators, so gcd(den, *n) == 1 with no reduction."""
+    if not c:
+        return 0, (), 1
+    lo = min(c)
+    den = lcm(*(v.denominator for v in c.values()))
+    n = [0] * (max(c) - lo + 1)
+    for k, v in c.items():
+        n[k - lo] = v.numerator * (den // v.denominator)
+    return lo, tuple(n), den
+
+
+def _raw(lo: int, n: tuple, den: int) -> LaurentPoly:
+    """A LaurentPoly of fields already in canonical form."""
+    out = object.__new__(LaurentPoly)
+    out._lo, out._n, out._den = lo, n, den
+    return out
+
+
+def _poly(lo: int, n: list, den: int) -> LaurentPoly:
+    """The canonical form of sum_i n[i]/den z^(lo + i), for den > 0: the
+    zeros at either end stripped and one gcd taken out."""
+    i, j = 0, len(n)
+    while i < j and not n[i]:
+        i += 1
+    while j > i and not n[j - 1]:
+        j -= 1
+    if i == j:
+        return _raw(0, (), 1)
+    n = n[i:j]
+    g = gcd(den, *n)
+    if g != 1:
+        den //= g
+        n = [v // g for v in n]
+    return _raw(lo + i, tuple(n), den)
+
+
 class SymmetricLaurent(LaurentPoly):
     """A Laurent polynomial with p(z) = p(1/z), validated at construction."""
 
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        super().__init__(coeffs)
-        for k, v in self._c.items():
-            if self._c.get(-k) != v:
-                raise SymmetryViolation(
-                    f"coefficient mismatch at exponents {k} / {-k}: "
-                    f"{v} vs {self._c.get(-k, Fraction(0))}"
-                )
+        c = _collect(coeffs)
+        _check_symmetric(c)
+        self._lo, self._n, self._den = _fields(c)
 
     @classmethod
     def from_poly(cls, p: LaurentPoly) -> "SymmetricLaurent":
-        return cls(p._c)
+        if not p.is_symmetric():
+            _check_symmetric(p._c)
+        out = object.__new__(cls)
+        out._lo, out._n, out._den = p._lo, p._n, p._den
+        return out
+
+
+def _check_symmetric(c: dict) -> None:
+    """Raise at the first exponent of c whose mirror coefficient differs."""
+    for k, v in c.items():
+        if c.get(-k) != v:
+            raise SymmetryViolation(
+                f"coefficient mismatch at exponents {k} / {-k}: "
+                f"{v} vs {c.get(-k, Fraction(0))}"
+            )
 
 
 # Unbounded: one entry per degree ever embedded, and qaskey embeds only quadratics.

@@ -250,6 +250,19 @@ def test_dual_addition_modes_are_mutually_consistent():
         assert closed * lat.norm(k) == dual_projection_sum(k, l, m, QP, "brute")
 
 
+def test_lattice_norms_share_one_h0():
+    # norm(k) = (h_k/h_0) h_0 of one lattice take h0 from the one-entry
+    # cache of qracah_h0: one computation for all of them
+    from qaskey.families import qracah_h0
+
+    lat = LinearizationLattice(QP, 5, 3)
+    qracah_h0.cache_clear()
+    norms = [lat.norm(k) for k in range(4)]
+    assert lat.h0() == norms[0]
+    info = qracah_h0.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
 def test_dual_addition_classical_and_a_form():
     assert check_dual_addition("classical", 2, 2, 1, alpha=F(1, 2)).passed
     assert check_dual_addition("classical", 4, 3, 2, alpha=F(1)).passed

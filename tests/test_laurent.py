@@ -1,6 +1,8 @@
 """Laurent ring tests: exact arithmetic, symmetry, embeddings."""
 
+import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,3 +133,143 @@ def test_hash_consistent_with_eq():
     p1 = LaurentPoly({1: F(1, 2), -1: F(1, 2)})
     p2 = x_embed([0, 1])
     assert p1 == p2 and hash(p1) == hash(p2)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: exponent -> Fraction dicts, the representation the core
+# replaced, against which every operation of the core is checked
+# ---------------------------------------------------------------------------
+
+
+def _o(d):
+    return {k: F(v) for k, v in d.items() if v}
+
+
+def _o_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return _o(out)
+
+
+def _o_scale(a, s):
+    return _o({k: v * s for k, v in a.items()})
+
+
+def _o_mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return _o(out)
+
+
+def _o_pow(a, n):
+    out = {0: F(1)}
+    for _ in range(n):
+        out = _o_mul(out, a)
+    return out
+
+
+def _o_x_embed(coeffs):
+    out = {}
+    for k, c in enumerate(coeffs):
+        out = _o_add(out, _o_scale(_o_pow({1: F(1, 2), -1: F(1, 2)}, k), F(c)))
+    return out
+
+
+def _o_str(a):
+    if not a:
+        return "0"
+    terms = []
+    for k in sorted(a, reverse=True):
+        v = a[k]
+        zk = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
+        body = str(abs(v)) if not zk else (zk if abs(v) == 1 else f"{abs(v)} {zk}")
+        sign = "-" if v < 0 else "+"
+        terms.append(f"{sign}{body}" if not terms else f"{sign} {body}")
+    return " ".join(terms).lstrip("+")
+
+
+def _assert_matches(p, oracle):
+    assert p._c == oracle
+    assert p.items() == sorted(oracle.items())
+    assert p.support == sorted(oracle)
+    assert p.max_degree() == (max(oracle) if oracle else None)
+    assert p.is_zero() == (not oracle)
+    assert str(p) == _o_str(oracle)
+    for k in range(-20, 21):
+        assert p.coeff(k) == oracle.get(k, 0)
+    lo, n, den = p._lo, p._n, p._den
+    assert den > 0 and gcd(den, *n) == 1
+    if oracle:
+        assert n[0] and n[-1]
+    else:
+        assert (lo, n, den) == (0, (), 1)
+
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+sparse = st.dictionaries(st.integers(min_value=-6, max_value=6), fracs, max_size=6)
+nonzero = fracs.filter(lambda v: v != 0)
+
+
+@given(sparse, sparse, fracs, nonzero, st.integers(min_value=0, max_value=3))
+def test_ring_ops_match_oracle(a, b, s, d, n):
+    p, q, oa, ob = LaurentPoly(a), LaurentPoly(b), _o(a), _o(b)
+    _assert_matches(p, oa)
+    _assert_matches(p + q, _o_add(oa, ob))
+    _assert_matches(p - q, _o_add(oa, _o_scale(ob, -1)))
+    _assert_matches(-p, _o_scale(oa, -1))
+    _assert_matches(p * q, _o_mul(oa, ob))
+    _assert_matches(p * s, _o_scale(oa, s))
+    _assert_matches(s * p, _o_scale(oa, s))
+    _assert_matches(p * s.numerator, _o_scale(oa, s.numerator))
+    _assert_matches(p + s, _o_add(oa, _o({0: s})))
+    _assert_matches(s - p, _o_add(_o({0: s}), _o_scale(oa, -1)))
+    _assert_matches(p / d, _o_scale(oa, 1 / d))
+    _assert_matches(p ** n, _o_pow(oa, n))
+    assert (p == q) == (oa == ob)
+    assert (p == s) == (oa == _o({0: s}))
+
+
+@given(sparse, nonzero)
+def test_variable_maps_and_evaluation_match_oracle(a, z0):
+    p, oa = LaurentPoly(a), _o(a)
+    _assert_matches(p.invert_variable(), {-k: v for k, v in oa.items()})
+    _assert_matches(p.negate_variable(), {k: -v if k % 2 else v for k, v in oa.items()})
+    assert p.is_symmetric() == all(oa.get(-k) == v for k, v in oa.items())
+    assert (p + p.invert_variable()).is_symmetric()
+    assert p.eval_at(z0) == sum((v * z0 ** k for k, v in oa.items()), F(0))
+
+
+@given(st.lists(fracs, max_size=6))
+def test_x_embed_matches_oracle(coeffs):
+    s = x_embed(coeffs)
+    _assert_matches(s, _o_x_embed(coeffs))
+    assert isinstance(s, SymmetricLaurent)
+
+
+@given(sparse, sparse, sparse)
+def test_canonical_form_does_not_depend_on_order(a, b, c):
+    p, q, r = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    for left, right in (((p * q) * r, r * (q * p)), ((p + q) + r, r + (q + p)),
+                        (p * (q + r), p * q + r * p)):
+        assert left == right and hash(left) == hash(right)
+    assert p + (-p) == LaurentPoly() and hash(p - p) == hash(LaurentPoly())
+    assert LaurentPoly(reversed(list(a.items()))) == p
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SymmetricLaurent({1: F(2), -1: F(3)}), "1 / -1: 2 vs 3"),
+    (lambda: SymmetricLaurent({-1: F(2), 1: F(3)}), "-1 / 1: 2 vs 3"),
+    (lambda: SymmetricLaurent({2: F(1)}), "2 / -2: 1 vs 0"),
+    (lambda: SymmetricLaurent.from_poly(LaurentPoly({-3: F(-1, 2), 0: 5, 3: F(1, 2)})),
+     "-3 / 3: -1/2 vs 1/2"),
+    (lambda: SymmetricLaurent.from_poly(LaurentPoly({-2: F(7, 3), -1: 1, 1: 1})),
+     "-2 / 2: 7/3 vs 0"),
+])
+def test_symmetry_violation_message(build, message):
+    message = f"coefficient mismatch at exponents {message}"
+    with pytest.raises(SymmetryViolation, match=re.escape(message)) as err:
+        build()
+    assert str(err.value) == message
