@@ -60,8 +60,9 @@ def _duality(g):
                                        "params_obj": fam.WilsonParams(1, F(3, 2), 2, F(5, 2))}
 
 
-def _orthogonality_q_racah(qp, l: int, m: int):
-    return ids.check_orthogonality_discrete("q-racah", ids.LinearizationLattice(qp, l, m).qrp)
+def _orthogonality_q_racah(qp, l: int, m: int, mutation=None):
+    return ids.check_orthogonality_discrete("q-racah", ids.LinearizationLattice(qp, l, m).qrp,
+                                            mutation)
 
 
 def _orthogonality(g):
@@ -89,8 +90,8 @@ def _difference(g):
         yield ids.check_difference_formula, {"qp": qp, "nmax": 8}
 
 
-def _backward_shift_on_lattice(qp, l: int, m: int, nmax: int):
-    return ids.check_backward_shift(ids.LinearizationLattice(qp, l, m).qrp, nmax)
+def _backward_shift_on_lattice(qp, l: int, m: int, nmax: int, mutation=None):
+    return ids.check_backward_shift(ids.LinearizationLattice(qp, l, m).qrp, nmax, mutation)
 
 
 def _backward_shift(g):
@@ -110,8 +111,8 @@ def _linearization(g):
         yield ids.check_linearization, {"target": "legendre", "l": l, "m": m}
 
 
-def _theorem_5_1_on_carrier(qp, lmax: int, mmax: int):
-    return ids.check_theorem_5_1(ids.ParamGrid(lmax, mmax, qparams=(qp,)))
+def _theorem_5_1_on_carrier(qp, lmax: int, mmax: int, mutation=None):
+    return ids.check_theorem_5_1(ids.ParamGrid(lmax, mmax, qparams=(qp,)), mutation)
 
 
 def _theorem_5_1(g):

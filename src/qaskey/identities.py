@@ -54,7 +54,7 @@ from .families import (
     wilson_dual_params,
     wilson_dual_phi,
 )
-from .laurent import LaurentPoly, SymmetricLaurent, qpoch_laurent_pow, x_embed
+from .laurent import LaurentPoly, SymmetricLaurent, x_embed
 from .series import pochhammer, qpochhammer
 
 F = Fraction
@@ -160,42 +160,22 @@ ADDITION_POINTS_U = (F(2), F(3, 2))
 ADDITION_POINTS_V = (F(3), F(5, 4))
 
 
-def _render_xpoly(coeffs) -> str:
-    parts = [f"{c} x^{i}" for i, c in enumerate(coeffs) if c]
-    return " + ".join(parts) if parts else "0"
-
-
-def _mutate_value(value, delta):
-    if isinstance(value, tuple):
-        return (value[0] + delta,) + value[1:] if value else (delta,)
-    return value + delta  # Fraction, or LaurentPoly shifted in its constant term
-
-
 def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = None) -> CheckReport:
     """Exact comparison of (location, lhs, rhs) items in order.
 
-    Values may be Fractions, Laurent polynomials, or coefficient-vector
-    tuples (polynomials in x, lowest degree first)."""
+    Values are Fractions or Laurent polynomials in z; a polynomial in
+    x = (z + 1/z)/2 enters through `x_embed`.  A mutation shifts one
+    left-hand side by its delta (a Laurent polynomial in its constant term)."""
     items = list(items)
     if not items:
         raise ParameterError(f"check {check_id} produced no comparison items")
     if mutation is not None:
         i = mutation.index % len(items)
         loc, lhs, rhs = items[i]
-        items[i] = (loc, _mutate_value(lhs, mutation.delta), rhs)
+        items[i] = (loc, lhs + mutation.delta, rhs)
     for loc, lhs, rhs in items:
         if lhs == rhs:
             continue
-        if isinstance(lhs, tuple) or isinstance(rhs, tuple):
-            left = list(lhs) if isinstance(lhs, tuple) else [Fraction(lhs)]
-            right = list(rhs) if isinstance(rhs, tuple) else [Fraction(rhs)]
-            size = max(len(left), len(right))
-            left += [F(0)] * (size - len(left))
-            right += [F(0)] * (size - len(right))
-            diff = [a - b for a, b in zip(left, right)]
-            exp = next(i for i, v in enumerate(diff) if v)
-            witness = Witness(f"{loc}, x^{exp}", str(left[exp]), str(right[exp]))
-            return CheckReport(check_id, params, "fail", witness, _render_xpoly(diff))
         residual = lhs - rhs
         if isinstance(lhs, LaurentPoly) or isinstance(rhs, LaurentPoly):
             diff = residual if isinstance(residual, LaurentPoly) else LaurentPoly.constant(residual)
@@ -209,42 +189,9 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
     return CheckReport(check_id, params, "pass")
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials in x over Fraction (classical-side helpers)
-# ---------------------------------------------------------------------------
-
-
-def _padd(p, r):
-    out = [F(0)] * max(len(p), len(r))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(r):
-        out[i] += c
-    return out
-
-
-def _pmul(p, r):
-    out = [F(0)] * (len(p) + len(r) - 1)
-    for i, c in enumerate(p):
-        if c:
-            for j, d in enumerate(r):
-                out[i + j] += c * d
-    return out
-
-
-def _pscale(p, s):
-    return [c * s for c in p]
-
-
-def _ptrim(p):
-    n = len(p)
-    while n > 1 and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
-
-
-def _upoly(n, alpha):
-    return list(ultraspherical_coeffs(n, alpha))
+def _upoly(n, alpha) -> SymmetricLaurent:
+    """The degree-n ultraspherical polynomial as a Laurent polynomial in z."""
+    return x_embed(ultraspherical_coeffs(n, alpha))
 
 
 def _pairs_str(pair) -> str:
@@ -536,16 +483,17 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
 # ---------------------------------------------------------------------------
 
 
-# Key (a, q^(1/2), k), that is (carrier, k).  The rows of one carrier ask for
-# k = 0..lmax again and again, so 32 entries keep a whole carrier to lmax 31.
+# Key (carrier, k).  The rows of one carrier ask for k = 0..lmax again and
+# again, so 32 entries keep a whole carrier to lmax 31.
 @lru_cache(maxsize=32)
-def _pm_qpoch_laurent(a, qbase, k: int) -> LaurentPoly:
-    """(+-a z; q)_k (+-a z^-1; q)_k as a Laurent polynomial."""
-    out = LaurentPoly.constant(1)
-    for sign in (1, -1):
-        out = out * qpoch_laurent_pow(sign * a, 1, qbase, k)
-        out = out * qpoch_laurent_pow(sign * a, -1, qbase, k)
-    return out
+def _qpoch_a2z2(qp: QParams, k: int) -> LaurentPoly:
+    """(a^2 z^2, a^2 z^-2; q)_k = prod_{i<k} ((1 + w_i)^2 - 4 w_i x^2) with
+    w_i = q^i a^2, a^2 = q^(1/2) beta: each factor is the one-step weight
+    ratio that `check_weight_ratio` checks."""
+    if k == 0:
+        return LaurentPoly.constant(1)
+    w = qp.q ** (k - 1) * qp.qhalf * qp.beta
+    return _qpoch_a2z2(qp, k - 1) * x_embed([(1 + w) ** 2, 0, -4 * w])
 
 
 def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> SymmetricLaurent:
@@ -577,7 +525,7 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> Symme
         qpochhammer(bh, q, l - k) * qpochhammer(bh, q, m - k)
     )
     promoted = qp.beta_shift(k)
-    poly = _pm_qpoch_laurent(qp.a, qh, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * pref
+    poly = _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * pref
     return SymmetricLaurent.from_poly(poly)
 
 
@@ -611,8 +559,8 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
 
     q target: the explicit-coefficient and weight-quotient forms of the
     expansion, their termwise agreement, and nonnegativity of the weights.
-    classical/legendre targets: the same statements with exact coefficient
-    vectors in x.
+    classical/legendre targets: the same statements, with the polynomials
+    in x embedded as Laurent polynomials in z.
     """
     if m > l:
         raise ParameterError("linearization requires l >= m")
@@ -652,7 +600,7 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
         params = {"target": target, "l": l, "m": m, "t": qp.t, "s": qp.s}
     elif target in ("classical", "legendre"):
         alpha = F(0) if target == "legendre" else Fraction(alpha)
-        product = _ptrim(_pmul(_upoly(l, alpha), _upoly(m, alpha)))
+        product = _upoly(l, alpha) * _upoly(m, alpha)
         if target == "legendre":
             explicit = []
             for j in range(m + 1):
@@ -672,21 +620,21 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
                 c /= factorial(j) * factorial(l - j) * factorial(m - j)
                 c /= pochhammer(alpha + F(3, 2), l + m - j)
                 explicit.append(pref * c)
-        total = [F(0)]
+        total = LaurentPoly()
         for j in range(m + 1):
             if explicit[j] < 0:
                 nonneg_failures.append((f"nonnegative j={j}", explicit[j]))
-            total = _padd(total, _pscale(_upoly(l + m - 2 * j, alpha), explicit[j]))
-        items.append(("explicit-form sum", _ptrim(total), product))
+            total = total + _upoly(l + m - 2 * j, alpha) * explicit[j]
+        items.append(("explicit-form sum", total, product))
         if m >= 1:
             rp = linearization_racah_params(alpha, l, m)
             h0 = racah_h0(rp)
-            total_w = [F(0)]
+            total_w = LaurentPoly()
             for j in range(m + 1):
                 w = racah_weight(j, rp) / h0
                 items.append((f"coefficient j={j}", explicit[j], w))
-                total_w = _padd(total_w, _pscale(_upoly(l + m - 2 * j, alpha), w))
-            items.append(("weight-quotient sum", _ptrim(total_w), product))
+                total_w = total_w + _upoly(l + m - 2 * j, alpha) * w
+            items.append(("weight-quotient sum", total_w, product))
         params = {"target": target, "l": l, "m": m, "alpha": alpha}
     else:
         raise ParameterError(f"unknown linearization target {target!r}")
@@ -712,26 +660,14 @@ def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     """The z-dependent closed coefficient multiplying the k-th lattice
     polynomial in the dual addition expansion (shifted product included)."""
     q, b, qh, t = qp.q, qp.beta, qp.qhalf, qp.t
-    c = t ** (2 * k * (k + l + m + 2)) * b ** k
+    c = F(-1) ** k * t ** (2 * k * (k + l + m + 2)) * b ** k
     if k >= 1:  # at k = 0 the ratio is 1, also where beta = 1 makes it 0/0
         c *= (1 - b * b * q ** (2 * k)) / (1 - b * b * q ** k)
     c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
     c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
     c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
     promoted = qp.beta_shift(k)
-    return _dual_addition_square_factor(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * c
-
-
-# Key (carrier, k), bounded as `_pm_qpoch_laurent`: k <= m <= lmax in every row.
-@lru_cache(maxsize=32)
-def _dual_addition_square_factor(qp: QParams, k: int) -> LaurentPoly:
-    """prod_{i<k} (4 w_i x^2 - (1 + w_i)^2) with w_i = q^i q^(1/2) beta."""
-    q, b, qh = qp.q, qp.beta, qp.qhalf
-    square_factor = LaurentPoly.constant(1)
-    for i in range(k):
-        w = q ** i * qh * b
-        square_factor = square_factor * x_embed([-((1 + w) ** 2), 0, 4 * w])
-    return square_factor
+    return _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * c
 
 
 # Key (carrier, l, m), as for `_shared_lattice`: the inversion row and the
@@ -750,7 +686,7 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
     with R_{l+m-2j} as Laurent polynomials.  q target, inversion mode:
     reconstruct every basis coefficient independently as (projection sum,
     brute) / norm and compare with the closed coefficient.  classical
-    target: the analogous statement with exact coefficient vectors.
+    target: the analogous Laurent identity for the ultraspherical family.
     """
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
@@ -775,20 +711,15 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
         return _compare(f"dual-addition-q-{mode}", params, items, mutation)
     if target == "classical":
         alpha = Fraction(alpha)
-        lhs = _ptrim(_upoly(l + m - 2 * j, alpha))
-        rhs = [F(0)]
+        x2_minus_1 = x_embed([-1, 0, 1])
+        rhs = LaurentPoly()
         for k in range(m + 1):
             c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
             c *= pochhammer(F(-l), k) * pochhammer(F(-m), k) * pochhammer(2 * alpha + 1, k)
             c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2 * factorial(k)
             c *= racah_phi(k, j, alpha - F(1, 2), alpha - F(1, 2), F(-m - 1), -l - alpha - F(1, 2))
-            term = [F(1)]
-            for _ in range(k):
-                term = _pmul(term, [F(-1), F(0), F(1)])
-            term = _pmul(term, _upoly(l - k, alpha + k))
-            term = _pmul(term, _upoly(m - k, alpha + k))
-            rhs = _padd(rhs, _pscale(term, c))
-        items.append((f"l={l}, m={m}, j={j}", _ptrim(rhs), lhs))
+            rhs = rhs + x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k) * c
+        items.append((f"l={l}, m={m}, j={j}", rhs, _upoly(l + m - 2 * j, alpha)))
         params = {"target": target, "l": l, "m": m, "j": j, "alpha": alpha}
         return _compare("dual-addition-classical", params, items, mutation)
     raise ParameterError(f"unknown dual addition target {target!r}")
@@ -826,9 +757,8 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
         if not c:
             continue
         c *= qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
-        lpart = qpoch_laurent_pow(a2, 2, q, k) * qpoch_laurent_pow(a2, -2, q, k)
         shifted = qp.beta_shift(k)
-        rhs = rhs + lpart * cqu_r(l - k, shifted) * cqu_r(m - k, shifted) * c
+        rhs = rhs + _qpoch_a2z2(qp, k) * cqu_r(l - k, shifted) * cqu_r(m - k, shifted) * c
     items = [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]
     params = {"l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
     return _compare("dual-addition-a-form", params, items, mutation)

@@ -292,7 +292,7 @@ def _check_symmetric(c: dict) -> None:
             )
 
 
-# Unbounded: one entry per degree ever embedded, and qaskey embeds only quadratics.
+# Unbounded: one entry per degree ever embedded; the classical checks embed degree <= 12.
 @lru_cache(maxsize=None)
 def _x_power(k: int) -> LaurentPoly:
     # ((z + 1/z)/2)^k

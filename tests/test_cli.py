@@ -15,6 +15,7 @@ from qaskey.cli import (
     FAMILY_IDS,
     SUITE_NAMES,
     TABLE_FAMILIES,
+    _run_row,
     main,
     render_csv,
     render_json,
@@ -144,14 +145,16 @@ def test_beta_one_report_is_byte_identical_to_its_recorded_digest():
 
 
 def test_every_record_id_has_a_fail_negative():
-    from tests.test_identities import MUTATION_TARGETS
+    # rows whose check takes a mutation are swept by test_mutation_is_detected;
+    # the others are float probes, each with a fail-negative of its own
+    from tests.test_identities import SWEEP_ROWS, takes_mutation
     from tests.test_numerics import LIMIT_ROWS, THRESHOLD_PROBES
 
-    covered = {thunk(None).check_id for thunk in MUTATION_TARGETS}
-    covered |= {f"limit-{kind}" for kind, _ in LIMIT_ROWS}
+    covered = {f"limit-{kind}" for kind, _ in LIMIT_ROWS}
     covered |= {probe.replace("_", "-") for probe, _, _ in THRESHOLD_PROBES}
-    doc = run_suite("all", ParamGrid(lmax=1))
-    assert {rec["id"] for rec in doc["checks"]} - covered == set()
+    probes = [(check, kwargs) for check, kwargs in SWEEP_ROWS if not takes_mutation(check)]
+    assert {check.__module__ for check, _ in probes} == {"qaskey.numerics"}
+    assert {_run_row(check, kwargs)["id"] for check, kwargs in probes} <= covered
 
 
 def test_beta_one_errors_only_where_the_lattice_degenerates():

@@ -1,10 +1,12 @@
 """Identity checks: verdicts, witnesses, oracles, fail-negative behavior."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qaskey import cli
 from qaskey.errors import ParameterError
 from qaskey.families import (
     HahnParams,
@@ -15,6 +17,7 @@ from qaskey.families import (
     cqu_r,
 )
 from qaskey.identities import (
+    DEFAULT_QPARAMS,
     PYTHAGOREAN_PAIRS,
     CheckReport,
     LinearizationLattice,
@@ -37,8 +40,9 @@ from qaskey.identities import (
     dual_projection_sum,
     linearization_racah_params,
     weight_moments,
+    _qpoch_a2z2,
 )
-from qaskey.laurent import LaurentPoly
+from qaskey.laurent import LaurentPoly, qpoch_laurent_pow
 from qaskey.series import qpochhammer
 
 QP = QParams(F(1, 2), F(2, 3))
@@ -172,7 +176,6 @@ def test_projection_sum_one_step_reduction():
         fac = (t ** (2 * (l + m + 1)) * s * s) * qpochhammer(t ** (2 - 4 * (l + m)) / b, q, 1)
         fac /= qpochhammer(-qh * b, q, 1) * qpochhammer(q * b, q, 1) * qpochhammer(-q * b, q, 1)
         lkz = LaurentPoly.constant(1)
-        from qaskey.laurent import qpoch_laurent_pow
         for sign in (1, -1):
             lkz = lkz * qpoch_laurent_pow(sign * QP.a, 1, qh, 1)
             lkz = lkz * qpoch_laurent_pow(sign * QP.a, -1, qh, 1)
@@ -269,6 +272,28 @@ def test_dual_addition_classical_and_a_form():
     assert check_dual_addition_a_form(QP, 3, 2, 1).passed
 
 
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS + (QParams(F(1, 2), F(1)),))
+def test_square_factor_matches_its_qpochhammer_products(qp):
+    # (a^2 z^2, a^2 z^-2; q)_k against its two z-products, and against the
+    # factored form (+-a z, +-a z^-1; q^(1/2))_k
+    a, a2, q = qp.a, qp.a * qp.a, qp.q
+    for k in range(7):
+        built = _qpoch_a2z2(qp, k)
+        assert built == qpoch_laurent_pow(a2, 2, q, k) * qpoch_laurent_pow(a2, -2, q, k)
+        pm = LaurentPoly.constant(1)
+        for sign in (1, -1):
+            pm = pm * qpoch_laurent_pow(sign * a, 1, qp.qhalf, k)
+            pm = pm * qpoch_laurent_pow(sign * a, -1, qp.qhalf, k)
+        assert built == pm
+
+
+def test_classical_fail_witness_is_a_z_coefficient():
+    r = check_linearization("classical", 3, 2, alpha=F(1, 2), mutation=Mutation(0))
+    assert (r.witness.location, r.residual) == ("explicit-form sum, z^0", "1")
+    r = check_dual_addition("classical", 3, 2, 1, alpha=F(1, 2), mutation=Mutation(0))
+    assert (r.witness.location, r.residual) == ("l=3, m=2, j=1, z^0", "1")
+
+
 def test_addition_q():
     for n in range(5):
         assert check_addition("q", n, qp=QPA, u=F(2), v=F(3)).passed
@@ -330,45 +355,25 @@ def test_cqu_representation_check():
 # fail-negative: every check detects a single mutated item
 # ---------------------------------------------------------------------------
 
-MUTATION_TARGETS = [
-    lambda mut: check_duality_cqu(QP, 4, mutation=mut),
-    lambda mut: check_duality_discrete("krawtchouk", KrawtchoukParams(F(1, 3), 3), mutation=mut),
-    lambda mut: check_duality_discrete("hahn-dual-hahn", HahnParams(F(1, 2), F(1, 3), 3), mutation=mut),
-    lambda mut: check_duality_discrete("racah", RacahParams(F(1, 2), F(1, 3), 3, F(1, 5)), mutation=mut),
-    lambda mut: check_duality_discrete("wilson", WilsonParams(F(1), F(3, 2), F(2), F(5, 2)), mutation=mut),
-    lambda mut: check_orthogonality_discrete("krawtchouk", KrawtchoukParams(F(1, 3), 3), mutation=mut),
-    lambda mut: check_orthogonality_discrete("hahn", HahnParams(F(1, 2), F(1, 3), 3), mutation=mut),
-    lambda mut: check_orthogonality_discrete("racah", linearization_racah_params(F(1, 2), 4, 3), mutation=mut),
-    lambda mut: check_orthogonality_discrete("q-racah", LinearizationLattice(QP, 4, 3).qrp, mutation=mut),
-    lambda mut: check_weight_ratio(QP, mutation=mut),
-    lambda mut: check_difference_formula(QP, 4, mutation=mut),
-    lambda mut: check_backward_shift(LinearizationLattice(QP, 4, 3).qrp, 3, mutation=mut),
-    lambda mut: check_theorem_5_1(ParamGrid(lmax=2, qparams=(QP,)), mutation=mut),
-    lambda mut: check_linearization("q", 3, 2, qp=QP, mutation=mut),
-    lambda mut: check_linearization("classical", 3, 2, alpha=F(1, 2), mutation=mut),
-    lambda mut: check_linearization("legendre", 2, 2, mutation=mut),
-    lambda mut: check_dual_addition("q", 3, 2, 1, "direct", qp=QP, mutation=mut),
-    lambda mut: check_dual_addition("q", 3, 2, mode="inversion", qp=QP, mutation=mut),
-    lambda mut: check_dual_addition("classical", 3, 2, 1, alpha=F(1, 2), mutation=mut),
-    lambda mut: check_dual_addition_a_form(QP, 2, 1, 0, mutation=mut),
-    lambda mut: check_addition("q", 2, qp=QPA, u=F(2), v=F(3), mutation=mut),
-    lambda mut: check_addition("classical", 2, alpha=F(1, 2), xpair=P[0], ypair=P[1],
-                               tpoint=P[2][0], mutation=mut),
-    lambda mut: check_addition("legendre", 2, xpair=P[0], ypair=P[1], phipair=P[2], mutation=mut),
-    lambda mut: check_restriction_equivalence(QP, 2, 1, 0, 1, mutation=mut),
-    lambda mut: check_product_formula_classical(F(1, 2), 3, P[0], P[1], mutation=mut),
-    lambda mut: check_cqu_representations(QP, 4, mutation=mut),
-]
+# every row of the `all` suite, and the rows whose check takes a mutation
+SWEEP_ROWS = list(cli.SUITES["all"](ParamGrid(lmax=1).with_defaults()))
 
 
-@pytest.mark.parametrize("target", range(len(MUTATION_TARGETS)))
-def test_mutation_is_detected(target):
-    thunk = MUTATION_TARGETS[target]
-    clean = thunk(None)
-    assert clean.passed, f"target {target} should pass unmutated"
+def takes_mutation(check) -> bool:
+    return "mutation" in inspect.signature(check).parameters
+
+
+MUTABLE_ROWS = [(check, kwargs) for check, kwargs in SWEEP_ROWS if takes_mutation(check)]
+
+
+@pytest.mark.parametrize("row", range(len(MUTABLE_ROWS)))
+def test_mutation_is_detected(row):
+    check, kwargs = MUTABLE_ROWS[row]
+    name = f"row {row} ({check.__name__})"
+    assert check(**kwargs).passed, f"{name} should pass unmutated"
     for index in (0, 1, 7):
-        mutated = thunk(Mutation(index=index))
-        assert not mutated.passed, f"target {target} missed mutation at {index}"
+        mutated = check(**kwargs, mutation=Mutation(index=index))
+        assert not mutated.passed, f"{name} missed mutation at {index}"
         assert mutated.witness is not None and mutated.residual is not None
 
 
