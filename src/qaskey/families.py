@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -56,11 +56,12 @@ class QParams:
         if not self.s * self.t < 1:
             raise ParameterError(f"need s*t < 1 (beta < q^(-1/2)), got s*t={self.s * self.t}")
 
-    @property
+    # Cached in the instance __dict__, outside the fields that eq and hash use.
+    @cached_property
     def q(self) -> Fraction:
         return self.t ** 4
 
-    @property
+    @cached_property
     def qhalf(self) -> Fraction:
         return self.t ** 2
 
@@ -68,7 +69,7 @@ class QParams:
     def qquarter(self) -> Fraction:
         return self.t
 
-    @property
+    @cached_property
     def beta(self) -> Fraction:
         return self.s ** 2
 
@@ -217,7 +218,7 @@ class QRacahParams:
                     raise VanishingDenominator(x + 1, f"(b; q)_x factor with b={b}")
             qpow *= q
 
-    @property
+    @cached_property
     def gamma(self) -> Fraction:
         return self.qp.q ** (-self.N - 1)
 
@@ -565,25 +566,33 @@ def qracah_weight_raw(x: int, alpha, beta, gamma, delta, qbase) -> Fraction:
     a, b, g, d, q = map(Fraction, (alpha, beta, gamma, delta, qbase))
     if 1 - g * d * q == 0:
         raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
+    dens = (q, g * d * q / a, g * q / b, d * q)
+    qpow = Fraction(1)
+    for i in range(x):
+        for base in dens:
+            if qpow * base == 1:
+                raise VanishingDenominator(i + 1, f"(b; q)_x factor with b={base}")
+        qpow *= q
+    return _qracah_weight(x, a, b, g, d, q, dens)
+
+
+def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
+    """q-Racah orthogonality weight at lattice index x; `QRacahParams`
+    checked its denominators over the whole lattice."""
+    _check_lattice(0, x, qrp.N)
+    a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
+    return _qracah_weight(x, a, b, g, d, q, (q, g * d * q / a, g * q / b, d * q))
+
+
+def _qracah_weight(x: int, a, b, g, d, q, dens) -> Fraction:
+    """The weight formula, given its nonvanishing denominator bases `dens`."""
     num = (1 - g * d * q ** (2 * x + 1)) * Fraction(1)
     for base in (a * q, b * d * q, g * q, g * d * q):
         num *= qpochhammer(base, q, x)
     den = (a * b * q) ** x * (1 - g * d * q)
-    qpow = Fraction(1)
-    for i in range(x):
-        for base in (q, g * d * q / a, g * q / b, d * q):
-            if qpow * base == 1:
-                raise VanishingDenominator(i + 1, f"(b; q)_x factor with b={base}")
-        qpow *= q
-    for base in (q, g * d * q / a, g * q / b, d * q):
+    for base in dens:
         den *= qpochhammer(base, q, x)
     return num / den
-
-
-def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
-    """q-Racah orthogonality weight at lattice index x."""
-    _check_lattice(0, x, qrp.N)
-    return qracah_weight_raw(x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q)
 
 
 # Key qrp: the rows of one lattice come one after another, so one entry

@@ -54,7 +54,7 @@ from .families import (
     wilson_dual_params,
     wilson_dual_phi,
 )
-from .laurent import LaurentPoly, SymmetricLaurent, x_embed
+from .laurent import LaurentPoly, SymmetricLaurent, linear_combination, x_embed
 from .series import pochhammer, qpochhammer
 
 F = Fraction
@@ -189,6 +189,8 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
     return CheckReport(check_id, params, "pass")
 
 
+# Key (n, alpha); `verify --suite all` asks for 81 of them over the whole run.
+@lru_cache(maxsize=256)
 def _upoly(n, alpha) -> SymmetricLaurent:
     """The degree-n ultraspherical polynomial as a Laurent polynomial in z."""
     return x_embed(ultraspherical_coeffs(n, alpha))
@@ -508,9 +510,8 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> Symme
         raise ParameterError("need 0 <= k <= m <= l")
     if mode == "brute":
         lat = _shared_lattice(qp, l, m)
-        total = LaurentPoly()
-        for j in range(m + 1):
-            total = total + cqu_r(l + m - 2 * j, qp) * (lat.weight(j) * lat.poly(k, j))
+        total = linear_combination([cqu_r(l + m - 2 * j, qp) for j in range(m + 1)],
+                                   [lat.weight(j) * lat.poly(k, j) for j in range(m + 1)])
         return SymmetricLaurent.from_poly(total)
     if mode != "closed":
         raise ParameterError(f"unknown mode {mode!r}")
@@ -587,16 +588,13 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
         lat = LinearizationLattice(qp, l, m)
         h0 = lat.h0()
         quotient = [lat.weight(j) / h0 for j in range(m + 1)]
-        sum_explicit = LaurentPoly()
-        sum_quotient = LaurentPoly()
         for j in range(m + 1):
             items.append((f"coefficient j={j}", explicit[j], quotient[j]))
             if quotient[j] < 0:
                 nonneg_failures.append((f"nonnegative j={j}", quotient[j]))
-            sum_explicit = sum_explicit + cqu_r(l + m - 2 * j, qp) * explicit[j]
-            sum_quotient = sum_quotient + cqu_r(l + m - 2 * j, qp) * quotient[j]
-        items.append(("explicit-form sum", sum_explicit, product))
-        items.append(("weight-quotient sum", sum_quotient, product))
+        basis = [cqu_r(l + m - 2 * j, qp) for j in range(m + 1)]
+        items.append(("explicit-form sum", linear_combination(basis, explicit), product))
+        items.append(("weight-quotient sum", linear_combination(basis, quotient), product))
         params = {"target": target, "l": l, "m": m, "t": qp.t, "s": qp.s}
     elif target in ("classical", "legendre"):
         alpha = F(0) if target == "legendre" else Fraction(alpha)
@@ -620,21 +618,16 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
                 c /= factorial(j) * factorial(l - j) * factorial(m - j)
                 c /= pochhammer(alpha + F(3, 2), l + m - j)
                 explicit.append(pref * c)
-        total = LaurentPoly()
-        for j in range(m + 1):
-            if explicit[j] < 0:
-                nonneg_failures.append((f"nonnegative j={j}", explicit[j]))
-            total = total + _upoly(l + m - 2 * j, alpha) * explicit[j]
-        items.append(("explicit-form sum", total, product))
+        nonneg_failures = [(f"nonnegative j={j}", c) for j, c in enumerate(explicit) if c < 0]
+        basis = [_upoly(l + m - 2 * j, alpha) for j in range(m + 1)]
+        items.append(("explicit-form sum", linear_combination(basis, explicit), product))
         if m >= 1:
             rp = linearization_racah_params(alpha, l, m)
             h0 = racah_h0(rp)
-            total_w = LaurentPoly()
+            quotient = [racah_weight(j, rp) / h0 for j in range(m + 1)]
             for j in range(m + 1):
-                w = racah_weight(j, rp) / h0
-                items.append((f"coefficient j={j}", explicit[j], w))
-                total_w = total_w + _upoly(l + m - 2 * j, alpha) * w
-            items.append(("weight-quotient sum", total_w, product))
+                items.append((f"coefficient j={j}", explicit[j], quotient[j]))
+            items.append(("weight-quotient sum", linear_combination(basis, quotient), product))
         params = {"target": target, "l": l, "m": m, "alpha": alpha}
     else:
         raise ParameterError(f"unknown linearization target {target!r}")
@@ -701,9 +694,7 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
                 inv = dual_projection_sum(k, l, m, qp, "brute") * (1 / lat.norm(k))
                 items.append((f"coefficient k={k}", inv, closed[k]))
         elif mode == "direct":
-            rhs = LaurentPoly()
-            for k in range(m + 1):
-                rhs = rhs + closed[k] * lat.poly(k, j)
+            rhs = linear_combination(closed, [lat.poly(k, j) for k in range(m + 1)])
             items.append((f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp)))
         else:
             raise ParameterError(f"unknown mode {mode!r}")
@@ -712,13 +703,15 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
     if target == "classical":
         alpha = Fraction(alpha)
         x2_minus_1 = x_embed([-1, 0, 1])
-        rhs = LaurentPoly()
+        polys, scalars = [], []
         for k in range(m + 1):
             c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
             c *= pochhammer(F(-l), k) * pochhammer(F(-m), k) * pochhammer(2 * alpha + 1, k)
             c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2 * factorial(k)
             c *= racah_phi(k, j, alpha - F(1, 2), alpha - F(1, 2), F(-m - 1), -l - alpha - F(1, 2))
-            rhs = rhs + x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k) * c
+            polys.append(x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k))
+            scalars.append(c)
+        rhs = linear_combination(polys, scalars)
         items.append((f"l={l}, m={m}, j={j}", rhs, _upoly(l + m - 2 * j, alpha)))
         params = {"target": target, "l": l, "m": m, "j": j, "alpha": alpha}
         return _compare("dual-addition-classical", params, items, mutation)
@@ -751,14 +744,16 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
     a2, q = qp.a * qp.a, qp.q
-    rhs = LaurentPoly()
+    polys, scalars = [], []
     for k in range(m + 1):
         c = _dual_addition_coeff_a(k, l, m, qp)
         if not c:
             continue
         c *= qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
         shifted = qp.beta_shift(k)
-        rhs = rhs + _qpoch_a2z2(qp, k) * cqu_r(l - k, shifted) * cqu_r(m - k, shifted) * c
+        polys.append(_qpoch_a2z2(qp, k) * cqu_r(l - k, shifted) * cqu_r(m - k, shifted))
+        scalars.append(c)
+    rhs = linear_combination(polys, scalars)
     items = [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]
     params = {"l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
     return _compare("dual-addition-a-form", params, items, mutation)
@@ -812,15 +807,16 @@ def check_addition(target: str, n: int, qp: Optional[QParams] = None,
         if u == 0 or v == 0:
             raise InadmissiblePoint("u and v must be nonzero")
         kernel = _addition_kernel_params(qp, u, v)
-        rhs = LaurentPoly()
+        polys, scalars = [], []
         for k in range(n + 1):
             c = _addition_coeff_q(k, n, qp, u, v)
             if not c:
                 continue
             shifted = qp.beta_shift(k)
             c *= cqu_r_at(n - k, shifted, u) * cqu_r_at(n - k, shifted, v)
-            rhs = rhs + askey_wilson_r(k, kernel) * c
-        items.append((f"n={n}, u={u}, v={v}", rhs, cqu_r(n, qp)))
+            polys.append(askey_wilson_r(k, kernel))
+            scalars.append(c)
+        items.append((f"n={n}, u={u}, v={v}", linear_combination(polys, scalars), cqu_r(n, qp)))
         params = {"target": target, "n": n, "u": u, "v": v, "t": qp.t, "s": qp.s}
     elif target == "classical":
         alpha = Fraction(alpha)

@@ -8,11 +8,12 @@ the lowest exponent `lo`, a tuple `n` of integer numerators and one common
 denominator `den`, so that the coefficient of z^(lo + i) is n[i]/den.  The
 canonical form has no zero at either end of `n`, den > 0 and
 gcd(den, *n) == 1, and zero is (0, (), 1).  Sums and products work on
-integers and reduce each result with one gcd; the variable maps keep the
-canonical form as it is.  Equality is exact comparison of the three
-fields.  `_c` (exponent -> nonzero reduced Fraction, ascending) is a view
-derived from them on each access; `items`, `coeff`, `eval_at`, `__str__`
-and the span tracer in `bench/` read it.  Instances are immutable.
+integers and reduce each result with one gcd, and `linear_combination`
+puts all its terms over one denominator and reduces once; the variable
+maps keep the canonical form as it is.  Equality is exact comparison of
+the three fields.  `_c` (exponent -> nonzero reduced Fraction, ascending)
+is a view derived from them on each access; `items`, `coeff`, `eval_at`,
+`__str__` and the span tracer in `bench/` read it.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -261,6 +262,23 @@ def _poly(lo: int, n: list, den: int) -> LaurentPoly:
         den //= g
         n = [v // g for v in n]
     return _raw(lo + i, tuple(n), den)
+
+
+def linear_combination(polys, scalars) -> LaurentPoly:
+    """sum_i scalars[i] * polys[i] (rational scalars, equal lengths) in one
+    integer pass: every nonzero term over the lcm of den_i * scalar_i's
+    denominator, numerators padded to one exponent range, one C-level sum
+    per output coefficient and one reduction."""
+    terms = [(p, c) for p, c in zip(polys, scalars, strict=True) if c and p._n]
+    if not terms:
+        return _raw(0, (), 1)
+    dens = [p._den * c.denominator for p, c in terms]
+    den = lcm(*dens)
+    lo = min(p._lo for p, _ in terms)
+    hi = max(p._lo + len(p._n) for p, _ in terms)
+    rows = [(0,) * (p._lo - lo) + p._n + (0,) * (hi - p._lo - len(p._n)) for p, _ in terms]
+    mults = [c.numerator * (den // d) for (_, c), d in zip(terms, dens)]
+    return _poly(lo, [sum(map(mul, col, mults)) for col in zip(*rows)], den)
 
 
 class SymmetricLaurent(LaurentPoly):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from qaskey.cli import _text
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.families import (
     AWParams,
@@ -34,6 +35,7 @@ from qaskey.families import (
     qracah_h0,
     qracah_norms,
     qracah_weight,
+    qracah_weight_raw,
     racah,
     racah_h0,
     racah_norms,
@@ -44,6 +46,7 @@ from qaskey.families import (
     wilson_dual_params,
     wilson_dual_phi,
 )
+from qaskey.identities import DEFAULT_QPARAMS, LinearizationLattice
 
 QP = QParams(F(1, 2), F(2, 3))
 
@@ -65,6 +68,19 @@ def test_qparams_accessors_and_validation():
         QParams(F(1, 2), F(-1))
     with pytest.raises(ParameterError):
         QParams(F(1, 2), F(5, 2))  # s*t >= 1
+
+
+def test_cached_powers_leave_equality_hash_and_text_alone():
+    qp = QParams(F(1, 2), F(2, 3))
+    qrp = lin_qracah(qp, 3, 2)
+    assert (qp.q, qp.qhalf, qp.beta, qrp.gamma) == (F(1, 16), F(1, 4), F(4, 9), F(16) ** 3)
+    assert qp.q is qp.q and qrp.gamma is qrp.gamma
+    fresh = QParams(F(1, 2), F(2, 3))
+    assert qp == fresh and hash(qp) == hash(fresh)
+    fresh_qrp = QRacahParams(qrp.alpha, qrp.beta, qrp.delta, 2, fresh)
+    assert qrp == fresh_qrp and hash(qrp) == hash(fresh_qrp)
+    assert _text(qp) == "t=1/2,s=2/3"
+    assert _text(qrp) == f"alpha={qrp.alpha},beta={qrp.beta},delta={qrp.delta},N=2,qp=t=1/2,s=2/3"
 
 
 def test_jacobi_normalization():
@@ -208,6 +224,14 @@ def test_qracah_weights_and_norms():
         assert qracah_weight(0, qrp) == 1
         assert sum(qracah_weight(x, qrp) for x in range(m + 1)) == qracah_h0(qrp)
         assert qracah_norms(0, qrp).ratio == 1
+
+
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS)
+def test_qracah_weight_matches_the_scanning_formula(qp):
+    qrp = LinearizationLattice(qp, 9, 9).qrp
+    for x in range(qrp.N + 1):
+        raw = qracah_weight_raw(x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qp.q)
+        assert qracah_weight(x, qrp) == raw
 
 
 def test_qracah_matches_askey_wilson_on_the_lattice():

@@ -11,6 +11,7 @@ from qaskey.errors import SymmetryViolation, ZeroArgument
 from qaskey.laurent import (
     LaurentPoly,
     SymmetricLaurent,
+    linear_combination,
     qpoch_laurent_pow,
     x_embed,
 )
@@ -247,6 +248,29 @@ def test_x_embed_matches_oracle(coeffs):
     s = x_embed(coeffs)
     _assert_matches(s, _o_x_embed(coeffs))
     assert isinstance(s, SymmetricLaurent)
+
+
+@given(st.lists(st.tuples(sparse, st.one_of(fracs, st.integers(-3, 3))), max_size=8))
+def test_linear_combination_matches_oracle(terms):
+    polys = [LaurentPoly(a) for a, _ in terms]
+    scalars = [s for _, s in terms]
+    oracle, loop = {}, LaurentPoly()
+    for (a, s), p in zip(terms, polys):
+        oracle = _o_add(oracle, _o_scale(_o(a), s))
+        loop = loop + p * s
+    out = linear_combination(polys, scalars)
+    _assert_matches(out, oracle)
+    assert out == loop and hash(out) == hash(loop)
+
+
+def test_linear_combination_edges():
+    p = LaurentPoly({-1: F(1, 2), 2: 3})
+    assert linear_combination([], []) == LaurentPoly()
+    assert linear_combination([p, LaurentPoly()], [0, F(5, 7)]) == LaurentPoly()
+    assert linear_combination([p, -p], [F(2, 3), F(2, 3)]) == LaurentPoly()
+    assert linear_combination((p,), (2,)) == p + p
+    with pytest.raises(ValueError):
+        linear_combination([p, p], [1])
 
 
 @given(sparse, sparse, sparse)
