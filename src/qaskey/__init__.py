@@ -33,7 +33,7 @@ from .families import (
     WilsonParams,
 )
 from .laurent import LaurentPoly, SymmetricLaurent, x_embed
-from .series import HyperSeriesSpec, Rat, terminating_hyper
+from .series import HyperSeriesSpec, terminating_hyper
 
 __all__ = [
     "__version__",
@@ -52,7 +52,6 @@ __all__ = [
     "QParams",
     "QRacahParams",
     "RacahParams",
-    "Rat",
     "SymmetricLaurent",
     "SymmetryViolation",
     "terminating_hyper",

@@ -24,7 +24,7 @@ from . import families as fam
 from . import identities as ids
 from . import numerics as num
 from .errors import QAskeyError
-from .series import format_rat, parse_rat
+from .series import parse_rat
 
 F = Fraction
 
@@ -374,12 +374,6 @@ EVAL_FAMILIES = {
     "cqu-alt": lambda a: _at_z(a, fam.cqu_r_alt(a.n, _flag(a, "--qparams"))),
     "q-racah": lambda a: fam.qracah(a.n, _flag(a, "--x"), _record(a, fam.QRacahParams)),
 }
-FAMILY_IDS = tuple(EVAL_FAMILIES)
-
-
-def _norm(norms, params, n: int) -> Fraction:
-    ratio, h0 = norms(n, params)
-    return ratio * h0
 
 
 def _cqu_value(qp, z: Fraction, n: int) -> Fraction:
@@ -393,9 +387,9 @@ TABLE_FAMILIES = {
         fam.krawtchouk_weight, kp=_record(a, fam.KrawtchoukParams)),
     "hahn-weights": lambda a: partial(fam.hahn_weight, hp=_record(a, fam.HahnParams)),
     "racah-weights": lambda a: partial(fam.racah_weight, rp=_record(a, fam.RacahParams)),
-    "racah-norms": lambda a: partial(_norm, fam.racah_norms, _record(a, fam.RacahParams)),
+    "racah-norms": lambda a: partial(fam.racah_norms, rp=_record(a, fam.RacahParams)),
     "q-racah-weights": lambda a: partial(fam.qracah_weight, qrp=_record(a, fam.QRacahParams)),
-    "q-racah-norms": lambda a: partial(_norm, fam.qracah_norms, _record(a, fam.QRacahParams)),
+    "q-racah-norms": lambda a: partial(fam.qracah_norms, qrp=_record(a, fam.QRacahParams)),
     "ultraspherical-values": lambda a: partial(
         fam.ultraspherical_r, alpha=_flag(a, "--alpha"), x=_flag(a, "--at")),
     "cqu-values": lambda a: partial(_cqu_value, _flag(a, "--qparams"), _flag(a, "--at-z")),
@@ -407,7 +401,7 @@ def _cmd_eval(args) -> int:
         raise QAskeyError(f"unknown family {args.family!r}")
     value = EVAL_FAMILIES[args.family](args)
     if isinstance(value, Fraction):
-        print(f"exact: {format_rat(value)}")
+        print(f"exact: {value}")
         print(f"float: {float(value):.17g}")
     else:
         terms = [f"{float(c):.17g} z^{k}" for k, c in sorted(value.items(), reverse=True)]
@@ -441,7 +435,7 @@ def _cmd_table(args) -> int:
     rows = [(i, value_at(i)) for i in range(lo, hi + 1)]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["index", "exact", "float"])
-    writer.writerows((i, format_rat(v), repr(float(v))) for i, v in rows)
+    writer.writerows((i, str(v), repr(float(v))) for i, v in rows)
     return 0
 
 

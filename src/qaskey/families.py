@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import NamedTuple
 
 from .errors import ParameterError, VanishingDenominator, ZeroArgument
 from .laurent import LaurentPoly, SymmetricLaurent
@@ -65,17 +64,9 @@ class QParams:
     def qhalf(self) -> Fraction:
         return self.t ** 2
 
-    @property
-    def qquarter(self) -> Fraction:
-        return self.t
-
     @cached_property
     def beta(self) -> Fraction:
         return self.s ** 2
-
-    @property
-    def betahalf(self) -> Fraction:
-        return self.s
 
     @property
     def a(self) -> Fraction:
@@ -206,17 +197,7 @@ class QRacahParams:
             raise ParameterError("q-Racah N must be >= 1")
         if self.alpha == 0 or self.beta == 0 or self.delta == 0:
             raise ParameterError("q-Racah alpha, beta, delta must be nonzero")
-        q = self.qp.q
-        gamma = self.gamma
-        if 1 - gamma * self.delta * q == 0:
-            raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
-        dens = (q, gamma * self.delta * q / self.alpha, gamma * q / self.beta, self.delta * q)
-        qpow = Fraction(1)
-        for x in range(self.N):
-            for b in dens:
-                if qpow * b == 1:
-                    raise VanishingDenominator(x + 1, f"(b; q)_x factor with b={b}")
-            qpow *= q
+        _qracah_weight_dens(self.alpha, self.beta, self.gamma, self.delta, self.qp.q, self.N)
 
     @cached_property
     def gamma(self) -> Fraction:
@@ -315,7 +296,6 @@ def dual_hahn(n: int, x: int, hp: HahnParams) -> Fraction:
 
 def racah_phi(n: int, x: int, alpha, beta, gamma, delta) -> Fraction:
     """The Racah-type 4F3 at lattice index x, for free parameters."""
-    alpha, beta, gamma, delta = map(Fraction, (alpha, beta, gamma, delta))
     spec = HyperSeriesSpec(
         numerator=(-n, n + alpha + beta + 1, -x, x + gamma + delta + 1),
         denominator=(alpha + 1, beta + delta + 1, gamma + 1),
@@ -354,11 +334,6 @@ def racah_weight(x: int, rp: RacahParams) -> Fraction:
     return num / den
 
 
-class Norms(NamedTuple):
-    ratio: Fraction  # h_n / h_0
-    h0: Fraction
-
-
 def racah_h0(rp: RacahParams) -> Fraction:
     """Closed form of h_0 = sum of the Racah weights (gamma = -N-1)."""
     a, b, d = rp.alpha, rp.beta, rp.delta
@@ -368,8 +343,8 @@ def racah_h0(rp: RacahParams) -> Fraction:
     return pochhammer(a + b + 2, rp.N) * pochhammer(-d, rp.N) / h0_den
 
 
-def racah_norms(n: int, rp: RacahParams) -> Norms:
-    """Norm data of the Racah orthogonality relation: (h_n/h_0, h_0)."""
+def racah_norms(n: int, rp: RacahParams) -> Fraction:
+    """The norm h_n of the Racah orthogonality relation."""
     _check_lattice(0, n, rp.N)
     a, b, g, d = rp.alpha, rp.beta, rp.gamma, rp.delta
     den = (
@@ -389,7 +364,7 @@ def racah_norms(n: int, rp: RacahParams) -> Norms:
         * factorial(n)
         / den
     )
-    return Norms(ratio, racah_h0(rp))
+    return ratio * racah_h0(rp)
 
 
 def wilson_dual_params(wp: WilsonParams) -> WilsonParams:
@@ -526,20 +501,13 @@ def cqu_duality_point(m: int, qp: QParams) -> Fraction:
     return qp.t ** (-2 * m - 1) / qp.s
 
 
-def cqu_leading_z_coeff(n: int, qp: QParams) -> Fraction:
-    """Coefficient of z^n: (q^(1/2) beta)^(n/2) (q^(1/2)b; q)_n / (qb^2; q)_n."""
-    q, b = qp.q, qp.beta
-    return (qp.t * qp.s) ** n * qpochhammer(qp.qhalf * b, q, n) / qpochhammer(q * b * b, q, n)
-
-
 # ---------------------------------------------------------------------------
 # q-Racah
 # ---------------------------------------------------------------------------
 
 
-def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, qbase) -> Fraction:
+def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, q) -> Fraction:
     """The q-Racah 4phi3 at lattice index x, for free parameters."""
-    alpha, beta, gamma, delta, q = map(Fraction, (alpha, beta, gamma, delta, qbase))
     spec = HyperSeriesSpec(
         numerator=(q ** (-n), q ** (n + 1) * alpha * beta, q ** (-x), q ** (x + 1) * gamma * delta),
         denominator=(q * alpha, q * beta * delta, q * gamma),
@@ -556,36 +524,41 @@ def qracah(n: int, x: int, qrp: QRacahParams) -> Fraction:
     return qracah_phi(n, x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q)
 
 
-def qracah_weight_raw(x: int, alpha, beta, gamma, delta, qbase) -> Fraction:
+def _qracah_weight_dens(a, b, g, d, q, top: int) -> tuple:
+    """The denominator bases of the q-Racah weight, each checked for a
+    vanishing factor of (base; q)_x up to x = top."""
+    if 1 - g * d * q == 0:
+        raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
+    dens = (q, g * d * q / a, g * q / b, d * q)
+    qpow = Fraction(1)
+    for i in range(top):
+        for base in dens:
+            if qpow * base == 1:
+                raise VanishingDenominator(i + 1, f"(b; q)_x factor with b={base}")
+        qpow *= q
+    return dens
+
+
+def qracah_weight_raw(x: int, a, b, g, d, q) -> Fraction:
     """The q-Racah weight formula for free parameters.
 
     Exposed separately because the backward-shift identity evaluates the
     parameter-shifted weight one step beyond its own lattice, where the
     formula correctly produces 0.
     """
-    a, b, g, d, q = map(Fraction, (alpha, beta, gamma, delta, qbase))
-    if 1 - g * d * q == 0:
-        raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
-    dens = (q, g * d * q / a, g * q / b, d * q)
-    qpow = Fraction(1)
-    for i in range(x):
-        for base in dens:
-            if qpow * base == 1:
-                raise VanishingDenominator(i + 1, f"(b; q)_x factor with b={base}")
-        qpow *= q
-    return _qracah_weight(x, a, b, g, d, q, dens)
+    return _qracah_weight(x, a, b, g, d, q, scan=x)
 
 
 def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
     """q-Racah orthogonality weight at lattice index x; `QRacahParams`
     checked its denominators over the whole lattice."""
     _check_lattice(0, x, qrp.N)
-    a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
-    return _qracah_weight(x, a, b, g, d, q, (q, g * d * q / a, g * q / b, d * q))
+    return _qracah_weight(x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q, scan=0)
 
 
-def _qracah_weight(x: int, a, b, g, d, q, dens) -> Fraction:
-    """The weight formula, given its nonvanishing denominator bases `dens`."""
+def _qracah_weight(x: int, a, b, g, d, q, scan: int) -> Fraction:
+    """The weight formula, its denominator bases checked up to x = scan."""
+    dens = _qracah_weight_dens(a, b, g, d, q, scan)
     num = (1 - g * d * q ** (2 * x + 1)) * Fraction(1)
     for base in (a * q, b * d * q, g * q, g * d * q):
         num *= qpochhammer(base, q, x)
@@ -607,8 +580,8 @@ def qracah_h0(qrp: QRacahParams) -> Fraction:
     return qpochhammer(q * q * a * b, q, qrp.N) * qpochhammer(1 / d, q, qrp.N) / h0_den
 
 
-def qracah_norms(n: int, qrp: QRacahParams) -> Norms:
-    """Norm data of the q-Racah orthogonality relation: (h_n/h_0, h_0)."""
+def qracah_norms(n: int, qrp: QRacahParams) -> Fraction:
+    """The norm h_n of the q-Racah orthogonality relation."""
     _check_lattice(0, n, qrp.N)
     a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
     den = Fraction(1)
@@ -620,18 +593,7 @@ def qracah_norms(n: int, qrp: QRacahParams) -> Norms:
     num = (1 - a * b * q) * (q * g * d) ** n
     for base in (q, q * b, q * a * b / g, q * a / d):
         num *= qpochhammer(base, q, n)
-    return Norms(num / den, qracah_h0(qrp))
-
-
-def qracah_at_top(n: int, qrp: QRacahParams) -> Fraction:
-    """Closed-form value of the q-Racah polynomial at x = N
-    (the q-Saalschuetz evaluation)."""
-    a, b, d, q = qrp.alpha, qrp.beta, qrp.delta, qrp.qp.q
-    num = qpochhammer(q * b, q, n) * qpochhammer(q * a / d, q, n)
-    den = qpochhammer(q * a, q, n) * qpochhammer(q * b * d, q, n)
-    if den == 0:
-        raise VanishingDenominator(n, "q-Racah top-evaluation denominator vanishes")
-    return num / den * d ** n
+    return num / den * qracah_h0(qrp)
 
 
 def _check_lattice(n: int, x: int, N: int) -> None:

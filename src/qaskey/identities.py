@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Optional
 
 from .errors import InadmissiblePoint, NonPositiveWeight, ParameterError
@@ -261,8 +261,7 @@ class LinearizationLattice:
     def norm(self, k: int) -> Fraction:
         if self.m == 0:
             return F(1)
-        ratio, h0 = qracah_norms(k, self.qrp)
-        return ratio * h0
+        return qracah_norms(k, self.qrp)
 
 
 # Key (carrier, l, m).  Every suite runs the rows of one lattice one after
@@ -365,12 +364,12 @@ def check_orthogonality_discrete(family: str, params_obj, mutation=None) -> Chec
     elif family == "racah":
         weights = _positive([racah_weight(x, p) for x in lattice])
         values = [[racah(n, x, p) for x in lattice] for n in lattice]
-        items = _gram_items(weights, values, lambda n: prod(racah_norms(n, p)), racah_h0(p))
+        items = _gram_items(weights, values, lambda n: racah_norms(n, p), racah_h0(p))
         params = {"family": family, "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N}
     else:
         weights = _positive([qracah_weight(x, p) for x in lattice])
         values = [[qracah(n, x, p) for x in lattice] for n in lattice]
-        items = _gram_items(weights, values, lambda n: prod(qracah_norms(n, p)), qracah_h0(p))
+        items = _gram_items(weights, values, lambda n: qracah_norms(n, p), qracah_h0(p))
         params = {"family": family, "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N,
                   "t": p.qp.t, "s": p.qp.s}
     return _compare(f"orthogonality-{family}", params, items, mutation)
@@ -442,7 +441,7 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
         raise ParameterError("backward shift needs 1 <= nmax <= N")
     q = qrp.qp.q
     a, b, g, d = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta
-    shifted = dict(alpha=q * a, beta=q * b, gamma=q * g, delta=d, qbase=q)
+    shifted = (q * a, q * b, q * g, d, q)  # alpha, beta, gamma, delta, q
     lead = 1 - q * q * g * d
     items = []
 
@@ -450,9 +449,9 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
 
     def shifted_term(n, x):
         if (n, x) not in terms:
-            w = qracah_weight_raw(x, **shifted)
+            w = qracah_weight_raw(x, *shifted)
             terms[n, x] = F(0) if not w else (
-                lead / (q ** (-x) - g * d * q ** (x + 2)) * w * qracah_phi(n - 1, x, **shifted))
+                lead / (q ** (-x) - g * d * q ** (x + 2)) * w * qracah_phi(n - 1, x, *shifted))
         return terms[n, x]
 
     weighted = {}  # w(x) R_n(x), shared by the pointwise and the summed forms

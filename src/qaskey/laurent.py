@@ -9,11 +9,11 @@ denominator `den`, so that the coefficient of z^(lo + i) is n[i]/den.  The
 canonical form has no zero at either end of `n`, den > 0 and
 gcd(den, *n) == 1, and zero is (0, (), 1).  Sums and products work on
 integers and reduce each result with one gcd, and `linear_combination`
-puts all its terms over one denominator and reduces once; the variable
-maps keep the canonical form as it is.  Equality is exact comparison of
-the three fields.  `_c` (exponent -> nonzero reduced Fraction, ascending)
-is a view derived from them on each access; `items`, `coeff`, `eval_at`,
-`__str__` and the span tracer in `bench/` read it.  Instances are immutable.
+puts all its terms over one denominator and reduces once.  Equality is
+exact comparison of the three fields.  `_c` (exponent -> nonzero reduced
+Fraction, ascending) is a view derived from them on each access; `items`,
+`coeff`, `eval_at`, `__str__` and the span tracer in `bench/` read it.
+Instances are immutable.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class LaurentPoly:
         """Sorted (exponent, coefficient) pairs, ascending exponent."""
         return list(self._c.items())
 
-    @property
-    def support(self):
-        return [self._lo + i for i, v in enumerate(self._n) if v]
-
-    def is_zero(self) -> bool:
-        return not self._n
-
-    def max_degree(self):
-        return self._lo + len(self._n) - 1 if self._n else None
-
     # ring operations -----------------------------------------------------
 
     def __add__(self, other):
@@ -102,6 +92,7 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
+    # `_compare` forms lhs - rhs on mixed items, like __radd__/__rmul__.
     def __rsub__(self, other):
         return (-self) + other
 
@@ -128,9 +119,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return self * (1 / Fraction(scalar))
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined for general Laurent polynomials")
@@ -153,7 +141,7 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self._lo, self._n, self._den))
 
-    # evaluation and variable maps ----------------------------------------
+    # evaluation -----------------------------------------------------------
 
     def eval_at(self, z0):
         """Exact value at z = z0 (z0 nonzero)."""
@@ -167,17 +155,6 @@ class LaurentPoly:
         for k, v in self._c.items():
             total += v * z0 ** k
         return total
-
-    def invert_variable(self):
-        """The image under z -> 1/z (every exponent negated)."""
-        n = self._n
-        return _raw(1 - self._lo - len(n) if n else 0, n[::-1], self._den)
-
-    def negate_variable(self):
-        """The image under z -> -z."""
-        lo = self._lo
-        return _raw(lo, tuple(-v if (lo + i) & 1 else v for i, v in enumerate(self._n)),
-                    self._den)
 
     def is_symmetric(self) -> bool:
         n = self._n
@@ -321,19 +298,6 @@ def _x_power(k: int) -> LaurentPoly:
 def x_embed(coeffs) -> SymmetricLaurent:
     """Map a polynomial in x = (z + 1/z)/2, given by coefficients lowest
     degree first, to its symmetric Laurent form."""
-    total = LaurentPoly()
-    for k, c in enumerate(coeffs):
-        if c:
-            total = total + _x_power(k) * Fraction(c)
-    return SymmetricLaurent.from_poly(total)
+    return SymmetricLaurent.from_poly(linear_combination(
+        [_x_power(k) for k in range(len(coeffs))], [Fraction(c) for c in coeffs]))
 
-
-def qpoch_laurent_pow(a, zexp: int, qbase, k: int) -> LaurentPoly:
-    """prod_{j<k} (1 - q^j a z^zexp) as a Laurent polynomial."""
-    out = LaurentPoly.constant(1)
-    factor_c = Fraction(a)
-    qb = Fraction(qbase)
-    for _ in range(k):
-        out = out * (LaurentPoly.constant(1) - LaurentPoly.monomial(zexp, factor_c))
-        factor_c *= qb
-    return out

@@ -53,11 +53,9 @@ def _require_finite(x: float) -> float:
     return x
 
 
-def bessel_script_j(alpha: float, x: float, tol: float = 1e-16) -> float:
+def bessel_script_j(alpha: float, x: float) -> float:
     """Normalized Bessel-type series 0F1(-; alpha+1; -x^2/4), summed until
-    the term magnitude falls below tol relative to the partial sum."""
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    the term magnitude falls below 1e-16 relative to the partial sum."""
     if alpha <= -1:
         raise ParameterError("alpha must exceed -1")
     arg = -0.25 * x * x
@@ -68,7 +66,7 @@ def bessel_script_j(alpha: float, x: float, tol: float = 1e-16) -> float:
         if not math.isfinite(term):
             raise NonConvergence(f"series terms overflowed at k={k}")
         total += term
-        if abs(term) <= tol * max(1.0, abs(total)):
+        if abs(term) <= 1e-16 * max(1.0, abs(total)):
             return _require_finite(total)
     raise NonConvergence("Bessel series did not converge within 1000 terms")
 
@@ -173,20 +171,12 @@ def _make_report(kind: str, schedule, errors, mutation_bump: float = 0.0) -> Lim
     return LimitReport(kind, tuple(schedule), tuple(errors), ratios, _limit_verdict(kind, errors))
 
 
-def _q_to_1(js):
-    return [1.0 - 2.0 ** (-j) for j in js]
-
-
-def _doubling(js):
-    return [2 ** j for j in js]
-
-
 def _cqu_to_ultra_error(params: dict, q: float) -> float:
     alpha = float(params.get("alpha", 0.5))
     n = int(params.get("n", 3))
     beta = q ** alpha
     return max(abs(cqu_r_float(n, q, beta, x) - ultraspherical_r_float(n, alpha, x))
-               for x in params.get("points", (0.0, 0.3, -0.3, 0.7, -0.7)))
+               for x in (0.0, 0.3, -0.3, 0.7, -0.7))
 
 
 def _hahn_to_jacobi_error(params: dict, N: int) -> float:
@@ -195,7 +185,7 @@ def _hahn_to_jacobi_error(params: dict, N: int) -> float:
     n = int(params.get("n", 2))
     return max(abs(hahn_float(n, N * x, alpha, beta, N)
                    - hyper_sum((-n, n + alpha + beta + 1), (alpha + 1,), x, n))
-               for x in params.get("points", (0.1, 0.5, 0.9)))
+               for x in (0.1, 0.5, 0.9))
 
 
 def _jacobi_to_bessel_error(params: dict, nu: int) -> float:
@@ -204,7 +194,7 @@ def _jacobi_to_bessel_error(params: dict, nu: int) -> float:
     lam = float(params.get("lam", 1.0))
     n = int(round(nu * lam))
     return max(abs(jacobi_r_float(n, alpha, beta, math.cos(x / nu)) - bessel_script_j(alpha, lam * x))
-               for x in params.get("points", (0.5, 1.0, 2.0)))
+               for x in (0.5, 1.0, 2.0))
 
 
 def _dual_addition_error(params: dict, q: float) -> float:
@@ -213,30 +203,32 @@ def _dual_addition_error(params: dict, q: float) -> float:
     alpha = float(params.get("alpha", 0.5))
     l = int(params.get("l", 3))
     m = int(params.get("m", 2))
-    js = params.get("js", tuple(range(m + 1)))
-    xs = params.get("points", (0.15, 0.45, 0.8))
     beta = q ** alpha
     err = 0.0
     for k in range(m + 1):
-        for j in js:
-            for x in xs:
+        for j in range(m + 1):
+            for x in (0.15, 0.45, 0.8):
                 err = max(err, abs(_dual_addition_term_q(k, l, m, j, q, beta, x)
                                    - _dual_addition_term_classical(k, l, m, j, alpha, x)))
     return err
 
 
-# limit kind -> (schedule from the exponents j, error at one schedule step)
+# The dyadic schedules, over the exponents j = 4..10.
+_Q_TO_1 = tuple(1.0 - 2.0 ** (-j) for j in range(4, 11))
+_DOUBLING = tuple(2 ** j for j in range(4, 11))
+
+# limit kind -> (schedule, error at one schedule step)
 _LIMITS = {
-    "cqu-to-ultra": (_q_to_1, _cqu_to_ultra_error),
-    "hahn-to-jacobi": (_doubling, _hahn_to_jacobi_error),
-    "jacobi-to-bessel": (_doubling, _jacobi_to_bessel_error),
-    "dual-addition-q-to-1": (_q_to_1, _dual_addition_error),
+    "cqu-to-ultra": (_Q_TO_1, _cqu_to_ultra_error),
+    "hahn-to-jacobi": (_DOUBLING, _hahn_to_jacobi_error),
+    "jacobi-to-bessel": (_DOUBLING, _jacobi_to_bessel_error),
+    "dual-addition-q-to-1": (_Q_TO_1, _dual_addition_error),
 }
 
 
-def limit_check(kind: str, params: Optional[dict] = None, schedule: Optional[Sequence] = None,
+def limit_check(kind: str, params: Optional[dict] = None,
                 mutation_bump: float = 0.0) -> LimitReport:
-    """Convergence check of one limit transition along a dyadic schedule.
+    """Convergence check of one limit transition along its dyadic schedule.
 
     Kinds: 'cqu-to-ultra' (q up to 1), 'hahn-to-jacobi' (N doubling),
     'jacobi-to-bessel' (degree doubling; monotone decrease only), and
@@ -247,10 +239,9 @@ def limit_check(kind: str, params: Optional[dict] = None, schedule: Optional[Seq
     if kind not in _LIMITS:
         raise ParameterError(f"unknown limit kind {kind!r}")
     params = dict(params or {})
-    steps_from, error_at = _LIMITS[kind]
-    steps = steps_from(schedule if schedule is not None else range(4, 11))
-    errors = [error_at(params, step) for step in steps]
-    return _make_report(kind, steps, errors, mutation_bump=mutation_bump)
+    schedule, error_at = _LIMITS[kind]
+    errors = [error_at(params, step) for step in schedule]
+    return _make_report(kind, schedule, errors, mutation_bump=mutation_bump)
 
 
 def _dual_addition_term_q(k, l, m, j, q, beta, x) -> float:
@@ -337,31 +328,27 @@ def aw_h0_closed(params: dict) -> float:
     return num / den
 
 
-def refine_integral(f: Callable[[float], float], lo: float, hi: float,
-                    start_points: int = 64, tol: float = 1e-9,
-                    max_points: int = 2 ** 20) -> float:
-    """Midpoint rule with dyadic node doubling until two successive
-    refinements agree to tol (relative to the magnitude of the result)."""
-    if start_points < 64:
-        raise ParameterError("need at least 64 quadrature points")
-    n = start_points
+def refine_integral(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Midpoint rule from 64 nodes with dyadic node doubling until two
+    successive refinements agree to 1e-9 (relative to the magnitude of the
+    result), up to 2^20 nodes."""
+    n = 64
     prev = None
-    while n <= max_points:
+    while n <= 2 ** 20:
         h = (hi - lo) / n
         total = 0.0
         for i in range(n):
             total += f(lo + (i + 0.5) * h)
         total *= h
         _require_finite(total)
-        if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) <= 1e-9 * max(1.0, abs(total)):
             return total
         prev = total
         n *= 2
-    raise NonConvergence(f"quadrature did not stabilize within {max_points} points")
+    raise NonConvergence(f"quadrature did not stabilize within {2 ** 20} points")
 
 
-def numeric_orthogonality(kind: str, params: dict, m: int, n: int,
-                          quad_points: int = 64) -> float:
+def numeric_orthogonality(kind: str, params: dict, m: int, n: int) -> float:
     """Quadrature orthogonality checks on the unit circle.
 
     'cqu': normalized off-diagonal residual |I_mn| / sqrt(I_mm I_nn) of the
@@ -371,19 +358,17 @@ def numeric_orthogonality(kind: str, params: dict, m: int, n: int,
     if kind == "cqu":
         qp: QParams = params["qp"]
         if m == n:
-            return _cqu_diagonal(qp, m, quad_points)
-        off = _cqu_inner(qp, m, n, quad_points)
-        return abs(off) / math.sqrt(_cqu_diagonal(qp, m, quad_points)
-                                    * _cqu_diagonal(qp, n, quad_points))
+            return _cqu_diagonal(qp, m)
+        off = _cqu_inner(qp, m, n)
+        return abs(off) / math.sqrt(_cqu_diagonal(qp, m) * _cqu_diagonal(qp, n))
     if kind == "aw-h0":
-        integral = refine_integral(lambda th: _aw_weight_circle(params, th), 0.0, 2 * math.pi,
-                                   quad_points)
+        integral = refine_integral(lambda th: _aw_weight_circle(params, th), 0.0, 2 * math.pi)
         h0 = aw_h0_closed(params)
         return abs(integral - h0) / abs(h0)
     raise ParameterError(f"unknown orthogonality kind {kind!r}")
 
 
-def _cqu_inner(qp: QParams, d1: int, d2: int, quad_points: int) -> float:
+def _cqu_inner(qp: QParams, d1: int, d2: int) -> float:
     """I_(d1 d2): the integral of R_d1 R_d2 against the circle weight."""
     q, beta = float(qp.q), float(qp.beta)
     polys = {deg: [(k, float(c)) for k, c in cqu_r(deg, qp).items()] for deg in {d1, d2}}
@@ -394,14 +379,14 @@ def _cqu_inner(qp: QParams, d1: int, d2: int, quad_points: int) -> float:
         p2 = sum(c * z ** k for k, c in polys[d2]).real
         return p1 * p2 * _cqu_circle_weight(z * z, q, beta)
 
-    return refine_integral(f, 0.0, 2 * math.pi, quad_points)
+    return refine_integral(f, 0.0, 2 * math.pi)
 
 
-# Key (carrier, degree, quad_points).  The numeric-orthogonality rows pair
-# the degrees 0..4 of one carrier, so five entries catch every reuse.
+# Key (carrier, degree).  The numeric-orthogonality rows pair the degrees
+# 0..4 of one carrier, so five entries catch every reuse.
 @lru_cache(maxsize=5)
-def _cqu_diagonal(qp: QParams, n: int, quad_points: int) -> float:
-    return _cqu_inner(qp, n, n, quad_points)
+def _cqu_diagonal(qp: QParams, n: int) -> float:
+    return _cqu_inner(qp, n, n)
 
 
 def _aw_weight_circle(params: dict, theta: float) -> float:

@@ -26,8 +26,6 @@ from typing import Optional, Sequence
 
 from .errors import ParameterError, VanishingDenominator
 
-Rat = Fraction
-
 
 def parse_rat(text: str) -> Fraction:
     """Parse 'p/q' or 'p' into a rational."""
@@ -35,11 +33,6 @@ def parse_rat(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse rational from {text!r}: {exc}") from exc
-
-
-def format_rat(x: Fraction) -> str:
-    """Render a rational as 'p/q', or 'p' when the denominator is 1."""
-    return str(Fraction(x))
 
 
 def pochhammer(b, k: int):

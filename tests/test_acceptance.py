@@ -24,7 +24,6 @@ from qaskey.families import (
     KrawtchoukParams,
     RacahParams,
     WilsonParams,
-    cqu_leading_z_coeff,
     cqu_r,
 )
 from qaskey.identities import (
@@ -58,6 +57,7 @@ from qaskey.numerics import (
     limit_check,
     numeric_orthogonality,
 )
+from closed_forms import cqu_leading_z_coeff, qracah_at_top
 
 P = PYTHAGOREAN_PAIRS
 QP0 = DEFAULT_QPARAMS[0]
@@ -192,7 +192,7 @@ def test_criterion_8_structural_formulas():
             ok = ok and cqu_r(n, qp).coeff(n) == cqu_leading_z_coeff(n, qp)
         ok = ok and check_weight_ratio(qp).passed
         ok = ok and check_difference_formula(qp, 8).passed
-    from qaskey.families import qracah, qracah_at_top
+    from qaskey.families import qracah
 
     qrp = LinearizationLattice(QP0, 4, 3).qrp
     for n in range(4):

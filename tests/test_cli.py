@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qaskey.cli import (
-    FAMILY_IDS,
+    EVAL_FAMILIES,
     SUITE_NAMES,
     TABLE_FAMILIES,
     _run_row,
@@ -22,8 +22,11 @@ from qaskey.cli import (
     render_text,
     run_suite,
 )
-from qaskey.families import QParams
-from qaskey.identities import ParamGrid
+from qaskey.families import (
+    QParams, QRacahParams, RacahParams, qracah, qracah_weight, racah, racah_weight,
+)
+from qaskey.identities import LinearizationLattice, ParamGrid
+from closed_forms import qracah_at_top
 
 
 def run_cli(argv):
@@ -249,9 +252,6 @@ def test_eval_examples():
 
 
 def test_eval_qracah_top_lattice_matches_closed_form():
-    from fractions import Fraction as F
-    from qaskey.families import QParams, QRacahParams, qracah_at_top
-
     qp = QParams(F(1, 2), F(2, 3))
     alpha = qp.beta / qp.qhalf
     delta = 1 / (qp.beta * qp.qhalf * qp.q ** 4)
@@ -289,7 +289,7 @@ def test_eval_covers_every_family_id():
         "q-racah": ["--x", "1", "--alpha", "16/9", "--beta", "16/9",
                     "--delta", "589824/9", "--N", "3", "--qparams", "1/2,2/3"],
     }
-    assert set(argv_by_family) == set(FAMILY_IDS)
+    assert set(argv_by_family) == set(EVAL_FAMILIES)
     values = {}
     for family, extra in argv_by_family.items():
         code, out, err = run_cli(["eval", "--family", family, "--n", "2"] + extra)
@@ -321,9 +321,6 @@ def test_table_errors():
 
 
 def test_table_qracah_weights():
-    from fractions import Fraction as F
-    from qaskey.families import QParams
-
     qp = QParams(F(1, 2), F(2, 3))
     alpha = qp.beta / qp.qhalf
     delta = 1 / (qp.beta * qp.qhalf * qp.q ** 4)
@@ -340,8 +337,7 @@ def test_table_qracah_weights():
 
 
 def test_table_racah_weights_sum_to_total_mass():
-    from fractions import Fraction as F
-    from qaskey.families import RacahParams, racah_h0
+    from qaskey.families import racah_h0
     from qaskey.series import parse_rat
 
     code, out, _ = run_cli(["table", "--family", "racah-weights", "--N", "3",
@@ -350,6 +346,26 @@ def test_table_racah_weights_sum_to_total_mass():
     rows = list(csv.reader(io.StringIO(out)))[1:]
     total = sum(parse_rat(row[1]) for row in rows)
     assert total == racah_h0(RacahParams(F(0), F(0), 3, F(-5)))
+
+
+@pytest.mark.parametrize("family,p", [
+    ("racah-norms", RacahParams(F(0), F(0), 3, F(-5))),
+    ("racah-norms", RacahParams(F(1, 2), F(1, 3), 4, F(1, 5))),
+    ("q-racah-norms", QRacahParams(F(16, 9), F(16, 9), F(589824, 9), 3,
+                                   QParams(F(1, 2), F(2, 3)))),
+    ("q-racah-norms", LinearizationLattice(QParams(F(2, 3), F(1, 2)), 5, 4).qrp),
+])
+def test_table_norms_are_the_gram_diagonal(family, p):
+    # each row is h_n = sum_x w(x) R_n(x)^2 over the lattice 0..N
+    q_side = family.startswith("q-")
+    weight, poly = (qracah_weight, qracah) if q_side else (racah_weight, racah)
+    argv = ["table", "--family", family, f"--alpha={p.alpha}", f"--beta={p.beta}",
+            f"--delta={p.delta}", f"--N={p.N}"] + ([f"--qparams={p.qp.t},{p.qp.s}"] if q_side else [])
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    rows = [(int(i), F(h)) for i, h, _ in list(csv.reader(io.StringIO(out)))[1:]]
+    assert rows == [(n, sum(weight(x, p) * poly(n, x, p) ** 2 for x in range(p.N + 1)))
+                    for n in range(p.N + 1)]
 
 
 def test_table_empty_range():
@@ -404,7 +420,7 @@ def argvs(draw):
         argv += ["--suite", draw(st.sampled_from(CHEAP_SUITES)),
                  f"--grid-lmax={draw(st.sampled_from(FLAG_VALUES['--grid-lmax']))}"]
     else:
-        names = FAMILY_IDS if command == "eval" else tuple(TABLE_FAMILIES)
+        names = tuple(EVAL_FAMILIES) if command == "eval" else tuple(TABLE_FAMILIES)
         argv += ["--family", draw(st.sampled_from(names + ("nosuch",)))]
     if command == "eval":
         argv.append(f"--n={draw(st.sampled_from(INTS))}")

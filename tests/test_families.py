@@ -20,7 +20,6 @@ from qaskey.families import (
     askey_wilson_r_at,
     cqu_aw_params,
     cqu_duality_point,
-    cqu_leading_z_coeff,
     cqu_r,
     cqu_r_alt,
     cqu_r_at,
@@ -31,7 +30,6 @@ from qaskey.families import (
     krawtchouk,
     krawtchouk_weight,
     qracah,
-    qracah_at_top,
     qracah_h0,
     qracah_norms,
     qracah_weight,
@@ -47,20 +45,15 @@ from qaskey.families import (
     wilson_dual_phi,
 )
 from qaskey.identities import DEFAULT_QPARAMS, LinearizationLattice
+from closed_forms import cqu_leading_z_coeff, negate_variable, qracah_at_top
 
 QP = QParams(F(1, 2), F(2, 3))
 
 
-def lin_qracah(qp, l, m):
-    alpha = qp.beta / qp.qhalf
-    delta = 1 / (qp.beta * qp.qhalf * qp.q ** l)
-    return QRacahParams(alpha, alpha, delta, m, qp)
-
-
 def test_qparams_accessors_and_validation():
     qp = QParams(F(1, 2), F(2, 3))
-    assert qp.q == F(1, 16) and qp.qhalf == F(1, 4) and qp.qquarter == F(1, 2)
-    assert qp.beta == F(4, 9) and qp.betahalf == F(2, 3) and qp.a == F(1, 3)
+    assert qp.q == F(1, 16) and qp.qhalf == F(1, 4)
+    assert qp.beta == F(4, 9) and qp.a == F(1, 3)
     assert qp.beta_shift(1) == QParams(F(1, 2), F(1, 6))
     with pytest.raises(ParameterError):
         QParams(F(3, 2), F(1))
@@ -72,7 +65,7 @@ def test_qparams_accessors_and_validation():
 
 def test_cached_powers_leave_equality_hash_and_text_alone():
     qp = QParams(F(1, 2), F(2, 3))
-    qrp = lin_qracah(qp, 3, 2)
+    qrp = LinearizationLattice(qp, 3, 2).qrp
     assert (qp.q, qp.qhalf, qp.beta, qrp.gamma) == (F(1, 16), F(1, 4), F(4, 9), F(16) ** 3)
     assert qp.q is qp.q and qrp.gamma is qrp.gamma
     fresh = QParams(F(1, 2), F(2, 3))
@@ -145,7 +138,7 @@ def test_racah_weights_and_norms():
     rp = RacahParams(F(0), F(0), 3, F(-5))  # positive-weight lattice
     assert racah_weight(0, rp) == 1
     assert sum(racah_weight(x, rp) for x in range(4)) == racah_h0(rp)
-    assert racah_norms(0, rp).ratio == 1
+    assert racah_norms(0, rp) == racah_h0(rp)
     for params in [RacahParams(F(1, 2), F(1, 2), 3, F(-6)),
                    RacahParams(F(3, 2), F(3, 2), 3, F(-7)),
                    RacahParams(F(1), F(1), 3, F(-13, 2))]:
@@ -170,7 +163,7 @@ def test_askey_wilson_basic():
         poly = askey_wilson_r(n, awp)
         assert poly.eval_at(awp.a) == 1  # value 1 at z = a
         assert poly.is_symmetric()
-        assert poly.max_degree() == n and poly.coeff(n) != 0
+        assert poly.items()[-1][0] == n and poly.coeff(n) != 0
         assert poly.eval_at(F(7, 5)) == askey_wilson_r_at(n, awp, F(7, 5))
     with pytest.raises(ParameterError):
         AWParams(F(2), F(1, 2), F(1, 3), F(1, 5), F(1, 4))  # ab = 1
@@ -191,7 +184,7 @@ def test_cqu_special_value_and_leading_coefficient():
 def test_cqu_parity():
     for n in range(9):
         poly = cqu_r(n, QP)
-        assert poly.negate_variable() == poly * F(-1) ** n
+        assert negate_variable(poly) == poly * F(-1) ** n
 
 
 def test_cqu_duality_points():
@@ -211,7 +204,7 @@ def test_cqu_is_the_alternative_parameter_specialization():
 
 
 def test_qracah_values():
-    qrp = lin_qracah(QP, 3, 2)
+    qrp = LinearizationLattice(QP, 3, 2).qrp
     for n in range(3):
         assert qracah(n, 0, qrp) == 1
         assert qracah(0, n, qrp) == 1
@@ -220,10 +213,10 @@ def test_qracah_values():
 
 def test_qracah_weights_and_norms():
     for (l, m) in [(3, 2), (4, 3)]:
-        qrp = lin_qracah(QP, l, m)
+        qrp = LinearizationLattice(QP, l, m).qrp
         assert qracah_weight(0, qrp) == 1
         assert sum(qracah_weight(x, qrp) for x in range(m + 1)) == qracah_h0(qrp)
-        assert qracah_norms(0, qrp).ratio == 1
+        assert qracah_norms(0, qrp) == qracah_h0(qrp)
 
 
 @pytest.mark.parametrize("qp", DEFAULT_QPARAMS)
@@ -238,7 +231,7 @@ def test_qracah_matches_askey_wilson_on_the_lattice():
     # the q-quadratic substitution carries the discrete family into the
     # continuous one: A^2 = q*gamma*delta, z_x = q^(-x)/A
     for (l, m) in [(3, 2), (4, 3)]:
-        qrp = lin_qracah(QP, l, m)
+        qrp = LinearizationLattice(QP, l, m).qrp
         q = QP.q
         A = 1 / QP.s / QP.t ** (2 * (l + m) + 1)
         awp = AWParams(A, q * qrp.alpha / A, q * qrp.beta * qrp.delta / A,

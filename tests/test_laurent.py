@@ -8,14 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qaskey.errors import SymmetryViolation, ZeroArgument
-from qaskey.laurent import (
-    LaurentPoly,
-    SymmetricLaurent,
-    linear_combination,
-    qpoch_laurent_pow,
-    x_embed,
-)
+from qaskey.laurent import LaurentPoly, SymmetricLaurent, linear_combination, x_embed
 from qaskey.series import qpochhammer
+from closed_forms import invert_variable, negate_variable, qpoch_laurent_pow
 
 coeff_lists = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=8),
                        min_size=1, max_size=5)
@@ -30,9 +25,8 @@ def test_ring_ops():
     assert two_x * two_x == LaurentPoly({2: 1, 0: 2, -2: 1})
     p = LaurentPoly({3: F(2, 5), -1: F(7)})
     assert p * LaurentPoly.constant(1) == p
-    assert (p - p).is_zero()
     assert p - p == LaurentPoly()
-    assert (p * 0).is_zero()
+    assert p * 0 == LaurentPoly()
     assert -(-p) == p
     assert p ** 0 == LaurentPoly.constant(1)
     assert p ** 3 == p * p * p
@@ -49,15 +43,15 @@ def test_eval_at():
 
 def test_invert_variable():
     p = LaurentPoly({2: 1, -1: 3})
-    assert p.invert_variable() == LaurentPoly({-2: 1, 1: 3})
+    assert invert_variable(p) == LaurentPoly({-2: 1, 1: 3})
     s = x_embed([F(1), F(2), F(3)])
-    assert s.invert_variable() == s
-    assert LaurentPoly.constant(F(5, 3)).invert_variable() == LaurentPoly.constant(F(5, 3))
+    assert invert_variable(s) == s
+    assert invert_variable(LaurentPoly.constant(F(5, 3))) == LaurentPoly.constant(F(5, 3))
 
 
 def test_negate_variable():
     p = LaurentPoly({2: 1, 1: 5, -3: F(1, 2)})
-    q = p.negate_variable()
+    q = negate_variable(p)
     assert q == LaurentPoly({2: 1, 1: -5, -3: -F(1, 2)})
 
 
@@ -125,9 +119,9 @@ def test_rendering():
 
 def test_canonical_no_zero_coefficients():
     p = LaurentPoly({5: F(0), 1: F(2)})
-    assert p.support == [1]
+    assert p.items() == [(1, F(2))]
     q = LaurentPoly({1: F(2)}) + LaurentPoly({1: F(-2)})
-    assert q.support == []
+    assert q.items() == [] and q == LaurentPoly()
 
 
 def test_hash_consistent_with_eq():
@@ -195,9 +189,7 @@ def _o_str(a):
 def _assert_matches(p, oracle):
     assert p._c == oracle
     assert p.items() == sorted(oracle.items())
-    assert p.support == sorted(oracle)
-    assert p.max_degree() == (max(oracle) if oracle else None)
-    assert p.is_zero() == (not oracle)
+    assert (p == LaurentPoly()) == (not oracle)
     assert str(p) == _o_str(oracle)
     for k in range(-20, 21):
         assert p.coeff(k) == oracle.get(k, 0)
@@ -227,7 +219,7 @@ def test_ring_ops_match_oracle(a, b, s, d, n):
     _assert_matches(p * s.numerator, _o_scale(oa, s.numerator))
     _assert_matches(p + s, _o_add(oa, _o({0: s})))
     _assert_matches(s - p, _o_add(_o({0: s}), _o_scale(oa, -1)))
-    _assert_matches(p / d, _o_scale(oa, 1 / d))
+    _assert_matches(p * (1 / d), _o_scale(oa, 1 / d))
     _assert_matches(p ** n, _o_pow(oa, n))
     assert (p == q) == (oa == ob)
     assert (p == s) == (oa == _o({0: s}))
@@ -236,10 +228,10 @@ def test_ring_ops_match_oracle(a, b, s, d, n):
 @given(sparse, nonzero)
 def test_variable_maps_and_evaluation_match_oracle(a, z0):
     p, oa = LaurentPoly(a), _o(a)
-    _assert_matches(p.invert_variable(), {-k: v for k, v in oa.items()})
-    _assert_matches(p.negate_variable(), {k: -v if k % 2 else v for k, v in oa.items()})
+    _assert_matches(invert_variable(p), {-k: v for k, v in oa.items()})
+    _assert_matches(negate_variable(p), {k: -v if k % 2 else v for k, v in oa.items()})
     assert p.is_symmetric() == all(oa.get(-k) == v for k, v in oa.items())
-    assert (p + p.invert_variable()).is_symmetric()
+    assert (p + invert_variable(p)).is_symmetric()
     assert p.eval_at(z0) == sum((v * z0 ** k for k, v in oa.items()), F(0))
 
 

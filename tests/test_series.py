@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.series import (
     HyperSeriesSpec,
-    format_rat,
     parse_rat,
     pochhammer,
     qhyper_sum,
@@ -272,8 +271,8 @@ def test_results_are_canonical(spec):
 def test_rational_text_round_trip():
     assert parse_rat("3/4") == F(3, 4)
     assert parse_rat("-7") == F(-7)
-    assert format_rat(F(3, 4)) == "3/4"
-    assert format_rat(F(5, 1)) == "5"
+    for value in (F(3, 4), F(5), F(-7, 2)):
+        assert parse_rat(str(value)) == value
     with pytest.raises(ParameterError):
         parse_rat("x/y")
     with pytest.raises(ParameterError):
