@@ -24,6 +24,7 @@ from .laurent import LaurentPoly, SymmetricLaurent
 from .series import (
     HyperSeriesSpec,
     pochhammer,
+    qhyper_sum,
     qpochhammer,
     terminating_hyper,
 )
@@ -180,7 +181,9 @@ class QRacahParams:
     QParams carrier supplies the base q = t^4.
 
     Construction validates that no weight denominator factor vanishes on
-    the lattice 0..N.
+    the lattice 0..N.  The private tables below hold what `qracah`,
+    `qracah_weight` and `qracah_norms` read: each is built for the whole
+    lattice the first time one of them asks, and dies with the record.
     """
 
     alpha: Fraction
@@ -199,9 +202,87 @@ class QRacahParams:
             raise ParameterError("q-Racah alpha, beta, delta must be nonzero")
         _qracah_weight_dens(self.alpha, self.beta, self.gamma, self.delta, self.qp.q, self.N)
 
+    # Cached in the instance __dict__, outside the fields that eq and hash use.
     @cached_property
     def gamma(self) -> Fraction:
         return self.qp.q ** (-self.N - 1)
+
+    @cached_property
+    def _q_neg(self) -> tuple:
+        """q^(-n) for n = 0..N."""
+        q = self.qp.q
+        return tuple(q ** -n for n in range(self.N + 1))
+
+    @cached_property
+    def _ab_q(self) -> tuple:
+        """alpha beta q^(n+1) for n = 0..N."""
+        q = self.qp.q
+        return tuple(self.alpha * self.beta * q ** (n + 1) for n in range(self.N + 1))
+
+    @cached_property
+    def _gd_q(self) -> tuple:
+        """gamma delta q^(x+1) for x = 0..N."""
+        q = self.qp.q
+        return tuple(self.gamma * self.delta * q ** (x + 1) for x in range(self.N + 1))
+
+    @cached_property
+    def _phi_dens(self) -> tuple:
+        """The denominator bases (q alpha, q beta delta, q gamma) of the 4phi3."""
+        q = self.qp.q
+        return (q * self.alpha, q * self.beta * self.delta, q * self.gamma)
+
+    @cached_property
+    def _phi_vanishing(self) -> tuple:
+        """(k, b) for the first k < N, and the first base b in the order of
+        `_phi_dens`, with q^k b = 1; (N, None) when there is none.  A 4phi3
+        whose termination index exceeds k raises there."""
+        q = self.qp.q
+        qk = Fraction(1)
+        for k in range(self.N):
+            for b in self._phi_dens:
+                if qk * b == 1:
+                    return k, b
+            qk *= q
+        return self.N, None
+
+    @cached_property
+    def _weights(self) -> tuple:
+        """The weights w(0..N), from running q-Pochhammer prefixes."""
+        a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
+        nums = _qpoch_prefixes((a * q, b * d * q, g * q, g * d * q), q, self.N)
+        dens = _qpoch_prefixes(_qracah_weight_dens(a, b, g, d, q, 0), q, self.N)
+        abq, gdq = a * b * q, g * d * q
+        return tuple((1 - gdq * q ** (2 * x)) * num / (abq ** x * (1 - gdq) * den)
+                     for x, (num, den) in enumerate(zip(nums, dens)))
+
+    @cached_property
+    def _norm_ratios(self) -> tuple:
+        """(numerator, denominator) of h_n / h_0 for n = 0..N, from running
+        q-Pochhammer prefixes; a zero denominator is kept, to raise only
+        when its n is asked for."""
+        a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
+        nums = _qpoch_prefixes((q, q * b, q * a * b / g, q * a / d), q, self.N)
+        dens = _qpoch_prefixes((q * a, q * a * b, q * g, q * b * d), q, self.N)
+        abq, qgd = a * b * q, q * g * d
+        return tuple(((1 - abq) * qgd ** n * num, (1 - abq * q ** (2 * n)) * den)
+                     for n, (num, den) in enumerate(zip(nums, dens)))
+
+
+def _qpoch_prefixes(bases, q: Fraction, top: int) -> list:
+    """prod_b (b; q)_k for k = 0..top, from one running integer product
+    each for numerator and denominator, reduced once per k."""
+    # 1 - q^j b = (Q^j b_den - P^j b_num) / (Q^j b_den) with q = P/Q
+    p, qd = q.numerator, q.denominator
+    num = den = pj = qj = 1
+    out = [Fraction(1)]
+    for _ in range(top):
+        for base in bases:
+            num *= qj * base.denominator - pj * base.numerator
+            den *= qj * base.denominator
+        pj *= p
+        qj *= qd
+        out.append(Fraction(num, den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +476,11 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> Lau
     """Terminating q-series with Laurent numerator factors (az, a/z; q)_k.
 
     Returns sum_k c_k arg^k (az; q)_k (a z^-1; q)_k with the scalar part
-    c_k = (scalar_nums; q)_k / ((q; q)_k (scalar_dens; q)_k), accumulated
-    by term ratios exactly as in the scalar engine.
+    c_k = (scalar_nums; q)_k / ((q; q)_k (scalar_dens; q)_k).  A forward
+    pass forms the scalar term ratios rho_k; it raises at the first
+    vanishing denominator and stops at the first zero term.  The sum is
+    then taken by Horner's rule from the top term, S <- (rho_k f_k) S + 1,
+    with f_k = (1 - wz)(1 - w/z) = (1 + w^2) - w(z + 1/z) and w = q^k a.
     """
     if nterms < 0:
         raise ParameterError(f"degree must be >= 0, got {nterms}")
@@ -405,28 +489,26 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> Lau
     a_laurent = Fraction(a_laurent)
     qbase = Fraction(qbase)
     arg = Fraction(arg)
-    coeff = Fraction(1)
-    lpart = LaurentPoly.constant(1)
-    total = lpart
+    steps = []  # rho_k f_k
     qpow = Fraction(1)  # q^k
     for k in range(nterms):
+        up = arg
         for v in scalar_nums:
-            coeff *= 1 - qpow * v
-        az = qpow * a_laurent
-        lpart = lpart * (
-            (LaurentPoly.constant(1) - LaurentPoly.monomial(1, az))
-            * (LaurentPoly.constant(1) - LaurentPoly.monomial(-1, az))
-        )
-        qpow *= qbase
-        den = 1 - qpow
+            up *= 1 - qpow * v
+        den = 1 - qpow * qbase
         for v in scalar_dens:
-            den *= 1 - (qpow / qbase) * v
+            den *= 1 - qpow * v
         if den == 0:
             raise VanishingDenominator(k + 1, "Laurent q-series denominator")
-        coeff = coeff * arg / den
-        if not coeff:
+        rho = up / den
+        if not rho:
             break
-        total = total + lpart * coeff
+        w = qpow * a_laurent
+        steps.append(LaurentPoly({-1: -rho * w, 0: rho * (1 + w * w), 1: -rho * w}))
+        qpow *= qbase
+    total = LaurentPoly.constant(1)
+    for step in reversed(steps):
+        total = step * total + 1
     return total
 
 
@@ -519,9 +601,21 @@ def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, q) -> Fraction:
 
 
 def qracah(n: int, x: int, qrp: QRacahParams) -> Fraction:
-    """q-Racah polynomial at lattice index x, with gamma = q^(-N-1)."""
+    """q-Racah polynomial at lattice index x, with gamma = q^(-N-1).
+
+    The 4phi3 of `qracah_phi`, summed by `qhyper_sum` on series parameters
+    read from the tables of `qrp`.  It raises the `VanishingDenominator`
+    of `HyperSeriesSpec`'s scan exactly when its termination index
+    min(n, x) passes the lattice's first vanishing denominator factor.
+    """
     _check_lattice(n, x, qrp.N)
-    return qracah_phi(n, x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q)
+    top = min(n, x)
+    k, b = qrp._phi_vanishing
+    if k < top:
+        raise VanishingDenominator(k + 1, f"(b; q)_k factor with b={b}")
+    q = qrp.qp.q
+    nums = (qrp._q_neg[n], qrp._ab_q[n], qrp._q_neg[x], qrp._gd_q[x])
+    return qhyper_sum(nums, qrp._phi_dens, q, q, top)
 
 
 def _qracah_weight_dens(a, b, g, d, q, top: int) -> tuple:
@@ -540,25 +634,14 @@ def _qracah_weight_dens(a, b, g, d, q, top: int) -> tuple:
 
 
 def qracah_weight_raw(x: int, a, b, g, d, q) -> Fraction:
-    """The q-Racah weight formula for free parameters.
+    """The q-Racah weight formula for free parameters, its denominator
+    bases checked up to x.
 
     Exposed separately because the backward-shift identity evaluates the
     parameter-shifted weight one step beyond its own lattice, where the
     formula correctly produces 0.
     """
-    return _qracah_weight(x, a, b, g, d, q, scan=x)
-
-
-def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
-    """q-Racah orthogonality weight at lattice index x; `QRacahParams`
-    checked its denominators over the whole lattice."""
-    _check_lattice(0, x, qrp.N)
-    return _qracah_weight(x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q, scan=0)
-
-
-def _qracah_weight(x: int, a, b, g, d, q, scan: int) -> Fraction:
-    """The weight formula, its denominator bases checked up to x = scan."""
-    dens = _qracah_weight_dens(a, b, g, d, q, scan)
+    dens = _qracah_weight_dens(a, b, g, d, q, x)
     num = (1 - g * d * q ** (2 * x + 1)) * Fraction(1)
     for base in (a * q, b * d * q, g * q, g * d * q):
         num *= qpochhammer(base, q, x)
@@ -566,6 +649,14 @@ def _qracah_weight(x: int, a, b, g, d, q, scan: int) -> Fraction:
     for base in dens:
         den *= qpochhammer(base, q, x)
     return num / den
+
+
+def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
+    """q-Racah orthogonality weight at lattice index x, read from the
+    weight table of `qrp`.  `QRacahParams` checked its denominators over
+    the whole lattice, so only the lattice bound can raise here."""
+    _check_lattice(0, x, qrp.N)
+    return qrp._weights[x]
 
 
 # Key qrp: the rows of one lattice come one after another, so one entry
@@ -581,18 +672,13 @@ def qracah_h0(qrp: QRacahParams) -> Fraction:
 
 
 def qracah_norms(n: int, qrp: QRacahParams) -> Fraction:
-    """The norm h_n of the q-Racah orthogonality relation."""
+    """The norm h_n of the q-Racah orthogonality relation: the ratio
+    h_n / h_0 from the norm table of `qrp`, times `qracah_h0`.  A vanishing
+    ratio denominator raises for its own n only, before h_0 is read."""
     _check_lattice(0, n, qrp.N)
-    a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
-    den = Fraction(1)
-    for base in (q * a, q * a * b, q * g, q * b * d):
-        den *= qpochhammer(base, q, n)
-    den *= 1 - a * b * q ** (2 * n + 1)
+    num, den = qrp._norm_ratios[n]
     if den == 0:
         raise VanishingDenominator(n, "q-Racah norm-ratio denominator vanishes")
-    num = (1 - a * b * q) * (q * g * d) ** n
-    for base in (q, q * b, q * a * b / g, q * a / d):
-        num *= qpochhammer(base, q, n)
     return num / den * qracah_h0(qrp)
 
 

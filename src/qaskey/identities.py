@@ -219,10 +219,12 @@ class LinearizationLattice:
     The m = 0 lattice is a single point with unit weight and trivial norm,
     below the smallest admissible q-Racah family, so it is special-cased.
 
-    Each weight and lattice value is computed the first time it is asked
-    for and kept; h0 comes from the cache of `qracah_h0`.  A computation
-    that raises keeps nothing, so its error surfaces again at the next
-    request.
+    Each weight and lattice value is asked of `qracah_weight` or `qracah`
+    the first time it is needed, and kept.  Those two read the tables that
+    `QRacahParams` builds for the whole lattice on first use: the weights
+    whole, the 4phi3 series parameters per entry.  h0 comes from the cache
+    of `qracah_h0`, and each norm from `qracah_norms`.  A computation that
+    raises keeps nothing, so its error surfaces again at the next request.
     """
 
     def __init__(self, qp: QParams, l: int, m: int):

@@ -134,19 +134,6 @@ class LimitReport:
     ratios: tuple
     verdict: str  # "pass" | "fail"
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "schedule": [str(v) for v in self.schedule],
-            "errors": list(self.errors),
-            "ratios": list(self.ratios),
-            "verdict": self.verdict,
-        }
-
 
 def _limit_verdict(kind: str, errors: Sequence[float]) -> str:
     if all(e == 0.0 for e in errors):

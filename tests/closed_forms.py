@@ -1,11 +1,12 @@
 """Reference formulas the tests check the package against: closed forms
 that no suite row checks, the product (a z^e; q)_k built factor by factor,
-and the variable maps z -> 1/z and z -> -z."""
+the Laurent q-series summed term by term, the q-Racah norm formula for one
+n, and the variable maps z -> 1/z and z -> -z."""
 
 from fractions import Fraction
 
-from qaskey.errors import VanishingDenominator
-from qaskey.families import QParams, QRacahParams
+from qaskey.errors import ParameterError, VanishingDenominator
+from qaskey.families import QParams, QRacahParams, qracah_h0
 from qaskey.laurent import LaurentPoly
 from qaskey.series import qpochhammer
 
@@ -33,6 +34,57 @@ def qracah_at_top(n: int, qrp: QRacahParams) -> Fraction:
     if den == 0:
         raise VanishingDenominator(n, "q-Racah top-evaluation denominator vanishes")
     return num / den * d ** n
+
+
+def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> LaurentPoly:
+    """sum_k c_k arg^k (az; q)_k (a z^-1; q)_k, c_k = (scalar_nums; q)_k /
+    ((q; q)_k (scalar_dens; q)_k), one term at a time: (az, a/z; q)_k from
+    full Laurent products and c_k by term ratios, stopping at the first
+    zero term and raising at the first vanishing denominator."""
+    if nterms < 0:
+        raise ParameterError(f"degree must be >= 0, got {nterms}")
+    scalar_nums = [Fraction(v) for v in scalar_nums]
+    scalar_dens = [Fraction(v) for v in scalar_dens]
+    a_laurent, qbase, arg = Fraction(a_laurent), Fraction(qbase), Fraction(arg)
+    coeff = Fraction(1)
+    lpart = LaurentPoly.constant(1)
+    total = lpart
+    qpow = Fraction(1)  # q^k
+    for k in range(nterms):
+        for v in scalar_nums:
+            coeff *= 1 - qpow * v
+        az = qpow * a_laurent
+        lpart = lpart * (
+            (LaurentPoly.constant(1) - LaurentPoly.monomial(1, az))
+            * (LaurentPoly.constant(1) - LaurentPoly.monomial(-1, az))
+        )
+        qpow *= qbase
+        den = 1 - qpow
+        for v in scalar_dens:
+            den *= 1 - (qpow / qbase) * v
+        if den == 0:
+            raise VanishingDenominator(k + 1, "Laurent q-series denominator")
+        coeff = coeff * arg / den
+        if not coeff:
+            break
+        total = total + lpart * coeff
+    return total
+
+
+def qracah_norm_per_n(n: int, qrp: QRacahParams) -> Fraction:
+    """The q-Racah norm h_n from its q-Pochhammer symbols at this n alone,
+    times h_0; the lattice bound is the caller's."""
+    a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
+    den = Fraction(1)
+    for base in (q * a, q * a * b, q * g, q * b * d):
+        den *= qpochhammer(base, q, n)
+    den *= 1 - a * b * q ** (2 * n + 1)
+    if den == 0:
+        raise VanishingDenominator(n, "q-Racah norm-ratio denominator vanishes")
+    num = (1 - a * b * q) * (q * g * d) ** n
+    for base in (q, q * b, q * a * b / g, q * a / d):
+        num *= qpochhammer(base, q, n)
+    return num / den * qracah_h0(qrp)
 
 
 def invert_variable(p: LaurentPoly) -> LaurentPoly:

@@ -318,7 +318,7 @@ def test_criterion_10_structural_rates_supplement():
         ("dual-addition-q-to-1", {"alpha": 0.5, "l": 3, "m": 2}),
     ):
         report = limit_check(kind, params)
-        ok = ok and report.passed and 0.175 <= report.ratios[-1] <= 0.325
+        ok = ok and report.verdict == "pass" and 0.175 <= report.ratios[-1] <= 0.325
         detail.append(f"{kind}: ratio={report.ratios[-1]:.4f}")
     # exact arithmetic behind the rate: the family is invariant under the
     # base inversion q -> 1/q, so its error in 1-q has no linear term
@@ -385,7 +385,7 @@ def test_criterion_12_fail_negative_sweep(monkeypatch):
                 detected += 1
     # float suites: spurious bump on a limit error, and a quadrature off by 1e-6
     total += 1
-    if not limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 3}, mutation_bump=1.0).passed:
+    if limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 3}, mutation_bump=1.0).verdict == "fail":
         detected += 1
     total += 1
     monkeypatch.setattr(numerics, "numeric_orthogonality",

@@ -147,6 +147,19 @@ def test_beta_one_report_is_byte_identical_to_its_recorded_digest():
     assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_BETA_ONE
 
 
+# SHA-256 of the dual-addition json report, wall time removed, at lmax 6 on
+# beta = 1: its 21 error records are norm-ratio denominators of the
+# linearization lattices, deeper than the lmax 2 of GOLDEN_BETA_ONE.
+GOLDEN_BETA_ONE_DUAL_ADDITION = "67802f73c977b5f91402cbf75dd11a9b96a8f84df652b2e477d55d3839b98c3f"
+
+
+def test_beta_one_dual_addition_report_is_byte_identical_to_its_recorded_digest():
+    doc = run_suite("dual-addition", ParamGrid(lmax=6, qparams=(QParams(F(1, 2), F(1)),)))
+    doc.pop("wallTimeMs")
+    assert doc["summary"]["error"] == 21
+    assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_BETA_ONE_DUAL_ADDITION
+
+
 def test_every_record_id_has_a_fail_negative():
     # rows whose check takes a mutation are swept by test_mutation_is_detected;
     # the others are float probes, each with a fail-negative of its own

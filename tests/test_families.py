@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qaskey.cli import _text
-from qaskey.errors import ParameterError, VanishingDenominator
+from qaskey.errors import ParameterError, QAskeyError, VanishingDenominator
 from qaskey.families import (
     AWParams,
     HahnParams,
@@ -32,6 +32,7 @@ from qaskey.families import (
     qracah,
     qracah_h0,
     qracah_norms,
+    qracah_phi,
     qracah_weight,
     qracah_weight_raw,
     racah,
@@ -45,7 +46,9 @@ from qaskey.families import (
     wilson_dual_phi,
 )
 from qaskey.identities import DEFAULT_QPARAMS, LinearizationLattice
-from closed_forms import cqu_leading_z_coeff, negate_variable, qracah_at_top
+from closed_forms import (
+    cqu_leading_z_coeff, laurent_phi_terms, negate_variable, qracah_at_top, qracah_norm_per_n,
+)
 
 QP = QParams(F(1, 2), F(2, 3))
 
@@ -225,6 +228,95 @@ def test_qracah_weight_matches_the_scanning_formula(qp):
     for x in range(qrp.N + 1):
         raw = qracah_weight_raw(x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qp.q)
         assert qracah_weight(x, qrp) == raw
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class, index and text of the package error it raises."""
+    try:
+        return fn(*args)
+    except QAskeyError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+
+
+def _table_cases():
+    """The lattices of the default carriers and of beta = 1 for l <= 7, and
+    two records with alpha = q^(-3), whose (alpha q; q)_k factor vanishes
+    at k = 2, so that only the entry (3, 3) passes it."""
+    for qp in (*DEFAULT_QPARAMS, QParams(F(1, 2), F(1))):
+        for l in range(1, 8):
+            for m in range(1, l + 1):
+                yield LinearizationLattice(qp, l, m).qrp
+    for beta in (F(16, 9), F(1)):
+        yield QRacahParams(QP.q ** -3, beta, F(7, 3), 3, QP)
+
+
+def test_qracah_tables_match_the_per_entry_formulas():
+    raised = []
+    for qrp in _table_cases():
+        a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
+        for n in range(qrp.N + 1):
+            assert _outcome(qracah_norms, n, qrp) == _outcome(qracah_norm_per_n, n, qrp)
+            assert qracah_weight(n, qrp) == qracah_weight_raw(n, a, b, g, d, q)
+            for x in range(qrp.N + 1):
+                got = _outcome(qracah, n, x, qrp)
+                assert got == _outcome(qracah_phi, n, x, a, b, g, d, q), (qrp, n, x)
+                if isinstance(got, tuple):
+                    raised.append((qrp.N, n, x, got[1]))
+    assert raised == [(3, 3, 3, 3)] * 2
+
+
+@pytest.mark.parametrize("beta,raising", [(F(16, 9), {3}), (F(1), {1, 3})])
+def test_qracah_norm_errors_are_per_n(beta, raising):
+    # alpha = q^(-3): (q alpha; q)_n vanishes from n = 3 on; with beta = 1,
+    # 1 - alpha beta q^(2n+1) vanishes at n = 1 alone
+    qrp = QRacahParams(QP.q ** -3, beta, F(7, 3), 3, QP)
+    for n in range(qrp.N + 1):
+        if n in raising:
+            with pytest.raises(VanishingDenominator) as err:
+                qracah_norms(n, qrp)
+            assert err.value.index == n
+        else:
+            assert qracah_norms(n, qrp) == qracah_norm_per_n(n, qrp)
+
+
+def _cqu_alt_terms(n, qp):
+    t, s = qp.t, qp.s
+    return laurent_phi_terms((t ** (-2 * n), t ** (2 * n + 2) * s ** 2),
+                             (-(t ** 2) * s ** 2, t ** 2 * s, -(t ** 2) * s),
+                             t * s, t ** 2, t ** 2, n)
+
+
+def _aw_terms(n, awp):
+    a, b, c, d, q = awp.a, awp.b, awp.c, awp.d, awp.qbase
+    return laurent_phi_terms((q ** (-n), q ** (n - 1) * a * b * c * d), (a * b, a * c, a * d),
+                             a, q, q, n)
+
+
+@pytest.mark.parametrize("shift", [0, 3])
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS)
+def test_horner_builder_matches_the_term_by_term_sum(qp, shift):
+    qp = qp.beta_shift(shift)
+    awp = cqu_aw_params(qp)
+    for n in range(13):
+        expected = _aw_terms(n, awp)
+        assert askey_wilson_r(n, awp) == expected
+        assert cqu_r(n, qp) == expected
+        assert cqu_r_alt(n, qp) == _cqu_alt_terms(n, qp) == expected
+
+
+def test_horner_builder_stops_and_raises_where_the_term_by_term_sum_does():
+    # ab = 1/q: (ab; q)_k vanishes at k = 1, so the series raises at index 2
+    q = F(1, 4)
+    awp = AWParams(F(1, 2), 2 / q, F(1, 3), F(1, 5), q)
+    got = _outcome(askey_wilson_r, 4, awp)
+    assert got == _outcome(_aw_terms, 4, awp)
+    assert got == (VanishingDenominator, 2,
+                   "vanishing denominator at index 2 (Laurent q-series denominator)")
+    # q^(n-1) abcd q = 1: the term k = 2 vanishes before (ab; q)_2 = 0 is reached
+    awp = AWParams(F(2), F(2), F(2), F(2), F(1, 2))
+    poly = askey_wilson_r(4, awp)
+    assert poly == _aw_terms(4, awp)
+    assert poly.items()[-1][0] == 1
 
 
 def test_qracah_matches_askey_wilson_on_the_lattice():

@@ -57,7 +57,7 @@ def test_bessel_error_paths():
 ])
 def test_limit_checks_pass(kind, params):
     report = limit_check(kind, params)
-    assert report.passed, report
+    assert report.verdict == "pass", report
     # a pass with nonzero errors implies strict decrease over the last four
     if any(report.errors):
         tail = report.errors[-4:]
@@ -78,7 +78,7 @@ def test_limit_ratio_bands():
 
 def test_limit_degenerate_degree_zero():
     report = limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 0})
-    assert report.passed
+    assert report.verdict == "pass"
     assert all(e == 0.0 for e in report.errors)
 
 
@@ -94,15 +94,20 @@ LIMIT_ROWS = (
 def test_limit_mutation_bump_fails():
     for kind, params in LIMIT_ROWS:
         report = limit_check(kind, params, mutation_bump=1.0)
-        assert not report.passed, kind
+        assert report.verdict == "fail", kind
 
 
 def test_limit_report_serialization():
     report = limit_check("hahn-to-jacobi", {"n": 2})
-    d = report.to_dict()
-    assert d["kind"] == "hahn-to-jacobi" and d["verdict"] == "pass"
-    assert len(d["errors"]) == len(d["schedule"]) == 7
-    assert len(d["ratios"]) == 6
+    assert report.kind == "hahn-to-jacobi" and report.verdict == "pass"
+    assert len(report.errors) == len(report.schedule) == 7
+    assert len(report.ratios) == 6
+    record = numerics.limit("hahn-to-jacobi", n=2)
+    assert record["id"] == "limit-hahn-to-jacobi" and record["verdict"] == "pass"
+    assert record["params"] == {"n": "2"}
+    assert record["schedule"] == [str(v) for v in report.schedule]
+    assert record["errors"] == [repr(e) for e in report.errors]
+    assert record["ratios"] == [repr(r) for r in report.ratios]
 
 
 def test_unknown_limit_kind():
