@@ -10,6 +10,10 @@ All q-dependent parameters are derived from a QParams pair (t, s) with
 t = q^(1/4) and s = beta^(1/2), so quarter powers of q and half powers of
 beta are exact rationals and every in-scope identity becomes a statement
 over Q.
+
+The q-arithmetic is that of `series` (term ratios, vanishing scans, running
+q-Pochhammer prefixes), and each quantity of a q-Racah lattice is cached
+once, on its `QRacahParams`.
 """
 
 from __future__ import annotations
@@ -23,9 +27,12 @@ from .errors import ParameterError, VanishingDenominator, ZeroArgument
 from .laurent import LaurentPoly, SymmetricLaurent
 from .series import (
     HyperSeriesSpec,
+    first_qvanishing,
     pochhammer,
     qhyper_sum,
+    qpoch_prefixes,
     qpochhammer,
+    qterm_ratios,
     terminating_hyper,
 )
 
@@ -182,8 +189,9 @@ class QRacahParams:
 
     Construction validates that no weight denominator factor vanishes on
     the lattice 0..N.  The private tables below hold what `qracah`,
-    `qracah_weight` and `qracah_norms` read: each is built for the whole
-    lattice the first time one of them asks, and dies with the record.
+    `qracah_weight` and `qracah_norms` read, and `h0` is the total mass:
+    each is built for the whole lattice the first time one of them asks,
+    and dies with the record.
     """
 
     alpha: Fraction
@@ -233,27 +241,23 @@ class QRacahParams:
 
     @cached_property
     def _phi_vanishing(self) -> tuple:
-        """(k, b) for the first k < N, and the first base b in the order of
-        `_phi_dens`, with q^k b = 1; (N, None) when there is none.  A 4phi3
-        whose termination index exceeds k raises there."""
-        q = self.qp.q
-        qk = Fraction(1)
-        for k in range(self.N):
-            for b in self._phi_dens:
-                if qk * b == 1:
-                    return k, b
-            qk *= q
-        return self.N, None
+        """The first (k, b), k < N, with q^k b = 1 for b in `_phi_dens`, or
+        (N, None): a 4phi3 whose termination index exceeds k raises there."""
+        return first_qvanishing(self._phi_dens, self.qp.q, self.N) or (self.N, None)
 
     @cached_property
     def _weights(self) -> tuple:
-        """The weights w(0..N), from running q-Pochhammer prefixes."""
-        a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
-        nums = _qpoch_prefixes((a * q, b * d * q, g * q, g * d * q), q, self.N)
-        dens = _qpoch_prefixes(_qracah_weight_dens(a, b, g, d, q, 0), q, self.N)
-        abq, gdq = a * b * q, g * d * q
-        return tuple((1 - gdq * q ** (2 * x)) * num / (abq ** x * (1 - gdq) * den)
-                     for x, (num, den) in enumerate(zip(nums, dens)))
+        """The weights w(0..N)."""
+        return _qracah_weights(self.alpha, self.beta, self.gamma, self.delta, self.qp.q, self.N)
+
+    @cached_property
+    def h0(self) -> Fraction:
+        """Closed form of h_0 = sum of the weights.  Its denominator vanishes
+        only if alpha/delta or beta is q^(-j), 1 <= j <= N, and then a weight
+        base gamma delta q/alpha or gamma q/beta is q^(j-N): never here."""
+        a, b, d, q, N = self.alpha, self.beta, self.delta, self.qp.q, self.N
+        return qpochhammer(q * q * a * b, q, N) * qpochhammer(1 / d, q, N) / (
+            qpochhammer(q * a / d, q, N) * qpochhammer(q * b, q, N))
 
     @cached_property
     def _norm_ratios(self) -> tuple:
@@ -261,28 +265,11 @@ class QRacahParams:
         q-Pochhammer prefixes; a zero denominator is kept, to raise only
         when its n is asked for."""
         a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
-        nums = _qpoch_prefixes((q, q * b, q * a * b / g, q * a / d), q, self.N)
-        dens = _qpoch_prefixes((q * a, q * a * b, q * g, q * b * d), q, self.N)
+        nums = qpoch_prefixes((q, q * b, q * a * b / g, q * a / d), q, self.N)
+        dens = qpoch_prefixes((q * a, q * a * b, q * g, q * b * d), q, self.N)
         abq, qgd = a * b * q, q * g * d
         return tuple(((1 - abq) * qgd ** n * num, (1 - abq * q ** (2 * n)) * den)
                      for n, (num, den) in enumerate(zip(nums, dens)))
-
-
-def _qpoch_prefixes(bases, q: Fraction, top: int) -> list:
-    """prod_b (b; q)_k for k = 0..top, from one running integer product
-    each for numerator and denominator, reduced once per k."""
-    # 1 - q^j b = (Q^j b_den - P^j b_num) / (Q^j b_den) with q = P/Q
-    p, qd = q.numerator, q.denominator
-    num = den = pj = qj = 1
-    out = [Fraction(1)]
-    for _ in range(top):
-        for base in bases:
-            num *= qj * base.denominator - pj * base.numerator
-            den *= qj * base.denominator
-        pj *= p
-        qj *= qd
-        out.append(Fraction(num, den))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,36 +463,28 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> Lau
     """Terminating q-series with Laurent numerator factors (az, a/z; q)_k.
 
     Returns sum_k c_k arg^k (az; q)_k (a z^-1; q)_k with the scalar part
-    c_k = (scalar_nums; q)_k / ((q; q)_k (scalar_dens; q)_k).  A forward
-    pass forms the scalar term ratios rho_k; it raises at the first
-    vanishing denominator and stops at the first zero term.  The sum is
-    then taken by Horner's rule from the top term, S <- (rho_k f_k) S + 1,
-    with f_k = (1 - wz)(1 - w/z) = (1 + w^2) - w(z + 1/z) and w = q^k a.
+    c_k = (scalar_nums; q)_k / ((q; q)_k (scalar_dens; q)_k).  Its term
+    ratios rho_k = up_k / down_k are read from `qterm_ratios` (which raises
+    at the first vanishing denominator) up to the first zero term, and
+    summed by Horner's rule from the top term, S <- (rho_k f_k) S + 1, with
+    f_k = (1 - wz)(1 - w/z) and w = q^k a = u/v, so that
+    rho_k f_k = up_k ((u^2 + v^2) - uv (z + 1/z)) / (down_k v^2).
     """
     if nterms < 0:
         raise ParameterError(f"degree must be >= 0, got {nterms}")
-    scalar_nums = [Fraction(v) for v in scalar_nums]
-    scalar_dens = [Fraction(v) for v in scalar_dens]
-    a_laurent = Fraction(a_laurent)
-    qbase = Fraction(qbase)
-    arg = Fraction(arg)
+    a_laurent, qbase = Fraction(a_laurent), Fraction(qbase)
+    ratios = qterm_ratios([Fraction(v) for v in scalar_nums], [Fraction(v) for v in scalar_dens],
+                          qbase, Fraction(arg), nterms, "Laurent q-series denominator")
     steps = []  # rho_k f_k
-    qpow = Fraction(1)  # q^k
-    for k in range(nterms):
-        up = arg
-        for v in scalar_nums:
-            up *= 1 - qpow * v
-        den = 1 - qpow * qbase
-        for v in scalar_dens:
-            den *= 1 - qpow * v
-        if den == 0:
-            raise VanishingDenominator(k + 1, "Laurent q-series denominator")
-        rho = up / den
-        if not rho:
+    u, v = a_laurent.numerator, a_laurent.denominator  # w = q^k a = u / v
+    for up, down in ratios:
+        if not up:
             break
-        w = qpow * a_laurent
-        steps.append(LaurentPoly({-1: -rho * w, 0: rho * (1 + w * w), 1: -rho * w}))
-        qpow *= qbase
+        den = down * v * v
+        side = Fraction(-up * u * v, den)
+        steps.append(LaurentPoly({-1: side, 0: Fraction(up * (u * u + v * v), den), 1: side}))
+        u *= qbase.numerator
+        v *= qbase.denominator
     total = LaurentPoly.constant(1)
     for step in reversed(steps):
         total = step * total + 1
@@ -624,31 +603,27 @@ def _qracah_weight_dens(a, b, g, d, q, top: int) -> tuple:
     if 1 - g * d * q == 0:
         raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
     dens = (q, g * d * q / a, g * q / b, d * q)
-    qpow = Fraction(1)
-    for i in range(top):
-        for base in dens:
-            if qpow * base == 1:
-                raise VanishingDenominator(i + 1, f"(b; q)_x factor with b={base}")
-        qpow *= q
+    hit = first_qvanishing(dens, q, top)
+    if hit is not None:
+        raise VanishingDenominator(hit[0] + 1, f"(b; q)_x factor with b={hit[1]}")
     return dens
 
 
-def qracah_weight_raw(x: int, a, b, g, d, q) -> Fraction:
-    """The q-Racah weight formula for free parameters, its denominator
-    bases checked up to x.
+def _qracah_weights(a, b, g, d, q, top: int) -> tuple:
+    """The q-Racah weights w(0..top) for free parameters, from running
+    q-Pochhammer prefixes, the denominator bases checked up to x = top."""
+    dens = qpoch_prefixes(_qracah_weight_dens(a, b, g, d, q, top), q, top)
+    nums = qpoch_prefixes((a * q, b * d * q, g * q, g * d * q), q, top)
+    abq, gdq = a * b * q, g * d * q
+    return tuple((1 - gdq * q ** (2 * x)) * num / (abq ** x * (1 - gdq) * den)
+                 for x, (num, den) in enumerate(zip(nums, dens)))
 
-    Exposed separately because the backward-shift identity evaluates the
-    parameter-shifted weight one step beyond its own lattice, where the
-    formula correctly produces 0.
-    """
-    dens = _qracah_weight_dens(a, b, g, d, q, x)
-    num = (1 - g * d * q ** (2 * x + 1)) * Fraction(1)
-    for base in (a * q, b * d * q, g * q, g * d * q):
-        num *= qpochhammer(base, q, x)
-    den = (a * b * q) ** x * (1 - g * d * q)
-    for base in dens:
-        den *= qpochhammer(base, q, x)
-    return num / den
+
+def qracah_weight_raw(x: int, a, b, g, d, q) -> Fraction:
+    """The q-Racah weight at x for free parameters, the top entry of their
+    table at top x.  The backward-shift identity evaluates the shifted
+    weight one step beyond its own lattice, where it correctly is 0."""
+    return _qracah_weights(a, b, g, d, q, x)[x]
 
 
 def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
@@ -659,27 +634,15 @@ def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
     return qrp._weights[x]
 
 
-# Key qrp: the rows of one lattice come one after another, so one entry
-# catches every reuse.
-@lru_cache(maxsize=1)
-def qracah_h0(qrp: QRacahParams) -> Fraction:
-    """Closed form of h_0 = sum of the q-Racah weights (gamma = q^(-N-1))."""
-    a, b, d, q = qrp.alpha, qrp.beta, qrp.delta, qrp.qp.q
-    h0_den = qpochhammer(q * a / d, q, qrp.N) * qpochhammer(q * b, q, qrp.N)
-    if h0_den == 0:
-        raise VanishingDenominator(qrp.N, "q-Racah h_0 denominator vanishes")
-    return qpochhammer(q * q * a * b, q, qrp.N) * qpochhammer(1 / d, q, qrp.N) / h0_den
-
-
 def qracah_norms(n: int, qrp: QRacahParams) -> Fraction:
     """The norm h_n of the q-Racah orthogonality relation: the ratio
-    h_n / h_0 from the norm table of `qrp`, times `qracah_h0`.  A vanishing
+    h_n / h_0 from the norm table of `qrp`, times `qrp.h0`.  A vanishing
     ratio denominator raises for its own n only, before h_0 is read."""
     _check_lattice(0, n, qrp.N)
     num, den = qrp._norm_ratios[n]
     if den == 0:
         raise VanishingDenominator(n, "q-Racah norm-ratio denominator vanishes")
-    return num / den * qracah_h0(qrp)
+    return num / den * qrp.h0
 
 
 def _check_lattice(n: int, x: int, N: int) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Optional
 
@@ -39,7 +39,6 @@ from .families import (
     krawtchouk,
     krawtchouk_weight,
     qracah,
-    qracah_h0,
     qracah_norms,
     qracah_phi,
     qracah_weight,
@@ -114,12 +113,11 @@ class ParamGrid:
 
     lmax: int = 5
     mmax: Optional[int] = None  # defaults to lmax, capped by l in iteration
-    nmax: int = 4
     qparams: tuple = ()
     alphas: tuple = ()
 
     def __post_init__(self):
-        for name in ("lmax", "mmax", "nmax"):
+        for name in ("lmax", "mmax"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ParameterError(f"grid {name} must be >= 0, got {value}")
@@ -128,7 +126,7 @@ class ParamGrid:
         qps = self.qparams or DEFAULT_QPARAMS
         alphas = self.alphas or DEFAULT_ALPHAS
         mmax = self.lmax if self.mmax is None else self.mmax
-        return ParamGrid(self.lmax, mmax, self.nmax, tuple(qps), tuple(alphas))
+        return ParamGrid(self.lmax, mmax, tuple(qps), tuple(alphas))
 
     def lm_pairs(self):
         g = self.with_defaults()
@@ -219,11 +217,9 @@ class LinearizationLattice:
     The m = 0 lattice is a single point with unit weight and trivial norm,
     below the smallest admissible q-Racah family, so it is special-cased.
 
-    Each weight and lattice value is asked of `qracah_weight` or `qracah`
-    the first time it is needed, and kept.  Those two read the tables that
-    `QRacahParams` builds for the whole lattice on first use: the weights
-    whole, the 4phi3 series parameters per entry.  h0 comes from the cache
-    of `qracah_h0`, and each norm from `qracah_norms`.  A computation that
+    Weights, h0 and norms come from the tables of the q-Racah record `qrp`.
+    Each lattice value, and the closed dual-addition coefficients, are
+    computed the first time they are needed and kept; a computation that
     raises keeps nothing, so its error surfaces again at the next request.
     """
 
@@ -232,7 +228,7 @@ class LinearizationLattice:
             raise ParameterError("linearization lattice requires l >= m")
         self.qp, self.l, self.m = qp, l, m
         self.qrp = None
-        self._weights, self._polys = {}, {}
+        self._polys = {}
         if m >= 1:
             alpha = qp.beta / qp.qhalf
             delta = 1 / (qp.beta * qp.qhalf * qp.q ** l)
@@ -241,12 +237,10 @@ class LinearizationLattice:
     def weight(self, j: int) -> Fraction:
         if self.m == 0:
             return F(1)
-        if j not in self._weights:
-            w = qracah_weight(j, self.qrp)
-            if w <= 0:
-                raise NonPositiveWeight(j, w)
-            self._weights[j] = w
-        return self._weights[j]
+        w = qracah_weight(j, self.qrp)
+        if w <= 0:
+            raise NonPositiveWeight(j, w)
+        return w
 
     def poly(self, k: int, j: int) -> Fraction:
         if self.m == 0:
@@ -258,12 +252,17 @@ class LinearizationLattice:
     def h0(self) -> Fraction:
         if self.m == 0:
             return F(1)
-        return qracah_h0(self.qrp)
+        return self.qrp.h0
 
     def norm(self, k: int) -> Fraction:
         if self.m == 0:
             return F(1)
         return qracah_norms(k, self.qrp)
+
+    @cached_property
+    def dual_addition_coeffs(self) -> tuple:
+        """The closed coefficients of the dual addition expansion, k = 0..m."""
+        return tuple(_dual_addition_coeff_q(k, self.l, self.m, self.qp) for k in range(self.m + 1))
 
 
 # Key (carrier, l, m).  Every suite runs the rows of one lattice one after
@@ -371,7 +370,7 @@ def check_orthogonality_discrete(family: str, params_obj, mutation=None) -> Chec
     else:
         weights = _positive([qracah_weight(x, p) for x in lattice])
         values = [[qracah(n, x, p) for x in lattice] for n in lattice]
-        items = _gram_items(weights, values, lambda n: qracah_norms(n, p), qracah_h0(p))
+        items = _gram_items(weights, values, lambda n: qracah_norms(n, p), p.h0)
         params = {"family": family, "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N,
                   "t": p.qp.t, "s": p.qp.s}
     return _compare(f"orthogonality-{family}", params, items, mutation)
@@ -499,6 +498,14 @@ def _qpoch_a2z2(qp: QParams, k: int) -> LaurentPoly:
     return _qpoch_a2z2(qp, k - 1) * x_embed([(1 + w) ** 2, 0, -4 * w])
 
 
+def _shifted_product(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
+    """(a^2 z^2, a^2 z^-2; q)_k R_(l-k)(z; q^k beta) R_(m-k)(z; q^k beta): the
+    z-dependent part of the k-th term of the closed projection sum and of
+    the dual addition expansion."""
+    promoted = qp.beta_shift(k)
+    return _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted)
+
+
 def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> SymmetricLaurent:
     """Projection of the product R_l R_m onto the k-th element of the
     linearization lattice basis.
@@ -526,9 +533,7 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> Symme
     pref *= qpochhammer(bh, q, l + m - 2 * k) / (
         qpochhammer(bh, q, l - k) * qpochhammer(bh, q, m - k)
     )
-    promoted = qp.beta_shift(k)
-    poly = _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * pref
-    return SymmetricLaurent.from_poly(poly)
+    return SymmetricLaurent.from_poly(_shifted_product(k, l, m, qp) * pref)
 
 
 def check_theorem_5_1(grid: ParamGrid, mutation=None) -> CheckReport:
@@ -660,15 +665,7 @@ def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
     c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
     c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
-    promoted = qp.beta_shift(k)
-    return _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted) * c
-
-
-# Key (carrier, l, m), as for `_shared_lattice`: the inversion row and the
-# m + 1 direct rows of one (l, m) come one after another.
-@lru_cache(maxsize=1)
-def _dual_addition_coeffs_q(qp: QParams, l: int, m: int) -> tuple:
-    return tuple(_dual_addition_coeff_q(k, l, m, qp) for k in range(m + 1))
+    return _shifted_product(k, l, m, qp) * c
 
 
 def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "direct",
@@ -689,7 +686,7 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
         if qp is None:
             raise ParameterError("q dual addition needs qp")
         lat = _shared_lattice(qp, l, m)
-        closed = _dual_addition_coeffs_q(qp, l, m)
+        closed = lat.dual_addition_coeffs
         if mode == "inversion":
             for k in range(m + 1):
                 inv = dual_projection_sum(k, l, m, qp, "brute") * (1 / lat.norm(k))
@@ -751,8 +748,7 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
         if not c:
             continue
         c *= qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
-        shifted = qp.beta_shift(k)
-        polys.append(_qpoch_a2z2(qp, k) * cqu_r(l - k, shifted) * cqu_r(m - k, shifted))
+        polys.append(_shifted_product(k, l, m, qp))
         scalars.append(c)
     rhs = linear_combination(polys, scalars)
     items = [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]

@@ -7,15 +7,17 @@ is evaluated beyond the termination index, which keeps denominator
 parameters of the form -N (ordinary) or q^N-like values (q-case) harmless
 as long as the series terminates in time.
 
-Exact q-series arguments (ints and Fractions) never pass through `Fraction`
-arithmetic term by term.  Each term ratio is formed as a pair of integers
-from the numerators and denominators of the parameters and of q^k = P^k/Q^k,
-the sum is taken by Horner's rule from the top term, S <- 1 + (A_k/B_k) S,
-on an integer numerator and denominator, and the result is reduced once.
-`qpochhammer` likewise takes one integer product for each of numerator and
-denominator.  Ordinary series, and floats and complex values as `numerics`
-passes them, run a duck-typed loop over incremental term ratios instead, in
-a fixed operation order.
+This is the one home of exact q-arithmetic: exact (int or Fraction)
+arguments never pass through `Fraction` arithmetic term by term.
+`qterm_ratios` yields each q-series term ratio as an integer pair
+(A_k, B_k) built from the parameters' numerators and denominators and
+q^k = P^k/Q^k; `qhyper_sum` sums them by Horner's rule from the top term,
+S <- 1 + (A_k/B_k) S, on one integer numerator and denominator, and the
+Laurent builder of `families` reads them too.  `first_qvanishing` scans for
+a factor q^k b = 1; `qpochhammer` and `qpoch_prefixes` are running integer
+products.  Ordinary series, and floats and complex values as `numerics`
+passes them, run a duck-typed loop over incremental term ratios instead,
+in a fixed operation order.
 """
 
 from __future__ import annotations
@@ -84,6 +86,23 @@ def _qpochhammer_exact(b, qbase, k: int) -> Fraction:
     return Fraction(num, den)
 
 
+def qpoch_prefixes(bases, q: Fraction, top: int) -> list:
+    """prod_b (b; q)_k for k = 0..top, from one running integer product
+    each for numerator and denominator, reduced once per k."""
+    # 1 - q^j b = (Q^j b_den - P^j b_num) / (Q^j b_den) with q = P/Q
+    p, qd = q.numerator, q.denominator
+    num = den = pj = qj = 1
+    out = [Fraction(1)]
+    for _ in range(top):
+        for base in bases:
+            num *= qj * base.denominator - pj * base.numerator
+            den *= qj * base.denominator
+        pj *= p
+        qj *= qd
+        out.append(Fraction(num, den))
+    return out
+
+
 def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
     """Terminating ordinary hypergeometric sum over k = 0..nterms.
 
@@ -131,7 +150,10 @@ def qhyper_sum(nums: Sequence, dens: Sequence, qbase, arg, nterms: int):
     return total
 
 
-def _qhyper_sum_exact(nums, dens, qbase, arg, nterms: int) -> Fraction:
+def qterm_ratios(nums, dens, qbase, arg, nterms: int, detail: str = ""):
+    """Lazily, the integer pairs (up, down) = t_(k+1)/t_k, k < nterms, of the
+    exact sum_k (nums; q)_k / ((dens; q)_k (q; q)_k) arg^k; a zero `down`
+    raises VanishingDenominator(k + 1, detail) when its k is reached."""
     # t_(k+1) / t_k = arg prod(1 - q^k a) / ((1 - q^(k+1)) prod(1 - q^k b)),
     # where 1 - q^k v = (Q^k v_den - P^k v_num) / (Q^k v_den) with q = P/Q.
     # The powers of Q meet in one factor Q^e, e = k (|dens| + 1 - |nums|) + 1.
@@ -143,7 +165,6 @@ def _qhyper_sum_exact(nums, dens, qbase, arg, nterms: int) -> Fraction:
     for _, ad in a_pairs:
         down0 *= ad
     p, qd = qbase.numerator, qbase.denominator
-    ratios = []
     pk = qk = 1  # q^k = pk / qk
     for k in range(nterms):
         up, down = up0, down0 * (qk * qd - pk * p)
@@ -152,20 +173,40 @@ def _qhyper_sum_exact(nums, dens, qbase, arg, nterms: int) -> Fraction:
         for bn, bd in b_pairs:
             down *= qk * bd - pk * bn
         if not down:
-            raise VanishingDenominator(k + 1)
+            raise VanishingDenominator(k + 1, detail)
         e = k * (len(b_pairs) + 1 - len(a_pairs)) + 1
         if e >= 0:
             up *= qd ** e
         else:
             down *= qd ** -e
-        ratios.append((up, down))
+        yield up, down
         pk *= p
         qk *= qd
+
+
+def _qhyper_sum_exact(nums, dens, qbase, arg, nterms: int) -> Fraction:
+    # every ratio is formed, so a vanishing denominator past a zero term raises
+    ratios = list(qterm_ratios(nums, dens, qbase, arg, nterms))
     # Horner's rule from the top term: S <- 1 + (up_k / down_k) S
     num = den = 1
     for up, down in reversed(ratios):
         num, den = down * den + up * num, down * den
     return Fraction(num, den)
+
+
+def first_qvanishing(bases, qbase, top: int):
+    """The first (k, b) with q^k b = 1, k < top outer and the exact `bases`
+    in order inner: the first vanishing factor of the (b; q)_top; or None."""
+    # with q = P/Q: q^k b = 1 iff P^k b_num = Q^k b_den
+    p, qd = qbase.numerator, qbase.denominator
+    pk = qk = 1
+    for k in range(top):
+        for b in bases:
+            if pk * b.numerator == qk * b.denominator:
+                return k, b
+        pk *= p
+        qk *= qd
+    return None
 
 
 @dataclass(frozen=True)
@@ -204,19 +245,13 @@ class HyperSeriesSpec:
         else:
             if not 0 < self.base < 1:
                 raise ParameterError(f"series base must lie in (0, 1), got {self.base}")
-            # with q = P/Q: a = q^(-n) iff a_num P^n = a_den Q^n, and
-            # q^k b = 1 iff P^k b_num = Q^k b_den
-            p, qd = self.base.numerator, self.base.denominator
-            pn, qn = p ** n, qd ** n
+            # with q = P/Q: a = q^(-n) iff a_num P^n = a_den Q^n
+            pn, qn = self.base.numerator ** n, self.base.denominator ** n
             if all(a.numerator * pn != a.denominator * qn for a in self.numerator):
                 raise ParameterError(f"no numerator parameter equals base^(-{n})")
-            pk = qk = 1
-            for k in range(n):
-                for b in self.denominator:
-                    if pk * b.numerator == qk * b.denominator:
-                        raise VanishingDenominator(k + 1, f"(b; q)_k factor with b={b}")
-                pk *= p
-                qk *= qd
+            hit = first_qvanishing(self.denominator, self.base, n)
+            if hit is not None:
+                raise VanishingDenominator(hit[0] + 1, f"(b; q)_k factor with b={hit[1]}")
 
 
 def terminating_hyper(spec: HyperSeriesSpec) -> Fraction:

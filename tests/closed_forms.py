@@ -1,12 +1,13 @@
 """Reference formulas the tests check the package against: closed forms
 that no suite row checks, the product (a z^e; q)_k built factor by factor,
-the Laurent q-series summed term by term, the q-Racah norm formula for one
-n, and the variable maps z -> 1/z and z -> -z."""
+the Laurent q-series summed term by term, the q-Racah weight formula for
+one x and the norm formula for one n, and the variable maps z -> 1/z and
+z -> -z."""
 
 from fractions import Fraction
 
 from qaskey.errors import ParameterError, VanishingDenominator
-from qaskey.families import QParams, QRacahParams, qracah_h0
+from qaskey.families import QParams, QRacahParams
 from qaskey.laurent import LaurentPoly
 from qaskey.series import qpochhammer
 
@@ -71,6 +72,27 @@ def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -
     return total
 
 
+def qracah_weight_per_x(x: int, a, b, g, d, q) -> Fraction:
+    """The q-Racah weight at x for free parameters from its q-Pochhammer
+    symbols at this x alone, each denominator factor checked up to x."""
+    if 1 - g * d * q == 0:
+        raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
+    dens = (q, g * d * q / a, g * q / b, d * q)
+    qpow = Fraction(1)
+    for i in range(x):
+        for base in dens:
+            if qpow * base == 1:
+                raise VanishingDenominator(i + 1, f"(b; q)_x factor with b={base}")
+        qpow *= q
+    num = (1 - g * d * q ** (2 * x + 1)) * Fraction(1)
+    for base in (a * q, b * d * q, g * q, g * d * q):
+        num *= qpochhammer(base, q, x)
+    den = (a * b * q) ** x * (1 - g * d * q)
+    for base in dens:
+        den *= qpochhammer(base, q, x)
+    return num / den
+
+
 def qracah_norm_per_n(n: int, qrp: QRacahParams) -> Fraction:
     """The q-Racah norm h_n from its q-Pochhammer symbols at this n alone,
     times h_0; the lattice bound is the caller's."""
@@ -84,7 +106,7 @@ def qracah_norm_per_n(n: int, qrp: QRacahParams) -> Fraction:
     num = (1 - a * b * q) * (q * g * d) ** n
     for base in (q, q * b, q * a * b / g, q * a / d):
         num *= qpochhammer(base, q, n)
-    return num / den * qracah_h0(qrp)
+    return num / den * qrp.h0
 
 
 def invert_variable(p: LaurentPoly) -> LaurentPoly:

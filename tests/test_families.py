@@ -30,7 +30,6 @@ from qaskey.families import (
     krawtchouk,
     krawtchouk_weight,
     qracah,
-    qracah_h0,
     qracah_norms,
     qracah_phi,
     qracah_weight,
@@ -48,6 +47,7 @@ from qaskey.families import (
 from qaskey.identities import DEFAULT_QPARAMS, LinearizationLattice
 from closed_forms import (
     cqu_leading_z_coeff, laurent_phi_terms, negate_variable, qracah_at_top, qracah_norm_per_n,
+    qracah_weight_per_x,
 )
 
 QP = QParams(F(1, 2), F(2, 3))
@@ -218,16 +218,16 @@ def test_qracah_weights_and_norms():
     for (l, m) in [(3, 2), (4, 3)]:
         qrp = LinearizationLattice(QP, l, m).qrp
         assert qracah_weight(0, qrp) == 1
-        assert sum(qracah_weight(x, qrp) for x in range(m + 1)) == qracah_h0(qrp)
-        assert qracah_norms(0, qrp) == qracah_h0(qrp)
+        assert sum(qracah_weight(x, qrp) for x in range(m + 1)) == qrp.h0
+        assert qracah_norms(0, qrp) == qrp.h0
 
 
 @pytest.mark.parametrize("qp", DEFAULT_QPARAMS)
 def test_qracah_weight_matches_the_scanning_formula(qp):
     qrp = LinearizationLattice(qp, 9, 9).qrp
     for x in range(qrp.N + 1):
-        raw = qracah_weight_raw(x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qp.q)
-        assert qracah_weight(x, qrp) == raw
+        args = (x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qp.q)
+        assert qracah_weight(x, qrp) == qracah_weight_raw(*args) == qracah_weight_per_x(*args)
 
 
 def _outcome(fn, *args):
@@ -256,13 +256,37 @@ def test_qracah_tables_match_the_per_entry_formulas():
         a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
         for n in range(qrp.N + 1):
             assert _outcome(qracah_norms, n, qrp) == _outcome(qracah_norm_per_n, n, qrp)
-            assert qracah_weight(n, qrp) == qracah_weight_raw(n, a, b, g, d, q)
+            assert qracah_weight(n, qrp) == qracah_weight_per_x(n, a, b, g, d, q)
             for x in range(qrp.N + 1):
                 got = _outcome(qracah, n, x, qrp)
                 assert got == _outcome(qracah_phi, n, x, a, b, g, d, q), (qrp, n, x)
                 if isinstance(got, tuple):
                     raised.append((qrp.N, n, x, got[1]))
     assert raised == [(3, 3, 3, 3)] * 2
+
+
+def test_free_parameter_weights_match_the_per_x_formula():
+    # the parameter shift of the backward-shift identity, one step past its
+    # lattice too, and a record whose delta q = 1 raises from x = 1 on
+    for qrp in _table_cases():
+        q = qrp.qp.q
+        for args in ((q * qrp.alpha, q * qrp.beta, q * qrp.gamma, qrp.delta, q),
+                     (qrp.alpha, qrp.beta, qrp.gamma, 1 / q, q)):
+            for x in range(qrp.N + 2):
+                assert _outcome(qracah_weight_raw, x, *args) == _outcome(qracah_weight_per_x, x, *args)
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS)
+def test_records_with_a_vanishing_h0_denominator_are_rejected(qp, N):
+    # (q alpha/delta; q)_N or (q beta; q)_N vanishes iff alpha/delta or beta
+    # is q^(-j) with 1 <= j <= N: construction rejects every such record
+    q = qp.q
+    for j in range(1, N + 1):
+        for free in (F(2, 3), F(-5, 7), F(7, 3)):
+            for alpha, beta, delta in ((free * q ** -j, F(16, 9), free), (free, q ** -j, F(16, 9))):
+                with pytest.raises(VanishingDenominator):
+                    QRacahParams(alpha, beta, delta, N, qp)
 
 
 @pytest.mark.parametrize("beta,raising", [(F(16, 9), {3}), (F(1), {1, 3})])

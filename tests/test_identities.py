@@ -253,16 +253,13 @@ def test_dual_addition_modes_are_mutually_consistent():
 
 
 def test_lattice_norms_share_one_h0():
-    # norm(k) = (h_k/h_0) h_0 of one lattice take h0 from the one-entry
-    # cache of qracah_h0: one computation for all of them
-    from qaskey.families import qracah_h0
-
+    # norm(k) = (h_k/h_0) h_0 of one lattice take h0 from the cached
+    # property of its q-Racah record: one computation for all of them
     lat = LinearizationLattice(QP, 5, 3)
-    qracah_h0.cache_clear()
+    assert "h0" not in vars(lat.qrp)
     norms = [lat.norm(k) for k in range(4)]
-    assert lat.h0() == norms[0]
-    info = qracah_h0.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
+    h0 = vars(lat.qrp)["h0"]
+    assert lat.h0() is h0 == norms[0]
 
 
 def test_dual_addition_classical_and_a_form():

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.series import (
     HyperSeriesSpec,
+    first_qvanishing,
     parse_rat,
     pochhammer,
     qhyper_sum,
+    qpoch_prefixes,
     qpochhammer,
+    qterm_ratios,
     terminating_hyper,
 )
 
@@ -211,6 +214,98 @@ def test_integer_path_raises_as_the_loop_past_a_zero_term():
         assert err.value.index == 3
     assert qhyper_sum(nums, dens, q, F(1), 2) == qhyper_sum(_loop_values(nums),
                                                             _loop_values(dens), q, F(1), 2)
+
+
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(lambda v: 0 < v < 1)
+
+
+@st.composite
+def q_bases(draw, q, top):
+    """Rationals and ints, some of them q^(-k) for a k near top, so that
+    factors 1 - q^k b vanish in some draws."""
+    near = st.integers(min_value=0, max_value=top + 1).map(lambda k: q ** -k)
+    return draw(st.lists(st.one_of(rationals, st.integers(-3, 3), near), max_size=4))
+
+
+def _ratio_outcome(ratios):
+    """The Fractions of the term ratios, or the index and text of the
+    VanishingDenominator raised on the way."""
+    out = []
+    try:
+        for ratio in ratios:
+            out.append(ratio if isinstance(ratio, F) else F(*ratio))
+    except VanishingDenominator as exc:
+        return out, exc.index, str(exc)
+    return out, None, None
+
+
+def _qterm_ratios_loop(nums, dens, q, arg, nterms, detail):
+    """t_(k+1)/t_k in Fractions, one factor at a time."""
+    qk = F(1)
+    for k in range(nterms):
+        up = F(arg)
+        for a in nums:
+            up *= 1 - qk * a
+        down = 1 - qk * q
+        for b in dens:
+            down *= 1 - qk * b
+        if down == 0:
+            raise VanishingDenominator(k + 1, detail)
+        yield up / down
+        qk *= q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ratio_kernel_matches_a_fraction_loop(data):
+    q = data.draw(unit_rationals)
+    nterms = data.draw(st.integers(min_value=0, max_value=8))
+    nums, dens = data.draw(q_bases(q, nterms)), data.draw(q_bases(q, nterms))
+    arg = data.draw(rationals)
+    detail = data.draw(st.sampled_from(["", "some detail"]))
+    assert _ratio_outcome(qterm_ratios(nums, dens, q, arg, nterms, detail)) == _ratio_outcome(
+        _qterm_ratios_loop(nums, dens, q, arg, nterms, detail))
+
+
+def test_ratio_kernel_is_lazy():
+    # the ratio at k = 1 is zero, and the denominator at k = 2 vanishes
+    q = F(1, 2)
+    ratios = qterm_ratios((q ** -1,), (q ** -2,), q, F(1), 4, "detail")
+    assert next(ratios)[0] != 0
+    assert next(ratios)[0] == 0
+    with pytest.raises(VanishingDenominator) as err:
+        next(ratios)
+    assert str(err.value) == "vanishing denominator at index 3 (detail)"
+
+
+def _first_qvanishing_loop(bases, q, top):
+    qk = F(1)
+    for k in range(top):
+        for b in bases:
+            if qk * b == 1:
+                return k, b
+        qk *= q
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_vanishing_scan_matches_a_fraction_loop(data):
+    q = data.draw(unit_rationals)
+    top = data.draw(st.integers(min_value=0, max_value=8))
+    bases = data.draw(q_bases(q, top))
+    assert first_qvanishing(bases, q, top) == _first_qvanishing_loop(bases, q, top)
+
+
+@given(st.lists(rationals, max_size=4), unit_rationals, small_naturals)
+def test_qpoch_prefixes_match_the_products_at_each_k(bases, q, top):
+    expected = []
+    for k in range(top + 1):
+        value = F(1)
+        for b in bases:
+            value *= qpochhammer(b, q, k)
+        expected.append(value)
+    assert qpoch_prefixes(bases, q, top) == expected
 
 
 def _qpochhammer_loop(b, qbase, k):
