@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -242,7 +243,6 @@ def run_suite(suite: str, grid: ids.ParamGrid) -> dict:
     """Run one suite and assemble the deterministic report document."""
     if suite not in SUITES:
         raise QAskeyError(f"unknown suite {suite!r}")
-    grid = grid.with_defaults()
     started = time.monotonic()
     records = [_run_row(check, kwargs) for check, kwargs in SUITES[suite](grid)]
     wall_ms = int((time.monotonic() - started) * 1000)
@@ -399,15 +399,25 @@ TABLE_FAMILIES = {
 }
 
 
+def _float_text(value, spec: str) -> str:
+    """The nearest double to an exact value, formatted by `spec`; inf or
+    -inf when the value lies outside the double range."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    return format(x, spec)
+
+
 def _cmd_eval(args) -> int:
     if args.family not in EVAL_FAMILIES:
         raise QAskeyError(f"unknown family {args.family!r}")
     value = EVAL_FAMILIES[args.family](args)
     if isinstance(value, Fraction):
         print(f"exact: {value}")
-        print(f"float: {float(value):.17g}")
+        print(f"float: {_float_text(value, '.17g')}")
     else:
-        terms = [f"{float(c):.17g} z^{k}" for k, c in sorted(value.items(), reverse=True)]
+        terms = [f"{_float_text(c, '.17g')} z^{k}" for k, c in sorted(value.items(), reverse=True)]
         print(f"exact: {value}")
         print(f"float: {' + '.join(terms) if terms else '0'}")
     return 0
@@ -438,7 +448,7 @@ def _cmd_table(args) -> int:
     rows = [(i, value_at(i)) for i in range(lo, hi + 1)]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["index", "exact", "float"])
-    writer.writerows((i, str(v), repr(float(v))) for i, v in rows)
+    writer.writerows((i, str(v), _float_text(v, "")) for i, v in rows)
     return 0
 
 
@@ -448,16 +458,20 @@ def _cmd_table(args) -> int:
 
 
 def _read_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise QAskeyError(f"config file {path} is not UTF-8 text") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise QAskeyError(f"bad config line {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise QAskeyError(f"bad config line {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -469,21 +483,18 @@ def _config_int(config: dict, key: str):
 
 
 def _grid_from_args(args) -> ids.ParamGrid:
+    """The grid the flags and the config give; a flag overrides its config
+    key, and what neither sets is left to ParamGrid's defaults."""
     config = _read_config(args.config) if args.config else {}
-    qparams = tuple(_parse_qparams(s) for s in args.qparams) if args.qparams else None
-    if qparams is None and "qparams" in config:
+    qparams = tuple(_parse_qparams(s) for s in args.qparams or ())
+    if not qparams and "qparams" in config:
         qparams = tuple(_parse_qparams(s) for s in config["qparams"].split(";") if s)
-    alphas = tuple(parse_rat(a) for a in args.alpha) if args.alpha else None
-    if alphas is None and "alphas" in config:
+    alphas = tuple(parse_rat(a) for a in args.alpha or ())
+    if not alphas and "alphas" in config:
         alphas = tuple(parse_rat(a) for a in config["alphas"].split(",") if a)
     lmax = args.grid_lmax if args.grid_lmax is not None else _config_int(config, "lmax")
     mmax = args.grid_mmax if args.grid_mmax is not None else _config_int(config, "mmax")
-    return ids.ParamGrid(
-        lmax=5 if lmax is None else lmax,
-        mmax=mmax,
-        qparams=qparams or ids.DEFAULT_QPARAMS,
-        alphas=alphas or ids.DEFAULT_ALPHAS,
-    )
+    return ids.ParamGrid(lmax, mmax, qparams, alphas)
 
 
 def build_parser() -> argparse.ArgumentParser:

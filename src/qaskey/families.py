@@ -293,8 +293,6 @@ def ultraspherical_r(n: int, alpha, x) -> Fraction:
     return jacobi_r(n, JacobiParams(alpha, alpha), x)
 
 
-# Key (n, alpha); `verify --suite all` reuses 81 of them over the whole run.
-@lru_cache(maxsize=256)
 def ultraspherical_coeffs(n: int, alpha) -> tuple:
     """Exact coefficient vector of the degree-n ultraspherical polynomial,
     lowest degree first."""

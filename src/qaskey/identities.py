@@ -109,29 +109,29 @@ class Mutation:
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Index ranges and parameter lists for suite runs."""
+    """Index ranges and parameter lists for suite runs.  Unset fields take
+    their defaults at construction: lmax 5, mmax = lmax (capped by l in
+    iteration), DEFAULT_QPARAMS and DEFAULT_ALPHAS."""
 
-    lmax: int = 5
-    mmax: Optional[int] = None  # defaults to lmax, capped by l in iteration
+    lmax: Optional[int] = None
+    mmax: Optional[int] = None
     qparams: tuple = ()
     alphas: tuple = ()
 
     def __post_init__(self):
+        lmax = 5 if self.lmax is None else self.lmax
+        object.__setattr__(self, "lmax", lmax)
+        object.__setattr__(self, "mmax", lmax if self.mmax is None else self.mmax)
+        object.__setattr__(self, "qparams", tuple(self.qparams or DEFAULT_QPARAMS))
+        object.__setattr__(self, "alphas", tuple(self.alphas or DEFAULT_ALPHAS))
         for name in ("lmax", "mmax"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value < 0:
                 raise ParameterError(f"grid {name} must be >= 0, got {value}")
 
-    def with_defaults(self) -> "ParamGrid":
-        qps = self.qparams or DEFAULT_QPARAMS
-        alphas = self.alphas or DEFAULT_ALPHAS
-        mmax = self.lmax if self.mmax is None else self.mmax
-        return ParamGrid(self.lmax, mmax, tuple(qps), tuple(alphas))
-
     def lm_pairs(self):
-        g = self.with_defaults()
-        for l in range(g.lmax + 1):
-            for m in range(min(l, g.mmax) + 1):
+        for l in range(self.lmax + 1):
+            for m in range(min(l, self.mmax) + 1):
                 yield l, m
 
 
@@ -539,7 +539,6 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> Symme
 def check_theorem_5_1(grid: ParamGrid, mutation=None) -> CheckReport:
     """Brute and closed projection sums agree coefficient-wise over the
     whole (k, m, l, qp) grid."""
-    grid = grid.with_defaults()
     items = []
     for qp in grid.qparams:
         for l, m in grid.lm_pairs():

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import NonConvergence, NonFinite, ParameterError
 from .families import QParams, cqu_r, cqu_r_at
@@ -44,10 +44,6 @@ PRODUCT_TRUNCATION = 1e-18
 
 
 def _require_finite(x: float) -> float:
-    if isinstance(x, complex):
-        if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-            raise NonFinite(f"non-finite value {x}")
-        return x
     if not math.isfinite(x):
         raise NonFinite(f"non-finite value {x}")
     return x
@@ -149,47 +145,27 @@ def _limit_verdict(kind: str, errors: Sequence[float]) -> str:
     return "pass"
 
 
-def _make_report(kind: str, schedule, errors, mutation_bump: float = 0.0) -> LimitReport:
-    errors = [(_require_finite(e) + (mutation_bump if i == len(errors) - 1 else 0.0))
-              for i, e in enumerate(errors)]
-    if any(e < 0 for e in errors):
-        raise NonFinite("negative error value")
-    ratios = tuple(b / a if a else 0.0 for a, b in zip(errors, errors[1:]))
-    return LimitReport(kind, tuple(schedule), tuple(errors), ratios, _limit_verdict(kind, errors))
-
-
-def _cqu_to_ultra_error(params: dict, q: float) -> float:
-    alpha = float(params.get("alpha", 0.5))
-    n = int(params.get("n", 3))
+def _cqu_to_ultra_error(q: float, alpha: float, n: int) -> float:
     beta = q ** alpha
     return max(abs(cqu_r_float(n, q, beta, x) - ultraspherical_r_float(n, alpha, x))
                for x in (0.0, 0.3, -0.3, 0.7, -0.7))
 
 
-def _hahn_to_jacobi_error(params: dict, N: int) -> float:
-    alpha = float(params.get("alpha", 0.0))
-    beta = float(params.get("beta", 0.0))
-    n = int(params.get("n", 2))
+def _hahn_to_jacobi_error(N: int, alpha: float, beta: float, n: int) -> float:
     return max(abs(hahn_float(n, N * x, alpha, beta, N)
                    - hyper_sum((-n, n + alpha + beta + 1), (alpha + 1,), x, n))
                for x in (0.1, 0.5, 0.9))
 
 
-def _jacobi_to_bessel_error(params: dict, nu: int) -> float:
-    alpha = float(params.get("alpha", 0.5))
-    beta = float(params.get("beta", 1.0 / 3.0))
-    lam = float(params.get("lam", 1.0))
+def _jacobi_to_bessel_error(nu: int, alpha: float, beta: float, lam: float) -> float:
     n = int(round(nu * lam))
     return max(abs(jacobi_r_float(n, alpha, beta, math.cos(x / nu)) - bessel_script_j(alpha, lam * x))
                for x in (0.5, 1.0, 2.0))
 
 
-def _dual_addition_error(params: dict, q: float) -> float:
+def _dual_addition_error(q: float, alpha: float, l: int, m: int) -> float:
     """Term-by-term distance of the q-side dual addition expansion from its
     classical counterpart, with beta = q^alpha."""
-    alpha = float(params.get("alpha", 0.5))
-    l = int(params.get("l", 3))
-    m = int(params.get("m", 2))
     beta = q ** alpha
     err = 0.0
     for k in range(m + 1):
@@ -213,22 +189,21 @@ _LIMITS = {
 }
 
 
-def limit_check(kind: str, params: Optional[dict] = None,
-                mutation_bump: float = 0.0) -> LimitReport:
+def limit_check(kind: str, **params) -> LimitReport:
     """Convergence check of one limit transition along its dyadic schedule.
 
-    Kinds: 'cqu-to-ultra' (q up to 1), 'hahn-to-jacobi' (N doubling),
-    'jacobi-to-bessel' (degree doubling; monotone decrease only), and
-    'dual-addition-q-to-1' (q up to 1, expansion compared term by term).
-    `mutation_bump` adds a spurious amount to the final error for the
-    fail-negative suite.
+    Kinds and their keyword parameters: 'cqu-to-ultra' (q up to 1; alpha,
+    n), 'hahn-to-jacobi' (N doubling; alpha, beta, n), 'jacobi-to-bessel'
+    (degree doubling, monotone decrease only; alpha, beta, lam) and
+    'dual-addition-q-to-1' (q up to 1, expansion compared term by term;
+    alpha, l, m).  The `limits` suite rows in `cli` set their values.
     """
     if kind not in _LIMITS:
         raise ParameterError(f"unknown limit kind {kind!r}")
-    params = dict(params or {})
     schedule, error_at = _LIMITS[kind]
-    errors = [error_at(params, step) for step in schedule]
-    return _make_report(kind, schedule, errors, mutation_bump=mutation_bump)
+    errors = tuple(_require_finite(error_at(step, **params)) for step in schedule)
+    ratios = tuple(b / a if a else 0.0 for a, b in zip(errors, errors[1:]))
+    return LimitReport(kind, schedule, errors, ratios, _limit_verdict(kind, errors))
 
 
 def _dual_addition_term_q(k, l, m, j, q, beta, x) -> float:
@@ -416,7 +391,7 @@ def float_family_consistency(qp: QParams, nmax: int, z0: Fraction) -> float:
 def limit(kind: str, **params) -> dict:
     """The record of one limit transition, with its schedule, errors and
     successive ratios."""
-    r = limit_check(kind, params)
+    r = limit_check(kind, **params)
     return {
         "id": f"limit-{kind}",
         "params": {k: str(v) for k, v in sorted(params.items())},

@@ -230,7 +230,7 @@ def test_criterion_9_classical_addition_and_product():
 
 
 def test_criterion_10_hahn_to_jacobi_band():
-    report = limit_check("hahn-to-jacobi", {"alpha": 0.0, "beta": 0.0, "n": 2})
+    report = limit_check("hahn-to-jacobi", alpha=0.0, beta=0.0, n=2)
     tail = report.errors[-4:]
     ok = all(a > b for a, b in zip(tail, tail[1:])) and 0.35 <= report.ratios[-1] <= 0.65
     _criterion("10a", "hahn->jacobi: strict decrease, final ratio in [0.35, 0.65]",
@@ -242,7 +242,7 @@ def test_criterion_10_jacobi_to_bessel():
     ok = True
     detail = []
     for lam in (1.0, 2.0):
-        report = limit_check("jacobi-to-bessel", {"alpha": 0.5, "beta": 1.0 / 3.0, "lam": lam})
+        report = limit_check("jacobi-to-bessel", alpha=0.5, beta=1.0 / 3.0, lam=lam)
         decreasing = all(a > b for a, b in zip(report.errors, report.errors[1:]))
         ok = ok and decreasing and report.errors[-1] < 1e-3
         detail.append(f"final({lam:g})={report.errors[-1]:.2e}")
@@ -263,12 +263,12 @@ def test_criterion_10_bessel_special_cases():
 def test_criterion_10_cqu_to_ultra_band_as_stated():
     # Second order: R_n(x; beta | q) = R_n(x; 1/beta | 1/q) exactly, so the
     # error has no term linear in ln q and quarters when 1-q halves.
-    report = limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 3})
+    report = limit_check("cqu-to-ultra", alpha=0.5, n=3)
     tail = report.errors[-4:]
     ratio = report.ratios[-1]
     ok = all(a > b for a, b in zip(tail, tail[1:])) and 0.175 <= ratio <= 0.325
-    # The invariance at limit_check's own points (its defaults for this
-    # kind), at the first schedule value and one nearer to 1.  R_3 is odd
+    # The invariance at the points of the `limits` suite row for this kind,
+    # at the first schedule value and one nearer to 1.  R_3 is odd
     # and vanishes at x = 0, so the residual is taken relative to
     # max(1, |R_n|); the family's scale is set by R_n(x0) = 1.
     alpha, n = 0.5, 3
@@ -287,11 +287,12 @@ def test_criterion_10_cqu_to_ultra_band_as_stated():
 def test_criterion_10_dual_addition_band_as_stated():
     # Second order for the same reason as 10d: every term of the q-side
     # expansion is invariant under (q, beta) -> (1/q, 1/beta).
-    report = limit_check("dual-addition-q-to-1", {"alpha": 0.5, "l": 3, "m": 2})
+    report = limit_check("dual-addition-q-to-1", alpha=0.5, l=3, m=2)
     tail = report.errors[-4:]
     ratio = report.ratios[-1]
     ok = all(a > b for a, b in zip(tail, tail[1:])) and 0.175 <= ratio <= 0.325
-    # The invariance term by term over limit_check's own k, j and x.
+    # The invariance term by term over the k, j and x of the `limits`
+    # suite row for this kind.
     alpha, l, m = 0.5, 3, 2
     worst = 0.0
     for q in (report.schedule[0], report.schedule[3]):
@@ -317,7 +318,7 @@ def test_criterion_10_structural_rates_supplement():
         ("cqu-to-ultra", {"alpha": 0.5, "n": 3}),
         ("dual-addition-q-to-1", {"alpha": 0.5, "l": 3, "m": 2}),
     ):
-        report = limit_check(kind, params)
+        report = limit_check(kind, **params)
         ok = ok and report.verdict == "pass" and 0.175 <= report.ratios[-1] <= 0.325
         detail.append(f"{kind}: ratio={report.ratios[-1]:.4f}")
     # exact arithmetic behind the rate: the family is invariant under the
@@ -374,6 +375,7 @@ def test_criterion_11_numeric_orthogonality():
 def test_criterion_12_fail_negative_sweep(monkeypatch):
     started = time.monotonic()
     from tests.test_identities import MUTABLE_ROWS
+    from tests.test_numerics import bump_final_limit_error
 
     detected = 0
     total = 0
@@ -385,7 +387,8 @@ def test_criterion_12_fail_negative_sweep(monkeypatch):
                 detected += 1
     # float suites: spurious bump on a limit error, and a quadrature off by 1e-6
     total += 1
-    if limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 3}, mutation_bump=1.0).verdict == "fail":
+    bump_final_limit_error(monkeypatch, "cqu-to-ultra", 1.0)
+    if limit_check("cqu-to-ultra", alpha=0.5, n=3).verdict == "fail":
         detected += 1
     total += 1
     monkeypatch.setattr(numerics, "numeric_orthogonality",

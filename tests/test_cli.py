@@ -253,6 +253,30 @@ def test_config_file(tmp_path):
     assert code == 2 and out == "" and "lmax" in err and len(err.splitlines()) == 1
 
 
+def test_config_gives_the_report_of_the_same_flags(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("lmax=3\nmmax=2\nqparams=1/2,2/3;2/3,1/2\nalphas=1/2,1\n")
+    code, from_config, _ = run_cli(["verify", "--suite", "linearization", "--config", str(cfg)])
+    assert code == 0
+    code, from_flags, _ = run_cli(["verify", "--suite", "linearization", "--grid-lmax", "3",
+                                   "--grid-mmax", "2", "--qparams", "1/2,2/3",
+                                   "--qparams", "2/3,1/2", "--alpha", "1/2", "--alpha", "1"])
+    assert code == 0
+    config_doc, flags_doc = json.loads(from_config), json.loads(from_flags)
+    del config_doc["wallTimeMs"], flags_doc["wallTimeMs"]
+    assert config_doc == flags_doc
+    assert config_doc["grid"] == {"lmax": 3, "mmax": 2, "nmax": 4,
+                                  "qparams": ["1/2,2/3", "2/3,1/2"], "alphas": ["1/2", "1"]}
+
+
+def test_config_that_is_not_utf8_is_a_configuration_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == f"error: config file {cfg} is not UTF-8 text\n"
+
+
 def test_eval_examples():
     code, out, _ = run_cli(["eval", "--family", "ultraspherical", "--n", "2",
                             "--alpha", "0", "--at", "1/2"])
@@ -284,6 +308,27 @@ def test_eval_laurent_output():
     lines = out.splitlines()
     assert lines[0].startswith("exact: ") and "z" in lines[0]
     assert lines[1].startswith("float: ")
+
+
+def test_float_output_of_values_outside_the_double_range_is_infinite():
+    code, out, _ = run_cli(["eval", "--family", "jacobi", "--n", "2", "--alpha", "1/2",
+                            "--beta", "1/3", "--at", "1e400"])
+    assert code == 0 and out.splitlines()[1] == "float: inf"
+    code, out, _ = run_cli(["eval", "--family", "jacobi", "--n", "1", "--alpha", "1/2",
+                            "--beta", "1/3", "--at=-1e400"])
+    assert code == 0 and out.splitlines()[1] == "float: -inf"
+    code, out, _ = run_cli(["eval", "--family", "cqu", "--n", "2", "--qparams", "1/2,2/3",
+                            "--at-z", "1e-400"])
+    assert code == 0 and out.splitlines()[1] == "float: inf"
+    code, out, _ = run_cli(["eval", "--family", "cqu", "--n", "1", "--qparams", "1/2,2/3",
+                            "--at-z=-1e-400"])
+    assert code == 0 and out.splitlines()[1] == "float: -inf"
+    code, out, _ = run_cli(["table", "--family", "ultraspherical-values", "--alpha", "0",
+                            "--at=-1e400", "--range", "0:3"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[2] for row in rows] == ["1.0", "-inf", "inf", "-inf"]
+    assert rows[1][1] == "-1" + "0" * 400
 
 
 def test_eval_covers_every_family_id():
@@ -402,7 +447,8 @@ def test_table_values_families():
 
 # The vocabulary of the fuzz test: every command, family and cheap suite,
 # with rationals (0 and negatives among them), bad numbers and bad ranges.
-RATIONALS = ("0", "1", "-1", "1/2", "2/3", "-3/4", "5/2", "1/0", "abc", "")
+RATIONALS = ("0", "1", "-1", "1/2", "2/3", "-3/4", "5/2", "1e400", "-1e400", "1e-400", "1/0",
+             "abc", "")
 INTS = ("-1", "0", "1", "2", "3", "x")
 FLAG_VALUES = {
     "--n": INTS, "--m": INTS, "--x": INTS, "--N": INTS,

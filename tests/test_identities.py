@@ -17,6 +17,7 @@ from qaskey.families import (
     cqu_r,
 )
 from qaskey.identities import (
+    DEFAULT_ALPHAS,
     DEFAULT_QPARAMS,
     PYTHAGOREAN_PAIRS,
     CheckReport,
@@ -138,6 +139,23 @@ def test_backward_shift_constant_function_annihilates():
 
 def test_theorem_5_1_small_grid():
     assert check_theorem_5_1(ParamGrid(lmax=3, qparams=(QP,))).passed
+
+
+def test_param_grid_resolves_its_defaults():
+    grid = ParamGrid()
+    assert (grid.lmax, grid.mmax) == (5, 5)
+    assert grid.qparams == DEFAULT_QPARAMS and grid.alphas == DEFAULT_ALPHAS
+    assert ParamGrid(None, None, (), ()) == grid
+    grid = ParamGrid(lmax=3, qparams=[QP], alphas=[F(1)])
+    assert (grid.lmax, grid.mmax, grid.qparams, grid.alphas) == (3, 3, (QP,), (F(1),))
+    assert ParamGrid(lmax=4, mmax=2).mmax == 2
+    assert list(ParamGrid(lmax=2, mmax=1).lm_pairs()) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    for kwargs, message in (({"lmax": -1}, "grid lmax must be >= 0, got -1"),
+                            ({"mmax": -2}, "grid mmax must be >= 0, got -2"),
+                            ({"lmax": 3, "mmax": -1}, "grid mmax must be >= 0, got -1")):
+        with pytest.raises(ParameterError) as exc:
+            ParamGrid(**kwargs)
+        assert str(exc.value) == message
 
 
 @settings(max_examples=25, deadline=None)
@@ -352,7 +370,7 @@ def test_cqu_representation_check():
 # ---------------------------------------------------------------------------
 
 # every row of the `all` suite, and the rows whose check takes a mutation
-SWEEP_ROWS = list(cli.SUITES["all"](ParamGrid(lmax=1).with_defaults()))
+SWEEP_ROWS = list(cli.SUITES["all"](ParamGrid(lmax=1)))
 
 
 def takes_mutation(check) -> bool:

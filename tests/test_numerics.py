@@ -56,7 +56,7 @@ def test_bessel_error_paths():
     ("dual-addition-q-to-1", {"alpha": 0.5, "l": 3, "m": 2}),
 ])
 def test_limit_checks_pass(kind, params):
-    report = limit_check(kind, params)
+    report = limit_check(kind, **params)
     assert report.verdict == "pass", report
     # a pass with nonzero errors implies strict decrease over the last four
     if any(report.errors):
@@ -67,17 +67,17 @@ def test_limit_checks_pass(kind, params):
 def test_limit_ratio_bands():
     # Hahn -> Jacobi is first order; the q -> 1 family limits are second
     # order because of the exact q -> 1/q invariance of the normalization.
-    r = limit_check("hahn-to-jacobi", {"alpha": 0.0, "beta": 0.0, "n": 2})
+    r = limit_check("hahn-to-jacobi", alpha=0.0, beta=0.0, n=2)
     assert 0.35 <= r.ratios[-1] <= 0.65
-    r = limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 3})
+    r = limit_check("cqu-to-ultra", alpha=0.5, n=3)
     assert 0.175 <= r.ratios[-1] <= 0.325
-    r = limit_check("dual-addition-q-to-1", {"alpha": 0.5, "l": 3, "m": 2})
+    r = limit_check("dual-addition-q-to-1", alpha=0.5, l=3, m=2)
     assert 0.175 <= r.ratios[-1] <= 0.325
     assert RATIO_BANDS["cqu-to-ultra"] == (0.175, 0.325)
 
 
 def test_limit_degenerate_degree_zero():
-    report = limit_check("cqu-to-ultra", {"alpha": 0.5, "n": 0})
+    report = limit_check("cqu-to-ultra", alpha=0.5, n=0)
     assert report.verdict == "pass"
     assert all(e == 0.0 for e in report.errors)
 
@@ -91,20 +91,31 @@ LIMIT_ROWS = (
 )
 
 
-def test_limit_mutation_bump_fails():
+def bump_final_limit_error(monkeypatch, kind: str, bump: float) -> None:
+    """Make the error function of `kind` add `bump` at its last schedule step."""
+    schedule, error_at = numerics._LIMITS[kind]
+
+    def bumped(step, **params):
+        return error_at(step, **params) + (bump if step == schedule[-1] else 0.0)
+
+    monkeypatch.setitem(numerics._LIMITS, kind, (schedule, bumped))
+
+
+def test_limit_mutation_bump_fails(monkeypatch):
     for kind, params in LIMIT_ROWS:
-        report = limit_check(kind, params, mutation_bump=1.0)
+        bump_final_limit_error(monkeypatch, kind, 1.0)
+        report = limit_check(kind, **params)
         assert report.verdict == "fail", kind
 
 
 def test_limit_report_serialization():
-    report = limit_check("hahn-to-jacobi", {"n": 2})
+    report = limit_check("hahn-to-jacobi", alpha=0.0, beta=0.0, n=2)
     assert report.kind == "hahn-to-jacobi" and report.verdict == "pass"
     assert len(report.errors) == len(report.schedule) == 7
     assert len(report.ratios) == 6
-    record = numerics.limit("hahn-to-jacobi", n=2)
+    record = numerics.limit("hahn-to-jacobi", alpha=0.0, beta=0.0, n=2)
     assert record["id"] == "limit-hahn-to-jacobi" and record["verdict"] == "pass"
-    assert record["params"] == {"n": "2"}
+    assert record["params"] == {"alpha": "0.0", "beta": "0.0", "n": "2"}
     assert record["schedule"] == [str(v) for v in report.schedule]
     assert record["errors"] == [repr(e) for e in report.errors]
     assert record["ratios"] == [repr(r) for r in report.ratios]
@@ -112,7 +123,7 @@ def test_limit_report_serialization():
 
 def test_unknown_limit_kind():
     with pytest.raises(ParameterError):
-        limit_check("nope", {})
+        limit_check("nope")
 
 
 def test_qpoch_infinite_truncation():
