@@ -457,10 +457,10 @@ def wilson_dual_phi(n: int, m: int, wp: WilsonParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> LaurentPoly:
+def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> LaurentPoly:
     """Terminating q-series with Laurent numerator factors (az, a/z; q)_k.
 
-    Returns sum_k c_k arg^k (az; q)_k (a z^-1; q)_k with the scalar part
+    Returns sum_k c_k q^k (az; q)_k (a z^-1; q)_k with the scalar part
     c_k = (scalar_nums; q)_k / ((q; q)_k (scalar_dens; q)_k).  Its term
     ratios rho_k = up_k / down_k are read from `qterm_ratios` (which raises
     at the first vanishing denominator) up to the first zero term, and
@@ -472,7 +472,7 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> Lau
         raise ParameterError(f"degree must be >= 0, got {nterms}")
     a_laurent, qbase = Fraction(a_laurent), Fraction(qbase)
     ratios = qterm_ratios([Fraction(v) for v in scalar_nums], [Fraction(v) for v in scalar_dens],
-                          qbase, Fraction(arg), nterms, "Laurent q-series denominator")
+                          qbase, qbase, nterms, "Laurent q-series denominator")
     steps = []  # rho_k f_k
     u, v = a_laurent.numerator, a_laurent.denominator  # w = q^k a = u / v
     for up, down in ratios:
@@ -498,7 +498,6 @@ def askey_wilson_r(n: int, awp: AWParams) -> SymmetricLaurent:
         scalar_dens=(a * b, a * c, a * d),
         a_laurent=a,
         qbase=q,
-        arg=q,
         nterms=n,
     )
     return SymmetricLaurent.from_poly(poly)
@@ -544,7 +543,6 @@ def cqu_r_alt(n: int, qp: QParams) -> SymmetricLaurent:
         scalar_dens=(-(t ** 2) * s ** 2, t ** 2 * s, -(t ** 2) * s),
         a_laurent=t * s,
         qbase=t ** 2,
-        arg=t ** 2,
         nterms=n,
     )
     return SymmetricLaurent.from_poly(poly)
@@ -566,7 +564,8 @@ def cqu_duality_point(m: int, qp: QParams) -> Fraction:
 
 
 def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, q) -> Fraction:
-    """The q-Racah 4phi3 at lattice index x, for free parameters."""
+    """The q-Racah 4phi3 at lattice index x, for free parameters: the
+    backward shift evaluates it at parameters shifted off any one record."""
     spec = HyperSeriesSpec(
         numerator=(q ** (-n), q ** (n + 1) * alpha * beta, q ** (-x), q ** (x + 1) * gamma * delta),
         denominator=(q * alpha, q * beta * delta, q * gamma),

@@ -298,46 +298,42 @@ def check_duality_cqu(qp: QParams, mmax: int, mutation=None) -> CheckReport:
     return _compare("duality-cqu", params, items, mutation)
 
 
-def check_duality_discrete(family: str, params_obj, nmax: Optional[int] = None, mutation=None) -> CheckReport:
-    """Dualities of the discrete families over their full lattices."""
+WILSON_DUALITY_NMAX = 4
+
+
+def check_duality_discrete(params_obj, mutation=None) -> CheckReport:
+    """Dualities of the discrete families, chosen by the record's type:
+    Krawtchouk and Hahn/dual Hahn over their full lattices, Racah in its
+    parameters, Wilson on the square 0..WILSON_DUALITY_NMAX."""
+    p = params_obj
     items = []
-    if family == "krawtchouk":
-        kp: KrawtchoukParams = params_obj
-        for n in range(kp.N + 1):
-            for x in range(n, kp.N + 1):
-                items.append((f"n={n}, x={x}", krawtchouk(n, x, kp), krawtchouk(x, n, kp)))
-        params = {"family": family, "p": kp.p, "N": kp.N}
-    elif family == "hahn-dual-hahn":
-        hp: HahnParams = params_obj
-        for n in range(hp.N + 1):
-            for x in range(hp.N + 1):
-                items.append((f"n={n}, x={x}", hahn(n, x, hp), dual_hahn(x, n, hp)))
-        params = {"family": family, "alpha": hp.alpha, "beta": hp.beta, "N": hp.N}
-    elif family == "racah":
-        rp: RacahParams = params_obj
-        for n in range(rp.N + 1):
-            for x in range(rp.N + 1):
-                lhs = racah(n, x, rp)
-                rhs = racah_phi(x, n, rp.gamma, rp.delta, rp.alpha, rp.beta)
+    if isinstance(p, KrawtchoukParams):
+        for n in range(p.N + 1):
+            for x in range(n, p.N + 1):
+                items.append((f"n={n}, x={x}", krawtchouk(n, x, p), krawtchouk(x, n, p)))
+        params = {"family": "krawtchouk", "p": p.p, "N": p.N}
+    elif isinstance(p, HahnParams):
+        for n in range(p.N + 1):
+            for x in range(p.N + 1):
+                items.append((f"n={n}, x={x}", hahn(n, x, p), dual_hahn(x, n, p)))
+        params = {"family": "hahn-dual-hahn", "alpha": p.alpha, "beta": p.beta, "N": p.N}
+    elif isinstance(p, RacahParams):
+        for n in range(p.N + 1):
+            for x in range(p.N + 1):
+                lhs = racah(n, x, p)
+                rhs = racah_phi(x, n, p.gamma, p.delta, p.alpha, p.beta)
                 items.append((f"n={n}, x={x}", lhs, rhs))
-        params = {
-            "family": family,
-            "alpha": rp.alpha,
-            "beta": rp.beta,
-            "delta": rp.delta,
-            "N": rp.N,
-        }
-    elif family == "wilson":
-        wp: WilsonParams = params_obj
-        wpd = wilson_dual_params(wp)
-        top = 4 if nmax is None else nmax
-        for n in range(top + 1):
-            for m in range(top + 1):
-                items.append((f"n={n}, m={m}", wilson_dual_phi(n, m, wp), wilson_dual_phi(m, n, wpd)))
-        params = {"family": family, "a": wp.a, "b": wp.b, "c": wp.c, "d": wp.d, "nmax": top}
+        params = {"family": "racah", "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N}
+    elif isinstance(p, WilsonParams):
+        dual = wilson_dual_params(p)
+        for n in range(WILSON_DUALITY_NMAX + 1):
+            for m in range(WILSON_DUALITY_NMAX + 1):
+                items.append((f"n={n}, m={m}", wilson_dual_phi(n, m, p), wilson_dual_phi(m, n, dual)))
+        params = {"family": "wilson", "a": p.a, "b": p.b, "c": p.c, "d": p.d,
+                  "nmax": WILSON_DUALITY_NMAX}
     else:
-        raise ParameterError(f"unknown duality family {family!r}")
-    return _compare(f"duality-{family}", params, items, mutation)
+        raise ParameterError(f"no duality check for {type(p).__name__}")
+    return _compare(f"duality-{params['family']}", params, items, mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -345,35 +341,36 @@ def check_duality_discrete(family: str, params_obj, nmax: Optional[int] = None, 
 # ---------------------------------------------------------------------------
 
 
-def check_orthogonality_discrete(family: str, params_obj, mutation=None) -> CheckReport:
+def check_orthogonality_discrete(params_obj, mutation=None) -> CheckReport:
     """Full Gram matrix against the closed-form norms (off-diagonal only
-    for Hahn, whose diagonal norm is not in scope)."""
-    if family not in ("krawtchouk", "hahn", "racah", "q-racah"):
-        raise ParameterError(f"unknown orthogonality family {family!r}")
+    for Hahn, whose diagonal norm is not in scope), for the Krawtchouk,
+    Hahn, Racah or q-Racah family of the record's type."""
     p = params_obj
+    if not isinstance(p, (KrawtchoukParams, HahnParams, RacahParams, QRacahParams)):
+        raise ParameterError(f"no orthogonality check for {type(p).__name__}")
     lattice = range(p.N + 1)
-    if family == "krawtchouk":
+    if isinstance(p, KrawtchoukParams):
         weights = _positive([krawtchouk_weight(x, p) for x in lattice])
         values = [[krawtchouk(n, x, p) for x in lattice] for n in lattice]
         items = _gram_items(weights, values, lambda n: (1 - p.p) ** p.N / weights[n])
-        params = {"family": family, "p": p.p, "N": p.N}
-    elif family == "hahn":
+        params = {"family": "krawtchouk", "p": p.p, "N": p.N}
+    elif isinstance(p, HahnParams):
         weights = _positive([hahn_weight(x, p) for x in lattice])
         values = [[hahn(n, x, p) for x in lattice] for n in lattice]
         items = _gram_items(weights, values)
-        params = {"family": family, "alpha": p.alpha, "beta": p.beta, "N": p.N}
-    elif family == "racah":
+        params = {"family": "hahn", "alpha": p.alpha, "beta": p.beta, "N": p.N}
+    elif isinstance(p, RacahParams):
         weights = _positive([racah_weight(x, p) for x in lattice])
         values = [[racah(n, x, p) for x in lattice] for n in lattice]
         items = _gram_items(weights, values, lambda n: racah_norms(n, p), racah_h0(p))
-        params = {"family": family, "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N}
+        params = {"family": "racah", "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N}
     else:
         weights = _positive([qracah_weight(x, p) for x in lattice])
         values = [[qracah(n, x, p) for x in lattice] for n in lattice]
         items = _gram_items(weights, values, lambda n: qracah_norms(n, p), p.h0)
-        params = {"family": family, "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N,
-                  "t": p.qp.t, "s": p.qp.s}
-    return _compare(f"orthogonality-{family}", params, items, mutation)
+        params = {"family": "q-racah", "alpha": p.alpha, "beta": p.beta, "delta": p.delta,
+                  "N": p.N, "t": p.qp.t, "s": p.qp.s}
+    return _compare(f"orthogonality-{params['family']}", params, items, mutation)
 
 
 def _positive(weights):
@@ -732,7 +729,9 @@ def _dual_addition_coeff_a(k: int, l: int, m: int, qp: QParams) -> Fraction:
 
 def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=None) -> CheckReport:
     """The dual addition expansion rewritten in the alternative parameter
-    a = q^(1/4) beta^(1/2), as an exact Laurent identity.
+    a = q^(1/4) beta^(1/2), as an exact Laurent identity.  Its q-Racah
+    polynomials, with parameters (a^2/q, a^2/q, q^(-m-1), q^(-l)/a^2), are
+    those of the linearization lattice, since a^2 = q^(1/2) beta.
 
     Note the even-product denominator enters squared; the unsquared variant
     is inconsistent with both the original expansion and the restricted
@@ -740,13 +739,13 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
     """
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
-    a2, q = qp.a * qp.a, qp.q
+    lat = _shared_lattice(qp, l, m)
     polys, scalars = [], []
     for k in range(m + 1):
         c = _dual_addition_coeff_a(k, l, m, qp)
         if not c:
             continue
-        c *= qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
+        c *= lat.poly(k, j)
         polys.append(_shifted_product(k, l, m, qp))
         scalars.append(c)
     rhs = linear_combination(polys, scalars)
@@ -782,85 +781,69 @@ def _addition_coeff_q(k: int, n: int, qp: QParams, u: Fraction, v: Fraction) -> 
     return c
 
 
-def check_addition(target: str, n: int, qp: Optional[QParams] = None,
-                   u: Optional[Fraction] = None, v: Optional[Fraction] = None,
-                   alpha=None, xpair=None, ypair=None, tpoint=None, phipair=None,
-                   mutation=None) -> CheckReport:
-    """Addition formulas.
+def check_addition_q(qp: QParams, n: int, u, v, mutation=None) -> CheckReport:
+    """Expansion of R_n[z] over the four-parameter kernel family at fixed
+    rational u, v, checked as an exact Laurent identity in z."""
+    u, v = Fraction(u), Fraction(v)
+    if u == 0 or v == 0:
+        raise InadmissiblePoint("u and v must be nonzero")
+    kernel = _addition_kernel_params(qp, u, v)
+    polys, scalars = [], []
+    for k in range(n + 1):
+        c = _addition_coeff_q(k, n, qp, u, v)
+        if not c:
+            continue
+        shifted = qp.beta_shift(k)
+        c *= cqu_r_at(n - k, shifted, u) * cqu_r_at(n - k, shifted, v)
+        polys.append(askey_wilson_r(k, kernel))
+        scalars.append(c)
+    items = [(f"n={n}, u={u}, v={v}", linear_combination(polys, scalars), cqu_r(n, qp))]
+    params = {"target": "q", "n": n, "u": u, "v": v, "t": qp.t, "s": qp.s}
+    return _compare("addition-q", params, items, mutation)
 
-    q target: expansion of R_n[z] over the four-parameter kernel family at
-    fixed rational u, v, checked as an exact Laurent identity in z.
-    classical target: the kernel-argument expansion at Pythagorean points
+
+def check_addition_classical(alpha, n: int, xpair, ypair, tpoint, mutation=None) -> CheckReport:
+    """The ultraspherical kernel-argument expansion at Pythagorean points
     (equivalently its z-form: substituting z = xy + rx ry t turns one into
-    the other).  legendre target: the classical composite-argument formula
-    with cos(k phi) realized by Chebyshev polynomials.
-    """
-    items = []
-    if target == "q":
-        if qp is None or u is None or v is None:
-            raise ParameterError("q addition needs qp, u, v")
-        u, v = Fraction(u), Fraction(v)
-        if u == 0 or v == 0:
-            raise InadmissiblePoint("u and v must be nonzero")
-        kernel = _addition_kernel_params(qp, u, v)
-        polys, scalars = [], []
-        for k in range(n + 1):
-            c = _addition_coeff_q(k, n, qp, u, v)
-            if not c:
-                continue
-            shifted = qp.beta_shift(k)
-            c *= cqu_r_at(n - k, shifted, u) * cqu_r_at(n - k, shifted, v)
-            polys.append(askey_wilson_r(k, kernel))
-            scalars.append(c)
-        items.append((f"n={n}, u={u}, v={v}", linear_combination(polys, scalars), cqu_r(n, qp)))
-        params = {"target": target, "n": n, "u": u, "v": v, "t": qp.t, "s": qp.s}
-    elif target == "classical":
-        alpha = Fraction(alpha)
-        x, rx = _check_pythagorean(xpair)
-        y, ry = _check_pythagorean(ypair)
-        tv = Fraction(tpoint)
-        lhs = ultraspherical_r(n, alpha, x * y + rx * ry * tv)
-        rhs = F(0)
-        for k in range(n + 1):
-            c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
-            c *= comb(n, k) * pochhammer(n + 2 * alpha + 1, k) * pochhammer(2 * alpha + 1, k)
-            c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2
-            c *= rx ** k * ultraspherical_r(n - k, alpha + k, x)
-            c *= ry ** k * ultraspherical_r(n - k, alpha + k, y)
-            c *= ultraspherical_r(k, alpha - F(1, 2), tv)
-            rhs += c
-        items.append((f"n={n}, x={x}, y={y}, t={tv}", lhs, rhs))
-        params = {
-            "target": target,
-            "n": n,
-            "alpha": alpha,
-            "x": _pairs_str(xpair),
-            "y": _pairs_str(ypair),
-            "tpoint": tv,
-        }
-    elif target == "legendre":
-        c1, s1 = _check_pythagorean(xpair)
-        c2, s2 = _check_pythagorean(ypair)
-        cphi, _sphi = _check_pythagorean(phipair)
-        lhs = ultraspherical_r(n, F(0), c1 * c2 + s1 * s2 * cphi)
-        rhs = ultraspherical_r(n, F(0), c1) * ultraspherical_r(n, F(0), c2)
-        for k in range(1, n + 1):
-            c = 2 * F(factorial(n - k) * factorial(n + k), 2 ** (2 * k) * factorial(n) ** 2)
-            scale = pochhammer(F(k + 1), n - k) / factorial(n - k)  # value at 1 of the shifted family
-            p1 = jacobi_r(n - k, JacobiParams(k, k), c1) * scale
-            p2 = jacobi_r(n - k, JacobiParams(k, k), c2) * scale
-            rhs += c * s1 ** k * p1 * s2 ** k * p2 * _chebyshev_t(k, cphi)
-        items.append((f"n={n}", lhs, rhs))
-        params = {
-            "target": target,
-            "n": n,
-            "x": _pairs_str(xpair),
-            "y": _pairs_str(ypair),
-            "phi": _pairs_str(phipair),
-        }
-    else:
-        raise ParameterError(f"unknown addition target {target!r}")
-    return _compare(f"addition-{target}", params, items, mutation)
+    the other)."""
+    alpha = Fraction(alpha)
+    x, rx = _check_pythagorean(xpair)
+    y, ry = _check_pythagorean(ypair)
+    tv = Fraction(tpoint)
+    lhs = ultraspherical_r(n, alpha, x * y + rx * ry * tv)
+    rhs = F(0)
+    for k in range(n + 1):
+        c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
+        c *= comb(n, k) * pochhammer(n + 2 * alpha + 1, k) * pochhammer(2 * alpha + 1, k)
+        c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2
+        c *= rx ** k * ultraspherical_r(n - k, alpha + k, x)
+        c *= ry ** k * ultraspherical_r(n - k, alpha + k, y)
+        c *= ultraspherical_r(k, alpha - F(1, 2), tv)
+        rhs += c
+    items = [(f"n={n}, x={x}, y={y}, t={tv}", lhs, rhs)]
+    params = {"target": "classical", "n": n, "alpha": alpha, "x": _pairs_str(xpair),
+              "y": _pairs_str(ypair), "tpoint": tv}
+    return _compare("addition-classical", params, items, mutation)
+
+
+def check_addition_legendre(n: int, xpair, ypair, phipair, mutation=None) -> CheckReport:
+    """The classical composite-argument formula of the Legendre family,
+    with cos(k phi) realized by Chebyshev polynomials."""
+    c1, s1 = _check_pythagorean(xpair)
+    c2, s2 = _check_pythagorean(ypair)
+    cphi, _sphi = _check_pythagorean(phipair)
+    lhs = ultraspherical_r(n, F(0), c1 * c2 + s1 * s2 * cphi)
+    rhs = ultraspherical_r(n, F(0), c1) * ultraspherical_r(n, F(0), c2)
+    for k in range(1, n + 1):
+        c = 2 * F(factorial(n - k) * factorial(n + k), 2 ** (2 * k) * factorial(n) ** 2)
+        scale = pochhammer(F(k + 1), n - k) / factorial(n - k)  # value at 1 of the shifted family
+        p1 = jacobi_r(n - k, JacobiParams(k, k), c1) * scale
+        p2 = jacobi_r(n - k, JacobiParams(k, k), c2) * scale
+        rhs += c * s1 ** k * p1 * s2 ** k * p2 * _chebyshev_t(k, cphi)
+    items = [(f"n={n}", lhs, rhs)]
+    params = {"target": "legendre", "n": n, "x": _pairs_str(xpair), "y": _pairs_str(ypair),
+              "phi": _pairs_str(phipair)}
+    return _compare("addition-legendre", params, items, mutation)
 
 
 def _chebyshev_t(k: int, c: Fraction) -> Fraction:

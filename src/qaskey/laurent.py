@@ -7,12 +7,13 @@ A polynomial is stored fraction-free, in the layout of FLINT's `fmpq_poly`:
 the lowest exponent `lo`, a tuple `n` of integer numerators and one common
 denominator `den`, so that the coefficient of z^(lo + i) is n[i]/den.  The
 canonical form has no zero at either end of `n`, den > 0 and
-gcd(den, *n) == 1, and zero is (0, (), 1).  Sums and products work on
-integers and reduce each result with one gcd, and `linear_combination`
-puts all its terms over one denominator and reduces once.  Equality is
-exact comparison of the three fields.  `_c` (exponent -> nonzero reduced
-Fraction, ascending) is a view derived from them on each access; `items`,
-`coeff`, `eval_at`, `__str__` and the span tracer in `bench/` read it.
+gcd(den, *n) == 1, and zero is (0, (), 1).  Products work on integers
+and reduce each result with one gcd.  Every sum, `+` and `-` included,
+runs through `linear_combination`, which puts all its terms over one
+denominator and reduces once.  Equality is exact comparison of the three
+fields.  `_c` (exponent -> nonzero reduced Fraction, ascending) is a view
+derived from them on each access; `items`, `coeff`, `eval_at`, `__str__`
+and the span tracer in `bench/` read it.
 Instances are immutable.
 """
 
@@ -64,21 +65,7 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._n, other._n
-        d1, d2 = self._den, other._den
-        den = d1
-        if d1 != d2:
-            g = gcd(d1, d2)
-            den = d1 // g * d2
-            a = [v * (d2 // g) for v in a]
-            b = [v * (d1 // g) for v in b]
-        lo1, lo2 = self._lo, other._lo
-        lo = min(lo1, lo2)
-        out = [0] * (max(lo1 + len(a), lo2 + len(b)) - lo)
-        out[lo1 - lo:lo1 - lo + len(a)] = a
-        for i, v in enumerate(b, lo2 - lo):
-            out[i] += v
-        return _poly(lo, out, den)
+        return linear_combination((self, other), (1, 1))
 
     __radd__ = __add__
 
@@ -145,13 +132,10 @@ class LaurentPoly:
 
     def eval_at(self, z0):
         """Exact value at z = z0 (z0 nonzero)."""
-        if z0 == 0:
+        z0 = Fraction(z0)
+        if not z0:
             raise ZeroArgument("cannot evaluate a Laurent polynomial at z = 0")
-        if isinstance(z0, _SCALARS):
-            z0 = Fraction(z0)
-            total = Fraction(0)
-        else:
-            total = z0 - z0
+        total = Fraction(0)
         for k, v in self._c.items():
             total += v * z0 ** k
         return total

@@ -1,7 +1,8 @@
 """Floating-point companion: float evaluators of the families, Bessel-type
-series, truncated infinite products for the continuous weights, quadrature
-orthogonality spot checks, convergence verification of the limit claims,
-and the probes that turn each of these into a suite record.
+series, the two continuous weights (`cqu_weight`, `aw_weight`) through
+truncated infinite products, convergence verification of the limit
+claims, and the probes, each of which computes its value from its own
+arguments and returns its suite record.
 
 Limit claims carry no rates in their source statements, so acceptance is
 empirical: errors must decrease along the schedule and the final
@@ -260,29 +261,29 @@ def _cqu_circle_weight(e2: complex, q: float, beta: float) -> float:
     return (f * fc).real
 
 
-def numeric_weight(kind: str, params: dict, theta: float) -> float:
-    """Continuous weight values at x = cos(theta), theta in (0, pi).
-
-    'cqu': the even one-parameter weight including its (1-x^2)^(-1/2)
-    factor.  'aw': the circle weight of the four-parameter family.
-    """
+def _check_theta(theta: float) -> None:
     if not 0 < theta < math.pi:
         raise ParameterError("theta must lie strictly inside (0, pi)")
-    if kind == "cqu":
-        q = float(params["q"])
-        beta = float(params["beta"])
-        value = _cqu_circle_weight(cmath.exp(2j * theta), q, beta) / math.sin(theta)
-        return _require_finite(value)
-    if kind == "aw":
-        return _require_finite(_aw_weight_circle(params, theta))
-    raise ParameterError(f"unknown weight kind {kind!r}")
 
 
-def aw_h0_closed(params: dict) -> float:
+def cqu_weight(q: float, beta: float, theta: float) -> float:
+    """The even one-parameter weight at x = cos(theta), theta in (0, pi),
+    including its (1-x^2)^(-1/2) factor."""
+    _check_theta(theta)
+    return _require_finite(_cqu_circle_weight(cmath.exp(2j * theta), q, beta) / math.sin(theta))
+
+
+def aw_weight(q: float, abcd: tuple, theta: float) -> float:
+    """The circle weight of the four-parameter family with parameters
+    abcd = (a, b, c, d) at z = exp(i theta), theta in (0, pi)."""
+    _check_theta(theta)
+    return _require_finite(_aw_weight_circle(q, abcd, theta))
+
+
+def aw_h0_closed(q: float, abcd: tuple) -> float:
     """Closed form of the 0-th circle norm: 4 pi (abcd; q)_inf over the
     product of (q; q)_inf and the six pairwise-product factors."""
-    q = float(params["q"])
-    a, b, c, d = (float(params[name]) for name in ("a", "b", "c", "d"))
+    a, b, c, d = abcd
     num = 4 * math.pi * qpoch_infinite(a * b * c * d, q)
     den = qpoch_infinite(q, q)
     for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
@@ -310,26 +311,6 @@ def refine_integral(f: Callable[[float], float], lo: float, hi: float) -> float:
     raise NonConvergence(f"quadrature did not stabilize within {2 ** 20} points")
 
 
-def numeric_orthogonality(kind: str, params: dict, m: int, n: int) -> float:
-    """Quadrature orthogonality checks on the unit circle.
-
-    'cqu': normalized off-diagonal residual |I_mn| / sqrt(I_mm I_nn) of the
-    one-parameter family (m != n).  'aw-h0': relative deviation of the
-    integrated four-parameter weight from its closed-form total mass.
-    """
-    if kind == "cqu":
-        qp: QParams = params["qp"]
-        if m == n:
-            return _cqu_diagonal(qp, m)
-        off = _cqu_inner(qp, m, n)
-        return abs(off) / math.sqrt(_cqu_diagonal(qp, m) * _cqu_diagonal(qp, n))
-    if kind == "aw-h0":
-        integral = refine_integral(lambda th: _aw_weight_circle(params, th), 0.0, 2 * math.pi)
-        h0 = aw_h0_closed(params)
-        return abs(integral - h0) / abs(h0)
-    raise ParameterError(f"unknown orthogonality kind {kind!r}")
-
-
 def _cqu_inner(qp: QParams, d1: int, d2: int) -> float:
     """I_(d1 d2): the integral of R_d1 R_d2 against the circle weight."""
     q, beta = float(qp.q), float(qp.beta)
@@ -351,10 +332,8 @@ def _cqu_diagonal(qp: QParams, n: int) -> float:
     return _cqu_inner(qp, n, n)
 
 
-def _aw_weight_circle(params: dict, theta: float) -> float:
+def _aw_weight_circle(q: float, abcd: tuple, theta: float) -> float:
     """The four-parameter circle weight at z = exp(i theta)."""
-    q = float(params["q"])
-    abcd = [float(params[name]) for name in ("a", "b", "c", "d")]
     z = cmath.exp(1j * theta)
 
     def g(w):
@@ -364,23 +343,6 @@ def _aw_weight_circle(params: dict, theta: float) -> float:
         return out
 
     return (g(z) * g(1 / z)).real
-
-
-def float_family_consistency(qp: QParams, nmax: int, z0: Fraction) -> float:
-    """Largest relative gap between exact evaluation (converted to float)
-    and direct float evaluation of the one-parameter family, reusing the
-    same series kernel with float scalars."""
-    z0 = Fraction(z0)
-    q, beta = float(qp.q), float(qp.beta)
-    a = float(qp.a)
-    zf = float(z0)
-    worst = 0.0
-    for n in range(nmax + 1):
-        exact = float(cqu_r_at(n, qp, z0))
-        approx = _cqu_phi(n, q, beta, a, zf)
-        scale = max(1.0, abs(exact))
-        worst = max(worst, abs(exact - approx) / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +375,29 @@ def _threshold_record(check_id: str, params: dict, value: float, threshold: floa
 
 
 def numeric_orthogonality_cqu(qp: QParams, m: int, n: int) -> dict:
-    value = numeric_orthogonality("cqu", {"qp": qp}, m, n)
+    """Quadrature orthogonality of the one-parameter family on the unit
+    circle: the normalized off-diagonal residual |I_mn| / sqrt(I_mm I_nn)."""
+    off = _cqu_inner(qp, m, n)
+    value = abs(off) / math.sqrt(_cqu_diagonal(qp, m) * _cqu_diagonal(qp, n))
     return _threshold_record("numeric-orthogonality-cqu", {"m": m, "n": n, "t": qp.t, "s": qp.s},
                              value, 1e-8)
 
 
-def _aw_params_floats(qp: QParams) -> dict:
+def _aw_params_floats(qp: QParams) -> tuple:
+    """(q, (a, b, c, d)) of the Askey-Wilson specialization carrying the
+    one-parameter family, as floats."""
     a = float(qp.a)
     qh = float(qp.qhalf)
-    return {"q": float(qp.q), "a": a, "b": qh * a, "c": -a, "d": -qh * a}
+    return float(qp.q), (a, qh * a, -a, -qh * a)
 
 
 def numeric_aw_h0(qp: QParams) -> dict:
-    value = numeric_orthogonality("aw-h0", _aw_params_floats(qp), 0, 0)
+    """Relative deviation of the integrated four-parameter circle weight
+    from its closed-form total mass."""
+    q, abcd = _aw_params_floats(qp)
+    integral = refine_integral(lambda th: _aw_weight_circle(q, abcd, th), 0.0, 2 * math.pi)
+    h0 = aw_h0_closed(q, abcd)
+    value = abs(integral - h0) / abs(h0)
     return _threshold_record("numeric-aw-h0", {"t": qp.t, "s": qp.s}, value, 1e-8)
 
 
@@ -437,8 +409,8 @@ def numeric_weight_ratio(qp: QParams) -> dict:
     q, beta = float(qp.q), float(qp.beta)
     worst = 0.0
     for theta in _PROBE_THETAS:
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w_promoted = numeric_weight("cqu", {"q": q, "beta": beta * q}, theta)
+        w = cqu_weight(q, beta, theta)
+        w_promoted = cqu_weight(q, beta * q, theta)
         x = math.cos(theta)
         exact = (1 + q ** 0.5 * beta) ** 2 - 4 * q ** 0.5 * beta * x * x
         worst = max(worst, abs(w_promoted / w - exact))
@@ -450,8 +422,8 @@ def numeric_weight_symmetry(qp: QParams) -> dict:
     q, beta = float(qp.q), float(qp.beta)
     worst = 0.0
     for theta in _PROBE_THETAS:
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w_mirror = numeric_weight("cqu", {"q": q, "beta": beta}, math.pi - theta)
+        w = cqu_weight(q, beta, theta)
+        w_mirror = cqu_weight(q, beta, math.pi - theta)
         worst = max(worst, abs(w_mirror - w) / abs(w))
     return _threshold_record("numeric-weight-symmetry", {"t": qp.t, "s": qp.s}, worst, 1e-12)
 
@@ -460,24 +432,39 @@ def numeric_weight_aw_vs_cqu(qp: QParams) -> dict:
     """The specialized circle weight equals the one-parameter weight as a
     theta-density up to a theta-independent factor (spread of the ratio)."""
     q, beta = float(qp.q), float(qp.beta)
+    abcd = _aw_params_floats(qp)[1]
     ratios = []
     for theta in _PROBE_THETAS:
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        waw = numeric_weight("aw", _aw_params_floats(qp), theta)
+        w = cqu_weight(q, beta, theta)
+        waw = aw_weight(q, abcd, theta)
         ratios.append(waw / (w * math.sin(theta)))
     spread = max(ratios) - min(ratios)
     return _threshold_record("numeric-weight-aw-vs-cqu", {"t": qp.t, "s": qp.s}, spread, 1e-10)
 
 
-def bessel_special_cases(points: tuple) -> dict:
+def bessel_special_cases() -> dict:
+    """The series at alpha = -1/2 and 1/2 against cos x and sin x / x."""
     worst = 0.0
-    for x in points:
+    for x in (0.5, 1.0, 2.0, 5.0, 10.0):
         worst = max(worst, abs(bessel_script_j(-0.5, x) - math.cos(x)))
         worst = max(worst, abs(bessel_script_j(0.5, x) - math.sin(x) / x))
     return _threshold_record("bessel-special-cases", {}, worst, 1e-12)
 
 
 def float_exact_consistency(qp: QParams, nmax: int) -> dict:
-    gap = float_family_consistency(qp, nmax, Fraction(7, 5))
+    """Largest relative gap, over the degrees 0..nmax at z = 7/5, between
+    exact evaluation of the one-parameter family (converted to float) and
+    direct float evaluation through the same series kernel with float
+    scalars."""
+    z0 = Fraction(7, 5)
+    q, beta = float(qp.q), float(qp.beta)
+    a = float(qp.a)
+    zf = float(z0)
+    worst = 0.0
+    for n in range(nmax + 1):
+        exact = float(cqu_r_at(n, qp, z0))
+        approx = _cqu_phi(n, q, beta, a, zf)
+        scale = max(1.0, abs(exact))
+        worst = max(worst, abs(exact - approx) / scale)
     return _threshold_record("float-exact-consistency", {"t": qp.t, "s": qp.s, "nmax": nmax},
-                             gap, 1e-12)
+                             worst, 1e-12)

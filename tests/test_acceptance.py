@@ -35,7 +35,9 @@ from qaskey.identities import (
     LinearizationLattice,
     Mutation,
     ParamGrid,
-    check_addition,
+    check_addition_classical,
+    check_addition_legendre,
+    check_addition_q,
     check_backward_shift,
     check_dual_addition,
     check_duality_cqu,
@@ -55,7 +57,8 @@ from qaskey.numerics import (
     bessel_script_j,
     cqu_r_float,
     limit_check,
-    numeric_orthogonality,
+    numeric_aw_h0,
+    numeric_orthogonality_cqu,
 )
 from closed_forms import cqu_leading_z_coeff, qracah_at_top
 
@@ -117,7 +120,7 @@ def test_criterion_4_addition_formula():
         for u in ADDITION_POINTS_U:
             for v in ADDITION_POINTS_V:
                 for n in range(6):
-                    ok = ok and check_addition("q", n, qp=qp, u=u, v=v).passed
+                    ok = ok and check_addition_q(qp, n, u, v).passed
     elapsed = time.monotonic() - started
     _criterion(4, "addition formula exact in z, n<=5, u in {2,3/2}, v in {3,5/4}",
                ok, budget=10, elapsed=elapsed)
@@ -154,14 +157,12 @@ def test_criterion_6_dualities():
     started = time.monotonic()
     ok = True
     for N in range(1, 6):
-        ok = ok and check_duality_discrete("krawtchouk", KrawtchoukParams(F(1, 3), N)).passed
-        ok = ok and check_duality_discrete("hahn-dual-hahn", HahnParams(F(1, 2), F(1, 3), N)).passed
-        ok = ok and check_duality_discrete("hahn-dual-hahn", HahnParams(F(2), F(1), N)).passed
+        ok = ok and check_duality_discrete(KrawtchoukParams(F(1, 3), N)).passed
+        ok = ok and check_duality_discrete(HahnParams(F(1, 2), F(1, 3), N)).passed
+        ok = ok and check_duality_discrete(HahnParams(F(2), F(1), N)).passed
     for N in range(1, 5):
-        ok = ok and check_duality_discrete(
-            "racah", RacahParams(F(1, 2), F(1, 3), N, F(1, 5))).passed
-    ok = ok and check_duality_discrete(
-        "wilson", WilsonParams(F(1), F(3, 2), F(2), F(5, 2)), nmax=4).passed
+        ok = ok and check_duality_discrete(RacahParams(F(1, 2), F(1, 3), N, F(1, 5))).passed
+    ok = ok and check_duality_discrete(WilsonParams(F(1), F(3, 2), F(2), F(5, 2))).passed
     for qp in DEFAULT_QPARAMS:
         ok = ok and check_duality_cqu(qp, 6).passed
     elapsed = time.monotonic() - started
@@ -172,13 +173,12 @@ def test_criterion_6_dualities():
 def test_criterion_7_discrete_orthogonality():
     started = time.monotonic()
     ok = True
-    ok = ok and check_orthogonality_discrete("krawtchouk", KrawtchoukParams(F(1, 3), 5)).passed
-    ok = ok and check_orthogonality_discrete("krawtchouk", KrawtchoukParams(F(1, 2), 4)).passed
-    ok = ok and check_orthogonality_discrete("racah", linearization_racah_params(F(1, 2), 5, 3)).passed
-    ok = ok and check_orthogonality_discrete("racah", linearization_racah_params(F(1), 4, 4)).passed
-    ok = ok and check_orthogonality_discrete("q-racah", LinearizationLattice(QP0, 5, 4).qrp).passed
-    ok = ok and check_orthogonality_discrete(
-        "q-racah", LinearizationLattice(DEFAULT_QPARAMS[2], 4, 3).qrp).passed
+    ok = ok and check_orthogonality_discrete(KrawtchoukParams(F(1, 3), 5)).passed
+    ok = ok and check_orthogonality_discrete(KrawtchoukParams(F(1, 2), 4)).passed
+    ok = ok and check_orthogonality_discrete(linearization_racah_params(F(1, 2), 5, 3)).passed
+    ok = ok and check_orthogonality_discrete(linearization_racah_params(F(1), 4, 4)).passed
+    ok = ok and check_orthogonality_discrete(LinearizationLattice(QP0, 5, 4).qrp).passed
+    ok = ok and check_orthogonality_discrete(LinearizationLattice(DEFAULT_QPARAMS[2], 4, 3).qrp).passed
     elapsed = time.monotonic() - started
     _criterion(7, "full Gram matrices match closed-form norms incl. total mass",
                ok, budget=5, elapsed=elapsed)
@@ -212,11 +212,10 @@ def test_criterion_9_classical_addition_and_product():
     for alpha in (F(0), F(1, 2), F(1)):
         for xp, yp, tp in combos:
             for n in range(6):
-                ok = ok and check_addition("classical", n, alpha=alpha, xpair=xp,
-                                           ypair=yp, tpoint=tp[0]).passed
+                ok = ok and check_addition_classical(alpha, n, xp, yp, tp[0]).passed
     for xp, yp, pp in combos:
         for n in range(6):
-            ok = ok and check_addition("legendre", n, xpair=xp, ypair=yp, phipair=pp).passed
+            ok = ok and check_addition_legendre(n, xp, yp, pp).passed
     for alpha in (F(0), F(1, 2), F(1)):
         for xp, yp in ((P[0], P[1]), (P[1], P[2]), (P[0], P[2])):
             for n in range(7):
@@ -360,11 +359,9 @@ def test_criterion_11_numeric_orthogonality():
     worst = 0.0
     for m in range(5):
         for n in range(m + 1, 5):
-            worst = max(worst, numeric_orthogonality("cqu", {"qp": QP0}, m, n))
+            worst = max(worst, float(numeric_orthogonality_cqu(QP0, m, n)["residual"]))
     ok = ok and worst < 1e-8
-    a, qh = float(QP0.a), float(QP0.qhalf)
-    params = {"q": float(QP0.q), "a": a, "b": qh * a, "c": -a, "d": -qh * a}
-    deviation = numeric_orthogonality("aw-h0", params, 0, 0)
+    deviation = float(numeric_aw_h0(QP0)["residual"])
     ok = ok and deviation < 1e-8
     elapsed = time.monotonic() - started
     _criterion(11, "numeric orthogonality: off-diagonals < 1e-8, circle mass matches closed form",
@@ -375,7 +372,7 @@ def test_criterion_11_numeric_orthogonality():
 def test_criterion_12_fail_negative_sweep(monkeypatch):
     started = time.monotonic()
     from tests.test_identities import MUTABLE_ROWS
-    from tests.test_numerics import bump_final_limit_error
+    from tests.test_numerics import bump_final_limit_error, perturbed
 
     detected = 0
     total = 0
@@ -385,16 +382,16 @@ def test_criterion_12_fail_negative_sweep(monkeypatch):
             report = check(**kwargs, mutation=Mutation(index=index))
             if not report.passed and report.witness is not None:
                 detected += 1
-    # float suites: spurious bump on a limit error, and a quadrature off by 1e-6
+    # float suites: spurious bump on a limit error, and inner-product quadratures
+    # off by 1e-6 (1 + degree)
     total += 1
     bump_final_limit_error(monkeypatch, "cqu-to-ultra", 1.0)
     if limit_check("cqu-to-ultra", alpha=0.5, n=3).verdict == "fail":
         detected += 1
     total += 1
-    monkeypatch.setattr(numerics, "numeric_orthogonality",
-                        lambda *args: numeric_orthogonality(*args) + 1e-6)
-    if numerics.numeric_orthogonality_cqu(QP0, 1, 2)["verdict"] == "fail":
-        detected += 1
+    with perturbed("_cqu_inner", 1e-6):
+        if numerics.numeric_orthogonality_cqu(QP0, 1, 2)["verdict"] == "fail":
+            detected += 1
     elapsed = time.monotonic() - started
     _criterion(12, "fail-negative sweep: every mutated check fails with a witness",
                detected == total, detail=f"{detected}/{total} detected",

@@ -6,6 +6,7 @@ import io
 import json
 import contextlib
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -331,6 +332,30 @@ def test_float_output_of_values_outside_the_double_range_is_infinite():
     assert rows[1][1] == "-1" + "0" * 400
 
 
+def digit_limit():
+    """The interpreter's int-to-str digit limit; None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_exact_values_past_the_int_to_str_digit_limit_print_in_full():
+    # start from CPython's default limit, which each command must restore
+    previous = digit_limit()
+    expected = None if previous is None else 4300
+    if expected:
+        sys.set_int_max_str_digits(expected)
+    try:
+        code, out, _ = run_cli(["eval", "--family", "jacobi", "--n", "1", "--alpha", "0",
+                                "--beta", "0", "--at", "1e5000"])
+        assert code == 0 and out.splitlines() == ["exact: 1" + "0" * 5000, "float: inf"]
+        assert digit_limit() == expected
+        code, out, _ = run_cli(["verify", "--suite", "weight-recurrence", "--alpha", "1e-5000"])
+        assert code == 0 and json.loads(out)["grid"]["alphas"] == ["1/1" + "0" * 5000]
+        assert digit_limit() == expected
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
 def test_eval_covers_every_family_id():
     argv_by_family = {
         "jacobi": ["--alpha", "1/2", "--beta", "1/3", "--at", "2/5"],
@@ -447,8 +472,8 @@ def test_table_values_families():
 
 # The vocabulary of the fuzz test: every command, family and cheap suite,
 # with rationals (0 and negatives among them), bad numbers and bad ranges.
-RATIONALS = ("0", "1", "-1", "1/2", "2/3", "-3/4", "5/2", "1e400", "-1e400", "1e-400", "1/0",
-             "abc", "")
+RATIONALS = ("0", "1", "-1", "1/2", "2/3", "-3/4", "5/2", "1e400", "-1e400", "1e-400", "1e5000",
+             "1e-5000", "1/0", "abc", "")
 INTS = ("-1", "0", "1", "2", "3", "x")
 FLAG_VALUES = {
     "--n": INTS, "--m": INTS, "--x": INTS, "--N": INTS,

@@ -15,6 +15,7 @@ from qaskey.families import (
     RacahParams,
     WilsonParams,
     cqu_r,
+    qracah_phi,
 )
 from qaskey.identities import (
     DEFAULT_ALPHAS,
@@ -24,7 +25,9 @@ from qaskey.identities import (
     LinearizationLattice,
     Mutation,
     ParamGrid,
-    check_addition,
+    check_addition_classical,
+    check_addition_legendre,
+    check_addition_q,
     check_backward_shift,
     check_cqu_representations,
     check_difference_formula,
@@ -77,7 +80,8 @@ def test_duality_cqu():
     ("wilson", WilsonParams(F(1), F(3, 2), F(2), F(5, 2))),
 ])
 def test_duality_discrete(family, params):
-    assert check_duality_discrete(family, params).passed
+    report = check_duality_discrete(params)
+    assert report.passed and report.check_id == f"duality-{family}"
 
 
 @pytest.mark.parametrize("family,params", [
@@ -87,7 +91,30 @@ def test_duality_discrete(family, params):
     ("q-racah", LinearizationLattice(QP, 5, 4).qrp),
 ])
 def test_orthogonality_discrete(family, params):
-    assert check_orthogonality_discrete(family, params).passed
+    report = check_orthogonality_discrete(params)
+    assert report.passed and report.check_id == f"orthogonality-{family}"
+
+
+def test_discrete_checks_reject_a_record_with_no_such_relation():
+    qrp = LinearizationLattice(QP, 4, 3).qrp
+    with pytest.raises(ParameterError, match="no duality check for QRacahParams"):
+        check_duality_discrete(qrp)
+    with pytest.raises(ParameterError, match="no orthogonality check for WilsonParams"):
+        check_orthogonality_discrete(WilsonParams(F(1), F(3, 2), F(2), F(5, 2)))
+
+
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS + (QParams(F(1, 2), F(1)),))
+def test_a_form_lattice_polynomials_are_the_linearization_lattice(qp):
+    # the a-form's 4phi3 parameters (a^2/q, a^2/q, q^(-m-1), q^(-l)/a^2) are
+    # those of the lattice, since a^2 = q^(1/2) beta
+    a2, q = qp.a * qp.a, qp.q
+    for l in range(6):
+        for m in range(l + 1):
+            lat = LinearizationLattice(qp, l, m)
+            for k in range(m + 1):
+                for j in range(m + 1):
+                    phi = qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
+                    assert lat.poly(k, j) == phi, (qp, l, m, k, j)
 
 
 def test_weight_ratio_and_difference():
@@ -310,25 +337,22 @@ def test_classical_fail_witness_is_a_z_coefficient():
 
 def test_addition_q():
     for n in range(5):
-        assert check_addition("q", n, qp=QPA, u=F(2), v=F(3)).passed
-    assert check_addition("q", 3, qp=QPA, u=F(3, 2), v=F(5, 4)).passed
+        assert check_addition_q(QPA, n, F(2), F(3)).passed
+    assert check_addition_q(QPA, 3, F(3, 2), F(5, 4)).passed
 
 
 def test_addition_classical_and_legendre():
-    assert check_addition("classical", 4, alpha=F(1, 2), xpair=P[0], ypair=P[1],
-                          tpoint=P[2][0]).passed
-    assert check_addition("classical", 3, alpha=F(0), xpair=P[1], ypair=P[2],
-                          tpoint=P[0][0]).passed
-    assert check_addition("legendre", 2, xpair=P[0], ypair=P[1], phipair=P[2]).passed
-    assert check_addition("legendre", 5, xpair=P[2], ypair=P[0], phipair=P[1]).passed
+    assert check_addition_classical(F(1, 2), 4, P[0], P[1], P[2][0]).passed
+    assert check_addition_classical(F(0), 3, P[1], P[2], P[0][0]).passed
+    assert check_addition_legendre(2, P[0], P[1], P[2]).passed
+    assert check_addition_legendre(5, P[2], P[0], P[1]).passed
 
 
 def test_addition_rejects_off_circle_points():
     from qaskey.errors import InadmissiblePoint
 
     with pytest.raises(InadmissiblePoint):
-        check_addition("classical", 2, alpha=F(1, 2), xpair=(F(1, 2), F(1, 2)),
-                       ypair=P[0], tpoint=F(1, 3))
+        check_addition_classical(F(1, 2), 2, (F(1, 2), F(1, 2)), P[0], F(1, 3))
 
 
 def test_restriction_equivalence():

@@ -218,7 +218,10 @@ def test_ring_ops_match_oracle(a, b, s, d, n):
     _assert_matches(s * p, _o_scale(oa, s))
     _assert_matches(p * s.numerator, _o_scale(oa, s.numerator))
     _assert_matches(p + s, _o_add(oa, _o({0: s})))
+    _assert_matches(s + p, _o_add(_o({0: s}), oa))
+    _assert_matches(p - s, _o_add(oa, _o({0: -s})))
     _assert_matches(s - p, _o_add(_o({0: s}), _o_scale(oa, -1)))
+    _assert_matches(p + s.numerator, _o_add(oa, _o({0: s.numerator})))
     _assert_matches(p * (1 / d), _o_scale(oa, 1 / d))
     _assert_matches(p ** n, _o_pow(oa, n))
     assert (p == q) == (oa == ob)

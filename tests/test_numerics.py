@@ -1,6 +1,7 @@
 """Float companion: Bessel series, limit schedules, weights, quadrature."""
 
 import math
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,22 +12,21 @@ from qaskey.errors import NonConvergence, ParameterError
 from qaskey.families import QParams
 from qaskey.numerics import (
     RATIO_BANDS,
+    _aw_params_floats,
+    _cqu_inner,
     aw_h0_closed,
+    aw_weight,
     bessel_script_j,
-    float_family_consistency,
+    cqu_weight,
+    float_exact_consistency,
     limit_check,
-    numeric_orthogonality,
-    numeric_weight,
+    numeric_aw_h0,
+    numeric_orthogonality_cqu,
     qpoch_infinite,
     refine_integral,
 )
 
 QP = QParams(F(1, 2), F(2, 3))
-
-
-def _aw_floats(qp):
-    a, qh = float(qp.a), float(qp.qhalf)
-    return {"q": float(qp.q), "a": a, "b": qh * a, "c": -a, "d": -qh * a}
 
 
 def test_bessel_special_cases():
@@ -138,8 +138,8 @@ def test_qpoch_infinite_truncation():
 def test_weight_ratio_matches_exact():
     q, beta = float(QP.q), float(QP.beta)
     for theta in (0.4, 1.0, 1.7, 2.3, 2.8):
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w_promoted = numeric_weight("cqu", {"q": q, "beta": beta * q}, theta)
+        w = cqu_weight(q, beta, theta)
+        w_promoted = cqu_weight(q, beta * q, theta)
         x = math.cos(theta)
         exact = (1 + q ** 0.5 * beta) ** 2 - 4 * q ** 0.5 * beta * x * x
         assert abs(w_promoted / w - exact) < 1e-10
@@ -148,8 +148,8 @@ def test_weight_ratio_matches_exact():
 def test_weight_even_symmetry():
     q, beta = float(QP.q), float(QP.beta)
     for theta in (0.3, 0.9, 1.4):
-        w1 = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        w2 = numeric_weight("cqu", {"q": q, "beta": beta}, math.pi - theta)
+        w1 = cqu_weight(q, beta, theta)
+        w2 = cqu_weight(q, beta, math.pi - theta)
         assert abs(w1 - w2) < 1e-12 * abs(w1)
 
 
@@ -157,30 +157,32 @@ def test_aw_weight_is_cqu_theta_density():
     q, beta = float(QP.q), float(QP.beta)
     ratios = []
     for theta in (0.4, 1.0, 1.7, 2.3, 2.8):
-        w = numeric_weight("cqu", {"q": q, "beta": beta}, theta)
-        waw = numeric_weight("aw", _aw_floats(QP), theta)
+        w = cqu_weight(q, beta, theta)
+        waw = aw_weight(*_aw_params_floats(QP), theta)
         ratios.append(waw / (w * math.sin(theta)))
     assert max(ratios) - min(ratios) < 1e-10
 
 
 def test_weight_domain_validation():
     with pytest.raises(ParameterError):
-        numeric_weight("cqu", {"q": 0.5, "beta": 0.5}, 0.0)
+        cqu_weight(0.5, 0.5, 0.0)
     with pytest.raises(ParameterError):
-        numeric_weight("cqu", {"q": 0.5, "beta": 0.5}, math.pi)
+        cqu_weight(0.5, 0.5, math.pi)
+    with pytest.raises(ParameterError):
+        aw_weight(*_aw_params_floats(QP), math.pi)
 
 
 def test_numeric_orthogonality_cqu():
     for (m, n) in [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]:
-        residual = numeric_orthogonality("cqu", {"qp": QP}, m, n)
+        residual = float(numeric_orthogonality_cqu(QP, m, n)["residual"])
         assert residual < 1e-8, (m, n, residual)
-    assert numeric_orthogonality("cqu", {"qp": QP}, 0, 0) > 0
+    assert _cqu_inner(QP, 0, 0) > 0
 
 
 def test_numeric_aw_h0():
-    deviation = numeric_orthogonality("aw-h0", _aw_floats(QP), 0, 0)
+    deviation = float(numeric_aw_h0(QP)["residual"])
     assert deviation < 1e-8
-    assert aw_h0_closed(_aw_floats(QP)) > 0
+    assert aw_h0_closed(*_aw_params_floats(QP)) > 0
 
 
 def test_refine_integral():
@@ -189,35 +191,47 @@ def test_refine_integral():
 
 
 def test_float_exact_consistency():
-    gap = float_family_consistency(QParams(F(19, 20), F(1, 2)), 8, F(7, 5))
+    gap = float(float_exact_consistency(QParams(F(19, 20), F(1, 2)), 8)["residual"])
     assert gap < 1e-12
     # low degrees survive even at small q
-    gap = float_family_consistency(QP, 3, F(7, 5))
+    gap = float(float_exact_consistency(QP, 3)["residual"])
     assert gap < 1e-12
 
 
 # each threshold probe with the arguments of its suite row, and the numerics
 # function whose value it thresholds
 THRESHOLD_PROBES = (
-    ("numeric_orthogonality_cqu", {"qp": QP, "m": 1, "n": 2}, "numeric_orthogonality"),
-    ("numeric_aw_h0", {"qp": QP}, "numeric_orthogonality"),
-    ("numeric_weight_ratio", {"qp": QP}, "numeric_weight"),
-    ("numeric_weight_symmetry", {"qp": QP}, "numeric_weight"),
-    ("numeric_weight_aw_vs_cqu", {"qp": QP}, "numeric_weight"),
-    ("bessel_special_cases", {"points": (0.5, 1.0, 2.0, 5.0, 10.0)}, "bessel_script_j"),
-    ("float_exact_consistency", {"qp": QParams(F(19, 20), F(1, 2)), "nmax": 8},
-     "float_family_consistency"),
+    ("numeric_orthogonality_cqu", {"qp": QP, "m": 1, "n": 2}, "_cqu_inner"),
+    ("numeric_aw_h0", {"qp": QP}, "_aw_weight_circle"),
+    ("numeric_weight_ratio", {"qp": QP}, "cqu_weight"),
+    ("numeric_weight_symmetry", {"qp": QP}, "cqu_weight"),
+    ("numeric_weight_aw_vs_cqu", {"qp": QP}, "aw_weight"),
+    ("bessel_special_cases", {}, "bessel_script_j"),
+    ("float_exact_consistency", {"qp": QParams(F(19, 20), F(1, 2)), "nmax": 8}, "_cqu_phi"),
 )
 
 
+@contextmanager
+def perturbed(name: str, amount: float):
+    """Make the numerics function `name` return amount * (1 + its last
+    argument) more, inside the block.  The last argument of each weight is
+    theta, so ratios, mirror images and spreads of weights move as well.
+    `_cqu_diagonal` keeps values of `_cqu_inner`, so its cache is emptied on
+    entry and on exit."""
+    exact = getattr(numerics, name)
+    numerics._cqu_diagonal.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, name, lambda *args: exact(*args) + amount * (1 + float(args[-1])))
+            yield
+    finally:
+        numerics._cqu_diagonal.cache_clear()
+
+
 @pytest.mark.parametrize("probe,kwargs,thresholded", THRESHOLD_PROBES)
-def test_threshold_probe_fails_when_its_value_is_off(monkeypatch, probe, kwargs, thresholded):
+def test_threshold_probe_fails_when_its_value_is_off(probe, kwargs, thresholded):
     record = getattr(numerics, probe)(**kwargs)
     assert record["id"] == probe.replace("_", "-")
     assert record["verdict"] == "pass", record
-    exact = getattr(numerics, thresholded)
-    # off by 1e-6 (1 + last argument): the last argument of numeric_weight is
-    # theta, so its ratios, mirror images and spreads move as well
-    monkeypatch.setattr(numerics, thresholded,
-                        lambda *args: exact(*args) + 1e-6 * (1 + float(args[-1])))
-    assert getattr(numerics, probe)(**kwargs)["verdict"] == "fail"
+    with perturbed(thresholded, 1e-6):
+        assert getattr(numerics, probe)(**kwargs)["verdict"] == "fail"
