@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -529,8 +530,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags that take no value; every other long flag takes one.
+_VALUELESS_FLAGS = ("--help", "--version")
+
+
+def _join_negative_values(argv: list) -> list:
+    """argv with each value that starts like a negative number, such as
+    -1/2, -1e400 or -1/2,1, joined to the long flag before it as
+    --flag=value.  argparse takes only plain negative decimals for values
+    and the rest for unknown options; no qaskey option starts with -<digit>
+    or -., and a prefix of --help or --version keeps its meaning."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (re.match(r"-[0-9.]", arg) and prev.startswith("--") and len(prev) > 2
+                and "=" not in prev and not any(f.startswith(prev) for f in _VALUELESS_FLAGS)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     # Exact values may run past the interpreter's int-to-str digit limit;
     # lift it for this command only (interpreters without it have none).
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -13,7 +13,9 @@ over Q.
 
 The q-arithmetic is that of `series` (term ratios, vanishing scans, running
 q-Pochhammer prefixes), and each quantity of a q-Racah lattice is cached
-once, on its `QRacahParams`.
+once, on its `QRacahParams`.  Every q-Racah family the program evaluates is
+such a record: the one-point lattice N = 0 and the shifted family of the
+backward shift, which is the q-Racah family on 0..N-1, included.
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ class RacahParams:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         object.__setattr__(self, "delta", Fraction(self.delta))
-        if self.N < 1:
-            raise ParameterError("Racah N must be >= 1")
+        if self.N < 0:
+            raise ParameterError("Racah N must be >= 0")
 
     @property
     def gamma(self) -> Fraction:
@@ -187,11 +189,12 @@ class QRacahParams:
     """q-Racah parameters; gamma = q^(-N-1) is encoded through N and the
     QParams carrier supplies the base q = t^4.
 
+    N = 0 is the one-point lattice, with weight 1, value 1 and h_0 = 1.
     Construction validates that no weight denominator factor vanishes on
-    the lattice 0..N.  The private tables below hold what `qracah`,
-    `qracah_weight` and `qracah_norms` read, and `h0` is the total mass:
-    each is built for the whole lattice the first time one of them asks,
-    and dies with the record.
+    the lattice 0..N and keeps the bases it scanned.  The private tables
+    below hold what `qracah`, `qracah_weight` and `qracah_norms` read, and
+    `h0` is the total mass: each is built for the whole lattice the first
+    time one of them asks, and dies with the record.
     """
 
     alpha: Fraction
@@ -204,11 +207,19 @@ class QRacahParams:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "beta", Fraction(self.beta))
         object.__setattr__(self, "delta", Fraction(self.delta))
-        if self.N < 1:
-            raise ParameterError("q-Racah N must be >= 1")
+        if self.N < 0:
+            raise ParameterError("q-Racah N must be >= 0")
         if self.alpha == 0 or self.beta == 0 or self.delta == 0:
             raise ParameterError("q-Racah alpha, beta, delta must be nonzero")
-        _qracah_weight_dens(self.alpha, self.beta, self.gamma, self.delta, self.qp.q, self.N)
+        g, d, q = self.gamma, self.delta, self.qp.q
+        if 1 - g * d * q == 0:
+            raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
+        # the weight denominator bases, which `_weights` reads
+        dens = (q, g * d * q / self.alpha, g * q / self.beta, d * q)
+        hit = first_qvanishing(dens, q, self.N)
+        if hit is not None:
+            raise VanishingDenominator(hit[0] + 1, f"(b; q)_x factor with b={hit[1]}")
+        object.__setattr__(self, "_weight_dens", dens)
 
     # Cached in the instance __dict__, outside the fields that eq and hash use.
     @cached_property
@@ -247,8 +258,13 @@ class QRacahParams:
 
     @cached_property
     def _weights(self) -> tuple:
-        """The weights w(0..N)."""
-        return _qracah_weights(self.alpha, self.beta, self.gamma, self.delta, self.qp.q, self.N)
+        """The weights w(0..N), from running q-Pochhammer prefixes."""
+        a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
+        dens = qpoch_prefixes(self._weight_dens, q, self.N)
+        nums = qpoch_prefixes((a * q, b * d * q, g * q, g * d * q), q, self.N)
+        abq, gdq = a * b * q, g * d * q
+        return tuple((1 - gdq * q ** (2 * x)) * num / (abq ** x * (1 - gdq) * den)
+                     for x, (num, den) in enumerate(zip(nums, dens)))
 
     @cached_property
     def h0(self) -> Fraction:
@@ -563,26 +579,15 @@ def cqu_duality_point(m: int, qp: QParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, q) -> Fraction:
-    """The q-Racah 4phi3 at lattice index x, for free parameters: the
-    backward shift evaluates it at parameters shifted off any one record."""
-    spec = HyperSeriesSpec(
-        numerator=(q ** (-n), q ** (n + 1) * alpha * beta, q ** (-x), q ** (x + 1) * gamma * delta),
-        denominator=(q * alpha, q * beta * delta, q * gamma),
-        argument=q,
-        termination=min(n, x),
-        base=q,
-    )
-    return terminating_hyper(spec)
-
-
 def qracah(n: int, x: int, qrp: QRacahParams) -> Fraction:
     """q-Racah polynomial at lattice index x, with gamma = q^(-N-1).
 
-    The 4phi3 of `qracah_phi`, summed by `qhyper_sum` on series parameters
-    read from the tables of `qrp`.  It raises the `VanishingDenominator`
-    of `HyperSeriesSpec`'s scan exactly when its termination index
-    min(n, x) passes the lattice's first vanishing denominator factor.
+    The 4phi3 with numerator bases (q^-n, alpha beta q^(n+1), q^-x,
+    gamma delta q^(x+1)) and denominator bases (q alpha, q beta delta,
+    q gamma), summed by `qhyper_sum` on series parameters read from the
+    tables of `qrp`.  It raises the `VanishingDenominator` of
+    `HyperSeriesSpec`'s scan exactly when its termination index min(n, x)
+    passes the lattice's first vanishing denominator factor.
     """
     _check_lattice(n, x, qrp.N)
     top = min(n, x)
@@ -592,35 +597,6 @@ def qracah(n: int, x: int, qrp: QRacahParams) -> Fraction:
     q = qrp.qp.q
     nums = (qrp._q_neg[n], qrp._ab_q[n], qrp._q_neg[x], qrp._gd_q[x])
     return qhyper_sum(nums, qrp._phi_dens, q, q, top)
-
-
-def _qracah_weight_dens(a, b, g, d, q, top: int) -> tuple:
-    """The denominator bases of the q-Racah weight, each checked for a
-    vanishing factor of (base; q)_x up to x = top."""
-    if 1 - g * d * q == 0:
-        raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
-    dens = (q, g * d * q / a, g * q / b, d * q)
-    hit = first_qvanishing(dens, q, top)
-    if hit is not None:
-        raise VanishingDenominator(hit[0] + 1, f"(b; q)_x factor with b={hit[1]}")
-    return dens
-
-
-def _qracah_weights(a, b, g, d, q, top: int) -> tuple:
-    """The q-Racah weights w(0..top) for free parameters, from running
-    q-Pochhammer prefixes, the denominator bases checked up to x = top."""
-    dens = qpoch_prefixes(_qracah_weight_dens(a, b, g, d, q, top), q, top)
-    nums = qpoch_prefixes((a * q, b * d * q, g * q, g * d * q), q, top)
-    abq, gdq = a * b * q, g * d * q
-    return tuple((1 - gdq * q ** (2 * x)) * num / (abq ** x * (1 - gdq) * den)
-                 for x, (num, den) in enumerate(zip(nums, dens)))
-
-
-def qracah_weight_raw(x: int, a, b, g, d, q) -> Fraction:
-    """The q-Racah weight at x for free parameters, the top entry of their
-    table at top x.  The backward-shift identity evaluates the shifted
-    weight one step beyond its own lattice, where it correctly is 0."""
-    return _qracah_weights(a, b, g, d, q, x)[x]
 
 
 def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:

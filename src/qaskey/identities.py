@@ -40,9 +40,7 @@ from .families import (
     krawtchouk_weight,
     qracah,
     qracah_norms,
-    qracah_phi,
     qracah_weight,
-    qracah_weight_raw,
     racah,
     racah_h0,
     racah_phi,
@@ -214,10 +212,10 @@ class LinearizationLattice:
     """Weights, polynomials and norms of the q-Racah family whose weights
     are the linearization coefficients of the degree-(l, m) product.
 
-    The m = 0 lattice is a single point with unit weight and trivial norm,
-    below the smallest admissible q-Racah family, so it is special-cased.
-
-    Weights, h0 and norms come from the tables of the q-Racah record `qrp`.
+    Weights, h0 and norms come from the tables of the q-Racah record `qrp`,
+    the one-point record N = 0 at m = 0.  That lattice's norm is 1: its
+    ratio table's entry (1 - alpha beta q)/(1 - alpha beta q) is 0/0 at
+    beta = 1.
     Each lattice value, and the closed dual-addition coefficients, are
     computed the first time they are needed and kept; a computation that
     raises keeps nothing, so its error surfaces again at the next request.
@@ -227,31 +225,23 @@ class LinearizationLattice:
         if m > l:
             raise ParameterError("linearization lattice requires l >= m")
         self.qp, self.l, self.m = qp, l, m
-        self.qrp = None
         self._polys = {}
-        if m >= 1:
-            alpha = qp.beta / qp.qhalf
-            delta = 1 / (qp.beta * qp.qhalf * qp.q ** l)
-            self.qrp = QRacahParams(alpha, alpha, delta, m, qp)
+        alpha = qp.beta / qp.qhalf
+        delta = 1 / (qp.beta * qp.qhalf * qp.q ** l)
+        self.qrp = QRacahParams(alpha, alpha, delta, m, qp)
 
     def weight(self, j: int) -> Fraction:
-        if self.m == 0:
-            return F(1)
         w = qracah_weight(j, self.qrp)
         if w <= 0:
             raise NonPositiveWeight(j, w)
         return w
 
     def poly(self, k: int, j: int) -> Fraction:
-        if self.m == 0:
-            return F(1)
         if (k, j) not in self._polys:
             self._polys[k, j] = qracah(k, j, self.qrp)
         return self._polys[k, j]
 
     def h0(self) -> Fraction:
-        if self.m == 0:
-            return F(1)
         return self.qrp.h0
 
     def norm(self, k: int) -> Fraction:
@@ -274,7 +264,7 @@ def _shared_lattice(qp: QParams, l: int, m: int) -> LinearizationLattice:
 
 def linearization_racah_params(alpha, l: int, m: int) -> RacahParams:
     """The Racah family whose weights are the classical linearization
-    coefficients of the degree-(l, m) ultraspherical product (m >= 1)."""
+    coefficients of the degree-(l, m) ultraspherical product."""
     alpha = Fraction(alpha)
     return RacahParams(alpha - F(1, 2), alpha - F(1, 2), m, -l - alpha - F(1, 2))
 
@@ -433,13 +423,18 @@ def check_difference_formula(qp: QParams, nmax: int, mutation=None) -> CheckRepo
 def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckReport:
     """Backward shift relation pointwise on the lattice (with the edge
     conventions at x = 0 and x = N), plus its summed-by-parts form for
-    f(x) = x and f(x) = q^x."""
+    f(x) = x and f(x) = q^x.
+
+    The shifted family (q alpha, q beta, q gamma, delta) is the q-Racah
+    record on 0..N-1.  At x = N, one step past it, its weight is 0, so the
+    term there is 0; no series is evaluated there or wherever a weight is 0.
+    """
     N = qrp.N
     if not 1 <= nmax <= N:
         raise ParameterError("backward shift needs 1 <= nmax <= N")
     q = qrp.qp.q
     a, b, g, d = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta
-    shifted = (q * a, q * b, q * g, d, q)  # alpha, beta, gamma, delta, q
+    shifted = QRacahParams(q * a, q * b, d, N - 1, qrp.qp)
     lead = 1 - q * q * g * d
     items = []
 
@@ -447,9 +442,9 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
 
     def shifted_term(n, x):
         if (n, x) not in terms:
-            w = qracah_weight_raw(x, *shifted)
+            w = qracah_weight(x, shifted) if x < N else F(0)
             terms[n, x] = F(0) if not w else (
-                lead / (q ** (-x) - g * d * q ** (x + 2)) * w * qracah_phi(n - 1, x, *shifted))
+                lead / (q ** (-x) - g * d * q ** (x + 2)) * w * qracah(n - 1, x, shifted))
         return terms[n, x]
 
     weighted = {}  # w(x) R_n(x), shared by the pointwise and the summed forms
@@ -697,12 +692,13 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
     if target == "classical":
         alpha = Fraction(alpha)
         x2_minus_1 = x_embed([-1, 0, 1])
+        rp = linearization_racah_params(alpha, l, m)
         polys, scalars = [], []
         for k in range(m + 1):
             c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
             c *= pochhammer(F(-l), k) * pochhammer(F(-m), k) * pochhammer(2 * alpha + 1, k)
             c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2 * factorial(k)
-            c *= racah_phi(k, j, alpha - F(1, 2), alpha - F(1, 2), F(-m - 1), -l - alpha - F(1, 2))
+            c *= racah(k, j, rp)
             polys.append(x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k))
             scalars.append(c)
         rhs = linear_combination(polys, scalars)

@@ -1,15 +1,15 @@
 """Reference formulas the tests check the package against: closed forms
 that no suite row checks, the product (a z^e; q)_k built factor by factor,
-the Laurent q-series summed term by term, the q-Racah weight formula for
-one x and the norm formula for one n, and the variable maps z -> 1/z and
-z -> -z."""
+the Laurent q-series summed term by term, the q-Racah 4phi3 for free
+parameters, the q-Racah weight formula for one x and the norm formula for
+one n, and the variable maps z -> 1/z and z -> -z."""
 
 from fractions import Fraction
 
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.families import QParams, QRacahParams
 from qaskey.laurent import LaurentPoly
-from qaskey.series import qpochhammer
+from qaskey.series import HyperSeriesSpec, qpochhammer, terminating_hyper
 
 
 def qpoch_laurent_pow(a, zexp: int, qbase, k: int) -> LaurentPoly:
@@ -70,6 +70,19 @@ def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -
             break
         total = total + lpart * coeff
     return total
+
+
+def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, q) -> Fraction:
+    """The q-Racah 4phi3 at lattice index x for free parameters, summed by
+    the validated series spec."""
+    spec = HyperSeriesSpec(
+        numerator=(q ** (-n), q ** (n + 1) * alpha * beta, q ** (-x), q ** (x + 1) * gamma * delta),
+        denominator=(q * alpha, q * beta * delta, q * gamma),
+        argument=q,
+        termination=min(n, x),
+        base=q,
+    )
+    return terminating_hyper(spec)
 
 
 def qracah_weight_per_x(x: int, a, b, g, d, q) -> Fraction:

@@ -303,6 +303,33 @@ def test_eval_qracah_top_lattice_matches_closed_form():
     assert out.splitlines()[0] == f"exact: {qracah_at_top(1, qrp)}"
 
 
+def test_a_negative_rational_after_a_flag_is_its_value():
+    argv = ["eval", "--family", "jacobi", "--n", "1", "--alpha", "-1/2", "--beta", "0",
+            "--at", "1/2"]
+    joined = argv[:5] + ["--alpha=-1/2"] + argv[7:]
+    assert run_cli(argv) == run_cli(joined) == (0, "exact: 1/4\nfloat: 0.25\n", "")
+    code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--qparams", "-1/2,1"])
+    assert (code, out, err) == (2, "", "error: need 0 < t < 1, got t=-1/2\n")
+    code, out, _ = run_cli(["eval", "--family", "jacobi", "--n", "1", "--alpha", "1/2",
+                            "--beta", "1/3", "--at", "-1e400"])
+    assert code == 0 and out.splitlines()[1] == "float: -inf"
+
+
+@pytest.mark.parametrize("argv", [["--version", "-1/2"], ["--vers", "-1"], ["eval", "-h", "-1/2"],
+                                  ["table", "--he", "-1/2"]])
+def test_help_and_version_take_no_value(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
+
+
+def test_eval_qracah_one_point_lattice():
+    argv = ["eval", "--family", "q-racah", "--n", "0", "--x", "0", "--alpha", "16/9",
+            "--beta", "16/9", "--delta", "589824/9", "--qparams", "1/2,2/3"]
+    assert run_cli(argv + ["--N", "0"]) == (0, "exact: 1\nfloat: 1\n", "")
+    assert run_cli(argv + ["--N=-1"]) == (2, "", "error: q-Racah N must be >= 0\n")
+
+
 def test_eval_laurent_output():
     code, out, _ = run_cli(["eval", "--family", "cqu", "--n", "1", "--qparams", "1/2,2/3"])
     assert code == 0
@@ -381,6 +408,24 @@ def test_eval_covers_every_family_id():
         values[family] = out.splitlines()[0]
     # the two series representations of the same family agree
     assert values["cqu"] == values["cqu-alt"]
+
+
+# Command lines that no other test runs as they stand, run through `main` so
+# that every Python version of the CI matrix runs them; CI runs only the
+# three that need the installed entry point.
+@pytest.mark.parametrize("argv", [
+    "eval --family cqu --n 2 --qparams 1/2,2/3",
+    "eval --family cqu-alt --n 3 --qparams 1/2,2/3",
+    "eval --family askey-wilson --n 2 --a 1/2 --b 1/3 --c 1/4 --d 1/5 --qbase 1/2",
+    "verify --suite backward-shift --format text",
+    "verify --suite limits --format text",
+    "verify --suite addition --format text",
+    "verify --suite numeric-orthogonality --format text",
+    "verify --suite duality --format text",
+])
+def test_command_lines_exit_zero(argv):
+    code, out, err = run_cli(argv.split())
+    assert (code, err) == (0, "") and out, argv
 
 
 def test_eval_errors():
@@ -496,21 +541,26 @@ CHEAP_SUITES = ("weight-recurrence", "difference", "backward-shift", "theorem-5-
                 "orthogonality", "product-formula", "nonsense")
 
 
+def _flag_value(draw, flag: str) -> list:
+    """The flag with a drawn value, as --flag=value or as --flag value."""
+    value = draw(st.sampled_from(FLAG_VALUES[flag]))
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
+
 @st.composite
 def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
     argv = [command]
     if command == "verify":
-        argv += ["--suite", draw(st.sampled_from(CHEAP_SUITES)),
-                 f"--grid-lmax={draw(st.sampled_from(FLAG_VALUES['--grid-lmax']))}"]
+        argv += ["--suite", draw(st.sampled_from(CHEAP_SUITES)), *_flag_value(draw, "--grid-lmax")]
     else:
         names = tuple(EVAL_FAMILIES) if command == "eval" else tuple(TABLE_FAMILIES)
         argv += ["--family", draw(st.sampled_from(names + ("nosuch",)))]
     if command == "eval":
-        argv.append(f"--n={draw(st.sampled_from(INTS))}")
+        argv += _flag_value(draw, "--n")
     for flag in COMMAND_FLAGS[command]:
         if draw(st.integers(0, 4)):  # each flag is there four times in five
-            argv.append(f"{flag}={draw(st.sampled_from(FLAG_VALUES[flag]))}")
+            argv += _flag_value(draw, flag)
     return argv
 
 

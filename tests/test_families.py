@@ -31,9 +31,7 @@ from qaskey.families import (
     krawtchouk_weight,
     qracah,
     qracah_norms,
-    qracah_phi,
     qracah_weight,
-    qracah_weight_raw,
     racah,
     racah_h0,
     racah_norms,
@@ -47,7 +45,7 @@ from qaskey.families import (
 from qaskey.identities import DEFAULT_QPARAMS, LinearizationLattice
 from closed_forms import (
     cqu_leading_z_coeff, laurent_phi_terms, negate_variable, qracah_at_top, qracah_norm_per_n,
-    qracah_weight_per_x,
+    qracah_phi, qracah_weight_per_x,
 )
 
 QP = QParams(F(1, 2), F(2, 3))
@@ -227,7 +225,7 @@ def test_qracah_weight_matches_the_scanning_formula(qp):
     qrp = LinearizationLattice(qp, 9, 9).qrp
     for x in range(qrp.N + 1):
         args = (x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qp.q)
-        assert qracah_weight(x, qrp) == qracah_weight_raw(*args) == qracah_weight_per_x(*args)
+        assert qracah_weight(x, qrp) == qracah_weight_per_x(*args)
 
 
 def _outcome(fn, *args):
@@ -266,14 +264,34 @@ def test_qracah_tables_match_the_per_entry_formulas():
 
 
 def test_free_parameter_weights_match_the_per_x_formula():
-    # the parameter shift of the backward-shift identity, one step past its
-    # lattice too, and a record whose delta q = 1 raises from x = 1 on
+    # the shifted record of the backward-shift identity on 0..N-1, whose
+    # weight is 0 one step past its lattice, and a record whose delta q = 1
+    # raises at construction as the weight does from x = 1 on
     for qrp in _table_cases():
-        q = qrp.qp.q
-        for args in ((q * qrp.alpha, q * qrp.beta, q * qrp.gamma, qrp.delta, q),
-                     (qrp.alpha, qrp.beta, qrp.gamma, 1 / q, q)):
-            for x in range(qrp.N + 2):
-                assert _outcome(qracah_weight_raw, x, *args) == _outcome(qracah_weight_per_x, x, *args)
+        a, b, g, d, q, N = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q, qrp.N
+        shifted = QRacahParams(q * a, q * b, d, N - 1, qrp.qp)
+        assert shifted.gamma == q * g
+        for x in range(N):
+            assert qracah_weight(x, shifted) == qracah_weight_per_x(x, q * a, q * b, q * g, d, q)
+        assert qracah_weight_per_x(N, q * a, q * b, q * g, d, q) == 0
+        assert _outcome(QRacahParams, a, b, 1 / q, N, qrp.qp) == \
+            _outcome(qracah_weight_per_x, N, a, b, g, 1 / q, q)
+
+
+@pytest.mark.parametrize("qp", (*DEFAULT_QPARAMS, QParams(F(1, 2), F(1))))
+def test_one_point_records_have_unit_weight_value_and_mass(qp):
+    qrp = QRacahParams(F(16, 9), F(16, 9), F(7, 3), 0, qp)
+    assert qracah_weight(0, qrp) == qracah(0, 0, qrp) == qrp.h0 == qracah_norms(0, qrp) == 1
+    # the m = 0 linearization lattice: its norm stays 1 where beta = 1
+    # makes the record's ratio (1 - alpha beta q)/(1 - alpha beta q) 0/0
+    lat = LinearizationLattice(qp, 3, 0)
+    assert lat.weight(0) == lat.poly(0, 0) == lat.h0() == lat.norm(0) == 1
+    rp = RacahParams(F(1, 2), F(1, 3), 0, F(1, 5))
+    assert racah_weight(0, rp) == racah(0, 0, rp) == racah_h0(rp) == racah_norms(0, rp) == 1
+    with pytest.raises(ParameterError, match="q-Racah N must be >= 0"):
+        QRacahParams(F(16, 9), F(16, 9), F(7, 3), -1, qp)
+    with pytest.raises(ParameterError, match="Racah N must be >= 0"):
+        RacahParams(F(1, 2), F(1, 3), -1, F(1, 5))
 
 
 @pytest.mark.parametrize("N", range(1, 6))

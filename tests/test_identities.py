@@ -15,7 +15,6 @@ from qaskey.families import (
     RacahParams,
     WilsonParams,
     cqu_r,
-    qracah_phi,
 )
 from qaskey.identities import (
     DEFAULT_ALPHAS,
@@ -48,7 +47,7 @@ from qaskey.identities import (
 )
 from qaskey.laurent import LaurentPoly
 from qaskey.series import qpochhammer
-from closed_forms import cqu_leading_z_coeff, qpoch_laurent_pow
+from closed_forms import cqu_leading_z_coeff, qpoch_laurent_pow, qracah_phi
 
 QP = QParams(F(1, 2), F(2, 3))
 QPA = QParams(F(1, 2), F(1, 3))
@@ -152,6 +151,14 @@ def test_difference_formula_leading_coefficient_route():
 def test_backward_shift():
     qrp = LinearizationLattice(QP, 4, 3).qrp
     assert check_backward_shift(qrp, 3).passed
+
+
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS + (QParams(F(1, 2), F(1)),))
+def test_backward_shift_on_every_lattice_to_l_6(qp):
+    # N = 1 included, where the shifted record is the one-point lattice
+    failed = [(l, m, nmax) for l in range(1, 7) for m in range(1, l + 1) for nmax in range(1, m + 1)
+              if not check_backward_shift(LinearizationLattice(qp, l, m).qrp, nmax).passed]
+    assert failed == []
 
 
 def test_backward_shift_constant_function_annihilates():

@@ -1,7 +1,8 @@
-"""Nothing in `src/qaskey` lives only for the tests: every public
-module-level function and constant, and every public method, is named
-somewhere in the package besides its own definition.  A helper that only
-tests call belongs beside them (`tests/closed_forms.py`)."""
+"""Nothing in `src/qaskey` lives only for the tests or for no one: every
+module-level function and constant, and every method, public or private
+(dunders aside), is named somewhere in the package besides its own
+definition.  A helper that only tests call belongs beside them
+(`tests/closed_forms.py`); one that nothing calls is deleted."""
 
 import ast
 from collections import Counter
@@ -24,7 +25,7 @@ def _uses(node) -> tuple:
     return names, attrs
 
 
-def _public_surface(tree):
+def _surface(tree):
     """(qualified name, name, node, is_method) of each module-level function
     and constant and each method."""
     for node in tree.body:
@@ -40,7 +41,8 @@ def _public_surface(tree):
                     yield f"{node.name}.{item.name}", item.name, item, True
 
 
-def test_every_public_name_has_a_caller_in_src():
+def _unused(private: bool) -> list:
+    """Names of the given kind that src/ names only in their own definition."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(qaskey.__file__).parent.glob("*.py"))}
     names, attrs = Counter(), Counter()
@@ -49,12 +51,22 @@ def test_every_public_name_has_a_caller_in_src():
         names, attrs = names + n, attrs + a
     unused = []
     for module, tree in trees.items():
-        for qualname, name, node, is_method in _public_surface(tree):
+        for qualname, name, node, is_method in _surface(tree):
+            if name.startswith("_") != private or (name.startswith("__") and name.endswith("__")):
+                continue
             own_names, own_attrs = _uses(node)
             # a method is only ever reached as an attribute
             used = attrs[name] - own_attrs[name]
             if not is_method:
                 used += names[name] - own_names[name]
-            if not name.startswith("_") and used <= 0:
+            if used <= 0:
                 unused.append(f"{module}: {qualname}")
-    assert not unused, f"named nowhere else in src/: {unused}"
+    return unused
+
+
+def test_every_public_name_has_a_caller_in_src():
+    assert _unused(private=False) == []
+
+
+def test_every_private_name_has_a_caller_in_src():
+    assert _unused(private=True) == []
