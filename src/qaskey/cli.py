@@ -422,13 +422,14 @@ def _cmd_eval(args) -> int:
 
 
 def _index_range(text: str) -> tuple:
-    lo, sep, hi = text.partition(":")
+    lo, _, hi = text.partition(":")  # no colon leaves hi empty
     try:
-        if sep:
-            return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
-        pass
-    raise QAskeyError(f"--range expects lo:hi with integer bounds, got {text!r}")
+        raise QAskeyError(f"--range expects lo:hi with integer bounds, got {text!r}") from None
+    if lo < 0:
+        raise QAskeyError(f"--range lower bound must be >= 0, got {text!r}")
+    return lo, hi
 
 
 def _cmd_table(args) -> int:

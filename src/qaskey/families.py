@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .errors import ParameterError, VanishingDenominator, ZeroArgument
-from .laurent import LaurentPoly, SymmetricLaurent
+from .laurent import SymmetricLaurent
 from .series import (
     HyperSeriesSpec,
     first_qvanishing,
@@ -473,7 +473,7 @@ def wilson_dual_phi(n: int, m: int, wp: WilsonParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> LaurentPoly:
+def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> SymmetricLaurent:
     """Terminating q-series with Laurent numerator factors (az, a/z; q)_k.
 
     Returns sum_k c_k q^k (az; q)_k (a z^-1; q)_k with the scalar part
@@ -482,7 +482,8 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> LaurentP
     at the first vanishing denominator) up to the first zero term, and
     summed by Horner's rule from the top term, S <- (rho_k f_k) S + 1, with
     f_k = (1 - wz)(1 - w/z) and w = q^k a = u/v, so that
-    rho_k f_k = up_k ((u^2 + v^2) - uv (z + 1/z)) / (down_k v^2).
+    rho_k f_k = up_k ((u^2 + v^2) - uv (z + 1/z)) / (down_k v^2), built from
+    integers as the half (up_k (u^2 + v^2), -up_k uv) over down_k v^2.
     """
     if nterms < 0:
         raise ParameterError(f"degree must be >= 0, got {nterms}")
@@ -494,12 +495,10 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> LaurentP
     for up, down in ratios:
         if not up:
             break
-        den = down * v * v
-        side = Fraction(-up * u * v, den)
-        steps.append(LaurentPoly({-1: side, 0: Fraction(up * (u * u + v * v), den), 1: side}))
+        steps.append(SymmetricLaurent.from_half((up * (u * u + v * v), -up * u * v), down * v * v))
         u *= qbase.numerator
         v *= qbase.denominator
-    total = LaurentPoly.constant(1)
+    total = SymmetricLaurent.constant(1)
     for step in reversed(steps):
         total = step * total + 1
     return total
@@ -509,14 +508,13 @@ def askey_wilson_r(n: int, awp: AWParams) -> SymmetricLaurent:
     """Askey-Wilson polynomial normalized to 1 at z = a, as an exact
     symmetric Laurent polynomial in z."""
     a, b, c, d, q = awp.a, awp.b, awp.c, awp.d, awp.qbase
-    poly = _laurent_phi(
+    return _laurent_phi(
         scalar_nums=(q ** (-n), q ** (n - 1) * a * b * c * d),
         scalar_dens=(a * b, a * c, a * d),
         a_laurent=a,
         qbase=q,
         nterms=n,
     )
-    return SymmetricLaurent.from_poly(poly)
 
 
 def askey_wilson_r_at(n: int, awp: AWParams, z0) -> Fraction:
@@ -554,14 +552,13 @@ def cqu_r(n: int, qp: QParams) -> SymmetricLaurent:
 def cqu_r_alt(n: int, qp: QParams) -> SymmetricLaurent:
     """The alternative base-q^(1/2) representation of the same polynomial."""
     t, s = qp.t, qp.s
-    poly = _laurent_phi(
+    return _laurent_phi(
         scalar_nums=(t ** (-2 * n), t ** (2 * n + 2) * s ** 2),
         scalar_dens=(-(t ** 2) * s ** 2, t ** 2 * s, -(t ** 2) * s),
         a_laurent=t * s,
         qbase=t ** 2,
         nterms=n,
     )
-    return SymmetricLaurent.from_poly(poly)
 
 
 def cqu_r_at(n: int, qp: QParams, z0) -> Fraction:

@@ -480,17 +480,17 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
 # Key (carrier, k).  The rows of one carrier ask for k = 0..lmax again and
 # again, so 32 entries keep a whole carrier to lmax 31.
 @lru_cache(maxsize=32)
-def _qpoch_a2z2(qp: QParams, k: int) -> LaurentPoly:
+def _qpoch_a2z2(qp: QParams, k: int) -> SymmetricLaurent:
     """(a^2 z^2, a^2 z^-2; q)_k = prod_{i<k} ((1 + w_i)^2 - 4 w_i x^2) with
     w_i = q^i a^2, a^2 = q^(1/2) beta: each factor is the one-step weight
     ratio that `check_weight_ratio` checks."""
     if k == 0:
-        return LaurentPoly.constant(1)
+        return SymmetricLaurent.constant(1)
     w = qp.q ** (k - 1) * qp.qhalf * qp.beta
     return _qpoch_a2z2(qp, k - 1) * x_embed([(1 + w) ** 2, 0, -4 * w])
 
 
-def _shifted_product(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
+def _shifted_product(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
     """(a^2 z^2, a^2 z^-2; q)_k R_(l-k)(z; q^k beta) R_(m-k)(z; q^k beta): the
     z-dependent part of the k-th term of the closed projection sum and of
     the dual addition expansion."""
@@ -510,9 +510,8 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> Symme
         raise ParameterError("need 0 <= k <= m <= l")
     if mode == "brute":
         lat = _shared_lattice(qp, l, m)
-        total = linear_combination([cqu_r(l + m - 2 * j, qp) for j in range(m + 1)],
-                                   [lat.weight(j) * lat.poly(k, j) for j in range(m + 1)])
-        return SymmetricLaurent.from_poly(total)
+        return linear_combination([cqu_r(l + m - 2 * j, qp) for j in range(m + 1)],
+                                  [lat.weight(j) * lat.poly(k, j) for j in range(m + 1)])
     if mode != "closed":
         raise ParameterError(f"unknown mode {mode!r}")
     q, b, qh, t, s = qp.q, qp.beta, qp.qhalf, qp.t, qp.s
@@ -525,7 +524,7 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> Symme
     pref *= qpochhammer(bh, q, l + m - 2 * k) / (
         qpochhammer(bh, q, l - k) * qpochhammer(bh, q, m - k)
     )
-    return SymmetricLaurent.from_poly(_shifted_product(k, l, m, qp) * pref)
+    return _shifted_product(k, l, m, qp) * pref
 
 
 def check_theorem_5_1(grid: ParamGrid, mutation=None) -> CheckReport:
@@ -646,7 +645,7 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
 # ---------------------------------------------------------------------------
 
 
-def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
+def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
     """The z-dependent closed coefficient multiplying the k-th lattice
     polynomial in the dual addition expansion (shifted product included)."""
     q, b, qh, t = qp.q, qp.beta, qp.qhalf, qp.t

@@ -137,6 +137,28 @@ def test_deep_reports_are_byte_identical_to_their_recorded_digests(suite, lmax):
     assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_DEEP[suite, lmax]
 
 
+# SHA-256 of json reports, wall time removed, at the depths the benchmark
+# and the scaling table run, and dual-addition on beta = 1 with its error
+# records: (suite, lmax, --qparams or None for the default carriers).
+# Seconds each, so they carry the `deep` marker: `pytest -m deep`.
+GOLDEN_DEEPER = {
+    ("dual-addition", 9, None): "eb73d331c823b2fe7a10cce1858e897542b2dae9315fda4e87daa464a5b5daa4",
+    ("dual-addition", 11, None): "4cb99fd79bbfd21e3535fd7a3a70e000d649e4509cc4aeaf0b318b80292d5bbe",
+    ("theorem-5-1", 9, None): "5c7c4d6c92a91f14d4757d603c9d215e9ab40896f9aa6071df0c4c2314c8199c",
+    ("theorem-5-1", 11, None): "d2b9261dacbc1b3cacb7e02dc82810b18067700b213a49c3210a580377c4065b",
+    ("dual-addition", 9, "1/2,1"): "3b35e04a93ce1cf4e580d01c02459918d8007608f6b71cf4d9fe129916946e93",
+}
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("suite,lmax,qparams", list(GOLDEN_DEEPER))
+def test_deeper_reports_are_byte_identical_to_their_recorded_digests(suite, lmax, qparams):
+    carriers = () if qparams is None else (QParams(*map(F, qparams.split(","))),)
+    doc = run_suite(suite, ParamGrid(lmax=lmax, qparams=carriers))
+    doc.pop("wallTimeMs")
+    assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_DEEPER[suite, lmax, qparams]
+
+
 # SHA-256 of the json report, wall time removed, on the carrier beta = 1,
 # whose error records carry the full text of their messages.
 GOLDEN_BETA_ONE = "644caec60558c0576be4bf695a17c40abb56321888d142dfb96fcfba4eebde3f"
@@ -494,6 +516,16 @@ def test_table_norms_are_the_gram_diagonal(family, p):
     rows = [(int(i), F(h)) for i, h, _ in list(csv.reader(io.StringIO(out)))[1:]]
     assert rows == [(n, sum(weight(x, p) * poly(n, x, p) ** 2 for x in range(p.N + 1)))
                     for n in range(p.N + 1)]
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+def test_table_negative_range_bound_names_the_flag(family):
+    code, out, err = run_cli(["table", "--family", family, "--p", "1/3", "--N", "3",
+                              "--alpha", "0", "--beta", "1/2", "--delta", "1/5",
+                              "--qparams", "1/2,2/3", "--at", "1/2", "--at-z", "7/5",
+                              "--range", "-1:1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --range lower bound must be >= 0, got '-1:1'\n"
 
 
 def test_table_empty_range():

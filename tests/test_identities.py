@@ -43,9 +43,10 @@ from qaskey.identities import (
     dual_projection_sum,
     linearization_racah_params,
     weight_moments,
+    _compare,
     _qpoch_a2z2,
 )
-from qaskey.laurent import LaurentPoly
+from qaskey.laurent import LaurentPoly, SymmetricLaurent, x_embed
 from qaskey.series import qpochhammer
 from closed_forms import cqu_leading_z_coeff, qpoch_laurent_pow, qracah_phi
 
@@ -420,6 +421,16 @@ def test_mutation_is_detected(row):
         mutated = check(**kwargs, mutation=Mutation(index=index))
         assert not mutated.passed, f"{name} missed mutation at {index}"
         assert mutated.witness is not None and mutated.residual is not None
+
+
+def test_symmetric_residual_witness_is_at_minus_the_top_index_of_its_half():
+    lhs = x_embed([1, 2, 3])
+    rhs = lhs + x_embed([0, 0, 0, F(1, 5)])
+    residual = lhs - rhs
+    assert isinstance(residual, SymmetricLaurent) and len(residual._h) - 1 == 3
+    r = _compare("half-residual", {}, [("first", lhs, lhs), ("second", lhs, rhs)])
+    assert (r.witness.location, r.witness.lhs, r.witness.rhs) == ("second, z^-3", "0", "1/40")
+    assert r.residual == str(residual)
 
 
 def test_mutation_witness_localizes():
