@@ -62,7 +62,7 @@ def _duality(g):
 
 
 def _orthogonality_q_racah(qp, l: int, m: int, mutation=None):
-    return ids.check_orthogonality_discrete(ids.LinearizationLattice(qp, l, m).qrp, mutation)
+    return ids.check_orthogonality_discrete(ids.linearization_qracah_params(qp, l, m), mutation)
 
 
 def _orthogonality(g):
@@ -91,7 +91,7 @@ def _difference(g):
 
 
 def _backward_shift_on_lattice(qp, l: int, m: int, nmax: int, mutation=None):
-    return ids.check_backward_shift(ids.LinearizationLattice(qp, l, m).qrp, nmax, mutation)
+    return ids.check_backward_shift(ids.linearization_qracah_params(qp, l, m), nmax, mutation)
 
 
 def _backward_shift(g):
@@ -444,6 +444,8 @@ def _cmd_table(args) -> int:
     else:
         raise QAskeyError(f"family {args.family!r} requires --range lo:hi")
     value_at = TABLE_FAMILIES[args.family](args)
+    if on_lattice and hi > top:
+        raise QAskeyError(f"--range upper bound must be <= N = {top}, got {args.index_range!r}")
     rows = [(i, value_at(i)) for i in range(lo, hi + 1)]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["index", "exact", "float"])

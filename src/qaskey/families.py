@@ -13,9 +13,10 @@ over Q.
 
 The q-arithmetic is that of `series` (term ratios, vanishing scans, running
 q-Pochhammer prefixes), and each quantity of a q-Racah lattice is cached
-once, on its `QRacahParams`.  Every q-Racah family the program evaluates is
-such a record: the one-point lattice N = 0 and the shifted family of the
-backward shift, which is the q-Racah family on 0..N-1, included.
+once, on its `QRacahParams`, each value too.  Every q-Racah family the
+program evaluates is such a record: the one-point lattice N = 0, the
+shifted family of the backward shift (on 0..N-1) and the linearization
+lattices included.
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ class QRacahParams:
     the lattice 0..N and keeps the bases it scanned.  The private tables
     below hold what `qracah`, `qracah_weight` and `qracah_norms` read, and
     `h0` is the total mass: each is built for the whole lattice the first
-    time one of them asks, and dies with the record.
+    time one of them asks, and dies with the record; `_values` keeps each
+    value `qracah` has summed, one (n, x) at a time.
     """
 
     alpha: Fraction
@@ -243,6 +245,11 @@ class QRacahParams:
         """gamma delta q^(x+1) for x = 0..N."""
         q = self.qp.q
         return tuple(self.gamma * self.delta * q ** (x + 1) for x in range(self.N + 1))
+
+    @cached_property
+    def _values(self) -> dict:
+        """(n, x) -> the value of `qracah`, filled as it is asked for."""
+        return {}
 
     @cached_property
     def _phi_dens(self) -> tuple:
@@ -582,18 +589,22 @@ def qracah(n: int, x: int, qrp: QRacahParams) -> Fraction:
     The 4phi3 with numerator bases (q^-n, alpha beta q^(n+1), q^-x,
     gamma delta q^(x+1)) and denominator bases (q alpha, q beta delta,
     q gamma), summed by `qhyper_sum` on series parameters read from the
-    tables of `qrp`.  It raises the `VanishingDenominator` of
-    `HyperSeriesSpec`'s scan exactly when its termination index min(n, x)
-    passes the lattice's first vanishing denominator factor.
+    tables of `qrp` and kept in its `_values`.  It raises the
+    `VanishingDenominator` of `HyperSeriesSpec`'s scan exactly when its
+    termination index min(n, x) passes the lattice's first vanishing
+    denominator factor.
     """
     _check_lattice(n, x, qrp.N)
-    top = min(n, x)
-    k, b = qrp._phi_vanishing
-    if k < top:
-        raise VanishingDenominator(k + 1, f"(b; q)_k factor with b={b}")
-    q = qrp.qp.q
-    nums = (qrp._q_neg[n], qrp._ab_q[n], qrp._q_neg[x], qrp._gd_q[x])
-    return qhyper_sum(nums, qrp._phi_dens, q, q, top)
+    value = qrp._values.get((n, x))
+    if value is None:
+        top = min(n, x)
+        k, b = qrp._phi_vanishing
+        if k < top:
+            raise VanishingDenominator(k + 1, f"(b; q)_k factor with b={b}")
+        q = qrp.qp.q
+        nums = (qrp._q_neg[n], qrp._ab_q[n], qrp._q_neg[x], qrp._gd_q[x])
+        value = qrp._values[n, x] = qhyper_sum(nums, qrp._phi_dens, q, q, top)
+    return value
 
 
 def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, factorial
 from typing import Optional
 
@@ -208,58 +208,16 @@ def _check_pythagorean(pair):
 # ---------------------------------------------------------------------------
 
 
-class LinearizationLattice:
-    """Weights, polynomials and norms of the q-Racah family whose weights
-    are the linearization coefficients of the degree-(l, m) product.
-
-    Weights, h0 and norms come from the tables of the q-Racah record `qrp`,
-    the one-point record N = 0 at m = 0.  That lattice's norm is 1: its
-    ratio table's entry (1 - alpha beta q)/(1 - alpha beta q) is 0/0 at
-    beta = 1.
-    Each lattice value, and the closed dual-addition coefficients, are
-    computed the first time they are needed and kept; a computation that
-    raises keeps nothing, so its error surfaces again at the next request.
-    """
-
-    def __init__(self, qp: QParams, l: int, m: int):
-        if m > l:
-            raise ParameterError("linearization lattice requires l >= m")
-        self.qp, self.l, self.m = qp, l, m
-        self._polys = {}
-        alpha = qp.beta / qp.qhalf
-        delta = 1 / (qp.beta * qp.qhalf * qp.q ** l)
-        self.qrp = QRacahParams(alpha, alpha, delta, m, qp)
-
-    def weight(self, j: int) -> Fraction:
-        w = qracah_weight(j, self.qrp)
-        if w <= 0:
-            raise NonPositiveWeight(j, w)
-        return w
-
-    def poly(self, k: int, j: int) -> Fraction:
-        if (k, j) not in self._polys:
-            self._polys[k, j] = qracah(k, j, self.qrp)
-        return self._polys[k, j]
-
-    def h0(self) -> Fraction:
-        return self.qrp.h0
-
-    def norm(self, k: int) -> Fraction:
-        if self.m == 0:
-            return F(1)
-        return qracah_norms(k, self.qrp)
-
-    @cached_property
-    def dual_addition_coeffs(self) -> tuple:
-        """The closed coefficients of the dual addition expansion, k = 0..m."""
-        return tuple(_dual_addition_coeff_q(k, self.l, self.m, self.qp) for k in range(self.m + 1))
-
-
 # Key (carrier, l, m).  Every suite runs the rows of one lattice one after
 # another (the k-loop of theorem 5.1 too), so one entry catches every reuse.
 @lru_cache(maxsize=1)
-def _shared_lattice(qp: QParams, l: int, m: int) -> LinearizationLattice:
-    return LinearizationLattice(qp, l, m)
+def linearization_qracah_params(qp: QParams, l: int, m: int) -> QRacahParams:
+    """The q-Racah family whose weights are the linearization coefficients
+    of the degree-(l, m) product; the one-point record N = 0 at m = 0."""
+    if m > l:
+        raise ParameterError("linearization lattice requires l >= m")
+    alpha = qp.beta / qp.qhalf
+    return QRacahParams(alpha, alpha, 1 / (qp.beta * qp.qhalf * qp.q ** l), m, qp)
 
 
 def linearization_racah_params(alpha, l: int, m: int) -> RacahParams:
@@ -498,22 +456,22 @@ def _shifted_product(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
     return _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted)
 
 
-def dual_projection_sum(k: int, l: int, m: int, qp: QParams, mode: str) -> SymmetricLaurent:
+def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
     """Projection of the product R_l R_m onto the k-th element of the
-    linearization lattice basis.
-
-    "brute" sums the lattice directly; "closed" evaluates the factored
-    product form (an iterated one-step reduction in degree and a beta
-    promotion by q^k).
-    """
+    linearization lattice basis, summed over the lattice."""
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
-    if mode == "brute":
-        lat = _shared_lattice(qp, l, m)
-        return linear_combination([cqu_r(l + m - 2 * j, qp) for j in range(m + 1)],
-                                  [lat.weight(j) * lat.poly(k, j) for j in range(m + 1)])
-    if mode != "closed":
-        raise ParameterError(f"unknown mode {mode!r}")
+    qrp = linearization_qracah_params(qp, l, m)
+    basis = [cqu_r(l + m - 2 * j, qp) for j in range(m + 1)]
+    weights = _positive([qracah_weight(j, qrp) for j in range(m + 1)])
+    return linear_combination(basis, [w * qracah(k, j, qrp) for j, w in enumerate(weights)])
+
+
+def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
+    """The projection sum in its factored product form: an iterated
+    one-step reduction in degree and a beta promotion by q^k."""
+    if not 0 <= k <= m <= l:
+        raise ParameterError("need 0 <= k <= m <= l")
     q, b, qh, t, s = qp.q, qp.beta, qp.qhalf, qp.t, qp.s
     pref = (t ** (2 * (l + m + 1)) * s * s) ** k
     pref *= qpochhammer(t ** (2 - 4 * (l + m)) / b, q, k)
@@ -537,8 +495,8 @@ def check_theorem_5_1(grid: ParamGrid, mutation=None) -> CheckReport:
                 items.append(
                     (
                         f"t={qp.t}, s={qp.s}, l={l}, m={m}, k={k}",
-                        dual_projection_sum(k, l, m, qp, "brute"),
-                        dual_projection_sum(k, l, m, qp, "closed"),
+                        dual_projection_sum(k, l, m, qp),
+                        dual_projection_closed(k, l, m, qp),
                     )
                 )
     params = {"lmax": grid.lmax, "qparams": ";".join(f"{qp.t},{qp.s}" for qp in grid.qparams)}
@@ -581,9 +539,9 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
             c *= qpochhammer(q * b * b, q, l + m - j) / qpochhammer(q * qb, q, l + m - j)
             c *= qb ** j
             explicit.append(pref * c)
-        lat = LinearizationLattice(qp, l, m)
-        h0 = lat.h0()
-        quotient = [lat.weight(j) / h0 for j in range(m + 1)]
+        qrp = linearization_qracah_params(qp, l, m)
+        h0 = qrp.h0
+        quotient = [w / h0 for w in _positive([qracah_weight(j, qrp) for j in range(m + 1)])]
         for j in range(m + 1):
             items.append((f"coefficient j={j}", explicit[j], quotient[j]))
             if quotient[j] < 0:
@@ -645,17 +603,23 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
 # ---------------------------------------------------------------------------
 
 
-def _dual_addition_coeff_q(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
-    """The z-dependent closed coefficient multiplying the k-th lattice
-    polynomial in the dual addition expansion (shifted product included)."""
+# Key (carrier, l, m), as for the lattice's record: the inversion row and
+# the direct rows of one lattice run one after another.
+@lru_cache(maxsize=1)
+def _dual_addition_coeffs_q(qp: QParams, l: int, m: int) -> tuple:
+    """The z-dependent closed coefficients multiplying the lattice values
+    R_k(j), k = 0..m, in the dual addition expansion."""
     q, b, qh, t = qp.q, qp.beta, qp.qhalf, qp.t
-    c = F(-1) ** k * t ** (2 * k * (k + l + m + 2)) * b ** k
-    if k >= 1:  # at k = 0 the ratio is 1, also where beta = 1 makes it 0/0
-        c *= (1 - b * b * q ** (2 * k)) / (1 - b * b * q ** k)
-    c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
-    c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
-    c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
-    return _shifted_product(k, l, m, qp) * c
+    coeffs = []
+    for k in range(m + 1):
+        c = F(-1) ** k * t ** (2 * k * (k + l + m + 2)) * b ** k
+        if k >= 1:  # at k = 0 the ratio is 1, also where beta = 1 makes it 0/0
+            c *= (1 - b * b * q ** (2 * k)) / (1 - b * b * q ** k)
+        c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
+        c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
+        c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
+        coeffs.append(_shifted_product(k, l, m, qp) * c)
+    return tuple(coeffs)
 
 
 def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "direct",
@@ -665,8 +629,8 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
 
     q target, direct mode: build the closed right-hand side and compare
     with R_{l+m-2j} as Laurent polynomials.  q target, inversion mode:
-    reconstruct every basis coefficient independently as (projection sum,
-    brute) / norm and compare with the closed coefficient.  classical
+    reconstruct every basis coefficient independently as the lattice's
+    projection sum over its norm and compare with the closed one.  classical
     target: the analogous Laurent identity for the ultraspherical family.
     """
     if not (0 <= j <= m <= l):
@@ -675,14 +639,17 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
     if target == "q":
         if qp is None:
             raise ParameterError("q dual addition needs qp")
-        lat = _shared_lattice(qp, l, m)
-        closed = lat.dual_addition_coeffs
+        qrp = linearization_qracah_params(qp, l, m)
+        closed = _dual_addition_coeffs_q(qp, l, m)
         if mode == "inversion":
             for k in range(m + 1):
-                inv = dual_projection_sum(k, l, m, qp, "brute") * (1 / lat.norm(k))
+                # the one-point lattice's norm is 1: its record's ratio
+                # (1 - alpha beta q)/(1 - alpha beta q) is 0/0 at beta = 1
+                norm = F(1) if m == 0 else qracah_norms(k, qrp)
+                inv = dual_projection_sum(k, l, m, qp) * (1 / norm)
                 items.append((f"coefficient k={k}", inv, closed[k]))
         elif mode == "direct":
-            rhs = linear_combination(closed, [lat.poly(k, j) for k in range(m + 1)])
+            rhs = linear_combination(closed, [qracah(k, j, qrp) for k in range(m + 1)])
             items.append((f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp)))
         else:
             raise ParameterError(f"unknown mode {mode!r}")
@@ -734,13 +701,13 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
     """
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
-    lat = _shared_lattice(qp, l, m)
+    qrp = linearization_qracah_params(qp, l, m)
     polys, scalars = [], []
     for k in range(m + 1):
         c = _dual_addition_coeff_a(k, l, m, qp)
         if not c:
             continue
-        c *= lat.poly(k, j)
+        c *= qracah(k, j, qrp)
         polys.append(_shifted_product(k, l, m, qp))
         scalars.append(c)
     rhs = linear_combination(polys, scalars)

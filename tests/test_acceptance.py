@@ -32,7 +32,6 @@ from qaskey.identities import (
     ADDITION_QPARAMS,
     DEFAULT_QPARAMS,
     PYTHAGOREAN_PAIRS,
-    LinearizationLattice,
     Mutation,
     ParamGrid,
     check_addition_classical,
@@ -49,6 +48,7 @@ from qaskey.identities import (
     check_theorem_5_1,
     check_weight_ratio,
     check_difference_formula,
+    linearization_qracah_params,
     linearization_racah_params,
 )
 from qaskey import numerics
@@ -177,8 +177,8 @@ def test_criterion_7_discrete_orthogonality():
     ok = ok and check_orthogonality_discrete(KrawtchoukParams(F(1, 2), 4)).passed
     ok = ok and check_orthogonality_discrete(linearization_racah_params(F(1, 2), 5, 3)).passed
     ok = ok and check_orthogonality_discrete(linearization_racah_params(F(1), 4, 4)).passed
-    ok = ok and check_orthogonality_discrete(LinearizationLattice(QP0, 5, 4).qrp).passed
-    ok = ok and check_orthogonality_discrete(LinearizationLattice(DEFAULT_QPARAMS[2], 4, 3).qrp).passed
+    ok = ok and check_orthogonality_discrete(linearization_qracah_params(QP0, 5, 4)).passed
+    ok = ok and check_orthogonality_discrete(linearization_qracah_params(DEFAULT_QPARAMS[2], 4, 3)).passed
     elapsed = time.monotonic() - started
     _criterion(7, "full Gram matrices match closed-form norms incl. total mass",
                ok, budget=5, elapsed=elapsed)
@@ -194,11 +194,11 @@ def test_criterion_8_structural_formulas():
         ok = ok and check_difference_formula(qp, 8).passed
     from qaskey.families import qracah
 
-    qrp = LinearizationLattice(QP0, 4, 3).qrp
+    qrp = linearization_qracah_params(QP0, 4, 3)
     for n in range(4):
         ok = ok and qracah(n, qrp.N, qrp) == qracah_at_top(n, qrp)
     ok = ok and check_backward_shift(qrp, 3).passed
-    qrp2 = LinearizationLattice(DEFAULT_QPARAMS[1], 5, 4).qrp
+    qrp2 = linearization_qracah_params(DEFAULT_QPARAMS[1], 5, 4)
     ok = ok and check_backward_shift(qrp2, 4).passed
     elapsed = time.monotonic() - started
     _criterion(8, "leading coefficient, weight ratio, difference formula, "

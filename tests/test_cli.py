@@ -26,7 +26,7 @@ from qaskey.cli import (
 from qaskey.families import (
     QParams, QRacahParams, RacahParams, qracah, qracah_weight, racah, racah_weight,
 )
-from qaskey.identities import LinearizationLattice, ParamGrid
+from qaskey.identities import ParamGrid, linearization_qracah_params
 from closed_forms import qracah_at_top
 
 
@@ -138,8 +138,9 @@ def test_deep_reports_are_byte_identical_to_their_recorded_digests(suite, lmax):
 
 
 # SHA-256 of json reports, wall time removed, at the depths the benchmark
-# and the scaling table run, and dual-addition on beta = 1 with its error
-# records: (suite, lmax, --qparams or None for the default carriers).
+# and the scaling table run, and dual-addition and the whole suite on
+# beta = 1 with their error records: (suite, lmax, --qparams or None for
+# the default carriers).
 # Seconds each, so they carry the `deep` marker: `pytest -m deep`.
 GOLDEN_DEEPER = {
     ("dual-addition", 9, None): "eb73d331c823b2fe7a10cce1858e897542b2dae9315fda4e87daa464a5b5daa4",
@@ -147,6 +148,7 @@ GOLDEN_DEEPER = {
     ("theorem-5-1", 9, None): "5c7c4d6c92a91f14d4757d603c9d215e9ab40896f9aa6071df0c4c2314c8199c",
     ("theorem-5-1", 11, None): "d2b9261dacbc1b3cacb7e02dc82810b18067700b213a49c3210a580377c4065b",
     ("dual-addition", 9, "1/2,1"): "3b35e04a93ce1cf4e580d01c02459918d8007608f6b71cf4d9fe129916946e93",
+    ("all", 5, "1/2,1"): "2bbba2c5957fd2a8b7e58a03d953ab0c0673e191a1c2fd82e574ff6af16c4e87",
 }
 
 
@@ -464,7 +466,7 @@ def test_eval_errors():
 
 
 def test_table_errors():
-    for bad in ("a:b", "5"):
+    for bad in ("a:b", "5", "0:4"):
         code, out, err = run_cli(["table", "--family", "krawtchouk-weights", "--p", "1/3",
                                   "--N", "3", "--range", bad])
         assert code == 2 and out == "" and "--range" in err and len(err.splitlines()) == 1
@@ -503,7 +505,7 @@ def test_table_racah_weights_sum_to_total_mass():
     ("racah-norms", RacahParams(F(1, 2), F(1, 3), 4, F(1, 5))),
     ("q-racah-norms", QRacahParams(F(16, 9), F(16, 9), F(589824, 9), 3,
                                    QParams(F(1, 2), F(2, 3)))),
-    ("q-racah-norms", LinearizationLattice(QParams(F(2, 3), F(1, 2)), 5, 4).qrp),
+    ("q-racah-norms", linearization_qracah_params(QParams(F(2, 3), F(1, 2)), 5, 4)),
 ])
 def test_table_norms_are_the_gram_diagonal(family, p):
     # each row is h_n = sum_x w(x) R_n(x)^2 over the lattice 0..N
@@ -526,6 +528,17 @@ def test_table_negative_range_bound_names_the_flag(family):
                               "--range", "-1:1"])
     assert (code, out) == (2, "")
     assert err == "error: --range lower bound must be >= 0, got '-1:1'\n"
+
+
+@pytest.mark.parametrize("family", [f for f in sorted(TABLE_FAMILIES)
+                                    if f.endswith(("-weights", "-norms"))])
+def test_table_range_past_the_lattice_names_the_flag(family):
+    # the norm index 3 of racah-norms on 0..2 was reported as "x=3"
+    code, out, err = run_cli(["table", "--family", family, "--p", "1/3", "--N", "2",
+                              "--alpha", "1/2", "--beta", "1/3", "--delta", "1/5",
+                              "--qparams", "1/2,2/3", "--range", "1:3"])
+    assert (code, out) == (2, "")
+    assert err == "error: --range upper bound must be <= N = 2, got '1:3'\n"
 
 
 def test_table_empty_range():

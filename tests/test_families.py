@@ -42,7 +42,7 @@ from qaskey.families import (
     wilson_dual_params,
     wilson_dual_phi,
 )
-from qaskey.identities import DEFAULT_QPARAMS, LinearizationLattice
+from qaskey.identities import DEFAULT_QPARAMS, check_dual_addition, linearization_qracah_params
 from qaskey.laurent import SymmetricLaurent
 from closed_forms import (
     cqu_leading_z_coeff, invert_variable, laurent_phi_terms, negate_variable, qracah_at_top,
@@ -67,7 +67,7 @@ def test_qparams_accessors_and_validation():
 
 def test_cached_powers_leave_equality_hash_and_text_alone():
     qp = QParams(F(1, 2), F(2, 3))
-    qrp = LinearizationLattice(qp, 3, 2).qrp
+    qrp = linearization_qracah_params(qp, 3, 2)
     assert (qp.q, qp.qhalf, qp.beta, qrp.gamma) == (F(1, 16), F(1, 4), F(4, 9), F(16) ** 3)
     assert qp.q is qp.q and qrp.gamma is qrp.gamma
     fresh = QParams(F(1, 2), F(2, 3))
@@ -206,7 +206,7 @@ def test_cqu_is_the_alternative_parameter_specialization():
 
 
 def test_qracah_values():
-    qrp = LinearizationLattice(QP, 3, 2).qrp
+    qrp = linearization_qracah_params(QP, 3, 2)
     for n in range(3):
         assert qracah(n, 0, qrp) == 1
         assert qracah(0, n, qrp) == 1
@@ -215,7 +215,7 @@ def test_qracah_values():
 
 def test_qracah_weights_and_norms():
     for (l, m) in [(3, 2), (4, 3)]:
-        qrp = LinearizationLattice(QP, l, m).qrp
+        qrp = linearization_qracah_params(QP, l, m)
         assert qracah_weight(0, qrp) == 1
         assert sum(qracah_weight(x, qrp) for x in range(m + 1)) == qrp.h0
         assert qracah_norms(0, qrp) == qrp.h0
@@ -223,7 +223,7 @@ def test_qracah_weights_and_norms():
 
 @pytest.mark.parametrize("qp", DEFAULT_QPARAMS)
 def test_qracah_weight_matches_the_scanning_formula(qp):
-    qrp = LinearizationLattice(qp, 9, 9).qrp
+    qrp = linearization_qracah_params(qp, 9, 9)
     for x in range(qrp.N + 1):
         args = (x, qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qp.q)
         assert qracah_weight(x, qrp) == qracah_weight_per_x(*args)
@@ -244,7 +244,7 @@ def _table_cases():
     for qp in (*DEFAULT_QPARAMS, QParams(F(1, 2), F(1))):
         for l in range(1, 8):
             for m in range(1, l + 1):
-                yield LinearizationLattice(qp, l, m).qrp
+                yield linearization_qracah_params(qp, l, m)
     for beta in (F(16, 9), F(1)):
         yield QRacahParams(QP.q ** -3, beta, F(7, 3), 3, QP)
 
@@ -283,10 +283,11 @@ def test_free_parameter_weights_match_the_per_x_formula():
 def test_one_point_records_have_unit_weight_value_and_mass(qp):
     qrp = QRacahParams(F(16, 9), F(16, 9), F(7, 3), 0, qp)
     assert qracah_weight(0, qrp) == qracah(0, 0, qrp) == qrp.h0 == qracah_norms(0, qrp) == 1
-    # the m = 0 linearization lattice: its norm stays 1 where beta = 1
-    # makes the record's ratio (1 - alpha beta q)/(1 - alpha beta q) 0/0
-    lat = LinearizationLattice(qp, 3, 0)
-    assert lat.weight(0) == lat.poly(0, 0) == lat.h0() == lat.norm(0) == 1
+    # the m = 0 linearization lattice: the inversion row divides by a norm
+    # of 1 where beta = 1 makes the record's ratio (1 - alpha beta q)/(1 - alpha beta q) 0/0
+    qrp = linearization_qracah_params(qp, 3, 0)
+    assert qrp.N == 0 and qracah_weight(0, qrp) == qracah(0, 0, qrp) == qrp.h0 == 1
+    assert check_dual_addition("q", 3, 0, mode="inversion", qp=qp).passed
     rp = RacahParams(F(1, 2), F(1, 3), 0, F(1, 5))
     assert racah_weight(0, rp) == racah(0, 0, rp) == racah_h0(rp) == racah_norms(0, rp) == 1
     with pytest.raises(ParameterError, match="q-Racah N must be >= 0"):
@@ -366,7 +367,7 @@ def test_qracah_matches_askey_wilson_on_the_lattice():
     # the q-quadratic substitution carries the discrete family into the
     # continuous one: A^2 = q*gamma*delta, z_x = q^(-x)/A
     for (l, m) in [(3, 2), (4, 3)]:
-        qrp = LinearizationLattice(QP, l, m).qrp
+        qrp = linearization_qracah_params(QP, l, m)
         q = QP.q
         A = 1 / QP.s / QP.t ** (2 * (l + m) + 1)
         awp = AWParams(A, q * qrp.alpha / A, q * qrp.beta * qrp.delta / A,

@@ -15,13 +15,15 @@ from qaskey.families import (
     RacahParams,
     WilsonParams,
     cqu_r,
+    qracah,
+    qracah_norms,
+    qracah_weight,
 )
 from qaskey.identities import (
     DEFAULT_ALPHAS,
     DEFAULT_QPARAMS,
     PYTHAGOREAN_PAIRS,
     CheckReport,
-    LinearizationLattice,
     Mutation,
     ParamGrid,
     check_addition_classical,
@@ -40,10 +42,13 @@ from qaskey.identities import (
     check_restriction_equivalence,
     check_theorem_5_1,
     check_weight_ratio,
+    dual_projection_closed,
     dual_projection_sum,
+    linearization_qracah_params,
     linearization_racah_params,
     weight_moments,
     _compare,
+    _dual_addition_coeffs_q,
     _qpoch_a2z2,
 )
 from qaskey.laurent import LaurentPoly, SymmetricLaurent, x_embed
@@ -88,7 +93,7 @@ def test_duality_discrete(family, params):
     ("krawtchouk", KrawtchoukParams(F(1, 3), 4)),
     ("hahn", HahnParams(F(1, 2), F(1, 3), 4)),
     ("racah", linearization_racah_params(F(1, 2), 5, 3)),
-    ("q-racah", LinearizationLattice(QP, 5, 4).qrp),
+    ("q-racah", linearization_qracah_params(QP, 5, 4)),
 ])
 def test_orthogonality_discrete(family, params):
     report = check_orthogonality_discrete(params)
@@ -96,7 +101,7 @@ def test_orthogonality_discrete(family, params):
 
 
 def test_discrete_checks_reject_a_record_with_no_such_relation():
-    qrp = LinearizationLattice(QP, 4, 3).qrp
+    qrp = linearization_qracah_params(QP, 4, 3)
     with pytest.raises(ParameterError, match="no duality check for QRacahParams"):
         check_duality_discrete(qrp)
     with pytest.raises(ParameterError, match="no orthogonality check for WilsonParams"):
@@ -110,11 +115,11 @@ def test_a_form_lattice_polynomials_are_the_linearization_lattice(qp):
     a2, q = qp.a * qp.a, qp.q
     for l in range(6):
         for m in range(l + 1):
-            lat = LinearizationLattice(qp, l, m)
+            qrp = linearization_qracah_params(qp, l, m)
             for k in range(m + 1):
                 for j in range(m + 1):
                     phi = qracah_phi(k, j, a2 / q, a2 / q, q ** (-m - 1), q ** (-l) / a2, q)
-                    assert lat.poly(k, j) == phi, (qp, l, m, k, j)
+                    assert qracah(k, j, qrp) == phi, (qp, l, m, k, j)
 
 
 def test_weight_ratio_and_difference():
@@ -150,7 +155,7 @@ def test_difference_formula_leading_coefficient_route():
 
 
 def test_backward_shift():
-    qrp = LinearizationLattice(QP, 4, 3).qrp
+    qrp = linearization_qracah_params(QP, 4, 3)
     assert check_backward_shift(qrp, 3).passed
 
 
@@ -158,16 +163,14 @@ def test_backward_shift():
 def test_backward_shift_on_every_lattice_to_l_6(qp):
     # N = 1 included, where the shifted record is the one-point lattice
     failed = [(l, m, nmax) for l in range(1, 7) for m in range(1, l + 1) for nmax in range(1, m + 1)
-              if not check_backward_shift(LinearizationLattice(qp, l, m).qrp, nmax).passed]
+              if not check_backward_shift(linearization_qracah_params(qp, l, m), nmax).passed]
     assert failed == []
 
 
 def test_backward_shift_constant_function_annihilates():
     # summing the degree-1 member against a constant is an orthogonality
     # statement: both sides of the summed relation are exactly 0
-    from qaskey.families import qracah, qracah_weight
-
-    qrp = LinearizationLattice(QP, 4, 3).qrp
+    qrp = linearization_qracah_params(QP, 4, 3)
     lhs = sum(qracah_weight(x, qrp) * qracah(1, x, qrp) for x in range(qrp.N + 1))
     assert lhs == 0  # and the telescoped side is 0 termwise since f(x) - f(x+1) = 0
 
@@ -206,17 +209,16 @@ def test_projection_sum_closed_form_random_carriers(t, s, l_, m_, k_):
     l = max(l_, m_, k_)
     m = max(m_, k_)
     k = min(k_, m)
-    assert dual_projection_sum(k, l, m, qp, "brute") == dual_projection_sum(k, l, m, qp, "closed")
+    assert dual_projection_sum(k, l, m, qp) == dual_projection_closed(k, l, m, qp)
 
 
 def test_projection_sum_base_case_factors():
     # k = 0 reduces to the lattice mass times the plain product
     for (l, m) in [(2, 1), (3, 3), (4, 0)]:
-        lat = LinearizationLattice(QP, l, m)
-        s0 = dual_projection_sum(0, l, m, QP, "closed")
-        assert s0 == cqu_r(l, QP) * cqu_r(m, QP) * lat.h0()
-    assert dual_projection_sum(0, 0, 0, QP, "closed") == LaurentPoly.constant(1)
-    assert dual_projection_sum(0, 0, 0, QP, "brute") == LaurentPoly.constant(1)
+        s0 = dual_projection_closed(0, l, m, QP)
+        assert s0 == cqu_r(l, QP) * cqu_r(m, QP) * linearization_qracah_params(QP, l, m).h0
+    assert dual_projection_closed(0, 0, 0, QP) == LaurentPoly.constant(1)
+    assert dual_projection_sum(0, 0, 0, QP) == LaurentPoly.constant(1)
 
 
 def test_projection_sum_one_step_reduction():
@@ -224,22 +226,21 @@ def test_projection_sum_one_step_reduction():
     # computed by brute lattice sums
     q, b, qh, t, s = QP.q, QP.beta, QP.qhalf, QP.t, QP.s
     for (k, l, m) in [(1, 2, 1), (2, 3, 2), (3, 4, 3)]:
-        lhs = dual_projection_sum(k, l, m, QP, "brute")
+        lhs = dual_projection_sum(k, l, m, QP)
         fac = (t ** (2 * (l + m + 1)) * s * s) * qpochhammer(t ** (2 - 4 * (l + m)) / b, q, 1)
         fac /= qpochhammer(-qh * b, q, 1) * qpochhammer(q * b, q, 1) * qpochhammer(-q * b, q, 1)
         lkz = LaurentPoly.constant(1)
         for sign in (1, -1):
             lkz = lkz * qpoch_laurent_pow(sign * QP.a, 1, qh, 1)
             lkz = lkz * qpoch_laurent_pow(sign * QP.a, -1, qh, 1)
-        rhs = lkz * dual_projection_sum(k - 1, l - 1, m - 1, QP.beta_shift(1), "brute") * fac
+        rhs = lkz * dual_projection_sum(k - 1, l - 1, m - 1, QP.beta_shift(1)) * fac
         assert lhs == rhs
 
 
 def test_projection_sum_input_validation():
-    with pytest.raises(ParameterError):
-        dual_projection_sum(2, 3, 1, QP, "brute")
-    with pytest.raises(ParameterError):
-        dual_projection_sum(0, 1, 1, QP, "sideways")
+    for projection in (dual_projection_sum, dual_projection_closed):
+        with pytest.raises(ParameterError, match=r"need 0 <= k <= m <= l"):
+            projection(2, 3, 1, QP)
 
 
 def test_linearization_q():
@@ -252,14 +253,14 @@ def test_linearization_lattice_closed_displays():
     # one-parameter q-shifted factorials; pin those closed displays
     q, b, qb = QP.q, QP.beta, QP.qhalf * QP.beta
     for (l, m) in [(3, 2), (4, 4), (5, 1)]:
-        lat = LinearizationLattice(QP, l, m)
+        qrp = linearization_qracah_params(QP, l, m)
 
         def qp_(base, k):
             return qpochhammer(base, q, k)
 
         h0_display = (qp_(q * b * b, l) * qp_(q * b * b, m) / qp_(q * b * b, l + m)) * (
             qp_(qb, l + m) / (qp_(qb, l) * qp_(qb, m)))
-        assert lat.h0() == h0_display
+        assert qrp.h0 == h0_display
         for j in range(m + 1):
             w_display = (qp_(qb, l + m) / qp_(q * b * b, l + m))
             w_display *= qp_(q, l) / qp_(qb, l) * qp_(q, m) / qp_(qb, m)
@@ -267,16 +268,16 @@ def test_linearization_lattice_closed_displays():
             w_display *= qp_(qb, j) / qp_(q, j)
             w_display *= qp_(qb, l - j) / qp_(q, l - j) * qp_(qb, m - j) / qp_(q, m - j)
             w_display *= qp_(q * b * b, l + m - j) / qp_(q * qb, l + m - j) * qb ** j
-            assert lat.weight(j) == w_display
+            assert qracah_weight(j, qrp) == w_display > 0
 
 
 def test_linearization_q_top_coefficient_is_inverse_mass():
     # coefficient of the top-degree member is w(0)/h0 with w(0) = 1
     l, m = 4, 2
-    lat = LinearizationLattice(QP, l, m)
-    assert lat.weight(0) == 1
+    qrp = linearization_qracah_params(QP, l, m)
+    assert qracah_weight(0, qrp) == 1
     prod = cqu_r(l, QP) * cqu_r(m, QP)
-    residual = prod - cqu_r(l + m, QP) * (1 / lat.h0())
+    residual = prod - cqu_r(l + m, QP) * (1 / qrp.h0)
     assert max(k for k, _ in residual.items()) < l + m
 
 
@@ -297,22 +298,40 @@ def test_dual_addition_q_both_modes():
 def test_dual_addition_modes_are_mutually_consistent():
     # inversion coefficients times the norms reproduce the brute sums
     l, m = 3, 2
-    lat = LinearizationLattice(QP, l, m)
-    from qaskey.identities import _dual_addition_coeff_q
-
+    qrp = linearization_qracah_params(QP, l, m)
+    closed = _dual_addition_coeffs_q(QP, l, m)
     for k in range(m + 1):
-        closed = _dual_addition_coeff_q(k, l, m, QP)
-        assert closed * lat.norm(k) == dual_projection_sum(k, l, m, QP, "brute")
+        assert closed[k] * qracah_norms(k, qrp) == dual_projection_sum(k, l, m, QP)
 
 
 def test_lattice_norms_share_one_h0():
     # norm(k) = (h_k/h_0) h_0 of one lattice take h0 from the cached
     # property of its q-Racah record: one computation for all of them
-    lat = LinearizationLattice(QP, 5, 3)
-    assert "h0" not in vars(lat.qrp)
-    norms = [lat.norm(k) for k in range(4)]
-    h0 = vars(lat.qrp)["h0"]
-    assert lat.h0() is h0 == norms[0]
+    linearization_qracah_params.cache_clear()
+    qrp = linearization_qracah_params(QP, 5, 3)
+    assert "h0" not in vars(qrp)
+    norms = [qracah_norms(k, qrp) for k in range(4)]
+    h0 = vars(qrp)["h0"]
+    assert qrp.h0 is h0 == norms[0]
+
+
+def test_one_record_and_one_value_memo_per_lattice(monkeypatch):
+    # the inversion row and the m + 1 direct rows of one lattice get one
+    # record, and sum each of its (m + 1)^2 values once, on that record
+    from qaskey import families, identities
+
+    l, m = 4, 3
+    make, qhyper_sum = linearization_qracah_params, families.qhyper_sum
+    make.cache_clear()
+    records, sums = [], []
+    monkeypatch.setattr(identities, "linearization_qracah_params",
+                        lambda *args: records.append(make(*args)) or records[-1])
+    monkeypatch.setattr(families, "qhyper_sum", lambda *args: sums.append(args) or qhyper_sum(*args))
+    assert check_dual_addition("q", l, m, mode="inversion", qp=QP).passed
+    for j in range(m + 1):
+        assert check_dual_addition("q", l, m, j, "direct", qp=QP).passed
+    assert records and all(qrp is records[0] for qrp in records)
+    assert len(sums) == (m + 1) ** 2 == len(records[0]._values)
 
 
 def test_dual_addition_classical_and_a_form():

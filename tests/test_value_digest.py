@@ -13,8 +13,11 @@ import hashlib
 from fractions import Fraction as F
 
 from qaskey.errors import QAskeyError
-from qaskey.families import QParams, cqu_r, racah
-from qaskey.identities import DEFAULT_QPARAMS, LinearizationLattice, linearization_racah_params
+from qaskey.families import QParams, cqu_r, qracah, qracah_norms, qracah_weight, racah
+from qaskey.identities import (
+    DEFAULT_QPARAMS, _dual_addition_coeffs_q, linearization_qracah_params,
+    linearization_racah_params,
+)
 from qaskey.laurent import LaurentPoly
 
 GOLDEN_VALUES = "c681fc7ede7d99bc4f38ecbe5ee054be3dbed8f9a8c5d73aaebe55faeb02ed10"
@@ -44,15 +47,16 @@ def _entries():
     for qp in (*DEFAULT_QPARAMS, QParams(F(1, 2), F(1))):
         for l in range(12):
             for m in range(l + 1):
-                lat = LinearizationLattice(qp, l, m)
+                qrp = linearization_qracah_params(qp, l, m)
                 key = f"lattice {qp} {l} {m}"
-                yield f"{key} h0", _entry(lat.h0)
+                yield f"{key} h0", _entry(lambda: qrp.h0)
                 for j in range(m + 1):
-                    yield f"{key} w {j}", _entry(lat.weight, j)
-                    yield f"{key} h {j}", _entry(lat.norm, j)
+                    yield f"{key} w {j}", _entry(qracah_weight, j, qrp)
+                    # the norm the inversion row divides by, 1 on the one-point lattice
+                    yield f"{key} h {j}", _entry(lambda: F(1) if m == 0 else qracah_norms(j, qrp))
                     for k in range(m + 1):
-                        yield f"{key} R {k} {j}", _entry(lat.poly, k, j)
-                yield f"{key} c", _entry(lambda: lat.dual_addition_coeffs)
+                        yield f"{key} R {k} {j}", _entry(qracah, k, j, qrp)
+                yield f"{key} c", _entry(_dual_addition_coeffs_q, qp, l, m)
     for alpha in (F(1, 2), F(1)):
         for l in range(1, 5):
             for m in range(1, l + 1):
