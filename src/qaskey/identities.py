@@ -472,17 +472,71 @@ def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> SymmetricLaur
     one-step reduction in degree and a beta promotion by q^k."""
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
-    q, b, qh, t, s = qp.q, qp.beta, qp.qhalf, qp.t, qp.s
-    pref = (t ** (2 * (l + m + 1)) * s * s) ** k
-    pref *= qpochhammer(t ** (2 - 4 * (l + m)) / b, q, k)
-    pref /= qpochhammer(-qh * b, q, k) * qpochhammer(q * b, q, k) * qpochhammer(-q * b, q, k)
-    b2 = q ** (2 * k + 1) * b * b
-    bh = t ** (4 * k + 2) * b
-    pref *= qpochhammer(b2, q, l - k) * qpochhammer(b2, q, m - k) / qpochhammer(b2, q, l + m - 2 * k)
-    pref *= qpochhammer(bh, q, l + m - 2 * k) / (
-        qpochhammer(bh, q, l - k) * qpochhammer(bh, q, m - k)
-    )
-    return _shifted_product(k, l, m, qp) * pref
+    return _shifted_product(k, l, m, qp) * _closed_projection_prefactors(qp, l, m)[k]
+
+
+# Key (carrier, l, m).  The k-loop of theorem 5.1 is innermost, so one entry
+# catches every reuse; the 8th `lru_cache` of the package.
+@lru_cache(maxsize=1)
+def _closed_projection_prefactors(qp: QParams, l: int, m: int) -> tuple:
+    """The scalar prefactors pref_0..pref_m of the closed projection sums of
+    one lattice, a q-hypergeometric term in k, as a term-ratio table:
+
+        pref_0 = (q b^2; q)_l (q b^2; q)_m / (q b^2; q)_(l+m)
+                 * (q^(1/2) b; q)_(l+m) / ((q^(1/2) b; q)_l (q^(1/2) b; q)_m),
+        pref_(k+1) / pref_k = x (1 - q^k c) f(l+k+1) f(m+k+1) g(k)
+            / ((1 + q^(k+1/2) b) f(2k+1) f(2k+2)^2 g(l+m-k-1)),
+
+    with b = beta, x = t^(2(l+m+1)) s^2, c = t^(2-4(l+m))/b,
+    f(r) = 1 - q^r b^2 and g(r) = 1 - q^(r+1/2) b; one f(2k+2) is
+    (1 - q^(k+1) b)(1 + q^(k+1) b).  On an admissible carrier
+    (b < q^(-1/2)) no denominator factor vanishes."""
+    q, b, qh = qp.q, qp.beta, qp.qhalf
+    pref0 = qpochhammer(q * b * b, q, l) * qpochhammer(q * b * b, q, m) / qpochhammer(q * b * b, q, l + m)
+    pref0 *= qpochhammer(qh * b, q, l + m) / (qpochhammer(qh * b, q, l) * qpochhammer(qh * b, q, m))
+    x = _ts_power(qp, 2 * (l + m + 1), 2)
+
+    def ratio(k):
+        f2 = _one_minus(qp, 8 * k + 8, 4)
+        ups = (x, _one_minus(qp, 4 * (k - l - m) + 2, -2), _one_minus(qp, 4 * (l + k + 1), 4),
+               _one_minus(qp, 4 * (m + k + 1), 4), _one_minus(qp, 4 * k + 2, 2))
+        downs = (_one_minus(qp, 4 * k + 2, 2, sign=-1), _one_minus(qp, 8 * k + 4, 4), f2, f2,
+                 _one_minus(qp, 4 * (l + m - k) - 2, 2))
+        return ups, downs
+
+    return _running_products(pref0, map(ratio, range(m)))
+
+
+def _ts_power(qp: QParams, e: int, f: int) -> tuple:
+    """Integers (N, D) with t^e s^f = N/D."""
+    t, s = qp.t, qp.s
+    tn, td = (t.numerator, t.denominator) if e >= 0 else (t.denominator, t.numerator)
+    sn, sd = (s.numerator, s.denominator) if f >= 0 else (s.denominator, s.numerator)
+    e, f = abs(e), abs(f)
+    return tn ** e * sn ** f, td ** e * sd ** f
+
+
+def _one_minus(qp: QParams, e: int, f: int, sign: int = 1) -> tuple:
+    """Integers (N, D) with 1 - sign t^e s^f = N/D."""
+    n, d = _ts_power(qp, e, f)
+    return d - sign * n, d
+
+
+def _running_products(first: Fraction, ratios) -> tuple:
+    """(first, first r_0, first r_0 r_1, ...) for the ratios r_k, each given
+    as its numerator and denominator factors, integer pairs (N, D) of N/D:
+    one integer product each way and one reduction per entry."""
+    out = [first]
+    for ups, downs in ratios:
+        num, den = out[-1].numerator, out[-1].denominator
+        for n, d in ups:
+            num *= n
+            den *= d
+        for n, d in downs:
+            num *= d
+            den *= n
+        out.append(Fraction(num, den))
+    return tuple(out)
 
 
 def check_theorem_5_1(grid: ParamGrid, mutation=None) -> CheckReport:
@@ -608,18 +662,40 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
 @lru_cache(maxsize=1)
 def _dual_addition_coeffs_q(qp: QParams, l: int, m: int) -> tuple:
     """The z-dependent closed coefficients multiplying the lattice values
-    R_k(j), k = 0..m, in the dual addition expansion."""
-    q, b, qh, t = qp.q, qp.beta, qp.qhalf, qp.t
-    coeffs = []
-    for k in range(m + 1):
-        c = F(-1) ** k * t ** (2 * k * (k + l + m + 2)) * b ** k
-        if k >= 1:  # at k = 0 the ratio is 1, also where beta = 1 makes it 0/0
-            c *= (1 - b * b * q ** (2 * k)) / (1 - b * b * q ** k)
-        c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
-        c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
-        c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
-        coeffs.append(_shifted_product(k, l, m, qp) * c)
-    return tuple(coeffs)
+    R_k(j), k = 0..m, in the dual addition expansion: the scalars of
+    `_dual_addition_scalars` times the shifted products."""
+    return tuple(_shifted_product(k, l, m, qp) * c
+                 for k, c in enumerate(_dual_addition_scalars(qp, l, m)))
+
+
+def _dual_addition_scalars(qp: QParams, l: int, m: int) -> tuple:
+    """The scalars c_0..c_m of the closed dual-addition coefficients,
+
+        c_k = (-1)^k t^(2k(k+l+m+2)) b^k f(2k)/f(k)
+              * (q^-l, q^-m, q b^2; q)_k / ((q b; q)_k^2 (q; q)_k (-q^(1/2) b; q^(1/2))_2k^2)
+
+    with b = beta, f(r) = 1 - q^r b^2 and f(2k)/f(k) read as 1 at k = 0,
+    also where beta = 1 makes it 0/0.  As a term-ratio table: c_0 = 1 and
+
+        c_(k+1) / c_k = -t^(2(2k+l+m+3)) b (1 - q^(k-l)) (1 - q^(k-m)) G_k
+                        / ((1 - q^(k+1)) f(2k+2) (1 + q^(k+1/2) b)^2),
+
+    G_0 = 1 and G_k = f(k)/f(2k) for k >= 1: the new factor f(k+1) of
+    (q b^2; q)_(k+1) cancels against f(k+1) of f(2k+2)/f(k+1), and
+    (1 - q^(k+1) b)(1 + q^(k+1) b) = f(2k+2).  On an admissible carrier
+    (b < q^(-1/2)) no denominator factor vanishes."""
+
+    def ratio(k):
+        n, d = _ts_power(qp, 2 * (2 * k + l + m + 3), 2)
+        ups = [(-n, d), _one_minus(qp, 4 * (k - l), 0), _one_minus(qp, 4 * (k - m), 0)]
+        plus = _one_minus(qp, 4 * k + 2, 2, sign=-1)
+        downs = [_one_minus(qp, 4 * k + 4, 0), _one_minus(qp, 8 * k + 8, 4), plus, plus]
+        if k:  # G_0 = 1: the 0/0 of beta = 1 is never formed
+            ups.append(_one_minus(qp, 4 * k, 4))
+            downs.append(_one_minus(qp, 8 * k, 4))
+        return ups, downs
+
+    return _running_products(F(1), map(ratio, range(m)))
 
 
 def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "direct",

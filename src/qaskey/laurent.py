@@ -18,11 +18,13 @@ both factors are halves, the product stays a half, by
 (z^i + z^-i)(z^j + z^-j) = (z^(i+j) + z^-(i+j)) + (z^|i-j| + z^-|i-j|):
 each pair (i, j) is multiplied once.  Every sum, `+` and `-` included,
 runs through `linear_combination`, which puts all its terms over one
-denominator and reduces once; over halves only, it sums the halves.
-Mixed operands take the full layout.  Equality is exact comparison of the
-fields.  `_c` (exponent -> nonzero reduced Fraction, ascending) is a view
-built on each access, for `items`, `__str__` and the span tracer in
-`bench/`; `coeff` and `eval_at` read the fields.
+denominator and reduces once; over halves only, it sums the halves.  A
+half plus an integer c (Horner's `+ 1`) only moves h_0 to h_0 + c den,
+which needs no reduction.  Mixed operands take the full layout.
+Equality is exact comparison of the fields.  `_c` (exponent -> nonzero
+reduced Fraction, ascending) is a view built on each access, for `items`,
+`__str__` and the span tracer in `bench/`; `coeff` and `eval_at` read the
+fields.
 Instances are immutable.
 """
 
@@ -73,6 +75,12 @@ class LaurentPoly:
     # ring operations -----------------------------------------------------
 
     def __add__(self, other):
+        if type(other) is int and type(self) is SymmetricLaurent:
+            # h_0 + c den in place of h_0: gcd(den, h_0 + c den, h_1, ...)
+            # = gcd(den, h_0, h_1, ...) = 1, so no reduction is needed
+            h, den = self._h or (0,), self._den
+            h = (h[0] + other * den,) + h[1:]
+            return _raw_half(h, den) if h != (0,) else _raw_half((), 1)
         if isinstance(other, _SCALARS):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):

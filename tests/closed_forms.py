@@ -1,5 +1,7 @@
 """Reference formulas the tests check the package against: closed forms
-that no suite row checks, the product (a z^e; q)_k built factor by factor,
+that no suite row checks, the scalars of the closed dual-addition
+coefficients and of the closed projection sum from their q-Pochhammer
+symbols at one k, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
 parameters, the q-Racah weight formula for one x and the norm formula for
 one n, and the variable maps z -> 1/z and z -> -z."""
@@ -35,6 +37,35 @@ def qracah_at_top(n: int, qrp: QRacahParams) -> Fraction:
     if den == 0:
         raise VanishingDenominator(n, "q-Racah top-evaluation denominator vanishes")
     return num / den * d ** n
+
+
+def dual_addition_scalar_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:
+    """The scalar c_k of the k-th closed dual-addition coefficient, from
+    its q-Pochhammer symbols at this k alone."""
+    q, b, qh, t = qp.q, qp.beta, qp.qhalf, qp.t
+    c = Fraction(-1) ** k * t ** (2 * k * (k + l + m + 2)) * b ** k
+    if k >= 1:  # at k = 0 the ratio is 1, also where beta = 1 makes it 0/0
+        c *= (1 - b * b * q ** (2 * k)) / (1 - b * b * q ** k)
+    c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(q * b * b, q, k)
+    c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
+    c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
+    return c
+
+
+def projection_prefactor_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:
+    """The scalar prefactor of the k-th closed projection sum, from its
+    q-Pochhammer symbols at this k alone."""
+    q, b, qh, t, s = qp.q, qp.beta, qp.qhalf, qp.t, qp.s
+    pref = (t ** (2 * (l + m + 1)) * s * s) ** k
+    pref *= qpochhammer(t ** (2 - 4 * (l + m)) / b, q, k)
+    pref /= qpochhammer(-qh * b, q, k) * qpochhammer(q * b, q, k) * qpochhammer(-q * b, q, k)
+    b2 = q ** (2 * k + 1) * b * b
+    bh = t ** (4 * k + 2) * b
+    pref *= qpochhammer(b2, q, l - k) * qpochhammer(b2, q, m - k) / qpochhammer(b2, q, l + m - 2 * k)
+    pref *= qpochhammer(bh, q, l + m - 2 * k) / (
+        qpochhammer(bh, q, l - k) * qpochhammer(bh, q, m - k)
+    )
+    return pref
 
 
 def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> LaurentPoly:

@@ -138,9 +138,10 @@ def test_deep_reports_are_byte_identical_to_their_recorded_digests(suite, lmax):
 
 
 # SHA-256 of json reports, wall time removed, at the depths the benchmark
-# and the scaling table run, and dual-addition and the whole suite on
-# beta = 1 with their error records: (suite, lmax, --qparams or None for
-# the default carriers).
+# and the scaling table run, dual-addition and the whole suite on beta = 1
+# with their error records, and theorem-5-1 near q -> 1 and on beta = 1,
+# which pin the closed prefactors there: (suite, lmax, --qparams or None
+# for the default carriers).
 # Seconds each, so they carry the `deep` marker: `pytest -m deep`.
 GOLDEN_DEEPER = {
     ("dual-addition", 9, None): "eb73d331c823b2fe7a10cce1858e897542b2dae9315fda4e87daa464a5b5daa4",
@@ -149,6 +150,8 @@ GOLDEN_DEEPER = {
     ("theorem-5-1", 11, None): "d2b9261dacbc1b3cacb7e02dc82810b18067700b213a49c3210a580377c4065b",
     ("dual-addition", 9, "1/2,1"): "3b35e04a93ce1cf4e580d01c02459918d8007608f6b71cf4d9fe129916946e93",
     ("all", 5, "1/2,1"): "2bbba2c5957fd2a8b7e58a03d953ab0c0673e191a1c2fd82e574ff6af16c4e87",
+    ("theorem-5-1", 11, "9/10,1"): "01141d001f7a83388da13f0909f90afe7117602efcdcf9b850d469a764a57ab3",
+    ("theorem-5-1", 11, "1/2,1"): "c44556875780c1e8d30689d2f2bcdbbd6605018900d7f46b4416a0fd4c60afdd",
 }
 
 

@@ -47,13 +47,22 @@ from qaskey.identities import (
     linearization_qracah_params,
     linearization_racah_params,
     weight_moments,
+    _closed_projection_prefactors,
     _compare,
     _dual_addition_coeffs_q,
+    _dual_addition_scalars,
     _qpoch_a2z2,
+    _shifted_product,
 )
 from qaskey.laurent import LaurentPoly, SymmetricLaurent, x_embed
 from qaskey.series import qpochhammer
-from closed_forms import cqu_leading_z_coeff, qpoch_laurent_pow, qracah_phi
+from closed_forms import (
+    cqu_leading_z_coeff,
+    dual_addition_scalar_per_k,
+    projection_prefactor_per_k,
+    qpoch_laurent_pow,
+    qracah_phi,
+)
 
 QP = QParams(F(1, 2), F(2, 3))
 QPA = QParams(F(1, 2), F(1, 3))
@@ -210,6 +219,45 @@ def test_projection_sum_closed_form_random_carriers(t, s, l_, m_, k_):
     m = max(m_, k_)
     k = min(k_, m)
     assert dual_projection_sum(k, l, m, qp) == dual_projection_closed(k, l, m, qp)
+
+
+def _assert_tables_match_their_per_k_oracles(qp, l, m):
+    assert _dual_addition_scalars(qp, l, m) == tuple(
+        dual_addition_scalar_per_k(k, l, m, qp) for k in range(m + 1))
+    assert _closed_projection_prefactors(qp, l, m) == tuple(
+        projection_prefactor_per_k(k, l, m, qp) for k in range(m + 1))
+
+
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS + (QParams(F(1, 2), F(1)),))
+def test_closed_term_ratio_tables_match_their_per_k_oracles(qp):
+    for l in range(12):
+        for m in range(l + 1):
+            _assert_tables_match_their_per_k_oracles(qp, l, m)
+    for l, m in ((3, 2), (5, 5)):
+        closed = _dual_addition_coeffs_q(qp, l, m)
+        for k, c in enumerate(_dual_addition_scalars(qp, l, m)):
+            assert closed[k] == _shifted_product(k, l, m, qp) * c
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(min_value=F(1, 5), max_value=F(19, 20), max_denominator=20),
+       st.fractions(min_value=F(1, 5), max_value=F(3, 2), max_denominator=20),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
+def test_closed_term_ratio_tables_random_carriers(t, s, l_, m_):
+    # the tables beyond the default carriers: random admissible (t, s), up
+    # to s t close to 1, where the denominator factors come closest to 0
+    if not s * t < 1:
+        s = (1 - 1 / F(s.denominator + 1)) / t
+    _assert_tables_match_their_per_k_oracles(QParams(t, s), max(l_, m_), min(l_, m_))
+
+
+def test_closed_prefactor_table_is_built_once_per_lattice():
+    # the k-loop of theorem 5.1 is innermost: one table per (carrier, l, m)
+    _closed_projection_prefactors.cache_clear()
+    assert check_theorem_5_1(ParamGrid(lmax=3)).passed
+    info = _closed_projection_prefactors.cache_info()
+    lattices = 3 * 10  # carriers times the pairs m <= l <= 3
+    assert (info.misses, info.hits) == (lattices, 3 * 20 - lattices)
 
 
 def test_projection_sum_base_case_factors():

@@ -348,6 +348,28 @@ def test_half_ring_ops_match_oracle(h, g, a, s, n):
     assert (p == s) == (op == _o({0: s}))
 
 
+@given(halves, st.integers(min_value=-4, max_value=4))
+def test_half_plus_an_integer_matches_the_linear_combination(h, c):
+    p = SymmetricLaurent(_o_sym(h))
+    oracle = _o_add(_o_sym(h), _o({0: c}))
+    for total in (p + c, c + p):
+        _assert_matches(total, oracle, half=True)
+        assert total == linear_combination((p, LaurentPoly.constant(c)), (1, 1))
+
+
+@pytest.mark.parametrize("h,den,c,out", [
+    ((2, 1), 2, -1, ((0, 1), 2)),  # h_0 cancels below a nonzero top
+    ((5,), 1, -5, ((), 1)),  # the constant cancels to the zero half
+    ((), 1, 0, ((), 1)),
+    ((), 1, -3, ((-3,), 1)),
+    ((1, 0, 3), 7, 0, ((1, 0, 3), 7)),
+    ((-1, 4), 3, -2, ((-7, 4), 3)),
+])
+def test_half_plus_an_integer_moves_only_h0(h, den, c, out):
+    total = SymmetricLaurent.from_half(h, den) + c
+    assert type(total) is SymmetricLaurent and (total._h, total._den) == out
+
+
 def test_half_equals_and_hashes_like_the_full_layout():
     s = SymmetricLaurent({-2: F(3, 4), 0: F(-1, 6), 2: F(3, 4)})
     p = LaurentPoly({-2: F(3, 4), 0: F(-1, 6), 2: F(3, 4)})
