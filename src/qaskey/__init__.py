@@ -18,7 +18,6 @@ from .errors import (
     NonPositiveWeight,
     ParameterError,
     QAskeyError,
-    SymmetryViolation,
     VanishingDenominator,
     ZeroArgument,
 )
@@ -32,7 +31,7 @@ from .families import (
     RacahParams,
     WilsonParams,
 )
-from .laurent import LaurentPoly, SymmetricLaurent, x_embed
+from .laurent import LaurentPoly, x_embed
 from .series import HyperSeriesSpec, terminating_hyper
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "QParams",
     "QRacahParams",
     "RacahParams",
-    "SymmetricLaurent",
-    "SymmetryViolation",
     "terminating_hyper",
     "VanishingDenominator",
     "WilsonParams",

@@ -30,10 +30,6 @@ class ZeroArgument(QAskeyError):
     """Laurent polynomial evaluated at z = 0."""
 
 
-class SymmetryViolation(QAskeyError):
-    """A polynomial claimed to be symmetric under z -> 1/z is not."""
-
-
 class InadmissiblePoint(QAskeyError):
     """An evaluation point does not satisfy the exactness preconditions."""
 

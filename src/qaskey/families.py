@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .errors import ParameterError, VanishingDenominator, ZeroArgument
-from .laurent import SymmetricLaurent
+from .laurent import LaurentPoly
 from .series import (
     HyperSeriesSpec,
     first_qvanishing,
@@ -480,7 +480,7 @@ def wilson_dual_phi(n: int, m: int, wp: WilsonParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> SymmetricLaurent:
+def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> LaurentPoly:
     """Terminating q-series with Laurent numerator factors (az, a/z; q)_k.
 
     Returns sum_k c_k q^k (az; q)_k (a z^-1; q)_k with the scalar part
@@ -502,16 +502,16 @@ def _laurent_phi(scalar_nums, scalar_dens, a_laurent, qbase, nterms) -> Symmetri
     for up, down in ratios:
         if not up:
             break
-        steps.append(SymmetricLaurent.from_half((up * (u * u + v * v), -up * u * v), down * v * v))
+        steps.append(LaurentPoly((up * (u * u + v * v), -up * u * v), down * v * v))
         u *= qbase.numerator
         v *= qbase.denominator
-    total = SymmetricLaurent.constant(1)
+    total = LaurentPoly.constant(1)
     for step in reversed(steps):
         total = step * total + 1
     return total
 
 
-def askey_wilson_r(n: int, awp: AWParams) -> SymmetricLaurent:
+def askey_wilson_r(n: int, awp: AWParams) -> LaurentPoly:
     """Askey-Wilson polynomial normalized to 1 at z = a, as an exact
     symmetric Laurent polynomial in z."""
     a, b, c, d, q = awp.a, awp.b, awp.c, awp.d, awp.qbase
@@ -550,13 +550,13 @@ def cqu_aw_params(qp: QParams) -> AWParams:
 # Key (n, carrier), beta-shifted carriers included; dual-addition at lmax 11
 # reuses 267 of them across the whole run, so 1024 keep every reuse up to there.
 @lru_cache(maxsize=1024)
-def cqu_r(n: int, qp: QParams) -> SymmetricLaurent:
+def cqu_r(n: int, qp: QParams) -> LaurentPoly:
     """Continuous q-ultraspherical polynomial (value 1 at z = ts), as a
     symmetric Laurent polynomial."""
     return askey_wilson_r(n, cqu_aw_params(qp))
 
 
-def cqu_r_alt(n: int, qp: QParams) -> SymmetricLaurent:
+def cqu_r_alt(n: int, qp: QParams) -> LaurentPoly:
     """The alternative base-q^(1/2) representation of the same polynomial."""
     t, s = qp.t, qp.s
     return _laurent_phi(

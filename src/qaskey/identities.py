@@ -51,7 +51,7 @@ from .families import (
     wilson_dual_params,
     wilson_dual_phi,
 )
-from .laurent import LaurentPoly, SymmetricLaurent, linear_combination, x_embed
+from .laurent import LaurentPoly, linear_combination, x_embed
 from .series import pochhammer, qpochhammer
 
 F = Fraction
@@ -160,8 +160,11 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
     """Exact comparison of (location, lhs, rhs) items in order.
 
     Values are Fractions or Laurent polynomials in z; a polynomial in
-    x = (z + 1/z)/2 enters through `x_embed`.  A mutation shifts one
-    left-hand side by its delta (a Laurent polynomial in its constant term)."""
+    x = (z + 1/z)/2 enters through `x_embed`, and a Fraction beside a
+    polynomial as the constant polynomial, so that the witness of a
+    polynomial item is the coefficient of its residual's lowest power of z
+    on both sides.  A mutation shifts one left-hand side by its delta (a
+    Laurent polynomial in its constant term)."""
     items = list(items)
     if not items:
         raise ParameterError(f"check {check_id} produced no comparison items")
@@ -172,14 +175,14 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
     for loc, lhs, rhs in items:
         if lhs == rhs:
             continue
-        residual = lhs - rhs
         if isinstance(lhs, LaurentPoly) or isinstance(rhs, LaurentPoly):
-            diff = residual if isinstance(residual, LaurentPoly) else LaurentPoly.constant(residual)
-            exp = min(k for k, v in diff.items() if v)
-            lv = lhs.coeff(exp) if isinstance(lhs, LaurentPoly) else Fraction(lhs)
-            rv = rhs.coeff(exp) if isinstance(rhs, LaurentPoly) else Fraction(rhs)
-            witness = Witness(f"{loc}, z^{exp}", str(lv), str(rv))
+            lhs, rhs = (v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
+                        for v in (lhs, rhs))
+            residual = lhs - rhs
+            exp = residual.items()[0][0]  # the lowest exponent
+            witness = Witness(f"{loc}, z^{exp}", str(lhs.coeff(exp)), str(rhs.coeff(exp)))
         else:
+            residual = lhs - rhs
             witness = Witness(loc, str(lhs), str(rhs))
         return CheckReport(check_id, params, "fail", witness, str(residual))
     return CheckReport(check_id, params, "pass")
@@ -187,7 +190,7 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
 
 # Key (n, alpha); `verify --suite all` asks for 81 of them over the whole run.
 @lru_cache(maxsize=256)
-def _upoly(n, alpha) -> SymmetricLaurent:
+def _upoly(n, alpha) -> LaurentPoly:
     """The degree-n ultraspherical polynomial as a Laurent polynomial in z."""
     return x_embed(ultraspherical_coeffs(n, alpha))
 
@@ -349,10 +352,11 @@ def _gram_items(weights, values, norm=None, h0=None):
 def check_weight_ratio(qp: QParams, mutation=None) -> CheckReport:
     """One-step weight recurrence in its finite telescoped Laurent form:
     (1 - q^(1/2) b z^2)(1 - q^(1/2) b z^-2) = (1 + q^(1/2) b)^2 - 4 q^(1/2) b x^2."""
+    # 1 - w z^(+-2) = (1 - a z^(+-1))(1 + a z^(+-1)) with a = ts = u/v and
+    # w = a^2, and (1 -+ az)(1 -+ a/z) = ((u^2 + v^2) -+ uv (z + 1/z)) / v^2
+    u, v = qp.a.numerator, qp.a.denominator
+    lhs = LaurentPoly((u * u + v * v, -u * v), v * v) * LaurentPoly((u * u + v * v, u * v), v * v)
     w = qp.qhalf * qp.beta
-    lhs = (LaurentPoly.constant(1) - LaurentPoly.monomial(2, w)) * (
-        LaurentPoly.constant(1) - LaurentPoly.monomial(-2, w)
-    )
     rhs = x_embed([(1 + w) ** 2, 0, -4 * w])
     items = [("weight-ratio", lhs, rhs)]
     return _compare("weight-recurrence", {"t": qp.t, "s": qp.s}, items, mutation)
@@ -438,17 +442,17 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
 # Key (carrier, k).  The rows of one carrier ask for k = 0..lmax again and
 # again, so 32 entries keep a whole carrier to lmax 31.
 @lru_cache(maxsize=32)
-def _qpoch_a2z2(qp: QParams, k: int) -> SymmetricLaurent:
+def _qpoch_a2z2(qp: QParams, k: int) -> LaurentPoly:
     """(a^2 z^2, a^2 z^-2; q)_k = prod_{i<k} ((1 + w_i)^2 - 4 w_i x^2) with
     w_i = q^i a^2, a^2 = q^(1/2) beta: each factor is the one-step weight
     ratio that `check_weight_ratio` checks."""
     if k == 0:
-        return SymmetricLaurent.constant(1)
+        return LaurentPoly.constant(1)
     w = qp.q ** (k - 1) * qp.qhalf * qp.beta
     return _qpoch_a2z2(qp, k - 1) * x_embed([(1 + w) ** 2, 0, -4 * w])
 
 
-def _shifted_product(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
+def _shifted_product(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     """(a^2 z^2, a^2 z^-2; q)_k R_(l-k)(z; q^k beta) R_(m-k)(z; q^k beta): the
     z-dependent part of the k-th term of the closed projection sum and of
     the dual addition expansion."""
@@ -456,7 +460,7 @@ def _shifted_product(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
     return _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted)
 
 
-def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
+def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     """Projection of the product R_l R_m onto the k-th element of the
     linearization lattice basis, summed over the lattice."""
     if not 0 <= k <= m <= l:
@@ -467,7 +471,7 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent
     return linear_combination(basis, [w * qracah(k, j, qrp) for j, w in enumerate(weights)])
 
 
-def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> SymmetricLaurent:
+def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     """The projection sum in its factored product form: an iterated
     one-step reduction in degree and a beta promotion by q^k."""
     if not 0 <= k <= m <= l:

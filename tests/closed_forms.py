@@ -4,21 +4,88 @@ coefficients and of the closed projection sum from their q-Pochhammer
 symbols at one k, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
 parameters, the q-Racah weight formula for one x and the norm formula for
-one n, and the variable maps z -> 1/z and z -> -z."""
+one n, and the variable maps z -> 1/z and z -> -z.
+
+Laurent polynomials here are oracles: dicts exponent -> nonzero Fraction,
+with no symmetry required, so that factors such as 1 - a z can be formed.
+A package polynomial p compares with them as `dict(p.items())`."""
 
 from fractions import Fraction
 
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.families import QParams, QRacahParams
-from qaskey.laurent import LaurentPoly
 from qaskey.series import HyperSeriesSpec, qpochhammer, terminating_hyper
 
 
-def qpoch_laurent_pow(a, zexp: int, qbase, k: int) -> LaurentPoly:
-    """prod_{j<k} (1 - q^j a z^zexp) as a Laurent polynomial."""
-    out = LaurentPoly.constant(1)
+# ---------------------------------------------------------------------------
+# the dict-of-Fraction oracle of the Laurent ring
+# ---------------------------------------------------------------------------
+
+
+def _o(d) -> dict:
+    return {k: Fraction(v) for k, v in d.items() if v}
+
+
+def _o_add(a, b) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return _o(out)
+
+
+def _o_scale(a, s) -> dict:
+    return _o({k: v * s for k, v in a.items()})
+
+
+def _o_mul(a, b) -> dict:
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return _o(out)
+
+
+def _o_pow(a, n) -> dict:
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        out = _o_mul(out, a)
+    return out
+
+
+def _o_x_embed(coeffs) -> dict:
+    out = {}
+    for k, c in enumerate(coeffs):
+        out = _o_add(out, _o_scale(_o_pow({1: Fraction(1, 2), -1: Fraction(1, 2)}, k), Fraction(c)))
+    return out
+
+
+def _o_sym(h) -> dict:
+    """Oracle of h[0] + sum_k h[k] (z^k + z^-k)."""
+    return _o({k: h[abs(k)] for k in range(1 - len(h), len(h))})
+
+
+def _o_eval(a, z0) -> Fraction:
+    return sum((v * Fraction(z0) ** k for k, v in a.items()), Fraction(0))
+
+
+def _o_str(a) -> str:
+    if not a:
+        return "0"
+    terms = []
+    for k in sorted(a, reverse=True):
+        v = a[k]
+        zk = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
+        body = str(abs(v)) if not zk else (zk if abs(v) == 1 else f"{abs(v)} {zk}")
+        sign = "-" if v < 0 else "+"
+        terms.append(f"{sign}{body}" if not terms else f"{sign} {body}")
+    return " ".join(terms).lstrip("+")
+
+
+def qpoch_laurent_pow(a, zexp: int, qbase, k: int) -> dict:
+    """prod_{j<k} (1 - q^j a z^zexp) as an oracle."""
+    out = {0: Fraction(1)}
     for j in range(k):
-        out = out * (1 - LaurentPoly.monomial(zexp, Fraction(a) * Fraction(qbase) ** j))
+        out = _o_mul(out, _o({0: 1, zexp: -Fraction(a) * Fraction(qbase) ** j}))
     return out
 
 
@@ -68,28 +135,26 @@ def projection_prefactor_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:
     return pref
 
 
-def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> LaurentPoly:
+def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> dict:
     """sum_k c_k arg^k (az; q)_k (a z^-1; q)_k, c_k = (scalar_nums; q)_k /
-    ((q; q)_k (scalar_dens; q)_k), one term at a time: (az, a/z; q)_k from
-    full Laurent products and c_k by term ratios, stopping at the first
-    zero term and raising at the first vanishing denominator."""
+    ((q; q)_k (scalar_dens; q)_k), one term at a time as an oracle:
+    (az, a/z; q)_k from products of the factors 1 - az and 1 - a/z and c_k
+    by term ratios, stopping at the first zero term and raising at the
+    first vanishing denominator."""
     if nterms < 0:
         raise ParameterError(f"degree must be >= 0, got {nterms}")
     scalar_nums = [Fraction(v) for v in scalar_nums]
     scalar_dens = [Fraction(v) for v in scalar_dens]
     a_laurent, qbase, arg = Fraction(a_laurent), Fraction(qbase), Fraction(arg)
     coeff = Fraction(1)
-    lpart = LaurentPoly.constant(1)
+    lpart = {0: Fraction(1)}
     total = lpart
     qpow = Fraction(1)  # q^k
     for k in range(nterms):
         for v in scalar_nums:
             coeff *= 1 - qpow * v
         az = qpow * a_laurent
-        lpart = lpart * (
-            (LaurentPoly.constant(1) - LaurentPoly.monomial(1, az))
-            * (LaurentPoly.constant(1) - LaurentPoly.monomial(-1, az))
-        )
+        lpart = _o_mul(lpart, _o_mul(_o({0: 1, 1: -az}), _o({0: 1, -1: -az})))
         qpow *= qbase
         den = 1 - qpow
         for v in scalar_dens:
@@ -99,7 +164,7 @@ def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -
         coeff = coeff * arg / den
         if not coeff:
             break
-        total = total + lpart * coeff
+        total = _o_add(total, _o_scale(lpart, coeff))
     return total
 
 
@@ -153,11 +218,11 @@ def qracah_norm_per_n(n: int, qrp: QRacahParams) -> Fraction:
     return num / den * qrp.h0
 
 
-def invert_variable(p: LaurentPoly) -> LaurentPoly:
-    """The image of p under z -> 1/z (every exponent negated)."""
-    return LaurentPoly({-k: v for k, v in p.items()})
+def invert_variable(p) -> dict:
+    """The oracle of p (an oracle or a polynomial) under z -> 1/z."""
+    return {-k: v for k, v in p.items()}
 
 
-def negate_variable(p: LaurentPoly) -> LaurentPoly:
-    """The image of p under z -> -z."""
-    return LaurentPoly({k: -v if k % 2 else v for k, v in p.items()})
+def negate_variable(p) -> dict:
+    """The oracle of p (an oracle or a polynomial) under z -> -z."""
+    return {k: -v if k % 2 else v for k, v in p.items()}

@@ -323,12 +323,12 @@ def test_criterion_10_structural_rates_supplement():
     # exact arithmetic behind the rate: the family is invariant under the
     # base inversion q -> 1/q, so its error in 1-q has no linear term
     from qaskey.families import cqu_r as _cqu
-    from qaskey.laurent import LaurentPoly
+    from closed_forms import _o, _o_add, _o_mul, _o_scale
 
     qp = QP0
     q, a = qp.q, qp.a
     coeff = F(1)
-    lpart = LaurentPoly.constant(1)
+    lpart = {0: F(1)}
     total = lpart
     qpow = F(1)
     n = 5
@@ -339,15 +339,14 @@ def test_criterion_10_structural_rates_supplement():
         for v in nums:
             coeff *= 1 - qpow * v
         az = qpow * ai
-        lpart = lpart * ((LaurentPoly.constant(1) - LaurentPoly.monomial(1, az))
-                         * (LaurentPoly.constant(1) - LaurentPoly.monomial(-1, az)))
+        lpart = _o_mul(lpart, _o_mul(_o({0: 1, 1: -az}), _o({0: 1, -1: -az})))
         qpow *= qi
         den = 1 - qpow
         for v in dens:
             den *= 1 - (qpow / qi) * v
         coeff = coeff * qi / den
-        total = total + lpart * coeff
-    ok = ok and total == _cqu(n, qp)
+        total = _o_add(total, _o_scale(lpart, coeff))
+    ok = ok and total == dict(_cqu(n, qp).items())
     elapsed = time.monotonic() - started
     _criterion("10f", "structural second-order rate + exact base-inversion invariance",
                ok, detail="; ".join(detail), budget=30, elapsed=elapsed)

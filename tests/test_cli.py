@@ -365,6 +365,30 @@ def test_eval_laurent_output():
     assert lines[1].startswith("float: ")
 
 
+# sha256 of the concatenated stdout of the commands below, which print
+# Laurent polynomials in full (odd exponents included) and evaluate them at
+# positive and negative z; it pins `__str__`, `items` and `eval_at`.
+GOLDEN_EVAL_ARGVS = (
+    ["eval", "--family", "cqu", "--n", "8", "--qparams", "1/2,2/3"],
+    ["eval", "--family", "cqu-alt", "--n", "8", "--qparams", "1/2,2/3"],
+    ["eval", "--family", "askey-wilson", "--n", "5", "--a", "1/2", "--b", "-1/3", "--c", "2/5",
+     "--d", "3/7", "--qbase", "1/3"],
+    ["eval", "--family", "cqu", "--n", "8", "--qparams", "1/2,2/3", "--at-z", "7/5"],
+    ["eval", "--family", "cqu", "--n", "8", "--qparams", "1/2,2/3", "--at-z", "-3/2"],
+    ["table", "--family", "cqu-values", "--qparams", "1/2,2/3", "--at-z", "-5/3", "--range", "0:6"],
+)
+GOLDEN_EVAL = "bfa5b68f50ccba079e20b61fc9e1fa10f69fd146c5a37aaa7d24cf18c4070fe6"
+
+
+def test_printed_and_evaluated_laurent_outputs_match_their_recorded_digest():
+    digest = hashlib.sha256()
+    for argv in GOLDEN_EVAL_ARGVS:
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == GOLDEN_EVAL
+
+
 def test_float_output_of_values_outside_the_double_range_is_infinite():
     code, out, _ = run_cli(["eval", "--family", "jacobi", "--n", "2", "--alpha", "1/2",
                             "--beta", "1/3", "--at", "1e400"])

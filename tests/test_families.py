@@ -43,7 +43,6 @@ from qaskey.families import (
     wilson_dual_phi,
 )
 from qaskey.identities import DEFAULT_QPARAMS, check_dual_addition, linearization_qracah_params
-from qaskey.laurent import SymmetricLaurent
 from closed_forms import (
     cqu_leading_z_coeff, invert_variable, laurent_phi_terms, negate_variable, qracah_at_top,
     qracah_norm_per_n, qracah_phi, qracah_weight_per_x,
@@ -164,7 +163,7 @@ def test_askey_wilson_basic():
     for n in range(7):
         poly = askey_wilson_r(n, awp)
         assert poly.eval_at(awp.a) == 1  # value 1 at z = a
-        assert isinstance(poly, SymmetricLaurent) and invert_variable(poly) == poly
+        assert invert_variable(poly) == dict(poly.items())
         assert poly.items()[-1][0] == n and poly.coeff(n) != 0
         assert poly.eval_at(F(7, 5)) == askey_wilson_r_at(n, awp, F(7, 5))
     with pytest.raises(ParameterError):
@@ -186,7 +185,7 @@ def test_cqu_special_value_and_leading_coefficient():
 def test_cqu_parity():
     for n in range(9):
         poly = cqu_r(n, QP)
-        assert negate_variable(poly) == poly * F(-1) ** n
+        assert negate_variable(poly) == dict((poly * F(-1) ** n).items())
 
 
 def test_cqu_duality_points():
@@ -343,9 +342,9 @@ def test_horner_builder_matches_the_term_by_term_sum(qp, shift):
     awp = cqu_aw_params(qp)
     for n in range(13):
         expected = _aw_terms(n, awp)
-        assert askey_wilson_r(n, awp) == expected
-        assert cqu_r(n, qp) == expected
-        assert cqu_r_alt(n, qp) == _cqu_alt_terms(n, qp) == expected
+        assert dict(askey_wilson_r(n, awp).items()) == expected
+        assert dict(cqu_r(n, qp).items()) == expected
+        assert dict(cqu_r_alt(n, qp).items()) == _cqu_alt_terms(n, qp) == expected
 
 
 def test_horner_builder_stops_and_raises_where_the_term_by_term_sum_does():
@@ -359,7 +358,7 @@ def test_horner_builder_stops_and_raises_where_the_term_by_term_sum_does():
     # q^(n-1) abcd q = 1: the term k = 2 vanishes before (ab; q)_2 = 0 is reached
     awp = AWParams(F(2), F(2), F(2), F(2), F(1, 2))
     poly = askey_wilson_r(4, awp)
-    assert poly == _aw_terms(4, awp)
+    assert dict(poly.items()) == _aw_terms(4, awp)
     assert poly.items()[-1][0] == 1
 
 

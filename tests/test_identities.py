@@ -54,9 +54,12 @@ from qaskey.identities import (
     _qpoch_a2z2,
     _shifted_product,
 )
-from qaskey.laurent import LaurentPoly, SymmetricLaurent, x_embed
+from qaskey.laurent import LaurentPoly, x_embed
 from qaskey.series import qpochhammer
 from closed_forms import (
+    _o,
+    _o_mul,
+    _o_scale,
     cqu_leading_z_coeff,
     dual_addition_scalar_per_k,
     projection_prefactor_per_k,
@@ -277,12 +280,12 @@ def test_projection_sum_one_step_reduction():
         lhs = dual_projection_sum(k, l, m, QP)
         fac = (t ** (2 * (l + m + 1)) * s * s) * qpochhammer(t ** (2 - 4 * (l + m)) / b, q, 1)
         fac /= qpochhammer(-qh * b, q, 1) * qpochhammer(q * b, q, 1) * qpochhammer(-q * b, q, 1)
-        lkz = LaurentPoly.constant(1)
+        lkz = {0: F(1)}
         for sign in (1, -1):
-            lkz = lkz * qpoch_laurent_pow(sign * QP.a, 1, qh, 1)
-            lkz = lkz * qpoch_laurent_pow(sign * QP.a, -1, qh, 1)
-        rhs = lkz * dual_projection_sum(k - 1, l - 1, m - 1, QP.beta_shift(1)) * fac
-        assert lhs == rhs
+            lkz = _o_mul(lkz, qpoch_laurent_pow(sign * QP.a, 1, qh, 1))
+            lkz = _o_mul(lkz, qpoch_laurent_pow(sign * QP.a, -1, qh, 1))
+        lower = dual_projection_sum(k - 1, l - 1, m - 1, QP.beta_shift(1))
+        assert dict(lhs.items()) == _o_scale(_o_mul(lkz, dict(lower.items())), fac)
 
 
 def test_projection_sum_input_validation():
@@ -394,12 +397,12 @@ def test_square_factor_matches_its_qpochhammer_products(qp):
     # factored form (+-a z, +-a z^-1; q^(1/2))_k
     a, a2, q = qp.a, qp.a * qp.a, qp.q
     for k in range(7):
-        built = _qpoch_a2z2(qp, k)
-        assert built == qpoch_laurent_pow(a2, 2, q, k) * qpoch_laurent_pow(a2, -2, q, k)
-        pm = LaurentPoly.constant(1)
+        built = dict(_qpoch_a2z2(qp, k).items())
+        assert built == _o_mul(qpoch_laurent_pow(a2, 2, q, k), qpoch_laurent_pow(a2, -2, q, k))
+        pm = {0: F(1)}
         for sign in (1, -1):
-            pm = pm * qpoch_laurent_pow(sign * a, 1, qp.qhalf, k)
-            pm = pm * qpoch_laurent_pow(sign * a, -1, qp.qhalf, k)
+            pm = _o_mul(pm, qpoch_laurent_pow(sign * a, 1, qp.qhalf, k))
+            pm = _o_mul(pm, qpoch_laurent_pow(sign * a, -1, qp.qhalf, k))
         assert built == pm
 
 
@@ -494,10 +497,50 @@ def test_symmetric_residual_witness_is_at_minus_the_top_index_of_its_half():
     lhs = x_embed([1, 2, 3])
     rhs = lhs + x_embed([0, 0, 0, F(1, 5)])
     residual = lhs - rhs
-    assert isinstance(residual, SymmetricLaurent) and len(residual._h) - 1 == 3
+    assert len(residual._h) - 1 == 3
     r = _compare("half-residual", {}, [("first", lhs, lhs), ("second", lhs, rhs)])
     assert (r.witness.location, r.witness.lhs, r.witness.rhs) == ("second, z^-3", "0", "1/40")
     assert r.residual == str(residual)
+
+
+def test_scalar_beside_a_polynomial_is_witnessed_as_a_constant():
+    # the z^-2 coefficient of the scalar 5 is 0, in either order
+    poly = x_embed([0, 0, 1])  # (z^2 + 2 + z^-2) / 4
+    r = _compare("mixed", {}, [("loc", F(5), poly)])
+    assert (r.witness.location, r.witness.lhs, r.witness.rhs) == ("loc, z^-2", "0", "1/4")
+    assert r.residual == str(5 - poly) == "-1/4 z^2 + 9/2 - 1/4 z^-2"
+    r = _compare("mixed", {}, [("loc", poly, 5)])
+    assert (r.witness.location, r.witness.lhs, r.witness.rhs) == ("loc, z^-2", "1/4", "0")
+    assert r.residual == str(poly - 5)
+    # a constant polynomial against another scalar: the witness is at z^0
+    r = _compare("mixed", {}, [("loc", LaurentPoly.constant(F(1, 2)), 3)])
+    assert (r.witness.location, r.witness.lhs, r.witness.rhs) == ("loc, z^0", "1/2", "3")
+
+
+def _assert_weight_ratio_matches_its_oracle(qp):
+    # the oracle (1 - w z^2)(1 - w z^-2), w = q^(1/2) beta = a^2, against the
+    # check's left side (1 - az)(1 - a/z) times (1 + az)(1 + a/z), its right
+    # side and its verdict
+    w = qp.qhalf * qp.beta
+    oracle = _o_mul(_o({0: 1, 2: -w}), _o({0: 1, -2: -w}))
+    u, v = qp.a.numerator, qp.a.denominator
+    lhs = LaurentPoly((u * u + v * v, -u * v), v * v) * LaurentPoly((u * u + v * v, u * v), v * v)
+    assert dict(lhs.items()) == oracle
+    assert dict(x_embed([(1 + w) ** 2, 0, -4 * w]).items()) == oracle
+    assert check_weight_ratio(qp).passed
+
+
+@pytest.mark.parametrize("qp", DEFAULT_QPARAMS + (QParams(F(1, 2), F(1)),))
+def test_weight_ratio_factors_match_the_monomial_product(qp):
+    _assert_weight_ratio_matches_its_oracle(qp)
+
+
+@given(st.fractions(min_value=F(1, 20), max_value=F(19, 20), max_denominator=20),
+       st.fractions(min_value=F(1, 20), max_value=F(3, 1), max_denominator=20))
+def test_weight_ratio_factors_match_the_monomial_product_random_carriers(t, s):
+    if not s * t < 1:
+        s = (1 - 1 / F(s.denominator + 1)) / t
+    _assert_weight_ratio_matches_its_oracle(QParams(t, s))
 
 
 def test_mutation_witness_localizes():

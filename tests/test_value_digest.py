@@ -25,7 +25,11 @@ GOLDEN_VALUES = "c681fc7ede7d99bc4f38ecbe5ee054be3dbed8f9a8c5d73aaebe55faeb02ed1
 
 def _text(value) -> str:
     if isinstance(value, LaurentPoly):
-        return f"{value._lo}|{','.join(map(str, value._n))}|{value._den}"
+        # the text of the layout (lowest exponent, numerators, den) the
+        # digest was recorded in, unfolded from the half
+        h = value._h
+        lo, n = (1 - len(h), h[:0:-1] + h) if h else (0, ())
+        return f"{lo}|{','.join(map(str, n))}|{value._den}"
     if isinstance(value, tuple):
         return "(" + ";".join(_text(v) for v in value) + ")"
     return str(value)
