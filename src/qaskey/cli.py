@@ -415,9 +415,8 @@ def _cmd_eval(args) -> int:
         print(f"exact: {value}")
         print(f"float: {_float_text(value, '.17g')}")
     else:
-        terms = [f"{_float_text(c, '.17g')} z^{k}" for k, c in sorted(value.items(), reverse=True)]
         print(f"exact: {value}")
-        print(f"float: {' + '.join(terms) if terms else '0'}")
+        print(f"float: {value.render(partial(_float_text, spec='.17g'))}")
     return 0
 
 

@@ -11,12 +11,14 @@ t = q^(1/4) and s = beta^(1/2), so quarter powers of q and half powers of
 beta are exact rationals and every in-scope identity becomes a statement
 over Q.
 
-The q-arithmetic is that of `series` (term ratios, vanishing scans, running
-q-Pochhammer prefixes), and each quantity of a q-Racah lattice is cached
-once, on its `QRacahParams`, each value too.  Every q-Racah family the
-program evaluates is such a record: the one-point lattice N = 0, the
-shifted family of the backward shift (on 0..N-1) and the linearization
-lattices included.
+The q-arithmetic is that of `series` (term ratios, vanishing scans,
+q-Pochhammer symbols), and each quantity of a q-Racah lattice is cached
+once, on its `QRacahParams`, each value too.  Its weight and norm tables
+are running integer products over the whole lattice, with one reduction
+per entry.  Every q-Racah family the program evaluates is such a record:
+the one-point lattice N = 0, the shifted family of the backward shift (on
+0..N-1) and the linearization lattices included; what the rows of one
+linearization lattice share beyond its record is cached in `identities`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .series import (
     first_qvanishing,
     pochhammer,
     qhyper_sum,
-    qpoch_prefixes,
     qpochhammer,
     qterm_ratios,
     terminating_hyper,
@@ -265,13 +266,21 @@ class QRacahParams:
 
     @cached_property
     def _weights(self) -> tuple:
-        """The weights w(0..N), from running q-Pochhammer prefixes."""
+        """The weights w(0..N),
+
+            w(x) = (1 - g d q^(2x+1)) (a q, b d q, g q, g d q; q)_x
+                   / ((1 - g d q) (a b q)^x (`_weight_dens`; q)_x),
+
+        from one running integer product each way, reduced once per x."""
         a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
-        dens = qpoch_prefixes(self._weight_dens, q, self.N)
-        nums = qpoch_prefixes((a * q, b * d * q, g * q, g * d * q), q, self.N)
-        abq, gdq = a * b * q, g * d * q
-        return tuple((1 - gdq * q ** (2 * x)) * num / (abq ** x * (1 - gdq) * den)
-                     for x, (num, den) in enumerate(zip(nums, dens)))
+        prefixes = _qpoch_ratio_prefixes((a * q, b * d * q, g * q, g * d * q), self._weight_dens,
+                                         1 / (a * b * q), q, self.N)
+        # (1 - v q^(2x)) / (1 - v) = (V_den Q^2x - V_num P^2x) / (Q^2x (V_den - V_num))
+        vn, vd = (g * d * q).numerator, (g * d * q).denominator
+        p, qd = q.numerator, q.denominator
+        return tuple(Fraction(num * (vd * qd ** (2 * x) - vn * p ** (2 * x)),
+                              den * qd ** (2 * x) * (vd - vn))
+                     for x, (num, den) in enumerate(prefixes))
 
     @cached_property
     def h0(self) -> Fraction:
@@ -284,15 +293,52 @@ class QRacahParams:
 
     @cached_property
     def _norm_ratios(self) -> tuple:
-        """(numerator, denominator) of h_n / h_0 for n = 0..N, from running
-        q-Pochhammer prefixes; a zero denominator is kept, to raise only
-        when its n is asked for."""
+        """Integer pairs (numerator, denominator) of the ratios h_n / h_0 for
+        n = 0..N, unreduced,
+
+            h_n / h_0 = (1 - a b q) (q g d)^n (q, q b, q a b/g, q a/d; q)_n
+                        / ((1 - a b q^(2n+1)) (q a, q a b, q g, q b d; q)_n),
+
+        from one running integer product each way; a zero denominator is
+        kept, to raise only when its n is asked for."""
         a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
-        nums = qpoch_prefixes((q, q * b, q * a * b / g, q * a / d), q, self.N)
-        dens = qpoch_prefixes((q * a, q * a * b, q * g, q * b * d), q, self.N)
-        abq, qgd = a * b * q, q * g * d
-        return tuple(((1 - abq) * qgd ** n * num, (1 - abq * q ** (2 * n)) * den)
-                     for n, (num, den) in enumerate(zip(nums, dens)))
+        prefixes = _qpoch_ratio_prefixes((q, q * b, q * a * b / g, q * a / d),
+                                         (q * a, q * a * b, q * g, q * b * d), q * g * d, q, self.N)
+        # (1 - v) / (1 - v q^(2n)) = Q^2n (V_den - V_num) / (V_den Q^2n - V_num P^2n)
+        vn, vd = (a * b * q).numerator, (a * b * q).denominator
+        p, qd = q.numerator, q.denominator
+        return tuple((num * qd ** (2 * n) * (vd - vn), den * (vd * qd ** (2 * n) - vn * p ** (2 * n)))
+                     for n, (num, den) in enumerate(prefixes))
+
+
+def _qpoch_ratio_prefixes(ups, downs, z: Fraction, q: Fraction, top: int) -> list:
+    """Unreduced integer pairs (N_k, D_k) with N_k / D_k equal to
+    z^k (ups; q)_k / (downs; q)_k, for k = 0..top and as many `ups` as
+    `downs`: one running integer product each way."""
+    # 1 - q^j v = (Q^j v_den - P^j v_num) / (Q^j v_den) with q = P/Q; the
+    # Q^j of the ups cancel those of the downs, and each step multiplies by
+    # z prod(downs' denominators) / prod(ups' denominators)
+    up_pairs = [(v.numerator, v.denominator) for v in ups]
+    down_pairs = [(v.numerator, v.denominator) for v in downs]
+    step_num, step_den = z.numerator, z.denominator
+    for _, vd in down_pairs:
+        step_num *= vd
+    for _, vd in up_pairs:
+        step_den *= vd
+    p, qd = q.numerator, q.denominator
+    num = den = pj = qj = 1
+    out = [(1, 1)]
+    for _ in range(top):
+        num *= step_num
+        den *= step_den
+        for vn, vd in up_pairs:
+            num *= qj * vd - pj * vn
+        for vn, vd in down_pairs:
+            den *= qj * vd - pj * vn
+        pj *= p
+        qj *= qd
+        out.append((num, den))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +461,9 @@ def racah_weight(x: int, rp: RacahParams) -> Fraction:
     )
     den = Fraction(1)
     for base in (-a + g + d + 1, -b + g + 1, d + 1):
-        for i in range(x):
-            if base + i == 0:
-                raise VanishingDenominator(i, f"({base})_x factor vanishes")
+        # base + i = 0 for some i < x iff base is an integer in (-x, 0]
+        if base.denominator == 1 and -x < base.numerator <= 0:
+            raise VanishingDenominator(-base.numerator, f"({base})_x factor vanishes")
         den *= pochhammer(base, x)
     den *= factorial(x) * (g + d + 1)
     return num / den
@@ -617,13 +663,15 @@ def qracah_weight(x: int, qrp: QRacahParams) -> Fraction:
 
 def qracah_norms(n: int, qrp: QRacahParams) -> Fraction:
     """The norm h_n of the q-Racah orthogonality relation: the ratio
-    h_n / h_0 from the norm table of `qrp`, times `qrp.h0`.  A vanishing
-    ratio denominator raises for its own n only, before h_0 is read."""
+    h_n / h_0 from the norm table of `qrp`, times `qrp.h0`, reduced once.
+    A vanishing ratio denominator raises for its own n only, before h_0 is
+    read."""
     _check_lattice(0, n, qrp.N)
     num, den = qrp._norm_ratios[n]
     if den == 0:
         raise VanishingDenominator(n, "q-Racah norm-ratio denominator vanishes")
-    return num / den * qrp.h0
+    h0 = qrp.h0
+    return Fraction(num * h0.numerator, den * h0.denominator)
 
 
 def _check_lattice(n: int, x: int, N: int) -> None:

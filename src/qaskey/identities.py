@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Optional
 
@@ -211,16 +211,64 @@ def _check_pythagorean(pair):
 # ---------------------------------------------------------------------------
 
 
+class _Lattice:
+    """What the rows of one linearization lattice (carrier, l, m) share,
+    each part built the first time a row asks for it: the q-Racah record;
+    the basis R_(l+m-2j), j = 0..m; the closed dual-addition coefficients;
+    the closed projection prefactors.  A part that raises is not kept, so a
+    VanishingDenominator or NonPositiveWeight surfaces on each row that
+    asks for it, with the same index and text.
+
+    Every sum over the basis or the closed coefficients is one
+    `linear_combination`, over the lcm of den_j times the scalars'
+    denominators: over one denominator of the whole list instead, the
+    projection sums of lmax 15 carry a fifth more bits (median 1253 against
+    1060) and run slower at depth (BENCH_lattice_tables.json, "kernels")."""
+
+    def __init__(self, qp: QParams, l: int, m: int):
+        self.qp, self.l, self.m = qp, l, m
+
+    @cached_property
+    def qrp(self) -> QRacahParams:
+        """The q-Racah family whose weights are the linearization
+        coefficients of the degree-(l, m) product; the one-point record
+        N = 0 at m = 0."""
+        qp, l, m = self.qp, self.l, self.m
+        if m > l:
+            raise ParameterError("linearization lattice requires l >= m")
+        alpha = qp.beta / qp.qhalf
+        return QRacahParams(alpha, alpha, 1 / (qp.beta * qp.qhalf * qp.q ** l), m, qp)
+
+    @cached_property
+    def basis(self) -> tuple:
+        """R_(l+m-2j)(z), j = 0..m."""
+        return tuple(cqu_r(self.l + self.m - 2 * j, self.qp) for j in range(self.m + 1))
+
+    @cached_property
+    def closed(self) -> tuple:
+        """The z-dependent closed coefficients multiplying the lattice
+        values R_k(j), k = 0..m, in the dual addition expansion: the scalars
+        of `_dual_addition_scalars` times the shifted products."""
+        qp, l, m = self.qp, self.l, self.m
+        return tuple(_shifted_product(k, l, m, qp) * c
+                     for k, c in enumerate(_dual_addition_scalars(qp, l, m)))
+
+    @cached_property
+    def prefactors(self) -> tuple:
+        """The table of `_closed_projection_prefactors`."""
+        return _closed_projection_prefactors(self.qp, self.l, self.m)
+
+
 # Key (carrier, l, m).  Every suite runs the rows of one lattice one after
 # another (the k-loop of theorem 5.1 too), so one entry catches every reuse.
 @lru_cache(maxsize=1)
+def _lattice(qp: QParams, l: int, m: int) -> _Lattice:
+    return _Lattice(qp, l, m)
+
+
 def linearization_qracah_params(qp: QParams, l: int, m: int) -> QRacahParams:
-    """The q-Racah family whose weights are the linearization coefficients
-    of the degree-(l, m) product; the one-point record N = 0 at m = 0."""
-    if m > l:
-        raise ParameterError("linearization lattice requires l >= m")
-    alpha = qp.beta / qp.qhalf
-    return QRacahParams(alpha, alpha, 1 / (qp.beta * qp.qhalf * qp.q ** l), m, qp)
+    """The q-Racah record of the linearization lattice (carrier, l, m)."""
+    return _lattice(qp, l, m).qrp
 
 
 def linearization_racah_params(alpha, l: int, m: int) -> RacahParams:
@@ -465,10 +513,10 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     linearization lattice basis, summed over the lattice."""
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
-    qrp = linearization_qracah_params(qp, l, m)
-    basis = [cqu_r(l + m - 2 * j, qp) for j in range(m + 1)]
+    lattice = _lattice(qp, l, m)
+    qrp = lattice.qrp
     weights = _positive([qracah_weight(j, qrp) for j in range(m + 1)])
-    return linear_combination(basis, [w * qracah(k, j, qrp) for j, w in enumerate(weights)])
+    return linear_combination(lattice.basis, [w * qracah(k, j, qrp) for j, w in enumerate(weights)])
 
 
 def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
@@ -476,12 +524,9 @@ def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     one-step reduction in degree and a beta promotion by q^k."""
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
-    return _shifted_product(k, l, m, qp) * _closed_projection_prefactors(qp, l, m)[k]
+    return _shifted_product(k, l, m, qp) * _lattice(qp, l, m).prefactors[k]
 
 
-# Key (carrier, l, m).  The k-loop of theorem 5.1 is innermost, so one entry
-# catches every reuse; the 8th `lru_cache` of the package.
-@lru_cache(maxsize=1)
 def _closed_projection_prefactors(qp: QParams, l: int, m: int) -> tuple:
     """The scalar prefactors pref_0..pref_m of the closed projection sums of
     one lattice, a q-hypergeometric term in k, as a term-ratio table:
@@ -597,16 +642,16 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
             c *= qpochhammer(q * b * b, q, l + m - j) / qpochhammer(q * qb, q, l + m - j)
             c *= qb ** j
             explicit.append(pref * c)
-        qrp = linearization_qracah_params(qp, l, m)
+        lattice = _lattice(qp, l, m)
+        qrp = lattice.qrp
         h0 = qrp.h0
         quotient = [w / h0 for w in _positive([qracah_weight(j, qrp) for j in range(m + 1)])]
         for j in range(m + 1):
             items.append((f"coefficient j={j}", explicit[j], quotient[j]))
             if quotient[j] < 0:
                 nonneg_failures.append((f"nonnegative j={j}", quotient[j]))
-        basis = [cqu_r(l + m - 2 * j, qp) for j in range(m + 1)]
-        items.append(("explicit-form sum", linear_combination(basis, explicit), product))
-        items.append(("weight-quotient sum", linear_combination(basis, quotient), product))
+        items.append(("explicit-form sum", linear_combination(lattice.basis, explicit), product))
+        items.append(("weight-quotient sum", linear_combination(lattice.basis, quotient), product))
         params = {"target": target, "l": l, "m": m, "t": qp.t, "s": qp.s}
     elif target in ("classical", "legendre"):
         alpha = F(0) if target == "legendre" else Fraction(alpha)
@@ -661,17 +706,6 @@ def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = Non
 # ---------------------------------------------------------------------------
 
 
-# Key (carrier, l, m), as for the lattice's record: the inversion row and
-# the direct rows of one lattice run one after another.
-@lru_cache(maxsize=1)
-def _dual_addition_coeffs_q(qp: QParams, l: int, m: int) -> tuple:
-    """The z-dependent closed coefficients multiplying the lattice values
-    R_k(j), k = 0..m, in the dual addition expansion: the scalars of
-    `_dual_addition_scalars` times the shifted products."""
-    return tuple(_shifted_product(k, l, m, qp) * c
-                 for k, c in enumerate(_dual_addition_scalars(qp, l, m)))
-
-
 def _dual_addition_scalars(qp: QParams, l: int, m: int) -> tuple:
     """The scalars c_0..c_m of the closed dual-addition coefficients,
 
@@ -719,8 +753,9 @@ def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "di
     if target == "q":
         if qp is None:
             raise ParameterError("q dual addition needs qp")
-        qrp = linearization_qracah_params(qp, l, m)
-        closed = _dual_addition_coeffs_q(qp, l, m)
+        lattice = _lattice(qp, l, m)
+        qrp = lattice.qrp
+        closed = lattice.closed
         if mode == "inversion":
             for k in range(m + 1):
                 # the one-point lattice's norm is 1: its record's ratio

@@ -16,8 +16,9 @@ denominator and reduces once.  A polynomial plus an integer c (Horner's
 `+ 1`) only moves h_0 to h_0 + c den, which needs no reduction.  A
 rational scalar is the constant polynomial: it compares, and hashes,
 equal to its polynomial.  `_c` (exponent -> nonzero reduced Fraction,
-ascending) is a view built on each access, for `items`, `__str__` and the
-span tracer in `bench/`; `coeff` and `eval_at` read the half.
+ascending) is a view built on each access, for `items` and the span tracer
+in `bench/`; `coeff`, `eval_at` and `render` (the text of `__str__`, and of
+the float line of `eval`) read the half.
 Instances are immutable.
 """
 
@@ -159,23 +160,30 @@ class LaurentPoly:
     # rendering ------------------------------------------------------------
 
     def __str__(self):
-        c = self._c
-        if not c:
-            return "0"
+        return self.render()
+
+    def render(self, magnitude=str) -> str:
+        """The polynomial from its top exponent down, read from the half:
+        each nonzero coefficient as its sign and `magnitude` of its absolute
+        value (a Fraction), which is left out where it is 1 beside a power
+        of z; z for z^1 and a bare constant for z^0."""
+        h, den = self._h, self._den
         parts = []
-        for k in reversed(c):
-            v = c[k]
-            mag = -v if v < 0 else v
+        for k in range(len(h) - 1, -len(h), -1):
+            v = h[abs(k)]
+            if not v:
+                continue
+            mag = Fraction(abs(v), den)
             if k == 0:
-                body = str(mag)
+                body = magnitude(mag)
             else:
                 zk = "z" if k == 1 else f"z^{k}"
-                body = zk if mag == 1 else f"{mag} {zk}"
+                body = zk if mag == 1 else f"{magnitude(mag)} {zk}"
             if not parts:
                 parts.append(body if v > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if v > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) if parts else "0"
 
     def __repr__(self):
         return f"LaurentPoly({self._h!r}, {self._den!r})"

@@ -7,17 +7,20 @@ is evaluated beyond the termination index, which keeps denominator
 parameters of the form -N (ordinary) or q^N-like values (q-case) harmless
 as long as the series terminates in time.
 
-This is the one home of exact q-arithmetic: exact (int or Fraction)
-arguments never pass through `Fraction` arithmetic term by term.
-`qterm_ratios` yields each q-series term ratio as an integer pair
-(A_k, B_k) built from the parameters' numerators and denominators and
-q^k = P^k/Q^k; `qhyper_sum` sums them by Horner's rule from the top term,
-S <- 1 + (A_k/B_k) S, on one integer numerator and denominator, and the
-Laurent builder of `families` reads them too.  `first_qvanishing` scans for
-a factor q^k b = 1; `qpochhammer` and `qpoch_prefixes` are running integer
-products.  Ordinary series, and floats and complex values as `numerics`
-passes them, run a duck-typed loop over incremental term ratios instead,
-in a fixed operation order.
+Exact (int or Fraction) arguments never pass through `Fraction`
+arithmetic term by term, in the ordinary case as in the q-case.  Each term
+ratio is an integer pair (A_k, B_k) built from the parameters' numerators
+and denominators (and from q^k = P^k/Q^k in the q-case; `qterm_ratios`
+yields them, and the Laurent builder of `families` reads them too).
+`hyper_sum` and `qhyper_sum` sum them by Horner's rule from the top term,
+S <- 1 + (A_k/B_k) S, on one integer numerator and denominator, reduced
+once; `pochhammer` and `qpochhammer` are running integer products.  A
+vanishing factor b + k = 0 is an integer test on b, and `first_qvanishing`
+scans for a factor q^k b = 1.  Floats and complex values, as `numerics`
+passes them, run duck-typed loops over incremental term ratios instead, in
+a fixed operation order, and so do the exact calls whose loop gives an int
+or a float: an int base of `pochhammer`, and a `hyper_sum` with no
+Fraction among its values or with no term past the first.
 """
 
 from __future__ import annotations
@@ -38,7 +41,18 @@ def parse_rat(text: str) -> Fraction:
 
 
 def pochhammer(b, k: int):
-    """Shifted factorial (b)_k = b (b+1) ... (b+k-1); empty product for k=0."""
+    """Shifted factorial (b)_k = b (b+1) ... (b+k-1); empty product for k=0.
+
+    A Fraction b gives a Fraction from one integer product, reduced once;
+    any other b (an int too) multiplies the factors in its own type.
+    """
+    if type(b) is Fraction:
+        # b + j = (b_num + j b_den) / b_den
+        n, d = b.numerator, b.denominator
+        num = 1
+        for j in range(k):
+            num *= n + j * d
+        return Fraction(num, d ** k)
     out = b - b + 1  # one, in the arithmetic type of b
     for j in range(k):
         out *= b + j
@@ -86,29 +100,18 @@ def _qpochhammer_exact(b, qbase, k: int) -> Fraction:
     return Fraction(num, den)
 
 
-def qpoch_prefixes(bases, q: Fraction, top: int) -> list:
-    """prod_b (b; q)_k for k = 0..top, from one running integer product
-    each for numerator and denominator, reduced once per k."""
-    # 1 - q^j b = (Q^j b_den - P^j b_num) / (Q^j b_den) with q = P/Q
-    p, qd = q.numerator, q.denominator
-    num = den = pj = qj = 1
-    out = [Fraction(1)]
-    for _ in range(top):
-        for base in bases:
-            num *= qj * base.denominator - pj * base.numerator
-            den *= qj * base.denominator
-        pj *= p
-        qj *= qd
-        out.append(Fraction(num, den))
-    return out
-
-
 def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
     """Terminating ordinary hypergeometric sum over k = 0..nterms.
 
-    Computes sum_k (nums)_k / ((dens)_k k!) arg^k by incremental term ratios.
-    Duck-typed: works with Fraction, float or complex scalars alike.
+    Computes sum_k (nums)_k / ((dens)_k k!) arg^k.  Exact arguments with a
+    Fraction among them are summed from their integer term ratios when a
+    term past the first is summed.  Everything else runs the term-ratio
+    loop, duck-typed for Fraction, float or complex scalars alike; it gives
+    a float for all-int values.
     """
+    values = (arg, *nums, *dens)
+    if nterms > 0 and _exact(*values) and any(type(v) is Fraction for v in values):
+        return _ratio_sum(_term_ratios(nums, dens, arg, nterms))
     term = arg - arg + 1
     total = term
     for k in range(nterms):
@@ -124,15 +127,51 @@ def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
     return total
 
 
+def _term_ratios(nums, dens, arg, nterms: int):
+    """Lazily, the integer pairs (up, down) = t_(k+1)/t_k, k < nterms, of the
+    exact sum_k (nums)_k / ((dens)_k k!) arg^k; a zero `down` raises
+    VanishingDenominator(k + 1) when its k is reached."""
+    # t_(k+1) / t_k = arg prod(a + k) / ((k + 1) prod(b + k)), where
+    # v + k = (v_num + k v_den) / v_den
+    a_pairs = [(a.numerator, a.denominator) for a in nums]
+    b_pairs = [(b.numerator, b.denominator) for b in dens]
+    up0, down0 = arg.numerator, arg.denominator
+    for _, bd in b_pairs:
+        up0 *= bd
+    for _, ad in a_pairs:
+        down0 *= ad
+    for k in range(nterms):
+        up, down = up0, down0 * (k + 1)
+        for an, ad in a_pairs:
+            up *= an + k * ad
+        for bn, bd in b_pairs:
+            down *= bn + k * bd
+        if not down:
+            raise VanishingDenominator(k + 1)
+        yield up, down
+
+
+def _ratio_sum(ratios) -> Fraction:
+    """1 + r_0 (1 + r_1 (1 + ...)) for the integer pairs r_k = (up_k, down_k),
+    by Horner's rule from the top term on one integer numerator and
+    denominator, reduced once.  Every ratio is formed first, so a vanishing
+    denominator past a zero term raises."""
+    num = den = 1
+    for up, down in reversed(list(ratios)):
+        num, den = down * den + up * num, down * den
+    return Fraction(num, den)
+
+
 def qhyper_sum(nums: Sequence, dens: Sequence, qbase, arg, nterms: int):
     """Terminating basic hypergeometric sum over k = 0..nterms.
 
     Computes sum_k (nums; q)_k / ((dens; q)_k (q; q)_k) arg^k.  Exact
-    arguments take `_qhyper_sum_exact`; floats and complex values the
-    term-ratio loop, in the operation order `numerics` relies on.
+    arguments are summed from their integer term ratios; floats and complex
+    values run the term-ratio loop, in the operation order `numerics`
+    relies on.
     """
     if _exact(qbase, arg, *nums, *dens):
-        return _qhyper_sum_exact(nums, dens, qbase, arg, nterms)
+        return _ratio_sum(qterm_ratios(nums, dens, qbase, arg, nterms))
     term = arg - arg + 1
     total = term
     qpow = term  # q^k
@@ -184,16 +223,6 @@ def qterm_ratios(nums, dens, qbase, arg, nterms: int, detail: str = ""):
         qk *= qd
 
 
-def _qhyper_sum_exact(nums, dens, qbase, arg, nterms: int) -> Fraction:
-    # every ratio is formed, so a vanishing denominator past a zero term raises
-    ratios = list(qterm_ratios(nums, dens, qbase, arg, nterms))
-    # Horner's rule from the top term: S <- 1 + (up_k / down_k) S
-    num = den = 1
-    for up, down in reversed(ratios):
-        num, den = down * den + up * num, down * den
-    return Fraction(num, den)
-
-
 def first_qvanishing(bases, qbase, top: int):
     """The first (k, b) with q^k b = 1, k < top outer and the exact `bases`
     in order inner: the first vanishing factor of the (b; q)_top; or None."""
@@ -239,9 +268,9 @@ class HyperSeriesSpec:
             if all(a != -n for a in self.numerator):
                 raise ParameterError(f"no numerator parameter equals -{n}")
             for b in self.denominator:
-                for k in range(n):
-                    if b + k == 0:
-                        raise VanishingDenominator(k + 1, f"(b)_k factor with b={b}")
+                # b + k = 0 for some k < n iff b is an integer in (-n, 0]
+                if b.denominator == 1 and -n < b.numerator <= 0:
+                    raise VanishingDenominator(1 - b.numerator, f"(b)_k factor with b={b}")
         else:
             if not 0 < self.base < 1:
                 raise ParameterError(f"series base must lie in (0, 1), got {self.base}")

@@ -3,18 +3,20 @@ that no suite row checks, the scalars of the closed dual-addition
 coefficients and of the closed projection sum from their q-Pochhammer
 symbols at one k, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
-parameters, the q-Racah weight formula for one x and the norm formula for
-one n, and the variable maps z -> 1/z and z -> -z.
+parameters, the q-Racah weight formula for one x and the norm and norm
+ratio formulas for one n, the Racah weight for one x with its vanishing
+factors tested one at a time, and the variable maps z -> 1/z and z -> -z.
 
 Laurent polynomials here are oracles: dicts exponent -> nonzero Fraction,
 with no symmetry required, so that factors such as 1 - a z can be formed.
 A package polynomial p compares with them as `dict(p.items())`."""
 
 from fractions import Fraction
+from math import factorial
 
 from qaskey.errors import ParameterError, VanishingDenominator
-from qaskey.families import QParams, QRacahParams
-from qaskey.series import HyperSeriesSpec, qpochhammer, terminating_hyper
+from qaskey.families import QParams, QRacahParams, RacahParams
+from qaskey.series import HyperSeriesSpec, pochhammer, qpochhammer, terminating_hyper
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +204,9 @@ def qracah_weight_per_x(x: int, a, b, g, d, q) -> Fraction:
     return num / den
 
 
-def qracah_norm_per_n(n: int, qrp: QRacahParams) -> Fraction:
-    """The q-Racah norm h_n from its q-Pochhammer symbols at this n alone,
-    times h_0; the lattice bound is the caller's."""
+def qracah_norm_ratio_per_n(n: int, qrp: QRacahParams) -> Fraction:
+    """The q-Racah norm ratio h_n / h_0 from its q-Pochhammer symbols at
+    this n alone; the lattice bound is the caller's."""
     a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
     den = Fraction(1)
     for base in (q * a, q * a * b, q * g, q * b * d):
@@ -215,7 +217,31 @@ def qracah_norm_per_n(n: int, qrp: QRacahParams) -> Fraction:
     num = (1 - a * b * q) * (q * g * d) ** n
     for base in (q, q * b, q * a * b / g, q * a / d):
         num *= qpochhammer(base, q, n)
-    return num / den * qrp.h0
+    return num / den
+
+
+def qracah_norm_per_n(n: int, qrp: QRacahParams) -> Fraction:
+    """The q-Racah norm h_n: its ratio at this n alone times h_0, which is
+    read only when the ratio is finite."""
+    return qracah_norm_ratio_per_n(n, qrp) * qrp.h0
+
+
+def racah_weight_per_x(x: int, rp: RacahParams) -> Fraction:
+    """The Racah weight at x from its shifted factorials at this x, every
+    denominator factor base + i, i < x, tested one at a time."""
+    a, b, g, d = rp.alpha, rp.beta, rp.gamma, rp.delta
+    if g + d + 1 == 0:
+        raise VanishingDenominator(0, "gamma + delta + 1 = 0")
+    num = (g + d + 1 + 2 * x) * Fraction(1)
+    for base in (a + 1, b + d + 1, g + 1, g + d + 1):
+        num *= pochhammer(base, x)
+    den = factorial(x) * (g + d + 1)
+    for base in (-a + g + d + 1, -b + g + 1, d + 1):
+        for i in range(x):
+            if base + i == 0:
+                raise VanishingDenominator(i, f"({base})_x factor vanishes")
+        den *= pochhammer(base, x)
+    return num / den
 
 
 def invert_variable(p) -> dict:

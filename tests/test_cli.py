@@ -138,7 +138,8 @@ def test_deep_reports_are_byte_identical_to_their_recorded_digests(suite, lmax):
 
 
 # SHA-256 of json reports, wall time removed, at the depths the benchmark
-# and the scaling table run, dual-addition and the whole suite on beta = 1
+# and the scaling table run (lmax 15 on the default carriers included),
+# dual-addition and the whole suite on beta = 1
 # with their error records, and theorem-5-1 near q -> 1 and on beta = 1,
 # which pin the closed prefactors there: (suite, lmax, --qparams or None
 # for the default carriers).
@@ -152,6 +153,8 @@ GOLDEN_DEEPER = {
     ("all", 5, "1/2,1"): "2bbba2c5957fd2a8b7e58a03d953ab0c0673e191a1c2fd82e574ff6af16c4e87",
     ("theorem-5-1", 11, "9/10,1"): "01141d001f7a83388da13f0909f90afe7117602efcdcf9b850d469a764a57ab3",
     ("theorem-5-1", 11, "1/2,1"): "c44556875780c1e8d30689d2f2bcdbbd6605018900d7f46b4416a0fd4c60afdd",
+    ("dual-addition", 15, None): "a6bc7ebf652599e7f1688a102bb20b48f961ce3020c24c3f3494ee6c790e25bd",
+    ("theorem-5-1", 15, None): "7ad188a6de6f0f8e9690ab9696b6cbbc1eec2fdc2b3abf473b7198d2bf348b07",
 }
 
 
@@ -216,6 +219,24 @@ def test_beta_one_errors_only_where_the_lattice_degenerates():
     for rec in errors:
         assert rec["id"] == "dual-addition"
         assert rec["message"].startswith("VanishingDenominator: ")
+
+
+def test_beta_one_error_records_of_the_default_grid():
+    # `verify --qparams 1/2,1`: 17 error records, each the norm ratio of a
+    # linearization lattice at n = 0, where 1 - alpha beta q = 0
+    doc = run_suite("all", ParamGrid(qparams=(QParams(F(1, 2), F(1)),)))
+    errors = [rec for rec in doc["checks"] if rec["verdict"] == "error"]
+    qp = {"qp": "t=1/2,s=1"}
+    expected = [("orthogonality-q-racah", {"l": "5", "m": "4", **qp}),
+                ("orthogonality-q-racah", {"l": "4", "m": "3", **qp})]
+    expected += [("dual-addition", {"l": str(l), "m": str(m), "mode": "inversion", **qp,
+                                    "target": "q"})
+                 for l in range(1, 6) for m in range(1, l + 1)]
+    assert [(rec["id"], rec["params"]) for rec in errors] == expected
+    assert len(errors) == 17
+    assert {rec["message"] for rec in errors} == {
+        "VanishingDenominator: vanishing denominator at index 0 "
+        "(q-Racah norm-ratio denominator vanishes)"}
 
 
 def test_errored_check_names_itself():
@@ -367,7 +388,9 @@ def test_eval_laurent_output():
 
 # sha256 of the concatenated stdout of the commands below, which print
 # Laurent polynomials in full (odd exponents included) and evaluate them at
-# positive and negative z; it pins `__str__`, `items` and `eval_at`.
+# positive and negative z; it pins `__str__`, `render` and `eval_at`.
+# Recorded again when the float line of `eval` took the sign and exponent
+# rules of the exact line.
 GOLDEN_EVAL_ARGVS = (
     ["eval", "--family", "cqu", "--n", "8", "--qparams", "1/2,2/3"],
     ["eval", "--family", "cqu-alt", "--n", "8", "--qparams", "1/2,2/3"],
@@ -377,7 +400,7 @@ GOLDEN_EVAL_ARGVS = (
     ["eval", "--family", "cqu", "--n", "8", "--qparams", "1/2,2/3", "--at-z", "-3/2"],
     ["table", "--family", "cqu-values", "--qparams", "1/2,2/3", "--at-z", "-5/3", "--range", "0:6"],
 )
-GOLDEN_EVAL = "bfa5b68f50ccba079e20b61fc9e1fa10f69fd146c5a37aaa7d24cf18c4070fe6"
+GOLDEN_EVAL = "0eecd8c7505330203f8fd30176bcf0eec2cf0813b6823373331f1cd62f656fde"
 
 
 def test_printed_and_evaluated_laurent_outputs_match_their_recorded_digest():
@@ -387,6 +410,22 @@ def test_printed_and_evaluated_laurent_outputs_match_their_recorded_digest():
         assert (code, err) == (0, "")
         digest.update(out.encode())
     assert digest.hexdigest() == GOLDEN_EVAL
+
+
+def test_float_line_of_a_laurent_polynomial_has_the_shape_of_the_exact_line():
+    # the same signs, powers of z and left-out unit magnitudes: no "+ -",
+    # no z^1 and no z^0
+    def shape(line):
+        return re.sub(r"[0-9][0-9./e+-]*|inf", "#", line.split(": ", 1)[1])
+
+    argvs = GOLDEN_EVAL_ARGVS[:3] + (["eval", "--family", "cqu", "--n", "0", "--qparams", "1/2,2/3"],
+                                     ["eval", "--family", "cqu", "--n", "1", "--qparams", "1/2,1"])
+    for argv in argvs:
+        code, out, _ = run_cli(argv)
+        exact, flt = out.splitlines()
+        assert code == 0 and shape(exact) == shape(flt)
+        assert "+ -" not in flt and "z^1 " not in flt + " " and "z^0" not in flt
+    assert out == "exact: 2/5 z + 2/5 z^-1\nfloat: 0.40000000000000002 z + 0.40000000000000002 z^-1\n"
 
 
 def test_float_output_of_values_outside_the_double_range_is_infinite():

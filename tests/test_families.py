@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qaskey.cli import _text
 from qaskey.errors import ParameterError, QAskeyError, VanishingDenominator
@@ -41,11 +41,14 @@ from qaskey.families import (
     ultraspherical_r,
     wilson_dual_params,
     wilson_dual_phi,
+    _qpoch_ratio_prefixes,
 )
 from qaskey.identities import DEFAULT_QPARAMS, check_dual_addition, linearization_qracah_params
+from qaskey.series import qpochhammer
 from closed_forms import (
     cqu_leading_z_coeff, invert_variable, laurent_phi_terms, negate_variable, qracah_at_top,
-    qracah_norm_per_n, qracah_phi, qracah_weight_per_x,
+    qracah_norm_per_n, qracah_norm_ratio_per_n, qracah_phi, qracah_weight_per_x,
+    racah_weight_per_x,
 )
 
 QP = QParams(F(1, 2), F(2, 3))
@@ -248,19 +251,94 @@ def _table_cases():
         yield QRacahParams(QP.q ** -3, beta, F(7, 3), 3, QP)
 
 
+def _assert_integer_tables_match_the_per_entry_formulas(qrp):
+    """The weight and norm-ratio tables, the norms and the weights of a
+    record against their per-entry Fraction formulas, raising included."""
+    a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
+    for n in range(qrp.N + 1):
+        num, den = qrp._norm_ratios[n]
+        ratio = _outcome(qracah_norm_ratio_per_n, n, qrp)
+        assert (F(num, den) if den else den) == (ratio if not isinstance(ratio, tuple) else 0)
+        assert _outcome(qracah_norms, n, qrp) == _outcome(qracah_norm_per_n, n, qrp)
+        assert qracah_weight(n, qrp) == qracah_weight_per_x(n, a, b, g, d, q)
+        assert type(qrp._weights[n]) is F
+
+
 def test_qracah_tables_match_the_per_entry_formulas():
     raised = []
     for qrp in _table_cases():
+        _assert_integer_tables_match_the_per_entry_formulas(qrp)
         a, b, g, d, q = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta, qrp.qp.q
         for n in range(qrp.N + 1):
-            assert _outcome(qracah_norms, n, qrp) == _outcome(qracah_norm_per_n, n, qrp)
-            assert qracah_weight(n, qrp) == qracah_weight_per_x(n, a, b, g, d, q)
             for x in range(qrp.N + 1):
                 got = _outcome(qracah, n, x, qrp)
                 assert got == _outcome(qracah_phi, n, x, a, b, g, d, q), (qrp, n, x)
                 if isinstance(got, tuple):
                     raised.append((qrp.N, n, x, got[1]))
     assert raised == [(3, 3, 3, 3)] * 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=F(1, 5), max_value=F(19, 20), max_denominator=20),
+       st.fractions(min_value=F(1, 5), max_value=F(3, 2), max_denominator=20),
+       st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
+def test_integer_tables_match_the_per_entry_formulas_random_carriers(t, s, l_, m_):
+    # linearization lattices of random admissible (t, s), beta = 1 and
+    # s t close to 1 included
+    if not s * t < 1:
+        s = (1 - 1 / F(s.denominator + 1)) / t
+    qrp = linearization_qracah_params(QParams(t, s), max(l_, m_), min(l_, m_))
+    _assert_integer_tables_match_the_per_entry_formulas(qrp)
+
+
+@pytest.mark.parametrize("l,m", [(1, 1), (4, 3), (6, 0)])
+def test_beta_one_norm_at_zero_raises_before_h0_is_read(l, m):
+    # beta = 1: alpha beta q = 1, so 1 - alpha beta q^(2n+1) vanishes at n = 0
+    qrp = linearization_qracah_params(QParams(F(1, 2), F(1)), l, m)
+    with pytest.raises(VanishingDenominator) as err:
+        qracah_norms(0, qrp)
+    assert (err.value.index, str(err.value)) == (
+        0, "vanishing denominator at index 0 (q-Racah norm-ratio denominator vanishes)")
+    assert "h0" not in vars(qrp)
+
+
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(lambda v: 0 < v < 1)
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(nonzero_rationals, nonzero_rationals), max_size=4), nonzero_rationals,
+       unit_rationals, st.integers(min_value=0, max_value=10), st.data())
+def test_qpoch_ratio_prefixes_match_the_products_at_each_k(pairs, z, q, top, data):
+    # some bases are q^(-j), so that factors 1 - q^j b vanish on both sides
+    near = st.integers(min_value=0, max_value=top).map(lambda j: q ** -j)
+    pairs = [(data.draw(st.one_of(st.just(u), near)), data.draw(st.one_of(st.just(v), near)))
+             for u, v in pairs]
+    ups, downs = [u for u, _ in pairs], [v for _, v in pairs]
+    for k, (num, den) in enumerate(_qpoch_ratio_prefixes(ups, downs, z, q, top)):
+        up, down = z ** k, F(1)
+        for u, v in pairs:
+            up *= qpochhammer(u, q, k)
+            down *= qpochhammer(v, q, k)
+        assert num * down == den * up and (den == 0) == (down == 0)
+
+
+@pytest.mark.parametrize("N", [1, 3, 6])
+def test_racah_weight_scan_matches_the_one_factor_at_a_time_formula(N):
+    # integer and half-integer parameters: the factors (base)_x of the
+    # weight denominator vanish for some x, and gamma + delta + 1 for some delta
+    values = [F(v, 2) for v in range(-13, 5)]
+    outcomes = set()
+    for alpha in values[::3]:
+        for beta in values[1::4]:
+            for delta in values[::2]:
+                rp = RacahParams(alpha, beta, N, delta)
+                for x in range(N + 1):
+                    got = _outcome(racah_weight, x, rp)
+                    assert got == _outcome(racah_weight_per_x, x, rp), (rp, x)
+                    outcomes.add(got[:2] if isinstance(got, tuple) else F)
+    # values, and errors at every index the lattice allows
+    assert outcomes == {F} | {(VanishingDenominator, i) for i in range(N)}
 
 
 def test_free_parameter_weights_match_the_per_x_formula():

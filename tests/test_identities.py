@@ -49,8 +49,8 @@ from qaskey.identities import (
     weight_moments,
     _closed_projection_prefactors,
     _compare,
-    _dual_addition_coeffs_q,
     _dual_addition_scalars,
+    _lattice,
     _qpoch_a2z2,
     _shifted_product,
 )
@@ -237,7 +237,7 @@ def test_closed_term_ratio_tables_match_their_per_k_oracles(qp):
         for m in range(l + 1):
             _assert_tables_match_their_per_k_oracles(qp, l, m)
     for l, m in ((3, 2), (5, 5)):
-        closed = _dual_addition_coeffs_q(qp, l, m)
+        closed = _lattice(qp, l, m).closed
         for k, c in enumerate(_dual_addition_scalars(qp, l, m)):
             assert closed[k] == _shifted_product(k, l, m, qp) * c
 
@@ -254,13 +254,20 @@ def test_closed_term_ratio_tables_random_carriers(t, s, l_, m_):
     _assert_tables_match_their_per_k_oracles(QParams(t, s), max(l_, m_), min(l_, m_))
 
 
-def test_closed_prefactor_table_is_built_once_per_lattice():
-    # the k-loop of theorem 5.1 is innermost: one table per (carrier, l, m)
-    _closed_projection_prefactors.cache_clear()
+def test_closed_prefactor_table_is_built_once_per_lattice(monkeypatch):
+    # the k-loop of theorem 5.1 is innermost: one lattice, and one table,
+    # per (carrier, l, m), looked up by the sum and the closed form of each k
+    from qaskey import identities
+
+    built, table = [], identities._closed_projection_prefactors
+    monkeypatch.setattr(identities, "_closed_projection_prefactors",
+                        lambda *args: built.append(args) or table(*args))
+    _lattice.cache_clear()
     assert check_theorem_5_1(ParamGrid(lmax=3)).passed
-    info = _closed_projection_prefactors.cache_info()
+    info = _lattice.cache_info()
     lattices = 3 * 10  # carriers times the pairs m <= l <= 3
-    assert (info.misses, info.hits) == (lattices, 3 * 20 - lattices)
+    assert len(built) == len(set(built)) == info.misses == lattices
+    assert info.hits == 2 * 3 * 20 - lattices  # 20 values of k per carrier
 
 
 def test_projection_sum_base_case_factors():
@@ -350,7 +357,7 @@ def test_dual_addition_modes_are_mutually_consistent():
     # inversion coefficients times the norms reproduce the brute sums
     l, m = 3, 2
     qrp = linearization_qracah_params(QP, l, m)
-    closed = _dual_addition_coeffs_q(QP, l, m)
+    closed = _lattice(QP, l, m).closed
     for k in range(m + 1):
         assert closed[k] * qracah_norms(k, qrp) == dual_projection_sum(k, l, m, QP)
 
@@ -358,7 +365,7 @@ def test_dual_addition_modes_are_mutually_consistent():
 def test_lattice_norms_share_one_h0():
     # norm(k) = (h_k/h_0) h_0 of one lattice take h0 from the cached
     # property of its q-Racah record: one computation for all of them
-    linearization_qracah_params.cache_clear()
+    _lattice.cache_clear()
     qrp = linearization_qracah_params(QP, 5, 3)
     assert "h0" not in vars(qrp)
     norms = [qracah_norms(k, qrp) for k in range(4)]
@@ -368,21 +375,25 @@ def test_lattice_norms_share_one_h0():
 
 def test_one_record_and_one_value_memo_per_lattice(monkeypatch):
     # the inversion row and the m + 1 direct rows of one lattice get one
-    # record, and sum each of its (m + 1)^2 values once, on that record
+    # lattice and one record, and sum each of its (m + 1)^2 values once, on
+    # that record; the basis and the closed coefficients are built once
     from qaskey import families, identities
 
     l, m = 4, 3
-    make, qhyper_sum = linearization_qracah_params, families.qhyper_sum
-    make.cache_clear()
-    records, sums = [], []
-    monkeypatch.setattr(identities, "linearization_qracah_params",
-                        lambda *args: records.append(make(*args)) or records[-1])
+    qhyper_sum = families.qhyper_sum
+    _lattice.cache_clear()
+    lattices, sums = [], []
+    monkeypatch.setattr(identities, "_lattice",
+                        lambda *args: lattices.append(_lattice(*args)) or lattices[-1])
     monkeypatch.setattr(families, "qhyper_sum", lambda *args: sums.append(args) or qhyper_sum(*args))
     assert check_dual_addition("q", l, m, mode="inversion", qp=QP).passed
     for j in range(m + 1):
         assert check_dual_addition("q", l, m, j, "direct", qp=QP).passed
-    assert records and all(qrp is records[0] for qrp in records)
-    assert len(sums) == (m + 1) ** 2 == len(records[0]._values)
+    lattice = lattices[0]
+    assert all(lat is lattice for lat in lattices) and _lattice.cache_info().misses == 1
+    assert {"qrp", "basis", "closed"} <= set(vars(lattice))
+    assert "prefactors" not in vars(lattice)  # no row of the dual addition asks for them
+    assert len(sums) == (m + 1) ** 2 == len(lattice.qrp._values)
 
 
 def test_dual_addition_classical_and_a_form():

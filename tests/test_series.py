@@ -10,10 +10,10 @@ from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.series import (
     HyperSeriesSpec,
     first_qvanishing,
+    hyper_sum,
     parse_rat,
     pochhammer,
     qhyper_sum,
-    qpoch_prefixes,
     qpochhammer,
     qterm_ratios,
     terminating_hyper,
@@ -204,6 +204,100 @@ def test_integer_path_matches_naive_and_loop_q(spec):
     assert value == loop
 
 
+def _outcome(fn, *args):
+    """fn(*args) with its type, or the index and text of the
+    VanishingDenominator it raises."""
+    try:
+        value = fn(*args)
+    except VanishingDenominator as exc:
+        return exc.index, str(exc)
+    return type(value), value
+
+
+@given(rationals, small_naturals)
+def test_rational_pochhammer_matches_the_loop(b, k):
+    value = pochhammer(b, k)
+    assert type(value) is F
+    assert value == pochhammer(_LoopRational(b), k)
+
+
+def test_pochhammer_keeps_the_type_of_its_base():
+    assert _outcome(pochhammer, 3, 4) == (int, 360)
+    assert _outcome(pochhammer, -2, 3) == (int, 0)
+    assert _outcome(pochhammer, 5, 0) == (int, 1)
+    assert _outcome(pochhammer, F(3), 4) == (F, 360)
+    assert _outcome(pochhammer, F(-1, 2), 0) == (F, 1)
+    assert _outcome(pochhammer, 0.5, 3) == (float, 1.875)
+
+
+@st.composite
+def ordinary_sums(draw):
+    """(nums, dens, arg, nterms) of `hyper_sum`, exact and with a Fraction
+    among them: some terminate at a negative integer numerator, and some
+    denominators are integers in (-nterms, 0], which vanish at their k."""
+    nterms = draw(st.integers(min_value=1, max_value=8))
+    ints = st.integers(min_value=-nterms, max_value=3)
+    values = st.one_of(rationals, ints, ints.map(F))
+    nums = draw(st.lists(values, max_size=3))
+    dens = draw(st.lists(values, max_size=3))
+    arg = draw(values)
+    if not any(type(v) is F for v in (arg, *nums, *dens)):
+        arg = F(arg)
+    return nums, dens, arg, nterms
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordinary_sums())
+def test_integer_path_matches_the_loop_ordinary(case):
+    nums, dens, arg, nterms = case
+    got = _outcome(hyper_sum, nums, dens, arg, nterms)
+    loop = _outcome(hyper_sum, _loop_values(nums), _loop_values(dens), _LoopRational(arg), nterms)
+    assert got == loop
+    if got[0] is F:
+        assert got[1] == _naive_ordinary(nums, dens, arg, nterms)
+
+
+def test_ordinary_sums_return_what_the_loop_returns():
+    # all-int values give a float, one Fraction among them a Fraction, and
+    # a sum of the first term alone the one of its argument's type
+    assert _outcome(hyper_sum, (-2, 3), (4,), 1, 2) == (float, 0.09999999999999998)
+    assert _outcome(hyper_sum, (-2, F(3)), (4,), 1, 2) == (F, F(1, 10))
+    assert _outcome(hyper_sum, (-2, 3), (4,), F(1), 2) == (F, F(1, 10))
+    assert _outcome(hyper_sum, (-2, F(3)), (4,), 1, 0) == (int, 1)
+    assert _outcome(hyper_sum, (-2,), (), F(1, 2), 0) == (F, 1)
+    assert _outcome(hyper_sum, (-2.0, 3.0), (4.0,), 1.0, 2) == (float, 0.09999999999999998)
+
+
+def test_ordinary_integer_path_raises_where_the_loop_does():
+    # (b)_k with b = -1 vanishes at k = 2, and past a zero term: the term
+    # vanishes from k = 2 on while (-2)_k vanishes at k = 3
+    for nums, dens, nterms, index in (((F(1, 2),), (-1,), 3, 2), ((-1, F(3)), (-2,), 4, 3)):
+        got = _outcome(hyper_sum, nums, dens, F(1), nterms)
+        assert got == (index, f"vanishing denominator at index {index}")
+        assert got == _outcome(hyper_sum, _loop_values(nums), _loop_values(dens), F(1), nterms)
+    assert _outcome(hyper_sum, (-1, F(3)), (-2,), F(1), 2) == (F, F(5, 2))
+
+
+def _ordinary_scan_loop(dens, n):
+    for b in dens:
+        for k in range(n):
+            if b + k == 0:
+                raise VanishingDenominator(k + 1, f"(b)_k factor with b={b}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(rationals, st.integers(-9, 2)), max_size=4), small_naturals)
+def test_ordinary_spec_scan_matches_a_fraction_loop(dens, n):
+    def build():
+        return HyperSeriesSpec(numerator=(-n,), denominator=tuple(dens), argument=1, termination=n)
+
+    expected = _outcome(_ordinary_scan_loop, [F(b) for b in dens], n)
+    if expected[0] is type(None):  # the loop found no vanishing factor
+        assert _outcome(build)[0] is HyperSeriesSpec
+    else:
+        assert _outcome(build) == expected
+
+
 def test_integer_path_raises_as_the_loop_past_a_zero_term():
     # the term vanishes from k = 1 on, and (b; q)_k vanishes at k = 3
     q = F(1, 2)
@@ -295,17 +389,6 @@ def test_vanishing_scan_matches_a_fraction_loop(data):
     top = data.draw(st.integers(min_value=0, max_value=8))
     bases = data.draw(q_bases(q, top))
     assert first_qvanishing(bases, q, top) == _first_qvanishing_loop(bases, q, top)
-
-
-@given(st.lists(rationals, max_size=4), unit_rationals, small_naturals)
-def test_qpoch_prefixes_match_the_products_at_each_k(bases, q, top):
-    expected = []
-    for k in range(top + 1):
-        value = F(1)
-        for b in bases:
-            value *= qpochhammer(b, q, k)
-        expected.append(value)
-    assert qpoch_prefixes(bases, q, top) == expected
 
 
 def _qpochhammer_loop(b, qbase, k):

@@ -15,8 +15,7 @@ from fractions import Fraction as F
 from qaskey.errors import QAskeyError
 from qaskey.families import QParams, cqu_r, qracah, qracah_norms, qracah_weight, racah
 from qaskey.identities import (
-    DEFAULT_QPARAMS, _dual_addition_coeffs_q, linearization_qracah_params,
-    linearization_racah_params,
+    DEFAULT_QPARAMS, _lattice, linearization_qracah_params, linearization_racah_params,
 )
 from qaskey.laurent import LaurentPoly
 
@@ -60,7 +59,7 @@ def _entries():
                     yield f"{key} h {j}", _entry(lambda: F(1) if m == 0 else qracah_norms(j, qrp))
                     for k in range(m + 1):
                         yield f"{key} R {k} {j}", _entry(qracah, k, j, qrp)
-                yield f"{key} c", _entry(_dual_addition_coeffs_q, qp, l, m)
+                yield f"{key} c", _entry(lambda: _lattice(qp, l, m).closed)
     for alpha in (F(1, 2), F(1)):
         for l in range(1, 5):
             for m in range(1, l + 1):
