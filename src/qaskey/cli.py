@@ -32,10 +32,17 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# suites: each yields (check, kwargs) rows of plain values, lazily and in
-# report order.  Checks are looked up on their modules when a row is made,
-# so a rebound module attribute is what runs.
+# suites: each yields rows (name, params, call), lazily and in report order.
+# `call` is a partial of one check or probe, and a call that raises becomes
+# the error record `name` with `params`.  Checks are looked up on their
+# modules when a row is made, so a rebound module attribute is what runs.
 # ---------------------------------------------------------------------------
+
+
+def _row(check, **kwargs) -> tuple:
+    """The row of check(**kwargs), whose error record is named after the
+    check and carries its arguments."""
+    return check.__name__.removeprefix("check_").replace("_", "-"), kwargs, partial(check, **kwargs)
 
 
 def _descending(top: int, length: int):
@@ -50,7 +57,7 @@ def _descending(top: int, length: int):
 
 def _duality(g):
     for qp in g.qparams:
-        yield ids.check_duality_cqu, {"qp": qp, "mmax": 6}
+        yield _row(ids.check_duality_cqu, qp=qp, mmax=6)
     discrete = [fam.KrawtchoukParams(F(1, 3), N) for N in range(1, 6)]
     discrete += [fam.KrawtchoukParams(F(1, 2), N) for N in (3, 5)]
     discrete += [fam.HahnParams(a, b, N) for a, b in ((F(1, 2), F(1, 3)), (F(2), F(1)))
@@ -58,11 +65,7 @@ def _duality(g):
     discrete += [fam.RacahParams(F(1, 2), F(1, 3), N, F(1, 5)) for N in range(1, 5)]
     discrete.append(fam.WilsonParams(1, F(3, 2), 2, F(5, 2)))
     for params in discrete:
-        yield ids.check_duality_discrete, {"params_obj": params}
-
-
-def _orthogonality_q_racah(qp, l: int, m: int, mutation=None):
-    return ids.check_orthogonality_discrete(ids.linearization_qracah_params(qp, l, m), mutation)
+        yield _row(ids.check_duality_discrete, params_obj=params)
 
 
 def _orthogonality(g):
@@ -74,113 +77,110 @@ def _orthogonality(g):
         ids.linearization_racah_params(F(1, 2), 5, 3),
         ids.linearization_racah_params(F(1), 4, 4),
     ):
-        yield ids.check_orthogonality_discrete, {"params_obj": params}
-    yield _orthogonality_q_racah, {"qp": g.qparams[0], "l": 5, "m": 4}
-    yield _orthogonality_q_racah, {"qp": g.qparams[-1], "l": 4, "m": 3}
+        yield _row(ids.check_orthogonality_discrete, params_obj=params)
+    yield _row(ids.check_orthogonality_q_racah, qp=g.qparams[0], l=5, m=4)
+    yield _row(ids.check_orthogonality_q_racah, qp=g.qparams[-1], l=4, m=3)
 
 
 def _weight_recurrence(g):
     for qp in g.qparams:
-        yield ids.check_weight_ratio, {"qp": qp}
-        yield ids.check_cqu_representations, {"qp": qp, "nmax": 8}
+        yield _row(ids.check_weight_ratio, qp=qp)
+        yield _row(ids.check_cqu_representations, qp=qp, nmax=8)
 
 
 def _difference(g):
     for qp in g.qparams:
-        yield ids.check_difference_formula, {"qp": qp, "nmax": 8}
-
-
-def _backward_shift_on_lattice(qp, l: int, m: int, nmax: int, mutation=None):
-    return ids.check_backward_shift(ids.linearization_qracah_params(qp, l, m), nmax, mutation)
+        yield _row(ids.check_difference_formula, qp=qp, nmax=8)
 
 
 def _backward_shift(g):
     qps = g.qparams
-    yield _backward_shift_on_lattice, {"qp": qps[0], "l": 4, "m": 3, "nmax": 3}
-    yield _backward_shift_on_lattice, {"qp": qps[min(1, len(qps) - 1)], "l": 5, "m": 4, "nmax": 4}
+    for qp, l, m, nmax in ((qps[0], 4, 3, 3), (qps[min(1, len(qps) - 1)], 5, 4, 4)):
+        params = {"qp": qp, "l": l, "m": m, "nmax": nmax}
+        yield "backward-shift-on-lattice", params, partial(ids.check_backward_shift, **params)
 
 
 def _linearization(g):
     for qp in g.qparams:
         for l, m in g.lm_pairs():
-            yield ids.check_linearization, {"target": "q", "l": l, "m": m, "qp": qp}
+            yield ("linearization", {"target": "q", "l": l, "m": m, "qp": qp},
+                   partial(ids.check_linearization_q, qp, l, m))
     for alpha in g.alphas:
         for l, m in _descending(6, 2):
-            yield ids.check_linearization, {"target": "classical", "l": l, "m": m, "alpha": alpha}
+            yield ("linearization", {"target": "classical", "l": l, "m": m, "alpha": alpha},
+                   partial(ids.check_linearization_classical, alpha, l, m))
     for l, m in _descending(6, 2):
-        yield ids.check_linearization, {"target": "legendre", "l": l, "m": m}
-
-
-def _theorem_5_1_on_carrier(qp, lmax: int, mmax: int, mutation=None):
-    return ids.check_theorem_5_1(ids.ParamGrid(lmax, mmax, qparams=(qp,)), mutation)
+        yield ("linearization", {"target": "legendre", "l": l, "m": m},
+               partial(ids.check_linearization_legendre, l, m))
 
 
 def _theorem_5_1(g):
     for qp in g.qparams:
-        yield _theorem_5_1_on_carrier, {"qp": qp, "lmax": g.lmax, "mmax": g.mmax}
+        params = {"qp": qp, "lmax": g.lmax, "mmax": g.mmax}
+        yield "theorem-5-1-on-carrier", params, partial(ids.check_theorem_5_1, **params)
 
 
 def _dual_addition(g):
     for qp in g.qparams:
         for l, m in g.lm_pairs():
             row = {"target": "q", "l": l, "m": m, "qp": qp}
-            yield ids.check_dual_addition, {**row, "mode": "inversion"}
+            yield ("dual-addition", {**row, "mode": "inversion"},
+                   partial(ids.check_dual_addition_q_inversion, qp, l, m))
             for j in range(m + 1):
-                yield ids.check_dual_addition, {**row, "j": j, "mode": "direct"}
+                yield ("dual-addition", {**row, "j": j, "mode": "direct"},
+                       partial(ids.check_dual_addition_q_direct, qp, l, m, j))
     for alpha in (F(1, 2), F(1)):
         for l, m, j in _descending(4, 3):
-            yield ids.check_dual_addition, {"target": "classical", "l": l, "m": m, "j": j,
-                                            "alpha": alpha}
+            yield ("dual-addition", {"target": "classical", "l": l, "m": m, "j": j, "alpha": alpha},
+                   partial(ids.check_dual_addition_classical, alpha, l, m, j))
     for l, m, j in _descending(3, 3):
-        yield ids.check_dual_addition_a_form, {"qp": g.qparams[0], "l": l, "m": m, "j": j}
+        yield _row(ids.check_dual_addition_a_form, qp=g.qparams[0], l=l, m=m, j=j)
 
 
 def _addition(g):
     for qp, u, v, n in product(ids.ADDITION_QPARAMS, ids.ADDITION_POINTS_U,
                                ids.ADDITION_POINTS_V, range(6)):
-        yield ids.check_addition_q, {"qp": qp, "n": n, "u": u, "v": v}
+        yield _row(ids.check_addition_q, qp=qp, n=n, u=u, v=v)
     p = ids.PYTHAGOREAN_PAIRS
     combos = ((p[0], p[1], p[2]), (p[1], p[2], p[0]), (p[2], p[0], p[1]))
     for alpha, (xp, yp, tp), n in product((F(0), F(1, 2), F(1)), combos, range(6)):
-        yield ids.check_addition_classical, {"alpha": alpha, "n": n, "xpair": xp, "ypair": yp,
-                                             "tpoint": tp[0]}
+        yield _row(ids.check_addition_classical, alpha=alpha, n=n, xpair=xp, ypair=yp,
+                   tpoint=tp[0])
     for (xp, yp, pp), n in product(combos, range(6)):
-        yield ids.check_addition_legendre, {"n": n, "xpair": xp, "ypair": yp, "phipair": pp}
+        yield _row(ids.check_addition_legendre, n=n, xpair=xp, ypair=yp, phipair=pp)
 
 
 def _restriction(g):
     for l, m, j in _descending(3, 3):
         for n in range(m, 5):
-            yield ids.check_restriction_equivalence, {"qp": g.qparams[0], "l": l, "m": m,
-                                                      "j": j, "n": n}
+            yield _row(ids.check_restriction_equivalence, qp=g.qparams[0], l=l, m=m, j=j, n=n)
 
 
 def _product_formula(g):
     p = ids.PYTHAGOREAN_PAIRS
     for alpha, (xp, yp), n in product((F(0), F(1, 2), F(1)), ((p[0], p[1]), (p[1], p[2])),
                                       range(7)):
-        yield ids.check_product_formula_classical, {"alpha": alpha, "n": n,
-                                                    "xpair": xp, "ypair": yp}
+        yield _row(ids.check_product_formula_classical, alpha=alpha, n=n, xpair=xp, ypair=yp)
 
 
 def _limits(g):
-    yield num.limit, {"kind": "cqu-to-ultra", "alpha": 0.5, "n": 3}
-    yield num.limit, {"kind": "hahn-to-jacobi", "alpha": 0.0, "beta": 0.0, "n": 2}
+    yield _row(num.limit, kind="cqu-to-ultra", alpha=0.5, n=3)
+    yield _row(num.limit, kind="hahn-to-jacobi", alpha=0.0, beta=0.0, n=2)
     for lam in (1.0, 2.0):
-        yield num.limit, {"kind": "jacobi-to-bessel", "alpha": 0.5, "beta": 1.0 / 3.0, "lam": lam}
-    yield num.limit, {"kind": "dual-addition-q-to-1", "alpha": 0.5, "l": 3, "m": 2}
-    yield num.bessel_special_cases, {}
-    yield num.float_exact_consistency, {"qp": fam.QParams(F(19, 20), F(1, 2)), "nmax": 8}
+        yield _row(num.limit, kind="jacobi-to-bessel", alpha=0.5, beta=1.0 / 3.0, lam=lam)
+    yield _row(num.limit, kind="dual-addition-q-to-1", alpha=0.5, l=3, m=2)
+    yield _row(num.bessel_special_cases)
+    yield _row(num.float_exact_consistency, qp=fam.QParams(F(19, 20), F(1, 2)), nmax=8)
 
 
 def _numeric_orthogonality(g):
     qp = g.qparams[0]
     for m in range(5):
         for n in range(m + 1, 5):
-            yield num.numeric_orthogonality_cqu, {"qp": qp, "m": m, "n": n}
+            yield _row(num.numeric_orthogonality_cqu, qp=qp, m=m, n=n)
     for probe in (num.numeric_aw_h0, num.numeric_weight_ratio, num.numeric_weight_symmetry,
                   num.numeric_weight_aw_vs_cqu):
-        yield probe, {"qp": qp}
+        yield _row(probe, qp=qp)
 
 
 def _all(g):
@@ -222,14 +222,13 @@ def _text(value) -> str:
     return str(value)
 
 
-def _run_row(check, kwargs: dict) -> dict:
-    """The record of one row: its check's report or probe record, or an
-    error record named after the check and carrying the row's arguments."""
+def _run_row(name: str, params: dict, call) -> dict:
+    """The record of one row: its check's report or probe record, or the
+    row's error record, `name` carrying the text of `params`."""
     try:
-        out = check(**kwargs)
+        out = call()
     except Exception as exc:  # errors become records; the suite keeps going
-        name = check.__name__.lstrip("_").removeprefix("check_").replace("_", "-")
-        return {"id": name, "params": {k: _text(v) for k, v in sorted(kwargs.items())},
+        return {"id": name, "params": {k: _text(v) for k, v in sorted(params.items())},
                 "verdict": "error", "message": f"{type(exc).__name__}: {exc}"}
     return out if isinstance(out, dict) else out.to_dict()
 
@@ -242,7 +241,7 @@ def run_suite(suite: str, grid: ids.ParamGrid) -> dict:
     if suite not in SUITES:
         raise QAskeyError(f"unknown suite {suite!r}")
     started = time.monotonic()
-    records = [_run_row(check, kwargs) for check, kwargs in SUITES[suite](grid)]
+    records = [_run_row(*row) for row in SUITES[suite](grid)]
     wall_ms = int((time.monotonic() - started) * 1000)
     summary = {"pass": 0, "fail": 0, "error": 0}
     for rec in records:

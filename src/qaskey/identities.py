@@ -179,7 +179,7 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
             lhs, rhs = (v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
                         for v in (lhs, rhs))
             residual = lhs - rhs
-            exp = residual.items()[0][0]  # the lowest exponent
+            exp = 1 - len(residual._h)  # the lowest exponent
             witness = Witness(f"{loc}, z^{exp}", str(lhs.coeff(exp)), str(rhs.coeff(exp)))
         else:
             residual = lhs - rhs
@@ -343,9 +343,9 @@ def check_duality_discrete(params_obj, mutation=None) -> CheckReport:
 def check_orthogonality_discrete(params_obj, mutation=None) -> CheckReport:
     """Full Gram matrix against the closed-form norms (off-diagonal only
     for Hahn, whose diagonal norm is not in scope), for the Krawtchouk,
-    Hahn, Racah or q-Racah family of the record's type."""
+    Hahn or Racah family of the record's type."""
     p = params_obj
-    if not isinstance(p, (KrawtchoukParams, HahnParams, RacahParams, QRacahParams)):
+    if not isinstance(p, (KrawtchoukParams, HahnParams, RacahParams)):
         raise ParameterError(f"no orthogonality check for {type(p).__name__}")
     lattice = range(p.N + 1)
     if isinstance(p, KrawtchoukParams):
@@ -358,18 +358,25 @@ def check_orthogonality_discrete(params_obj, mutation=None) -> CheckReport:
         values = [[hahn(n, x, p) for x in lattice] for n in lattice]
         items = _gram_items(weights, values)
         params = {"family": "hahn", "alpha": p.alpha, "beta": p.beta, "N": p.N}
-    elif isinstance(p, RacahParams):
+    else:
         weights = _positive([racah_weight(x, p) for x in lattice])
         values = [[racah(n, x, p) for x in lattice] for n in lattice]
         items = _gram_items(weights, values, lambda n: racah_norms(n, p), racah_h0(p))
         params = {"family": "racah", "alpha": p.alpha, "beta": p.beta, "delta": p.delta, "N": p.N}
-    else:
-        weights = _positive([qracah_weight(x, p) for x in lattice])
-        values = [[qracah(n, x, p) for x in lattice] for n in lattice]
-        items = _gram_items(weights, values, lambda n: qracah_norms(n, p), p.h0)
-        params = {"family": "q-racah", "alpha": p.alpha, "beta": p.beta, "delta": p.delta,
-                  "N": p.N, "t": p.qp.t, "s": p.qp.s}
     return _compare(f"orthogonality-{params['family']}", params, items, mutation)
+
+
+def check_orthogonality_q_racah(qp: QParams, l: int, m: int, mutation=None) -> CheckReport:
+    """Full Gram matrix of the linearization lattice (carrier, l, m) against
+    its closed-form norms, and its total mass."""
+    p = linearization_qracah_params(qp, l, m)
+    lattice = range(p.N + 1)
+    weights = _positive([qracah_weight(x, p) for x in lattice])
+    values = [[qracah(n, x, p) for x in lattice] for n in lattice]
+    items = _gram_items(weights, values, lambda n: qracah_norms(n, p), p.h0)
+    params = {"family": "q-racah", "alpha": p.alpha, "beta": p.beta, "delta": p.delta,
+              "N": p.N, "t": qp.t, "s": qp.s}
+    return _compare("orthogonality-q-racah", params, items, mutation)
 
 
 def _positive(weights):
@@ -430,21 +437,22 @@ def check_difference_formula(qp: QParams, nmax: int, mutation=None) -> CheckRepo
     return _compare("difference-formula", params, items, mutation)
 
 
-def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckReport:
-    """Backward shift relation pointwise on the lattice (with the edge
-    conventions at x = 0 and x = N), plus its summed-by-parts form for
-    f(x) = x and f(x) = q^x.
+def check_backward_shift(qp: QParams, l: int, m: int, nmax: int, mutation=None) -> CheckReport:
+    """Backward shift relation of the linearization lattice (carrier, l, m)
+    pointwise on the lattice (with the edge conventions at x = 0 and
+    x = N), plus its summed-by-parts form for f(x) = x and f(x) = q^x.
 
     The shifted family (q alpha, q beta, q gamma, delta) is the q-Racah
     record on 0..N-1.  At x = N, one step past it, its weight is 0, so the
     term there is 0; no series is evaluated there or wherever a weight is 0.
     """
+    qrp = linearization_qracah_params(qp, l, m)
     N = qrp.N
     if not 1 <= nmax <= N:
         raise ParameterError("backward shift needs 1 <= nmax <= N")
-    q = qrp.qp.q
+    q = qp.q
     a, b, g, d = qrp.alpha, qrp.beta, qrp.gamma, qrp.delta
-    shifted = QRacahParams(q * a, q * b, d, N - 1, qrp.qp)
+    shifted = QRacahParams(q * a, q * b, d, N - 1, qp)
     lead = 1 - q * q * g * d
     items = []
 
@@ -470,15 +478,7 @@ def check_backward_shift(qrp: QRacahParams, nmax: int, mutation=None) -> CheckRe
             lhs = sum(weighted[n, x] * fval(x) for x in range(N + 1))
             rhs = sum(shifted_term(n, x) * (fval(x) - fval(x + 1)) for x in range(N))
             items.append((f"summed n={n}, f={fname}", lhs, rhs))
-    params = {
-        "alpha": qrp.alpha,
-        "beta": qrp.beta,
-        "delta": qrp.delta,
-        "N": N,
-        "t": qrp.qp.t,
-        "s": qrp.qp.s,
-        "nmax": nmax,
-    }
+    params = {"alpha": a, "beta": b, "delta": d, "N": N, "t": qp.t, "s": qp.s, "nmax": nmax}
     return _compare("backward-shift", params, items, mutation)
 
 
@@ -588,22 +588,15 @@ def _running_products(first: Fraction, ratios) -> tuple:
     return tuple(out)
 
 
-def check_theorem_5_1(grid: ParamGrid, mutation=None) -> CheckReport:
+def check_theorem_5_1(qp: QParams, lmax: int, mmax: int, mutation=None) -> CheckReport:
     """Brute and closed projection sums agree coefficient-wise over the
-    whole (k, m, l, qp) grid."""
+    (k, m, l) grid of one carrier, 0 <= k <= m <= min(l, mmax), l <= lmax."""
     items = []
-    for qp in grid.qparams:
-        for l, m in grid.lm_pairs():
-            for k in range(m + 1):
-                items.append(
-                    (
-                        f"t={qp.t}, s={qp.s}, l={l}, m={m}, k={k}",
-                        dual_projection_sum(k, l, m, qp),
-                        dual_projection_closed(k, l, m, qp),
-                    )
-                )
-    params = {"lmax": grid.lmax, "qparams": ";".join(f"{qp.t},{qp.s}" for qp in grid.qparams)}
-    return _compare("theorem-5-1", params, items, mutation)
+    for l in range(lmax + 1):
+        for m in range(min(l, mmax) + 1):
+            items += [(f"t={qp.t}, s={qp.s}, l={l}, m={m}, k={k}", dual_projection_sum(k, l, m, qp),
+                       dual_projection_closed(k, l, m, qp)) for k in range(m + 1)]
+    return _compare("theorem-5-1", {"lmax": lmax, "qparams": f"{qp.t},{qp.s}"}, items, mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -611,93 +604,102 @@ def check_theorem_5_1(grid: ParamGrid, mutation=None) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_linearization(target: str, l: int, m: int, qp: Optional[QParams] = None,
-                        alpha=None, mutation=None) -> CheckReport:
-    """Product of two family members expanded back into the family.
-
-    q target: the explicit-coefficient and weight-quotient forms of the
-    expansion, their termwise agreement, and nonnegativity of the weights.
-    classical/legendre targets: the same statements, with the polynomials
-    in x embedded as Laurent polynomials in z.
-    """
+def check_linearization_q(qp: QParams, l: int, m: int, mutation=None) -> CheckReport:
+    """Product R_l R_m of the q family expanded back into the family: the
+    explicit coefficients against the weight quotients of the linearization
+    lattice, both expansions against the product, and nonnegativity of the
+    weight quotients."""
     if m > l:
         raise ParameterError("linearization requires l >= m")
-    items = []
-    nonneg_failures = []
-    if target == "q":
-        if qp is None:
-            raise ParameterError("q linearization needs qp")
-        q, b, qh = qp.q, qp.beta, qp.qhalf
-        qb = qh * b
-        product = cqu_r(l, qp) * cqu_r(m, qp)
-        pref = qpochhammer(q, q, l) * qpochhammer(q, q, m) / (
-            qpochhammer(q * b * b, q, l) * qpochhammer(q * b * b, q, m)
-        )
-        explicit = []
-        for j in range(m + 1):
-            c = (1 - q ** (l + m - 2 * j) * qb) / (1 - qb)
-            c *= qpochhammer(qb, q, j) / qpochhammer(q, q, j)
-            c *= qpochhammer(qb, q, l - j) / qpochhammer(q, q, l - j)
-            c *= qpochhammer(qb, q, m - j) / qpochhammer(q, q, m - j)
-            c *= qpochhammer(q * b * b, q, l + m - j) / qpochhammer(q * qb, q, l + m - j)
-            c *= qb ** j
-            explicit.append(pref * c)
-        lattice = _lattice(qp, l, m)
-        qrp = lattice.qrp
-        h0 = qrp.h0
-        quotient = [w / h0 for w in _positive([qracah_weight(j, qrp) for j in range(m + 1)])]
-        for j in range(m + 1):
-            items.append((f"coefficient j={j}", explicit[j], quotient[j]))
-            if quotient[j] < 0:
-                nonneg_failures.append((f"nonnegative j={j}", quotient[j]))
-        items.append(("explicit-form sum", linear_combination(lattice.basis, explicit), product))
-        items.append(("weight-quotient sum", linear_combination(lattice.basis, quotient), product))
-        params = {"target": target, "l": l, "m": m, "t": qp.t, "s": qp.s}
-    elif target in ("classical", "legendre"):
-        alpha = F(0) if target == "legendre" else Fraction(alpha)
-        product = _upoly(l, alpha) * _upoly(m, alpha)
-        if target == "legendre":
-            explicit = []
-            for j in range(m + 1):
-                c = pochhammer(F(1, 2), j) * pochhammer(F(1, 2), l - j) * pochhammer(F(1, 2), m - j)
-                c *= factorial(l + m - j) * (2 * (l + m - 2 * j) + 1)
-                c /= factorial(j) * factorial(l - j) * factorial(m - j) * pochhammer(F(3, 2), l + m - j)
-                explicit.append(c)
-        else:
-            pref = F(factorial(l) * factorial(m)) / (
-                pochhammer(2 * alpha + 1, l) * pochhammer(2 * alpha + 1, m)
-            )
-            explicit = []
-            for j in range(m + 1):
-                c = (l + m + alpha + F(1, 2) - 2 * j) / (alpha + F(1, 2))
-                c *= pochhammer(alpha + F(1, 2), j) * pochhammer(alpha + F(1, 2), l - j)
-                c *= pochhammer(alpha + F(1, 2), m - j) * pochhammer(2 * alpha + 1, l + m - j)
-                c /= factorial(j) * factorial(l - j) * factorial(m - j)
-                c /= pochhammer(alpha + F(3, 2), l + m - j)
-                explicit.append(pref * c)
-        nonneg_failures = [(f"nonnegative j={j}", c) for j, c in enumerate(explicit) if c < 0]
-        basis = [_upoly(l + m - 2 * j, alpha) for j in range(m + 1)]
-        items.append(("explicit-form sum", linear_combination(basis, explicit), product))
-        if m >= 1:
-            rp = linearization_racah_params(alpha, l, m)
-            h0 = racah_h0(rp)
-            quotient = [racah_weight(j, rp) / h0 for j in range(m + 1)]
-            for j in range(m + 1):
-                items.append((f"coefficient j={j}", explicit[j], quotient[j]))
-            items.append(("weight-quotient sum", linear_combination(basis, quotient), product))
-        params = {"target": target, "l": l, "m": m, "alpha": alpha}
-    else:
-        raise ParameterError(f"unknown linearization target {target!r}")
-    report = _compare(f"linearization-{target}", params, items, mutation)
-    if report.passed and nonneg_failures:
-        loc, value = nonneg_failures[0]
-        return CheckReport(
-            report.check_id,
-            params,
-            "fail",
-            Witness(loc, str(value), ">= 0"),
-            str(value),
-        )
+    q, b, qh = qp.q, qp.beta, qp.qhalf
+    qb = qh * b
+    product = cqu_r(l, qp) * cqu_r(m, qp)
+    pref = qpochhammer(q, q, l) * qpochhammer(q, q, m)
+    pref /= qpochhammer(q * b * b, q, l) * qpochhammer(q * b * b, q, m)
+    explicit = []
+    for j in range(m + 1):
+        c = (1 - q ** (l + m - 2 * j) * qb) / (1 - qb)
+        c *= qpochhammer(qb, q, j) / qpochhammer(q, q, j)
+        c *= qpochhammer(qb, q, l - j) / qpochhammer(q, q, l - j)
+        c *= qpochhammer(qb, q, m - j) / qpochhammer(q, q, m - j)
+        c *= qpochhammer(q * b * b, q, l + m - j) / qpochhammer(q * qb, q, l + m - j)
+        c *= qb ** j
+        explicit.append(pref * c)
+    lattice = _lattice(qp, l, m)
+    qrp = lattice.qrp
+    h0 = qrp.h0
+    quotient = [w / h0 for w in _positive([qracah_weight(j, qrp) for j in range(m + 1)])]
+    items = [(f"coefficient j={j}", explicit[j], quotient[j]) for j in range(m + 1)]
+    items.append(("explicit-form sum", linear_combination(lattice.basis, explicit), product))
+    items.append(("weight-quotient sum", linear_combination(lattice.basis, quotient), product))
+    params = {"target": "q", "l": l, "m": m, "t": qp.t, "s": qp.s}
+    return _nonnegative(_compare("linearization-q", params, items, mutation), quotient)
+
+
+def check_linearization_classical(alpha, l: int, m: int, mutation=None) -> CheckReport:
+    """Product of two ultraspherical polynomials expanded back into the
+    family, by the explicit coefficients and by the Racah weight quotients,
+    with the polynomials in x embedded as Laurent polynomials in z."""
+    if m > l:
+        raise ParameterError("linearization requires l >= m")
+    alpha = Fraction(alpha)
+    product = _upoly(l, alpha) * _upoly(m, alpha)
+    pref = F(factorial(l) * factorial(m))
+    pref /= pochhammer(2 * alpha + 1, l) * pochhammer(2 * alpha + 1, m)
+    explicit = []
+    for j in range(m + 1):
+        c = (l + m + alpha + F(1, 2) - 2 * j) / (alpha + F(1, 2))
+        c *= pochhammer(alpha + F(1, 2), j) * pochhammer(alpha + F(1, 2), l - j)
+        c *= pochhammer(alpha + F(1, 2), m - j) * pochhammer(2 * alpha + 1, l + m - j)
+        c /= factorial(j) * factorial(l - j) * factorial(m - j)
+        c /= pochhammer(alpha + F(3, 2), l + m - j)
+        explicit.append(pref * c)
+    items = _ultraspherical_linearization_items(alpha, l, m, product, explicit)
+    params = {"target": "classical", "l": l, "m": m, "alpha": alpha}
+    return _nonnegative(_compare("linearization-classical", params, items, mutation), explicit)
+
+
+def check_linearization_legendre(l: int, m: int, mutation=None) -> CheckReport:
+    """The Legendre case alpha = 0 of the ultraspherical linearization, with
+    the Legendre family's own explicit coefficients."""
+    if m > l:
+        raise ParameterError("linearization requires l >= m")
+    product = _upoly(l, F(0)) * _upoly(m, F(0))
+    explicit = []
+    for j in range(m + 1):
+        c = pochhammer(F(1, 2), j) * pochhammer(F(1, 2), l - j) * pochhammer(F(1, 2), m - j)
+        c *= factorial(l + m - j) * (2 * (l + m - 2 * j) + 1)
+        c /= factorial(j) * factorial(l - j) * factorial(m - j) * pochhammer(F(3, 2), l + m - j)
+        explicit.append(c)
+    items = _ultraspherical_linearization_items(F(0), l, m, product, explicit)
+    params = {"target": "legendre", "l": l, "m": m, "alpha": F(0)}
+    return _nonnegative(_compare("linearization-legendre", params, items, mutation), explicit)
+
+
+def _ultraspherical_linearization_items(alpha: Fraction, l: int, m: int, product,
+                                        explicit) -> list:
+    """The items of an ultraspherical linearization: the expansion of the
+    degree-(l, m) product by the explicit coefficients, and for m >= 1
+    those coefficients against the Racah weight quotients and the
+    expansion by the quotients."""
+    basis = [_upoly(l + m - 2 * j, alpha) for j in range(m + 1)]
+    items = [("explicit-form sum", linear_combination(basis, explicit), product)]
+    if m >= 1:
+        rp = linearization_racah_params(alpha, l, m)
+        h0 = racah_h0(rp)
+        quotient = [racah_weight(j, rp) / h0 for j in range(m + 1)]
+        items += [(f"coefficient j={j}", explicit[j], quotient[j]) for j in range(m + 1)]
+        items.append(("weight-quotient sum", linear_combination(basis, quotient), product))
+    return items
+
+
+def _nonnegative(report: CheckReport, coefficients) -> CheckReport:
+    """The report of a linearization whose items all agree, failed at its
+    first negative coefficient if it has one."""
+    for j, c in enumerate(coefficients):
+        if c < 0 and report.passed:
+            return CheckReport(report.check_id, report.params, "fail",
+                               Witness(f"nonnegative j={j}", str(c), ">= 0"), str(c))
     return report
 
 
@@ -736,57 +738,58 @@ def _dual_addition_scalars(qp: QParams, l: int, m: int) -> tuple:
     return _running_products(F(1), map(ratio, range(m)))
 
 
-def check_dual_addition(target: str, l: int, m: int, j: int = 0, mode: str = "direct",
-                        qp: Optional[QParams] = None, alpha=None, mutation=None) -> CheckReport:
-    """Expansion of a single family member R_{l+m-2j} over the
-    linearization lattice basis.
-
-    q target, direct mode: build the closed right-hand side and compare
-    with R_{l+m-2j} as Laurent polynomials.  q target, inversion mode:
-    reconstruct every basis coefficient independently as the lattice's
-    projection sum over its norm and compare with the closed one.  classical
-    target: the analogous Laurent identity for the ultraspherical family.
-    """
+def check_dual_addition_q_direct(qp: QParams, l: int, m: int, j: int, mutation=None) -> CheckReport:
+    """R_(l+m-2j) against its expansion over the linearization lattice
+    basis with the closed coefficients, as Laurent polynomials."""
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
+    lattice = _lattice(qp, l, m)
+    qrp = lattice.qrp
+    rhs = linear_combination(lattice.closed, [qracah(k, j, qrp) for k in range(m + 1)])
+    items = [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]
+    params = {"target": "q", "mode": "direct", "l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
+    return _compare("dual-addition-q-direct", params, items, mutation)
+
+
+def check_dual_addition_q_inversion(qp: QParams, l: int, m: int, mutation=None) -> CheckReport:
+    """Every closed coefficient of the dual addition expansion against its
+    independent reconstruction: the lattice's projection sum over its norm."""
+    if not 0 <= m <= l:
+        raise ParameterError("need 0 <= m <= l")
+    lattice = _lattice(qp, l, m)
+    qrp = lattice.qrp
+    closed = lattice.closed
     items = []
-    if target == "q":
-        if qp is None:
-            raise ParameterError("q dual addition needs qp")
-        lattice = _lattice(qp, l, m)
-        qrp = lattice.qrp
-        closed = lattice.closed
-        if mode == "inversion":
-            for k in range(m + 1):
-                # the one-point lattice's norm is 1: its record's ratio
-                # (1 - alpha beta q)/(1 - alpha beta q) is 0/0 at beta = 1
-                norm = F(1) if m == 0 else qracah_norms(k, qrp)
-                inv = dual_projection_sum(k, l, m, qp) * (1 / norm)
-                items.append((f"coefficient k={k}", inv, closed[k]))
-        elif mode == "direct":
-            rhs = linear_combination(closed, [qracah(k, j, qrp) for k in range(m + 1)])
-            items.append((f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp)))
-        else:
-            raise ParameterError(f"unknown mode {mode!r}")
-        params = {"target": target, "mode": mode, "l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
-        return _compare(f"dual-addition-q-{mode}", params, items, mutation)
-    if target == "classical":
-        alpha = Fraction(alpha)
-        x2_minus_1 = x_embed([-1, 0, 1])
-        rp = linearization_racah_params(alpha, l, m)
-        polys, scalars = [], []
-        for k in range(m + 1):
-            c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
-            c *= pochhammer(F(-l), k) * pochhammer(F(-m), k) * pochhammer(2 * alpha + 1, k)
-            c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2 * factorial(k)
-            c *= racah(k, j, rp)
-            polys.append(x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k))
-            scalars.append(c)
-        rhs = linear_combination(polys, scalars)
-        items.append((f"l={l}, m={m}, j={j}", rhs, _upoly(l + m - 2 * j, alpha)))
-        params = {"target": target, "l": l, "m": m, "j": j, "alpha": alpha}
-        return _compare("dual-addition-classical", params, items, mutation)
-    raise ParameterError(f"unknown dual addition target {target!r}")
+    for k in range(m + 1):
+        # the one-point lattice's norm is 1: its record's ratio
+        # (1 - alpha beta q)/(1 - alpha beta q) is 0/0 at beta = 1
+        norm = F(1) if m == 0 else qracah_norms(k, qrp)
+        inv = dual_projection_sum(k, l, m, qp) * (1 / norm)
+        items.append((f"coefficient k={k}", inv, closed[k]))
+    params = {"target": "q", "mode": "inversion", "l": l, "m": m, "j": 0, "t": qp.t, "s": qp.s}
+    return _compare("dual-addition-q-inversion", params, items, mutation)
+
+
+def check_dual_addition_classical(alpha, l: int, m: int, j: int, mutation=None) -> CheckReport:
+    """The classical dual addition expansion of the ultraspherical family,
+    as an exact Laurent identity."""
+    if not (0 <= j <= m <= l):
+        raise ParameterError("need 0 <= j <= m <= l")
+    alpha = Fraction(alpha)
+    x2_minus_1 = x_embed([-1, 0, 1])
+    rp = linearization_racah_params(alpha, l, m)
+    polys, scalars = [], []
+    for k in range(m + 1):
+        c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
+        c *= pochhammer(F(-l), k) * pochhammer(F(-m), k) * pochhammer(2 * alpha + 1, k)
+        c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2 * factorial(k)
+        c *= racah(k, j, rp)
+        polys.append(x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k))
+        scalars.append(c)
+    rhs = linear_combination(polys, scalars)
+    items = [(f"l={l}, m={m}, j={j}", rhs, _upoly(l + m - 2 * j, alpha))]
+    params = {"target": "classical", "l": l, "m": m, "j": j, "alpha": alpha}
+    return _compare("dual-addition-classical", params, items, mutation)
 
 
 def _dual_addition_coeff_a(k: int, l: int, m: int, qp: QParams) -> Fraction:

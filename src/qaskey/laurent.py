@@ -15,10 +15,10 @@ runs through `linear_combination`, which puts all its halves over one
 denominator and reduces once.  A polynomial plus an integer c (Horner's
 `+ 1`) only moves h_0 to h_0 + c den, which needs no reduction.  A
 rational scalar is the constant polynomial: it compares, and hashes,
-equal to its polynomial.  `_c` (exponent -> nonzero reduced Fraction,
-ascending) is a view built on each access, for `items` and the span tracer
-in `bench/`; `coeff`, `eval_at` and `render` (the text of `__str__`, and of
-the float line of `eval`) read the half.
+equal to its polynomial.  `coeff`, `eval_at` and `render` (the text of
+`__str__`, and of the float line of `eval`) read the half.  `_c` (exponent
+-> nonzero reduced Fraction, ascending), a view built on each access, is
+read only by the span tracer in `bench/`, and stays for it.
 Instances are immutable.
 """
 
@@ -64,10 +64,6 @@ class LaurentPoly:
     def coeff(self, exponent: int) -> Fraction:
         i, h = abs(exponent), self._h
         return Fraction(h[i], self._den) if i < len(h) else Fraction(0)
-
-    def items(self):
-        """Sorted (exponent, coefficient) pairs, ascending exponent."""
-        return list(self._c.items())
 
     # ring operations -----------------------------------------------------
 

@@ -314,7 +314,10 @@ def refine_integral(f: Callable[[float], float], lo: float, hi: float) -> float:
 def _cqu_inner(qp: QParams, d1: int, d2: int) -> float:
     """I_(d1 d2): the integral of R_d1 R_d2 against the circle weight."""
     q, beta = float(qp.q), float(qp.beta)
-    polys = {deg: [(k, float(c)) for k, c in cqu_r(deg, qp).items()] for deg in {d1, d2}}
+    polys = {}
+    for deg in {d1, d2}:
+        p = cqu_r(deg, qp)
+        polys[deg] = [(k, float(p.coeff(k))) for k in range(-deg, deg + 1) if p.coeff(k)]
 
     def f(theta):
         z = cmath.exp(1j * theta)

@@ -103,14 +103,12 @@ def _qpochhammer_exact(b, qbase, k: int) -> Fraction:
 def hyper_sum(nums: Sequence, dens: Sequence, arg, nterms: int):
     """Terminating ordinary hypergeometric sum over k = 0..nterms.
 
-    Computes sum_k (nums)_k / ((dens)_k k!) arg^k.  Exact arguments with a
-    Fraction among them are summed from their integer term ratios when a
-    term past the first is summed.  Everything else runs the term-ratio
-    loop, duck-typed for Fraction, float or complex scalars alike; it gives
-    a float for all-int values.
+    Computes sum_k (nums)_k / ((dens)_k k!) arg^k.  Exact arguments (int or
+    Fraction) are summed from their integer term ratios when a term past
+    the first is summed.  Everything else runs the term-ratio loop,
+    duck-typed for Fraction, float or complex scalars alike.
     """
-    values = (arg, *nums, *dens)
-    if nterms > 0 and _exact(*values) and any(type(v) is Fraction for v in values):
+    if nterms > 0 and _exact(arg, *nums, *dens):
         return _ratio_sum(_term_ratios(nums, dens, arg, nterms))
     term = arg - arg + 1
     total = term

@@ -9,7 +9,7 @@ factors tested one at a time, and the variable maps z -> 1/z and z -> -z.
 
 Laurent polynomials here are oracles: dicts exponent -> nonzero Fraction,
 with no symmetry required, so that factors such as 1 - a z can be formed.
-A package polynomial p compares with them as `dict(p.items())`."""
+A package polynomial p compares with them as `terms(p)`."""
 
 from fractions import Fraction
 from math import factorial
@@ -22,6 +22,13 @@ from qaskey.series import HyperSeriesSpec, pochhammer, qpochhammer, terminating_
 # ---------------------------------------------------------------------------
 # the dict-of-Fraction oracle of the Laurent ring
 # ---------------------------------------------------------------------------
+
+
+def terms(p) -> dict:
+    """The oracle of a package polynomial, read from its half h over den:
+    exponent -> nonzero Fraction, ascending exponent."""
+    h, den = p._h, p._den
+    return {k: Fraction(h[abs(k)], den) for k in range(1 - len(h), len(h)) if h[abs(k)]}
 
 
 def _o(d) -> dict:
@@ -244,11 +251,16 @@ def racah_weight_per_x(x: int, rp: RacahParams) -> Fraction:
     return num / den
 
 
+def _oracle(p) -> dict:
+    """p itself if it is an oracle, else the terms of the polynomial p."""
+    return p if isinstance(p, dict) else terms(p)
+
+
 def invert_variable(p) -> dict:
     """The oracle of p (an oracle or a polynomial) under z -> 1/z."""
-    return {-k: v for k, v in p.items()}
+    return {-k: v for k, v in _oracle(p).items()}
 
 
 def negate_variable(p) -> dict:
     """The oracle of p (an oracle or a polynomial) under z -> -z."""
-    return {k: -v if k % 2 else v for k, v in p.items()}
+    return {k: -v if k % 2 else v for k, v in _oracle(p).items()}

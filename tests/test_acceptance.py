@@ -33,16 +33,19 @@ from qaskey.identities import (
     DEFAULT_QPARAMS,
     PYTHAGOREAN_PAIRS,
     Mutation,
-    ParamGrid,
     check_addition_classical,
     check_addition_legendre,
     check_addition_q,
     check_backward_shift,
-    check_dual_addition,
+    check_dual_addition_q_direct,
+    check_dual_addition_q_inversion,
     check_duality_cqu,
     check_duality_discrete,
-    check_linearization,
+    check_linearization_classical,
+    check_linearization_legendre,
+    check_linearization_q,
     check_orthogonality_discrete,
+    check_orthogonality_q_racah,
     check_product_formula_classical,
     check_restriction_equivalence,
     check_theorem_5_1,
@@ -80,10 +83,10 @@ def _criterion(num, description, ok, detail="", budget=None, elapsed=None):
 
 def test_criterion_1_projection_sum_closed_form():
     started = time.monotonic()
-    report = check_theorem_5_1(ParamGrid(lmax=5, qparams=DEFAULT_QPARAMS))
+    ok = all(check_theorem_5_1(qp, 5, 5).passed for qp in DEFAULT_QPARAMS)
     elapsed = time.monotonic() - started
     _criterion(1, "projection sums: brute = closed, 0<=k<=m<=l<=5, 3 carriers",
-               report.passed, budget=30, elapsed=elapsed)
+               ok, budget=30, elapsed=elapsed)
 
 
 def test_criterion_2_dual_addition_exact():
@@ -92,9 +95,9 @@ def test_criterion_2_dual_addition_exact():
     for qp in DEFAULT_QPARAMS:
         for l in range(6):
             for m in range(l + 1):
-                ok = ok and check_dual_addition("q", l, m, mode="inversion", qp=qp).passed
+                ok = ok and check_dual_addition_q_inversion(qp, l, m).passed
                 for j in range(m + 1):
-                    ok = ok and check_dual_addition("q", l, m, j, "direct", qp=qp).passed
+                    ok = ok and check_dual_addition_q_direct(qp, l, m, j).passed
     elapsed = time.monotonic() - started
     _criterion(2, "dual addition: direct all j, inversion all k, grid <= 5",
                ok, budget=60, elapsed=elapsed)
@@ -132,14 +135,14 @@ def test_criterion_5_linearization_suites():
     for qp in DEFAULT_QPARAMS:
         for l in range(6):
             for m in range(l + 1):
-                ok = ok and check_linearization("q", l, m, qp=qp).passed
+                ok = ok and check_linearization_q(qp, l, m).passed
     for alpha in (F(0), F(1, 2), F(1), F(1, 4)):
         for l in range(7):
             for m in range(l + 1):
-                ok = ok and check_linearization("classical", l, m, alpha=alpha).passed
+                ok = ok and check_linearization_classical(alpha, l, m).passed
     for l in range(7):
         for m in range(l + 1):
-            ok = ok and check_linearization("legendre", l, m).passed
+            ok = ok and check_linearization_legendre(l, m).passed
     # the degree-(1,1) legendre instance has coefficients 1/3 and 2/3
     lat = linearization_racah_params(F(0), 1, 1)
     from qaskey.families import racah_h0, racah_weight
@@ -177,8 +180,8 @@ def test_criterion_7_discrete_orthogonality():
     ok = ok and check_orthogonality_discrete(KrawtchoukParams(F(1, 2), 4)).passed
     ok = ok and check_orthogonality_discrete(linearization_racah_params(F(1, 2), 5, 3)).passed
     ok = ok and check_orthogonality_discrete(linearization_racah_params(F(1), 4, 4)).passed
-    ok = ok and check_orthogonality_discrete(linearization_qracah_params(QP0, 5, 4)).passed
-    ok = ok and check_orthogonality_discrete(linearization_qracah_params(DEFAULT_QPARAMS[2], 4, 3)).passed
+    ok = ok and check_orthogonality_q_racah(QP0, 5, 4).passed
+    ok = ok and check_orthogonality_q_racah(DEFAULT_QPARAMS[2], 4, 3).passed
     elapsed = time.monotonic() - started
     _criterion(7, "full Gram matrices match closed-form norms incl. total mass",
                ok, budget=5, elapsed=elapsed)
@@ -197,9 +200,8 @@ def test_criterion_8_structural_formulas():
     qrp = linearization_qracah_params(QP0, 4, 3)
     for n in range(4):
         ok = ok and qracah(n, qrp.N, qrp) == qracah_at_top(n, qrp)
-    ok = ok and check_backward_shift(qrp, 3).passed
-    qrp2 = linearization_qracah_params(DEFAULT_QPARAMS[1], 5, 4)
-    ok = ok and check_backward_shift(qrp2, 4).passed
+    ok = ok and check_backward_shift(QP0, 4, 3, 3).passed
+    ok = ok and check_backward_shift(DEFAULT_QPARAMS[1], 5, 4, 4).passed
     elapsed = time.monotonic() - started
     _criterion(8, "leading coefficient, weight ratio, difference formula, "
                   "backward shift with edges, summed form", ok, budget=5, elapsed=elapsed)
@@ -323,7 +325,7 @@ def test_criterion_10_structural_rates_supplement():
     # exact arithmetic behind the rate: the family is invariant under the
     # base inversion q -> 1/q, so its error in 1-q has no linear term
     from qaskey.families import cqu_r as _cqu
-    from closed_forms import _o, _o_add, _o_mul, _o_scale
+    from closed_forms import _o, _o_add, _o_mul, _o_scale, terms
 
     qp = QP0
     q, a = qp.q, qp.a
@@ -346,7 +348,7 @@ def test_criterion_10_structural_rates_supplement():
             den *= 1 - (qpow / qi) * v
         coeff = coeff * qi / den
         total = _o_add(total, _o_scale(lpart, coeff))
-    ok = ok and total == dict(_cqu(n, qp).items())
+    ok = ok and total == terms(_cqu(n, qp))
     elapsed = time.monotonic() - started
     _criterion("10f", "structural second-order rate + exact base-inversion invariance",
                ok, detail="; ".join(detail), budget=30, elapsed=elapsed)
@@ -375,10 +377,10 @@ def test_criterion_12_fail_negative_sweep(monkeypatch):
 
     detected = 0
     total = 0
-    for check, kwargs in MUTABLE_ROWS:
+    for _, _, call in MUTABLE_ROWS:
         for index in (0, 5):
             total += 1
-            report = check(**kwargs, mutation=Mutation(index=index))
+            report = call(mutation=Mutation(index=index))
             if not report.passed and report.witness is not None:
                 detected += 1
     # float suites: spurious bump on a limit error, and inner-product quadratures

@@ -26,6 +26,7 @@ from qaskey.cli import (
 from qaskey.families import (
     QParams, QRacahParams, RacahParams, qracah, qracah_weight, racah, racah_weight,
 )
+from qaskey import identities as ids
 from qaskey.identities import ParamGrid, linearization_qracah_params
 from closed_forms import qracah_at_top
 
@@ -191,6 +192,23 @@ def test_beta_one_dual_addition_report_is_byte_identical_to_its_recorded_digest(
     assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_BETA_ONE_DUAL_ADDITION
 
 
+# SHA-256 of the default-grid `all` json report, wall time removed, with every
+# comparison raising: each exact row becomes its error record, so this pins
+# the id, the parameter keys and texts and the order of every row's record.
+GOLDEN_ALL_ERRORS = "4dc213930c633aa694b3a11d1da561da31cfd0b326a4bde020124bb4fc899182"
+
+
+def test_every_error_record_of_the_default_grid_is_byte_identical(monkeypatch):
+    def injected(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(ids, "_compare", injected)
+    doc = run_suite("all", ParamGrid())
+    doc.pop("wallTimeMs")
+    assert doc["summary"] == {"pass": 21, "fail": 0, "error": 831}
+    assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_ALL_ERRORS
+
+
 def test_every_record_id_has_a_fail_negative():
     # rows whose check takes a mutation are swept by test_mutation_is_detected;
     # the others are float probes, each with a fail-negative of its own
@@ -199,9 +217,9 @@ def test_every_record_id_has_a_fail_negative():
 
     covered = {f"limit-{kind}" for kind, _ in LIMIT_ROWS}
     covered |= {probe.replace("_", "-") for probe, _, _ in THRESHOLD_PROBES}
-    probes = [(check, kwargs) for check, kwargs in SWEEP_ROWS if not takes_mutation(check)]
-    assert {check.__module__ for check, _ in probes} == {"qaskey.numerics"}
-    assert {_run_row(check, kwargs)["id"] for check, kwargs in probes} <= covered
+    probes = [row for row in SWEEP_ROWS if not takes_mutation(row[2].func)]
+    assert {call.func.__module__ for _, _, call in probes} == {"qaskey.numerics"}
+    assert {_run_row(*row)["id"] for row in probes} <= covered
 
 
 def test_beta_one_errors_only_where_the_lattice_degenerates():

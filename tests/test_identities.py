@@ -2,11 +2,12 @@
 
 import inspect
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qaskey import cli
+from qaskey import cli, identities
 from qaskey.errors import ParameterError
 from qaskey.families import (
     HahnParams,
@@ -26,18 +27,24 @@ from qaskey.identities import (
     CheckReport,
     Mutation,
     ParamGrid,
+    Witness,
     check_addition_classical,
     check_addition_legendre,
     check_addition_q,
     check_backward_shift,
     check_cqu_representations,
     check_difference_formula,
-    check_dual_addition,
     check_dual_addition_a_form,
+    check_dual_addition_classical,
+    check_dual_addition_q_direct,
+    check_dual_addition_q_inversion,
     check_duality_cqu,
     check_duality_discrete,
-    check_linearization,
+    check_linearization_classical,
+    check_linearization_legendre,
+    check_linearization_q,
     check_orthogonality_discrete,
+    check_orthogonality_q_racah,
     check_product_formula_classical,
     check_restriction_equivalence,
     check_theorem_5_1,
@@ -65,6 +72,7 @@ from closed_forms import (
     projection_prefactor_per_k,
     qpoch_laurent_pow,
     qracah_phi,
+    terms,
 )
 
 QP = QParams(F(1, 2), F(2, 3))
@@ -105,10 +113,11 @@ def test_duality_discrete(family, params):
     ("krawtchouk", KrawtchoukParams(F(1, 3), 4)),
     ("hahn", HahnParams(F(1, 2), F(1, 3), 4)),
     ("racah", linearization_racah_params(F(1, 2), 5, 3)),
-    ("q-racah", linearization_qracah_params(QP, 5, 4)),
+    ("q-racah", (QP, 5, 4)),  # the linearization lattice (carrier, l, m)
 ])
 def test_orthogonality_discrete(family, params):
-    report = check_orthogonality_discrete(params)
+    report = (check_orthogonality_q_racah(*params) if family == "q-racah"
+              else check_orthogonality_discrete(params))
     assert report.passed and report.check_id == f"orthogonality-{family}"
 
 
@@ -116,6 +125,8 @@ def test_discrete_checks_reject_a_record_with_no_such_relation():
     qrp = linearization_qracah_params(QP, 4, 3)
     with pytest.raises(ParameterError, match="no duality check for QRacahParams"):
         check_duality_discrete(qrp)
+    with pytest.raises(ParameterError, match="no orthogonality check for QRacahParams"):
+        check_orthogonality_discrete(qrp)
     with pytest.raises(ParameterError, match="no orthogonality check for WilsonParams"):
         check_orthogonality_discrete(WilsonParams(F(1), F(3, 2), F(2), F(5, 2)))
 
@@ -167,15 +178,14 @@ def test_difference_formula_leading_coefficient_route():
 
 
 def test_backward_shift():
-    qrp = linearization_qracah_params(QP, 4, 3)
-    assert check_backward_shift(qrp, 3).passed
+    assert check_backward_shift(QP, 4, 3, 3).passed
 
 
 @pytest.mark.parametrize("qp", DEFAULT_QPARAMS + (QParams(F(1, 2), F(1)),))
 def test_backward_shift_on_every_lattice_to_l_6(qp):
     # N = 1 included, where the shifted record is the one-point lattice
     failed = [(l, m, nmax) for l in range(1, 7) for m in range(1, l + 1) for nmax in range(1, m + 1)
-              if not check_backward_shift(linearization_qracah_params(qp, l, m), nmax).passed]
+              if not check_backward_shift(qp, l, m, nmax).passed]
     assert failed == []
 
 
@@ -188,7 +198,7 @@ def test_backward_shift_constant_function_annihilates():
 
 
 def test_theorem_5_1_small_grid():
-    assert check_theorem_5_1(ParamGrid(lmax=3, qparams=(QP,))).passed
+    assert check_theorem_5_1(QP, 3, 3).passed
 
 
 def test_param_grid_resolves_its_defaults():
@@ -263,7 +273,7 @@ def test_closed_prefactor_table_is_built_once_per_lattice(monkeypatch):
     monkeypatch.setattr(identities, "_closed_projection_prefactors",
                         lambda *args: built.append(args) or table(*args))
     _lattice.cache_clear()
-    assert check_theorem_5_1(ParamGrid(lmax=3)).passed
+    assert all(check_theorem_5_1(qp, 3, 3).passed for qp in DEFAULT_QPARAMS)
     info = _lattice.cache_info()
     lattices = 3 * 10  # carriers times the pairs m <= l <= 3
     assert len(built) == len(set(built)) == info.misses == lattices
@@ -292,7 +302,7 @@ def test_projection_sum_one_step_reduction():
             lkz = _o_mul(lkz, qpoch_laurent_pow(sign * QP.a, 1, qh, 1))
             lkz = _o_mul(lkz, qpoch_laurent_pow(sign * QP.a, -1, qh, 1))
         lower = dual_projection_sum(k - 1, l - 1, m - 1, QP.beta_shift(1))
-        assert dict(lhs.items()) == _o_scale(_o_mul(lkz, dict(lower.items())), fac)
+        assert terms(lhs) == _o_scale(_o_mul(lkz, terms(lower)), fac)
 
 
 def test_projection_sum_input_validation():
@@ -303,7 +313,7 @@ def test_projection_sum_input_validation():
 
 def test_linearization_q():
     for (l, m) in [(5, 3), (4, 4), (3, 0)]:
-        assert check_linearization("q", l, m, qp=QP).passed
+        assert check_linearization_q(QP, l, m).passed
 
 
 def test_linearization_lattice_closed_displays():
@@ -336,21 +346,30 @@ def test_linearization_q_top_coefficient_is_inverse_mass():
     assert qracah_weight(0, qrp) == 1
     prod = cqu_r(l, QP) * cqu_r(m, QP)
     residual = prod - cqu_r(l + m, QP) * (1 / qrp.h0)
-    assert max(k for k, _ in residual.items()) < l + m
+    assert max(terms(residual)) < l + m
 
 
 def test_linearization_classical_and_legendre():
     for alpha in (F(0), F(1, 2), F(1), F(1, 4)):
-        assert check_linearization("classical", 5, 4, alpha=alpha).passed
-    assert check_linearization("legendre", 4, 3).passed
-    assert check_linearization("legendre", 1, 1).passed
+        assert check_linearization_classical(alpha, 5, 4).passed
+    assert check_linearization_legendre(4, 3).passed
+    assert check_linearization_legendre(1, 1).passed
+
+
+def test_a_negative_linearization_coefficient_fails_where_the_expansion_holds():
+    # below alpha = -1/2 the expansion still holds, but with a negative coefficient
+    r = check_linearization_classical(F(-3, 4), 2, 2)
+    assert (r.verdict, r.witness, r.residual) == (
+        "fail", Witness("nonnegative j=1", "-8/11", ">= 0"), "-8/11")
+    assert check_linearization_classical(F(-3, 4), 2, 2, mutation=Mutation(0)).witness.location == (
+        "explicit-form sum, z^0")
 
 
 def test_dual_addition_q_both_modes():
     for (l, m, j) in [(2, 1, 1), (3, 2, 0), (4, 4, 2), (3, 0, 0)]:
-        assert check_dual_addition("q", l, m, j, "direct", qp=QP).passed
+        assert check_dual_addition_q_direct(QP, l, m, j).passed
     for (l, m) in [(2, 1), (3, 3), (5, 2)]:
-        assert check_dual_addition("q", l, m, mode="inversion", qp=QP).passed
+        assert check_dual_addition_q_inversion(QP, l, m).passed
 
 
 def test_dual_addition_modes_are_mutually_consistent():
@@ -386,9 +405,9 @@ def test_one_record_and_one_value_memo_per_lattice(monkeypatch):
     monkeypatch.setattr(identities, "_lattice",
                         lambda *args: lattices.append(_lattice(*args)) or lattices[-1])
     monkeypatch.setattr(families, "qhyper_sum", lambda *args: sums.append(args) or qhyper_sum(*args))
-    assert check_dual_addition("q", l, m, mode="inversion", qp=QP).passed
+    assert check_dual_addition_q_inversion(QP, l, m).passed
     for j in range(m + 1):
-        assert check_dual_addition("q", l, m, j, "direct", qp=QP).passed
+        assert check_dual_addition_q_direct(QP, l, m, j).passed
     lattice = lattices[0]
     assert all(lat is lattice for lat in lattices) and _lattice.cache_info().misses == 1
     assert {"qrp", "basis", "closed"} <= set(vars(lattice))
@@ -397,8 +416,8 @@ def test_one_record_and_one_value_memo_per_lattice(monkeypatch):
 
 
 def test_dual_addition_classical_and_a_form():
-    assert check_dual_addition("classical", 2, 2, 1, alpha=F(1, 2)).passed
-    assert check_dual_addition("classical", 4, 3, 2, alpha=F(1)).passed
+    assert check_dual_addition_classical(F(1, 2), 2, 2, 1).passed
+    assert check_dual_addition_classical(F(1), 4, 3, 2).passed
     assert check_dual_addition_a_form(QP, 3, 2, 1).passed
 
 
@@ -408,7 +427,7 @@ def test_square_factor_matches_its_qpochhammer_products(qp):
     # factored form (+-a z, +-a z^-1; q^(1/2))_k
     a, a2, q = qp.a, qp.a * qp.a, qp.q
     for k in range(7):
-        built = dict(_qpoch_a2z2(qp, k).items())
+        built = terms(_qpoch_a2z2(qp, k))
         assert built == _o_mul(qpoch_laurent_pow(a2, 2, q, k), qpoch_laurent_pow(a2, -2, q, k))
         pm = {0: F(1)}
         for sign in (1, -1):
@@ -418,9 +437,9 @@ def test_square_factor_matches_its_qpochhammer_products(qp):
 
 
 def test_classical_fail_witness_is_a_z_coefficient():
-    r = check_linearization("classical", 3, 2, alpha=F(1, 2), mutation=Mutation(0))
+    r = check_linearization_classical(F(1, 2), 3, 2, mutation=Mutation(0))
     assert (r.witness.location, r.residual) == ("explicit-form sum, z^0", "1")
-    r = check_dual_addition("classical", 3, 2, 1, alpha=F(1, 2), mutation=Mutation(0))
+    r = check_dual_addition_classical(F(1, 2), 3, 2, 1, mutation=Mutation(0))
     assert (r.witness.location, r.residual) == ("l=3, m=2, j=1, z^0", "1")
 
 
@@ -482,7 +501,8 @@ def test_cqu_representation_check():
 # fail-negative: every check detects a single mutated item
 # ---------------------------------------------------------------------------
 
-# every row of the `all` suite, and the rows whose check takes a mutation
+# every row (name, params, call) of the `all` suite, and the rows whose
+# check takes a mutation
 SWEEP_ROWS = list(cli.SUITES["all"](ParamGrid(lmax=1)))
 
 
@@ -490,16 +510,21 @@ def takes_mutation(check) -> bool:
     return "mutation" in inspect.signature(check).parameters
 
 
-MUTABLE_ROWS = [(check, kwargs) for check, kwargs in SWEEP_ROWS if takes_mutation(check)]
+MUTABLE_ROWS = [row for row in SWEEP_ROWS if takes_mutation(row[2].func)]
+
+
+def test_the_sweep_runs_every_check():
+    checks = {obj for name, obj in vars(identities).items() if name.startswith("check_")}
+    assert {call.func for _, _, call in MUTABLE_ROWS} == checks
 
 
 @pytest.mark.parametrize("row", range(len(MUTABLE_ROWS)))
 def test_mutation_is_detected(row):
-    check, kwargs = MUTABLE_ROWS[row]
-    name = f"row {row} ({check.__name__})"
-    assert check(**kwargs).passed, f"{name} should pass unmutated"
+    _, _, call = MUTABLE_ROWS[row]
+    name = f"row {row} ({call.func.__name__})"
+    assert call().passed, f"{name} should pass unmutated"
     for index in (0, 1, 7):
-        mutated = check(**kwargs, mutation=Mutation(index=index))
+        mutated = call(mutation=Mutation(index=index))
         assert not mutated.passed, f"{name} missed mutation at {index}"
         assert mutated.witness is not None and mutated.residual is not None
 
@@ -536,8 +561,8 @@ def _assert_weight_ratio_matches_its_oracle(qp):
     oracle = _o_mul(_o({0: 1, 2: -w}), _o({0: 1, -2: -w}))
     u, v = qp.a.numerator, qp.a.denominator
     lhs = LaurentPoly((u * u + v * v, -u * v), v * v) * LaurentPoly((u * u + v * v, u * v), v * v)
-    assert dict(lhs.items()) == oracle
-    assert dict(x_embed([(1 + w) ** 2, 0, -4 * w]).items()) == oracle
+    assert terms(lhs) == oracle
+    assert terms(x_embed([(1 + w) ** 2, 0, -4 * w])) == oracle
     assert check_weight_ratio(qp).passed
 
 
@@ -559,7 +584,7 @@ def test_mutation_witness_localizes():
     assert r.witness.location.startswith("m=0, n=0")
     r = check_difference_formula(QP, 5, mutation=Mutation(index=2))
     assert r.witness.location.startswith("n=4")
-    r = check_linearization("classical", 3, 2, alpha=F(1, 2), mutation=Mutation(index=3))
+    r = check_linearization_classical(F(1, 2), 3, 2, mutation=Mutation(index=3))
     assert "sum" in r.witness.location or "j=" in r.witness.location
 
 
@@ -568,17 +593,17 @@ def test_shared_lattice_serves_no_mutated_or_stale_value(mutated_first):
     # (l, m) = (3, 2): the inversion row and a direct row share one lattice
     # and one set of closed coefficients; the (2, 2) direct row and theorem
     # 5.1 on the small grid evict them, and the second pass builds them again
-    thunks = (
-        lambda mut: check_dual_addition("q", 3, 2, mode="inversion", qp=QP, mutation=mut),
-        lambda mut: check_dual_addition("q", 3, 2, 1, "direct", qp=QP, mutation=mut),
-        lambda mut: check_dual_addition("q", 2, 2, 1, "direct", qp=QP, mutation=mut),
-        lambda mut: check_theorem_5_1(ParamGrid(lmax=2, qparams=(QP,)), mutation=mut),
+    calls = (
+        partial(check_dual_addition_q_inversion, QP, 3, 2),
+        partial(check_dual_addition_q_direct, QP, 3, 2, 1),
+        partial(check_dual_addition_q_direct, QP, 2, 2, 1),
+        partial(check_theorem_5_1, QP, 2, 2),
     )
-    for thunk in thunks * 2:
+    for call in calls * 2:
         for index in range(3):
             runs = (Mutation(index=index), None) if mutated_first else (None, Mutation(index=index))
             for mut in runs:
-                report = thunk(mut)
+                report = call(mutation=mut)
                 assert report.passed == (mut is None), (index, mut, report)
 
 

@@ -13,7 +13,7 @@ from qaskey.laurent import LaurentPoly, linear_combination, x_embed
 from qaskey.series import qpochhammer
 from closed_forms import (
     _o, _o_add, _o_eval, _o_mul, _o_pow, _o_scale, _o_str, _o_sym, _o_x_embed, invert_variable,
-    negate_variable, qpoch_laurent_pow,
+    negate_variable, qpoch_laurent_pow, terms,
 )
 
 coeff_lists = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=8),
@@ -60,7 +60,7 @@ def test_eval_at():
 def test_invert_variable():
     assert invert_variable({2: 1, -1: 3}) == {-2: 1, 1: 3}
     s = x_embed([F(1), F(2), F(3)])
-    assert invert_variable(s) == dict(s.items())
+    assert invert_variable(s) == terms(s)
     assert invert_variable(LaurentPoly.constant(F(5, 3))) == {0: F(5, 3)}
 
 
@@ -120,7 +120,7 @@ def test_symmetric_constructor_validates():
 @given(coeff_lists)
 def test_family_style_outputs_are_symmetric(p):
     s = x_embed(p)
-    assert invert_variable(s) == dict(s.items())
+    assert invert_variable(s) == terms(s)
     assert eval(repr(s), {"LaurentPoly": LaurentPoly}) == s
 
 
@@ -134,9 +134,9 @@ def test_rendering():
 
 def test_canonical_no_zero_coefficients():
     p = LaurentPoly((0, 2, 0, 0))
-    assert p.items() == [(-1, F(2)), (1, F(2))]
+    assert list(terms(p).items()) == [(-1, F(2)), (1, F(2))]
     q = LaurentPoly((0, 2)) + LaurentPoly((0, -2))
-    assert q.items() == [] and q == LaurentPoly()
+    assert terms(q) == {} and q == LaurentPoly()
 
 
 def test_hash_consistent_with_eq():
@@ -165,7 +165,7 @@ def test_constants_equal_and_hash_as_their_value(value):
 def _assert_matches(p, oracle):
     """p has the coefficients of the (symmetric) oracle, in a canonical half."""
     assert p._c == oracle
-    assert p.items() == sorted(oracle.items())
+    assert list(p._c) == sorted(oracle)
     assert (p == LaurentPoly()) == (not oracle)
     assert str(p) == _o_str(oracle)
     for k in range(-20, 21):
@@ -309,7 +309,7 @@ def test_half_equals_and_hashes_like_the_full_layout():
     # the half against the polynomial built from its full coefficient mapping
     full = {-2: F(3, 4), 0: F(-1, 6), 2: F(3, 4)}
     s, p = LaurentPoly((-2, 0, 9), 12), _poly(full)
-    assert dict(s.items()) == full
+    assert terms(s) == full
     assert (s._h, s._den) == (p._h, p._den) == ((-2, 0, 9), 12)
     assert s == p and hash(s) == hash(p) and len({s, p}) == 1
     assert s != LaurentPoly((-2, 0, 9, 1), 12) and s != s + 1
@@ -321,7 +321,7 @@ def test_from_half_builds_the_canonical_half():
     # (2 - 4(z + 1/z)) / -6, with the sign moved to the numerators
     s = LaurentPoly((2, -4), -6)
     assert (s._h, s._den) == ((-1, 2), 3)
-    assert dict(s.items()) == {-1: F(2, 3), 0: F(-1, 3), 1: F(2, 3)}
+    assert terms(s) == {-1: F(2, 3), 0: F(-1, 3), 1: F(2, 3)}
     assert LaurentPoly((0, 5, 0, 0), 10)._h == (0, 1)
     assert LaurentPoly((0, 0), 7) == LaurentPoly()
 

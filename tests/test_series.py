@@ -258,9 +258,9 @@ def test_integer_path_matches_the_loop_ordinary(case):
 
 
 def test_ordinary_sums_return_what_the_loop_returns():
-    # all-int values give a float, one Fraction among them a Fraction, and
-    # a sum of the first term alone the one of its argument's type
-    assert _outcome(hyper_sum, (-2, 3), (4,), 1, 2) == (float, 0.09999999999999998)
+    # exact values, all-int ones included, give a Fraction, and a sum of
+    # the first term alone the one of its argument's type
+    assert _outcome(hyper_sum, (-2, 3), (4,), 1, 2) == (F, F(1, 10))
     assert _outcome(hyper_sum, (-2, F(3)), (4,), 1, 2) == (F, F(1, 10))
     assert _outcome(hyper_sum, (-2, 3), (4,), F(1), 2) == (F, F(1, 10))
     assert _outcome(hyper_sum, (-2, F(3)), (4,), 1, 0) == (int, 1)
