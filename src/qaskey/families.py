@@ -4,7 +4,10 @@ scheme.  Their float counterparts live in `numerics`.
 Classical side: Jacobi/ultraspherical, Krawtchouk, Hahn, dual Hahn, Racah
 (with weights and norms), Wilson in its real-rational dual form.  q-side:
 Askey-Wilson, continuous q-ultraspherical in two representations, q-Racah
-(with weights and norms).
+(with weights and norms).  Both Racah families are self-dual, and a norm
+ratio h_n / h_0 is the reciprocal of the weight at the dual parameters
+(alpha, beta, gamma, delta) -> (gamma, delta, alpha, beta), so each family
+has one weight formula, for free parameters, that its norms read too.
 
 All q-dependent parameters are derived from a QParams pair (t, s) with
 t = q^(1/4) and s = beta^(1/2), so quarter powers of q and half powers of
@@ -13,9 +16,10 @@ over Q.
 
 The q-arithmetic is that of `series` (term ratios, vanishing scans,
 q-Pochhammer symbols), and each quantity of a q-Racah lattice is cached
-once, on its `QRacahParams`, each value too.  Its weight and norm tables
-are running integer products over the whole lattice, with one reduction
-per entry.  Every q-Racah family the program evaluates is such a record:
+once, on its `QRacahParams`, each value too.  Its weight table and its
+norm-ratio table (the weights at the dual parameters, inverted) are
+running integer products over the whole lattice, with one reduction per
+entry.  Every q-Racah family the program evaluates is such a record:
 the one-point lattice N = 0, the shifted family of the backward shift (on
 0..N-1) and the linearization lattices included; what the rows of one
 linearization lattice share beyond its record is cached in `identities`.
@@ -193,11 +197,13 @@ class QRacahParams:
 
     N = 0 is the one-point lattice, with weight 1, value 1 and h_0 = 1.
     Construction validates that no weight denominator factor vanishes on
-    the lattice 0..N and keeps the bases it scanned.  The private tables
-    below hold what `qracah`, `qracah_weight` and `qracah_norms` read, and
-    `h0` is the total mass: each is built for the whole lattice the first
-    time one of them asks, and dies with the record; `_values` keeps each
-    value `qracah` has summed, one (n, x) at a time.
+    the lattice 0..N.  The private tables below hold what `qracah`,
+    `qracah_weight` and `qracah_norms` read, and `h0` is the total mass:
+    each is built for the whole lattice the first time one of them asks,
+    and dies with the record; the weights and the norm ratios are the pairs
+    of `_qracah_weight_pairs` at the record's parameters and at the dual
+    ones.  `_values` keeps each value `qracah` has summed, one (n, x) at a
+    time.
     """
 
     alpha: Fraction
@@ -217,12 +223,11 @@ class QRacahParams:
         g, d, q = self.gamma, self.delta, self.qp.q
         if 1 - g * d * q == 0:
             raise VanishingDenominator(0, "1 - gamma*delta*q = 0")
-        # the weight denominator bases, which `_weights` reads
+        # the weight denominator bases of `_qracah_weight_pairs`
         dens = (q, g * d * q / self.alpha, g * q / self.beta, d * q)
         hit = first_qvanishing(dens, q, self.N)
         if hit is not None:
             raise VanishingDenominator(hit[0] + 1, f"(b; q)_x factor with b={hit[1]}")
-        object.__setattr__(self, "_weight_dens", dens)
 
     # Cached in the instance __dict__, outside the fields that eq and hash use.
     @cached_property
@@ -266,21 +271,9 @@ class QRacahParams:
 
     @cached_property
     def _weights(self) -> tuple:
-        """The weights w(0..N),
-
-            w(x) = (1 - g d q^(2x+1)) (a q, b d q, g q, g d q; q)_x
-                   / ((1 - g d q) (a b q)^x (`_weight_dens`; q)_x),
-
-        from one running integer product each way, reduced once per x."""
-        a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
-        prefixes = _qpoch_ratio_prefixes((a * q, b * d * q, g * q, g * d * q), self._weight_dens,
-                                         1 / (a * b * q), q, self.N)
-        # (1 - v q^(2x)) / (1 - v) = (V_den Q^2x - V_num P^2x) / (Q^2x (V_den - V_num))
-        vn, vd = (g * d * q).numerator, (g * d * q).denominator
-        p, qd = q.numerator, q.denominator
-        return tuple(Fraction(num * (vd * qd ** (2 * x) - vn * p ** (2 * x)),
-                              den * qd ** (2 * x) * (vd - vn))
-                     for x, (num, den) in enumerate(prefixes))
+        """The weights w(0..N), each pair of `_qracah_weight_pairs` reduced once."""
+        pairs = _qracah_weight_pairs(self.alpha, self.beta, self.gamma, self.delta, self.qp.q, self.N)
+        return tuple(Fraction(num, den) for num, den in pairs)
 
     @cached_property
     def h0(self) -> Fraction:
@@ -294,51 +287,50 @@ class QRacahParams:
     @cached_property
     def _norm_ratios(self) -> tuple:
         """Integer pairs (numerator, denominator) of the ratios h_n / h_0 for
-        n = 0..N, unreduced,
-
-            h_n / h_0 = (1 - a b q) (q g d)^n (q, q b, q a b/g, q a/d; q)_n
-                        / ((1 - a b q^(2n+1)) (q a, q a b, q g, q b d; q)_n),
-
-        from one running integer product each way; a zero denominator is
+        n = 0..N, unreduced: h_n / h_0 = 1 / w~(n), with w~ the weight at
+        the dual parameters (gamma, delta, alpha, beta), so each is a pair
+        of `_qracah_weight_pairs` there, swapped.  A zero denominator is
         kept, to raise only when its n is asked for."""
-        a, b, g, d, q = self.alpha, self.beta, self.gamma, self.delta, self.qp.q
-        prefixes = _qpoch_ratio_prefixes((q, q * b, q * a * b / g, q * a / d),
-                                         (q * a, q * a * b, q * g, q * b * d), q * g * d, q, self.N)
-        # (1 - v) / (1 - v q^(2n)) = Q^2n (V_den - V_num) / (V_den Q^2n - V_num P^2n)
-        vn, vd = (a * b * q).numerator, (a * b * q).denominator
-        p, qd = q.numerator, q.denominator
-        return tuple((num * qd ** (2 * n) * (vd - vn), den * (vd * qd ** (2 * n) - vn * p ** (2 * n)))
-                     for n, (num, den) in enumerate(prefixes))
+        pairs = _qracah_weight_pairs(self.gamma, self.delta, self.alpha, self.beta, self.qp.q, self.N)
+        return tuple((den, num) for num, den in pairs)
 
 
-def _qpoch_ratio_prefixes(ups, downs, z: Fraction, q: Fraction, top: int) -> list:
-    """Unreduced integer pairs (N_k, D_k) with N_k / D_k equal to
-    z^k (ups; q)_k / (downs; q)_k, for k = 0..top and as many `ups` as
-    `downs`: one running integer product each way."""
+def _qracah_weight_pairs(a, b, g, d, q: Fraction, top: int) -> list:
+    """Unreduced integer pairs (num, den) of the q-Racah weight at free
+    parameters, for x = 0..top,
+
+        w(x) = (1 - g d q^(2x+1)) (a q, b d q, g q, g d q; q)_x
+               / ((1 - g d q) (a b q)^x (q, g d q/a, g q/b, d q; q)_x),
+
+    from one running integer product each way; a zero factor is kept."""
+    ups = [(v.numerator, v.denominator) for v in (a * q, b * d * q, g * q, g * d * q)]
+    downs = [(v.numerator, v.denominator) for v in (q, g * d * q / a, g * q / b, d * q)]
     # 1 - q^j v = (Q^j v_den - P^j v_num) / (Q^j v_den) with q = P/Q; the
     # Q^j of the ups cancel those of the downs, and each step multiplies by
-    # z prod(downs' denominators) / prod(ups' denominators)
-    up_pairs = [(v.numerator, v.denominator) for v in ups]
-    down_pairs = [(v.numerator, v.denominator) for v in downs]
-    step_num, step_den = z.numerator, z.denominator
-    for _, vd in down_pairs:
+    # prod(downs' denominators) / ((a b q) prod(ups' denominators))
+    z = a * b * q
+    step_num, step_den = z.denominator, z.numerator
+    for _, vd in downs:
         step_num *= vd
-    for _, vd in up_pairs:
+    for _, vd in ups:
         step_den *= vd
+    # (1 - v q^(2x)) / (1 - v) = (V_den Q^2x - V_num P^2x) / (Q^2x (V_den - V_num)), v = g d q
+    vn, vd = ups[3]
     p, qd = q.numerator, q.denominator
-    num = den = pj = qj = 1
-    out = [(1, 1)]
-    for _ in range(top):
-        num *= step_num
-        den *= step_den
-        for vn, vd in up_pairs:
-            num *= qj * vd - pj * vn
-        for vn, vd in down_pairs:
-            den *= qj * vd - pj * vn
-        pj *= p
-        qj *= qd
-        out.append((num, den))
-    return out
+    num = den = pj = qj = 1  # pj, qj = P^x, Q^x
+    pairs = []
+    for x in range(top + 1):
+        if x:
+            num *= step_num
+            den *= step_den
+            for un, ud in ups:
+                num *= qj * ud - pj * un
+            for un, ud in downs:
+                den *= qj * ud - pj * un
+            pj *= p
+            qj *= qd
+        pairs.append((num * (vd * qj * qj - vn * pj * pj), den * qj * qj * (vd - vn)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -446,26 +438,30 @@ def racah(n: int, x: int, rp: RacahParams) -> Fraction:
     return racah_phi(n, x, rp.alpha, rp.beta, rp.gamma, rp.delta)
 
 
+def _racah_weight_pair(x: int, a, b, g, d) -> tuple:
+    """The numerator and denominator of the Racah weight at free
+    parameters, neither divided out,
+
+        w(x) = (g + d + 1 + 2x) (a + 1, b + d + 1, g + 1, g + d + 1)_x
+               / ((g + d + 1) x! (-a + g + d + 1, -b + g + 1, d + 1)_x)."""
+    num = (g + d + 1 + 2 * x) * pochhammer(a + 1, x) * pochhammer(b + d + 1, x)
+    num *= pochhammer(g + 1, x) * pochhammer(g + d + 1, x)
+    den = (g + d + 1) * factorial(x) * pochhammer(-a + g + d + 1, x)
+    den *= pochhammer(-b + g + 1, x) * pochhammer(d + 1, x)
+    return num, den
+
+
 def racah_weight(x: int, rp: RacahParams) -> Fraction:
     """Racah orthogonality weight at lattice index x."""
     _check_lattice(0, x, rp.N)
     a, b, g, d = rp.alpha, rp.beta, rp.gamma, rp.delta
     if g + d + 1 == 0:
         raise VanishingDenominator(0, "gamma + delta + 1 = 0")
-    num = (
-        pochhammer(a + 1, x)
-        * pochhammer(b + d + 1, x)
-        * pochhammer(g + 1, x)
-        * pochhammer(g + d + 1, x)
-        * (g + d + 1 + 2 * x)
-    )
-    den = Fraction(1)
     for base in (-a + g + d + 1, -b + g + 1, d + 1):
         # base + i = 0 for some i < x iff base is an integer in (-x, 0]
         if base.denominator == 1 and -x < base.numerator <= 0:
             raise VanishingDenominator(-base.numerator, f"({base})_x factor vanishes")
-        den *= pochhammer(base, x)
-    den *= factorial(x) * (g + d + 1)
+    num, den = _racah_weight_pair(x, a, b, g, d)
     return num / den
 
 
@@ -479,27 +475,15 @@ def racah_h0(rp: RacahParams) -> Fraction:
 
 
 def racah_norms(n: int, rp: RacahParams) -> Fraction:
-    """The norm h_n of the Racah orthogonality relation."""
+    """The norm h_n of the Racah orthogonality relation: h_n / h_0 is
+    1 / w~(n), with w~ the weight at the dual parameters (gamma, delta,
+    alpha, beta), and a vanishing numerator of w~(n) raises before h_0 is
+    read."""
     _check_lattice(0, n, rp.N)
-    a, b, g, d = rp.alpha, rp.beta, rp.gamma, rp.delta
-    den = (
-        pochhammer(a + 1, n)
-        * pochhammer(a + b + 1, n)
-        * pochhammer(b + d + 1, n)
-        * pochhammer(g + 1, n)
-        * (a + b + 2 * n + 1)
-    )
-    if den == 0:
+    num, den = _racah_weight_pair(n, rp.gamma, rp.delta, rp.alpha, rp.beta)
+    if num == 0:
         raise VanishingDenominator(n, "Racah norm-ratio denominator vanishes")
-    ratio = (
-        (a + b + 1)
-        * pochhammer(b + 1, n)
-        * pochhammer(a + b - g + 1, n)
-        * pochhammer(a - d + 1, n)
-        * factorial(n)
-        / den
-    )
-    return ratio * racah_h0(rp)
+    return den / num * racah_h0(rp)
 
 
 def wilson_dual_params(wp: WilsonParams) -> WilsonParams:
@@ -612,11 +596,6 @@ def cqu_r_alt(n: int, qp: QParams) -> LaurentPoly:
         qbase=t ** 2,
         nterms=n,
     )
-
-
-def cqu_r_at(n: int, qp: QParams, z0) -> Fraction:
-    """Scalar value of the continuous q-ultraspherical polynomial."""
-    return askey_wilson_r_at(n, cqu_aw_params(qp), z0)
 
 
 def cqu_duality_point(m: int, qp: QParams) -> Fraction:

@@ -31,7 +31,6 @@ from .families import (
     cqu_duality_point,
     cqu_r,
     cqu_r_alt,
-    cqu_r_at,
     dual_hahn,
     hahn,
     hahn_weight,
@@ -873,8 +872,8 @@ def check_addition_q(qp: QParams, n: int, u, v, mutation=None) -> CheckReport:
         c = _addition_coeff_q(k, n, qp, u, v)
         if not c:
             continue
-        shifted = qp.beta_shift(k)
-        c *= cqu_r_at(n - k, shifted, u) * cqu_r_at(n - k, shifted, v)
+        shifted = cqu_r(n - k, qp.beta_shift(k))
+        c *= shifted.eval_at(u) * shifted.eval_at(v)
         polys.append(askey_wilson_r(k, kernel))
         scalars.append(c)
     items = [(f"n={n}, u={u}, v={v}", linear_combination(polys, scalars), cqu_r(n, qp))]
@@ -976,15 +975,15 @@ def check_restriction_equivalence(qp: QParams, l: int, m: int, j: int, n: int,
         if cr == 0 and ca == 0:
             items.append((f"term k={k}", F(0), F(0)))
             continue
-        shifted = qp.beta_shift(k)
-        shared = cqu_r_at(n - k, shifted, zu) * cqu_r_at(n - k, shifted, zv)
+        shifted = cqu_r(n - k, qp.beta_shift(k))
+        shared = shifted.eval_at(zu) * shifted.eval_at(zv)
         shared *= askey_wilson_r_at(k, kernel, zpt) if k >= 1 else F(1)
         term_r, term_a = cr * shared, ca * shared
         items.append((f"term k={k}", term_r, term_a))
         total_r += term_r
         total_a += term_a
-    lhs = cqu_r_at(n, qp, zpt)
-    transported = cqu_r_at(l + m - 2 * j, qp, t ** (-2 * n) / a)
+    lhs = cqu_r(n, qp).eval_at(zpt)
+    transported = cqu_r(l + m - 2 * j, qp).eval_at(t ** (-2 * n) / a)
     items.append(("duality transport", lhs, transported))
     items.append(("restricted total", total_r, lhs))
     items.append(("addition total", total_a, lhs))

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import NonConvergence, NonFinite, ParameterError
-from .families import QParams, cqu_r, cqu_r_at
+from .families import QParams, cqu_r
 from .series import hyper_sum, pochhammer, qhyper_sum, qpochhammer
 
 # Expected final error ratios under halving of (1-q) or doubling of N.
@@ -210,7 +210,8 @@ def limit_check(kind: str, **params) -> LimitReport:
 def _dual_addition_term_q(k, l, m, j, q, beta, x) -> float:
     qh = q ** 0.5
     c = q ** (0.5 * k * (k + l + m + 2)) * beta ** k
-    c *= (1 - beta * beta * q ** (2 * k)) / (1 - beta * beta * q ** k)
+    if k >= 1:  # at k = 0 the ratio is 1, also where beta = 1 makes it 0/0
+        c *= (1 - beta * beta * q ** (2 * k)) / (1 - beta * beta * q ** k)
     for base in (q ** (-l), q ** (-m), q * beta * beta):
         c *= qpochhammer(base, q, k)
     c /= qpochhammer(q * beta, q, k) ** 2 * qpochhammer(q, q, k)
@@ -456,16 +457,15 @@ def bessel_special_cases() -> dict:
 
 def float_exact_consistency(qp: QParams, nmax: int) -> dict:
     """Largest relative gap, over the degrees 0..nmax at z = 7/5, between
-    exact evaluation of the one-parameter family (converted to float) and
-    direct float evaluation through the same series kernel with float
-    scalars."""
+    the exact one-parameter polynomial `cqu_r` evaluated there (converted
+    to float) and its 4phi3 summed in floats by the series kernel."""
     z0 = Fraction(7, 5)
     q, beta = float(qp.q), float(qp.beta)
     a = float(qp.a)
     zf = float(z0)
     worst = 0.0
     for n in range(nmax + 1):
-        exact = float(cqu_r_at(n, qp, z0))
+        exact = float(cqu_r(n, qp).eval_at(z0))
         approx = _cqu_phi(n, q, beta, a, zf)
         scale = max(1.0, abs(exact))
         worst = max(worst, abs(exact - approx) / scale)

@@ -5,7 +5,8 @@ symbols at one k, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
 parameters, the q-Racah weight formula for one x and the norm and norm
 ratio formulas for one n, the Racah weight for one x with its vanishing
-factors tested one at a time, and the variable maps z -> 1/z and z -> -z.
+factors tested one at a time and the Racah norm for one n, and the
+variable maps z -> 1/z and z -> -z.
 
 Laurent polynomials here are oracles: dicts exponent -> nonzero Fraction,
 with no symmetry required, so that factors such as 1 - a z can be formed.
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from qaskey.errors import ParameterError, VanishingDenominator
-from qaskey.families import QParams, QRacahParams, RacahParams
+from qaskey.families import QParams, QRacahParams, RacahParams, racah_h0
 from qaskey.series import HyperSeriesSpec, pochhammer, qpochhammer, terminating_hyper
 
 
@@ -249,6 +250,22 @@ def racah_weight_per_x(x: int, rp: RacahParams) -> Fraction:
                 raise VanishingDenominator(i, f"({base})_x factor vanishes")
         den *= pochhammer(base, x)
     return num / den
+
+
+def racah_norm_per_n(n: int, rp: RacahParams) -> Fraction:
+    """The Racah norm h_n: its ratio h_n / h_0 from its shifted factorials
+    at this n alone, times h_0, which is read only when the ratio is
+    finite; the lattice bound is the caller's."""
+    a, b, g, d = rp.alpha, rp.beta, rp.gamma, rp.delta
+    den = (a + b + 2 * n + 1) * Fraction(1)
+    for base in (a + 1, a + b + 1, b + d + 1, g + 1):
+        den *= pochhammer(base, n)
+    if den == 0:
+        raise VanishingDenominator(n, "Racah norm-ratio denominator vanishes")
+    num = (a + b + 1) * factorial(n)
+    for base in (b + 1, a + b - g + 1, a - d + 1):
+        num *= pochhammer(base, n)
+    return num / den * racah_h0(rp)
 
 
 def _oracle(p) -> dict:

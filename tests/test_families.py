@@ -22,7 +22,6 @@ from qaskey.families import (
     cqu_duality_point,
     cqu_r,
     cqu_r_alt,
-    cqu_r_at,
     dual_hahn,
     hahn,
     hahn_weight,
@@ -41,16 +40,14 @@ from qaskey.families import (
     ultraspherical_r,
     wilson_dual_params,
     wilson_dual_phi,
-    _qpoch_ratio_prefixes,
 )
 from qaskey.identities import (
     DEFAULT_QPARAMS, check_dual_addition_q_inversion, linearization_qracah_params,
 )
-from qaskey.series import qpochhammer
 from closed_forms import (
     cqu_leading_z_coeff, invert_variable, laurent_phi_terms, negate_variable, qracah_at_top,
     qracah_norm_per_n, qracah_norm_ratio_per_n, qracah_phi, qracah_weight_per_x,
-    racah_weight_per_x, terms,
+    racah_norm_per_n, racah_weight_per_x, terms,
 )
 
 QP = QParams(F(1, 2), F(2, 3))
@@ -206,7 +203,7 @@ def test_cqu_is_the_alternative_parameter_specialization():
     awp = cqu_aw_params(QP)
     assert (awp.a, awp.b, awp.c, awp.d) == (QP.a, QP.qhalf * QP.a, -QP.a, -QP.qhalf * QP.a)
     for n in range(5):
-        assert cqu_r_at(n, QP, F(9, 4)) == askey_wilson_r_at(n, awp, F(9, 4))
+        assert cqu_r(n, QP).eval_at(F(9, 4)) == askey_wilson_r_at(n, awp, F(9, 4))
 
 
 def test_qracah_values():
@@ -304,27 +301,6 @@ def test_beta_one_norm_at_zero_raises_before_h0_is_read(l, m):
     assert "h0" not in vars(qrp)
 
 
-unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=9).filter(lambda v: 0 < v < 1)
-nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(nonzero_rationals, nonzero_rationals), max_size=4), nonzero_rationals,
-       unit_rationals, st.integers(min_value=0, max_value=10), st.data())
-def test_qpoch_ratio_prefixes_match_the_products_at_each_k(pairs, z, q, top, data):
-    # some bases are q^(-j), so that factors 1 - q^j b vanish on both sides
-    near = st.integers(min_value=0, max_value=top).map(lambda j: q ** -j)
-    pairs = [(data.draw(st.one_of(st.just(u), near)), data.draw(st.one_of(st.just(v), near)))
-             for u, v in pairs]
-    ups, downs = [u for u, _ in pairs], [v for _, v in pairs]
-    for k, (num, den) in enumerate(_qpoch_ratio_prefixes(ups, downs, z, q, top)):
-        up, down = z ** k, F(1)
-        for u, v in pairs:
-            up *= qpochhammer(u, q, k)
-            down *= qpochhammer(v, q, k)
-        assert num * down == den * up and (den == 0) == (down == 0)
-
-
 @pytest.mark.parametrize("N", [1, 3, 6])
 def test_racah_weight_scan_matches_the_one_factor_at_a_time_formula(N):
     # integer and half-integer parameters: the factors (base)_x of the
@@ -341,6 +317,30 @@ def test_racah_weight_scan_matches_the_one_factor_at_a_time_formula(N):
                     outcomes.add(got[:2] if isinstance(got, tuple) else F)
     # values, and errors at every index the lattice allows
     assert outcomes == {F} | {(VanishingDenominator, i) for i in range(N)}
+
+
+@pytest.mark.parametrize("N", [1, 3, 6])
+def test_racah_norms_match_the_per_n_formula(N):
+    # the parameter grid of the weight scan: the norm-ratio denominator
+    # vanishes at some n, and the h_0 denominator for some records
+    values = [F(v, 2) for v in range(-13, 5)]
+    raised = set()
+    for alpha in values[::3]:
+        for beta in values[1::4]:
+            for delta in values[::2]:
+                rp = RacahParams(alpha, beta, N, delta)
+                for n in range(N + 1):
+                    got = _outcome(racah_norms, n, rp)
+                    assert got == _outcome(racah_norm_per_n, n, rp), (rp, n)
+                    if isinstance(got, tuple):
+                        raised.add(got[2].split("(")[-1])
+    assert raised == {"Racah norm-ratio denominator vanishes)", "Racah h_0 denominator vanishes)"}
+    # alpha = -1, beta = 0: 1 + alpha + beta + 2n vanishes at n = 0, (alpha + 1)_n from n = 1 on
+    rp = RacahParams(F(-1), F(0), 3, F(-5))
+    for n in range(4):
+        assert _outcome(racah_norms, n, rp) == (
+            VanishingDenominator, n,
+            f"vanishing denominator at index {n} (Racah norm-ratio denominator vanishes)")
 
 
 def test_free_parameter_weights_match_the_per_x_formula():

@@ -12,6 +12,7 @@ from qaskey.errors import NonConvergence, ParameterError
 from qaskey.families import QParams
 from qaskey.numerics import (
     RATIO_BANDS,
+    SECOND_ORDER_BAND,
     _aw_params_floats,
     _cqu_inner,
     aw_h0_closed,
@@ -74,6 +75,15 @@ def test_limit_ratio_bands():
     r = limit_check("dual-addition-q-to-1", alpha=0.5, l=3, m=2)
     assert 0.175 <= r.ratios[-1] <= 0.325
     assert RATIO_BANDS["cqu-to-ultra"] == (0.175, 0.325)
+
+
+def test_dual_addition_limit_at_beta_one():
+    # alpha = 0 puts beta = q^alpha at 1, where the ratio
+    # (1 - beta^2 q^(2k)) / (1 - beta^2 q^k) is 0/0 at k = 0
+    r = limit_check("dual-addition-q-to-1", alpha=0.0, l=3, m=2)
+    assert r.verdict == "pass", r
+    lo, hi = SECOND_ORDER_BAND
+    assert lo <= r.ratios[-1] <= hi
 
 
 def test_limit_degenerate_degree_zero():
