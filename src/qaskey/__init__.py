@@ -32,13 +32,12 @@ from .families import (
     WilsonParams,
 )
 from .laurent import LaurentPoly, x_embed
-from .series import HyperSeriesSpec, terminating_hyper
+from .series import terminating_hyper
 
 __all__ = [
     "__version__",
     "AWParams",
     "HahnParams",
-    "HyperSeriesSpec",
     "InadmissiblePoint",
     "JacobiParams",
     "KrawtchoukParams",

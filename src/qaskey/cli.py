@@ -470,7 +470,10 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise QAskeyError(f"bad config line {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("lmax", "mmax", "qparams", "alphas"):
+            raise QAskeyError(f"config file {path} has unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -35,7 +35,6 @@ from math import comb, factorial
 from .errors import ParameterError, VanishingDenominator, ZeroArgument
 from .laurent import LaurentPoly
 from .series import (
-    HyperSeriesSpec,
     first_qvanishing,
     pochhammer,
     qhyper_sum,
@@ -340,13 +339,7 @@ def _qracah_weight_pairs(a, b, g, d, q: Fraction, top: int) -> list:
 
 def jacobi_r(n: int, jp: JacobiParams, x) -> Fraction:
     """Jacobi polynomial normalized to 1 at x = 1."""
-    spec = HyperSeriesSpec(
-        numerator=(-n, n + jp.alpha + jp.beta + 1),
-        denominator=(jp.alpha + 1,),
-        argument=(1 - Fraction(x)) / 2,
-        termination=n,
-    )
-    return terminating_hyper(spec)
+    return terminating_hyper((-n, n + jp.alpha + jp.beta + 1), (jp.alpha + 1,), (1 - Fraction(x)) / 2, n)
 
 
 def ultraspherical_r(n: int, alpha, x) -> Fraction:
@@ -375,13 +368,7 @@ def ultraspherical_coeffs(n: int, alpha) -> tuple:
 def krawtchouk(n: int, x: int, kp: KrawtchoukParams) -> Fraction:
     """Krawtchouk polynomial K_n(x; p, N) on the lattice 0..N."""
     _check_lattice(n, x, kp.N)
-    spec = HyperSeriesSpec(
-        numerator=(-n, -x),
-        denominator=(-kp.N,),
-        argument=1 / kp.p,
-        termination=min(n, x),
-    )
-    return terminating_hyper(spec)
+    return terminating_hyper((-n, -x), (-kp.N,), 1 / kp.p, min(n, x))
 
 
 def krawtchouk_weight(x: int, kp: KrawtchoukParams) -> Fraction:
@@ -393,13 +380,7 @@ def krawtchouk_weight(x: int, kp: KrawtchoukParams) -> Fraction:
 def hahn(n: int, x: int, hp: HahnParams) -> Fraction:
     """Hahn polynomial Q_n(x; alpha, beta, N)."""
     _check_lattice(n, x, hp.N)
-    spec = HyperSeriesSpec(
-        numerator=(-n, n + hp.alpha + hp.beta + 1, -x),
-        denominator=(hp.alpha + 1, -hp.N),
-        argument=1,
-        termination=min(n, x),
-    )
-    return terminating_hyper(spec)
+    return terminating_hyper((-n, n + hp.alpha + hp.beta + 1, -x), (hp.alpha + 1, -hp.N), 1, min(n, x))
 
 
 def hahn_weight(x: int, hp: HahnParams) -> Fraction:
@@ -412,24 +393,13 @@ def hahn_weight(x: int, hp: HahnParams) -> Fraction:
 def dual_hahn(n: int, x: int, hp: HahnParams) -> Fraction:
     """Dual Hahn polynomial R_n(x(x+alpha+beta+1); alpha, beta, N)."""
     _check_lattice(n, x, hp.N)
-    spec = HyperSeriesSpec(
-        numerator=(-n, -x, x + hp.alpha + hp.beta + 1),
-        denominator=(hp.alpha + 1, -hp.N),
-        argument=1,
-        termination=min(n, x),
-    )
-    return terminating_hyper(spec)
+    return terminating_hyper((-n, -x, x + hp.alpha + hp.beta + 1), (hp.alpha + 1, -hp.N), 1, min(n, x))
 
 
 def racah_phi(n: int, x: int, alpha, beta, gamma, delta) -> Fraction:
     """The Racah-type 4F3 at lattice index x, for free parameters."""
-    spec = HyperSeriesSpec(
-        numerator=(-n, n + alpha + beta + 1, -x, x + gamma + delta + 1),
-        denominator=(alpha + 1, beta + delta + 1, gamma + 1),
-        argument=1,
-        termination=min(n, x),
-    )
-    return terminating_hyper(spec)
+    return terminating_hyper((-n, n + alpha + beta + 1, -x, x + gamma + delta + 1),
+                             (alpha + 1, beta + delta + 1, gamma + 1), 1, min(n, x))
 
 
 def racah(n: int, x: int, rp: RacahParams) -> Fraction:
@@ -496,13 +466,8 @@ def wilson_dual_params(wp: WilsonParams) -> WilsonParams:
 def wilson_dual_phi(n: int, m: int, wp: WilsonParams) -> Fraction:
     """The Wilson 4F3 on the duality lattice, with a + ix := -m, so that
     a - ix = 2a + m and all parameters are real rationals."""
-    spec = HyperSeriesSpec(
-        numerator=(-n, n + wp.a + wp.b + wp.c + wp.d - 1, -m, 2 * wp.a + m),
-        denominator=(wp.a + wp.b, wp.a + wp.c, wp.a + wp.d),
-        argument=1,
-        termination=min(n, m),
-    )
-    return terminating_hyper(spec)
+    return terminating_hyper((-n, n + wp.a + wp.b + wp.c + wp.d - 1, -m, 2 * wp.a + m),
+                             (wp.a + wp.b, wp.a + wp.c, wp.a + wp.d), 1, min(n, m))
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +525,8 @@ def askey_wilson_r_at(n: int, awp: AWParams, z0) -> Fraction:
     z0 = Fraction(z0)
     if z0 == 0:
         raise ZeroArgument("cannot evaluate an Askey-Wilson polynomial at z = 0")
-    spec = HyperSeriesSpec(
-        numerator=(q ** (-n), q ** (n - 1) * a * b * c * d, a * z0, a / z0),
-        denominator=(a * b, a * c, a * d),
-        argument=q,
-        termination=n,
-        base=q,
-    )
-    return terminating_hyper(spec)
+    return terminating_hyper((q ** (-n), q ** (n - 1) * a * b * c * d, a * z0, a / z0),
+                             (a * b, a * c, a * d), q, n, base=q)
 
 
 def cqu_aw_params(qp: QParams) -> AWParams:
@@ -615,7 +574,7 @@ def qracah(n: int, x: int, qrp: QRacahParams) -> Fraction:
     gamma delta q^(x+1)) and denominator bases (q alpha, q beta delta,
     q gamma), summed by `qhyper_sum` on series parameters read from the
     tables of `qrp` and kept in its `_values`.  It raises the
-    `VanishingDenominator` of `HyperSeriesSpec`'s scan exactly when its
+    `VanishingDenominator` of `terminating_hyper`'s scan exactly when its
     termination index min(n, x) passes the lattice's first vanishing
     denominator factor.
     """

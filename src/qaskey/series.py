@@ -18,16 +18,18 @@ once; `pochhammer` and `qpochhammer` are running integer products.  A
 vanishing factor b + k = 0 is an integer test on b, and `first_qvanishing`
 scans for a factor q^k b = 1.  Floats and complex values, as `numerics`
 passes them, run duck-typed loops over incremental term ratios instead, in
-a fixed operation order, and so do the exact calls whose loop gives an int
-or a float: an int base of `pochhammer`, and a `hyper_sum` with no
-Fraction among its values or with no term past the first.
+a fixed operation order, and so do two exact calls that must keep the
+type of their values: an int base of `pochhammer`, and a `hyper_sum` with
+no term past the first (`nterms == 0`).  An exact `hyper_sum` of
+plain ints with a term past the first gives a Fraction.
+`terminating_hyper` validates a terminating series (its termination
+numerator and every denominator factor it uses) before it sums it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ParameterError, VanishingDenominator
 
@@ -236,53 +238,37 @@ def first_qvanishing(bases, qbase, top: int):
     return None
 
 
-@dataclass(frozen=True)
-class HyperSeriesSpec:
-    """A validated terminating (q-)hypergeometric series.
+def terminating_hyper(numerator, denominator, argument, termination: int, base=None) -> Fraction:
+    """Exact value of a validated terminating (q-)hypergeometric series.
 
     `base` is None for an ordinary series and the rational q (0 < q < 1)
     for a q-series.  `termination` is the n of the leading -n (ordinary)
-    or q^(-n) (q-case) numerator parameter.  Construction scans every
-    denominator factor used up to the termination index and rejects the
-    spec with a precise index witness if one vanishes.
+    or q^(-n) (q-case) numerator parameter.  Every denominator factor used
+    up to the termination index is scanned first, and a vanishing one is
+    rejected with a precise index witness.
     """
-
-    numerator: tuple
-    denominator: tuple
-    argument: Fraction
-    termination: int
-    base: Optional[Fraction] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(map(_fraction, self.numerator)))
-        object.__setattr__(self, "denominator", tuple(map(_fraction, self.denominator)))
-        object.__setattr__(self, "argument", _fraction(self.argument))
-        if self.base is not None:
-            object.__setattr__(self, "base", _fraction(self.base))
-        n = self.termination
-        if n < 0:
-            raise ParameterError("termination index must be a natural number")
-        if self.base is None:
-            if all(a != -n for a in self.numerator):
-                raise ParameterError(f"no numerator parameter equals -{n}")
-            for b in self.denominator:
-                # b + k = 0 for some k < n iff b is an integer in (-n, 0]
-                if b.denominator == 1 and -n < b.numerator <= 0:
-                    raise VanishingDenominator(1 - b.numerator, f"(b)_k factor with b={b}")
-        else:
-            if not 0 < self.base < 1:
-                raise ParameterError(f"series base must lie in (0, 1), got {self.base}")
-            # with q = P/Q: a = q^(-n) iff a_num P^n = a_den Q^n
-            pn, qn = self.base.numerator ** n, self.base.denominator ** n
-            if all(a.numerator * pn != a.denominator * qn for a in self.numerator):
-                raise ParameterError(f"no numerator parameter equals base^(-{n})")
-            hit = first_qvanishing(self.denominator, self.base, n)
-            if hit is not None:
-                raise VanishingDenominator(hit[0] + 1, f"(b; q)_k factor with b={hit[1]}")
-
-
-def terminating_hyper(spec: HyperSeriesSpec) -> Fraction:
-    """Exact value of a validated terminating (q-)hypergeometric series."""
-    if spec.base is None:
-        return hyper_sum(spec.numerator, spec.denominator, spec.argument, spec.termination)
-    return qhyper_sum(spec.numerator, spec.denominator, spec.base, spec.argument, spec.termination)
+    numerator = tuple(map(_fraction, numerator))
+    denominator = tuple(map(_fraction, denominator))
+    argument = _fraction(argument)
+    n = termination
+    if n < 0:
+        raise ParameterError("termination index must be a natural number")
+    if base is None:
+        if all(a != -n for a in numerator):
+            raise ParameterError(f"no numerator parameter equals -{n}")
+        for b in denominator:
+            # b + k = 0 for some k < n iff b is an integer in (-n, 0]
+            if b.denominator == 1 and -n < b.numerator <= 0:
+                raise VanishingDenominator(1 - b.numerator, f"(b)_k factor with b={b}")
+        return hyper_sum(numerator, denominator, argument, n)
+    base = _fraction(base)
+    if not 0 < base < 1:
+        raise ParameterError(f"series base must lie in (0, 1), got {base}")
+    # with q = P/Q: a = q^(-n) iff a_num P^n = a_den Q^n
+    pn, qn = base.numerator ** n, base.denominator ** n
+    if all(a.numerator * pn != a.denominator * qn for a in numerator):
+        raise ParameterError(f"no numerator parameter equals base^(-{n})")
+    hit = first_qvanishing(denominator, base, n)
+    if hit is not None:
+        raise VanishingDenominator(hit[0] + 1, f"(b; q)_k factor with b={hit[1]}")
+    return qhyper_sum(numerator, denominator, base, argument, n)

@@ -17,7 +17,7 @@ from math import factorial
 
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.families import QParams, QRacahParams, RacahParams, racah_h0
-from qaskey.series import HyperSeriesSpec, pochhammer, qpochhammer, terminating_hyper
+from qaskey.series import pochhammer, qpochhammer, terminating_hyper
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +180,14 @@ def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -
 
 def qracah_phi(n: int, x: int, alpha, beta, gamma, delta, q) -> Fraction:
     """The q-Racah 4phi3 at lattice index x for free parameters, summed by
-    the validated series spec."""
-    spec = HyperSeriesSpec(
+    the validated `terminating_hyper`."""
+    return terminating_hyper(
         numerator=(q ** (-n), q ** (n + 1) * alpha * beta, q ** (-x), q ** (x + 1) * gamma * delta),
         denominator=(q * alpha, q * beta * delta, q * gamma),
         argument=q,
         termination=min(n, x),
         base=q,
     )
-    return terminating_hyper(spec)
 
 
 def qracah_weight_per_x(x: int, a, b, g, d, q) -> Fraction:

@@ -344,6 +344,14 @@ def test_config_that_is_not_utf8_is_a_configuration_error(tmp_path):
     assert err == f"error: config file {cfg} is not UTF-8 text\n"
 
 
+def test_config_key_the_grid_does_not_read_is_a_configuration_error(tmp_path):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid-lmax=1\nqparams=1/2,2/3\n")
+    code, out, err = run_cli(["verify", "--suite", "theorem-5-1", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {cfg} has unknown key 'grid-lmax'\n"
+
+
 def test_eval_examples():
     code, out, _ = run_cli(["eval", "--family", "ultraspherical", "--n", "2",
                             "--alpha", "0", "--at", "1/2"])
@@ -547,6 +555,23 @@ def test_eval_errors():
     assert code == 2 and out == "" and "z = 0" in err
     code, out, err = run_cli(["eval", "--family", "cqu", "--n", "-1", "--qparams", "1/2,2/3"])
     assert code == 2 and out == "" and "degree" in err
+
+
+AW_VANISHING = "--family askey-wilson --n 3 --a 1 --b 2 --c 1/3 --d 1/5 --qbase 1/2"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("--family jacobi --n -1 --alpha 1/2 --beta 1/3 --at 2/5",
+     "termination index must be a natural number"),
+    ("--family racah --n 3 --x 2 --alpha -2 --beta 1/3 --delta 1/5 --N 4",
+     "vanishing denominator at index 2 ((b)_k factor with b=-1)"),
+    ("--family wilson-dual --n 2 --m 2 --a 0 --b 0 --c 1 --d 1",
+     "vanishing denominator at index 1 ((b)_k factor with b=0)"),
+    (AW_VANISHING + " --at-z 7/5", "vanishing denominator at index 2 ((b; q)_k factor with b=2)"),
+    (AW_VANISHING, "vanishing denominator at index 2 (Laurent q-series denominator)"),
+])
+def test_eval_series_errors_name_their_factor(argv, message):
+    assert run_cli(["eval", *argv.split()]) == (2, "", f"error: {message}\n")
 
 
 def test_table_errors():

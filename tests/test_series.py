@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.series import (
-    HyperSeriesSpec,
     first_qvanishing,
     hyper_sum,
     parse_rat,
@@ -48,46 +47,46 @@ def test_qpochhammer_splitting(b, j, k):
 
 
 def test_terminating_hyper_basics():
-    spec = HyperSeriesSpec(numerator=(-1, 2), denominator=(3,), argument=1, termination=1)
-    assert terminating_hyper(spec) == F(1, 3)
-    spec = HyperSeriesSpec(numerator=(0,), denominator=(), argument=F(7, 2), termination=0)
-    assert terminating_hyper(spec) == 1
+    assert terminating_hyper(numerator=(-1, 2), denominator=(3,), argument=1,
+                             termination=1) == F(1, 3)
+    assert terminating_hyper(numerator=(0,), denominator=(), argument=F(7, 2),
+                             termination=0) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_zero_numerator_parameter_kills_tail(n):
     # a Racah-type series with lattice argument 0: every k >= 1 term dies
-    spec = HyperSeriesSpec(
+    value = terminating_hyper(
         numerator=(-n, n + 2, 0, F(1, 2)),
         denominator=(F(3, 2), F(5, 2), F(7, 2)),
         argument=1,
         termination=n,
     )
-    assert terminating_hyper(spec) == 1
+    assert value == 1
 
 
 def test_spec_requires_terminating_numerator():
     with pytest.raises(ParameterError):
-        HyperSeriesSpec(numerator=(1, 2), denominator=(3,), argument=1, termination=1)
+        terminating_hyper(numerator=(1, 2), denominator=(3,), argument=1, termination=1)
     with pytest.raises(ParameterError):
-        HyperSeriesSpec(numerator=(F(1, 9),), denominator=(), argument=1, termination=2,
-                        base=F(1, 2))
+        terminating_hyper(numerator=(F(1, 9),), denominator=(), argument=1, termination=2,
+                          base=F(1, 2))
 
 
 def test_spec_rejects_vanishing_denominator_with_index():
     with pytest.raises(VanishingDenominator) as err:
-        HyperSeriesSpec(numerator=(-4,), denominator=(-2,), argument=1, termination=4)
+        terminating_hyper(numerator=(-4,), denominator=(-2,), argument=1, termination=4)
     assert err.value.index == 3
     with pytest.raises(VanishingDenominator) as err:
-        HyperSeriesSpec(numerator=(F(16),), denominator=(F(4),), argument=1, termination=2,
-                        base=F(1, 4))
+        terminating_hyper(numerator=(F(16),), denominator=(F(4),), argument=1, termination=2,
+                          base=F(1, 4))
     assert err.value.index == 2
 
 
 def test_negative_integer_denominator_is_fine_when_series_terminates_first():
     # denominator -N with N >= n never vanishes inside the summation range
-    spec = HyperSeriesSpec(numerator=(-3, F(1, 2)), denominator=(-3,), argument=2, termination=3)
-    value = terminating_hyper(spec)
+    value = terminating_hyper(numerator=(-3, F(1, 2)), denominator=(-3,), argument=2,
+                              termination=3)
     naive = sum(
         pochhammer(F(-3), k) * pochhammer(F(1, 2), k) / (pochhammer(F(-3), k) * factorial(k)) * 2 ** k
         for k in range(4)
@@ -131,15 +130,15 @@ def ordinary_specs(draw):
             b += F(1, 7)
         dens.append(b)
     arg = draw(rationals)
-    return HyperSeriesSpec(numerator=tuple([-n] + extra), denominator=tuple(dens),
-                           argument=arg, termination=n)
+    return dict(numerator=tuple([-n] + extra), denominator=tuple(dens), argument=arg,
+                termination=n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(ordinary_specs())
 def test_incremental_matches_naive_ordinary(spec):
-    assert terminating_hyper(spec) == _naive_ordinary(
-        spec.numerator, spec.denominator, spec.argument, spec.termination
+    assert terminating_hyper(**spec) == _naive_ordinary(
+        spec["numerator"], spec["denominator"], spec["argument"], spec["termination"]
     )
 
 
@@ -155,15 +154,15 @@ def q_specs(draw):
             b += F(1, 7)
         dens.append(b)
     arg = draw(rationals)
-    return HyperSeriesSpec(numerator=tuple([q ** (-n)] + extra), denominator=tuple(dens),
-                           argument=arg, termination=n, base=q)
+    return dict(numerator=tuple([q ** (-n)] + extra), denominator=tuple(dens), argument=arg,
+                termination=n, base=q)
 
 
 @settings(max_examples=200, deadline=None)
 @given(q_specs())
 def test_incremental_matches_naive_q(spec):
-    assert terminating_hyper(spec) == _naive_q(
-        spec.numerator, spec.denominator, spec.base, spec.argument, spec.termination
+    assert terminating_hyper(**spec) == _naive_q(
+        spec["numerator"], spec["denominator"], spec["base"], spec["argument"], spec["termination"]
     )
 
 
@@ -188,19 +187,20 @@ def random_q_specs(draw):
             b += F(1, 7)
         dens.append(b)
     arg = draw(rationals)
-    return HyperSeriesSpec(numerator=tuple([q ** (-n)] + extra), denominator=tuple(dens),
-                           argument=arg, termination=n, base=q)
+    return dict(numerator=tuple([q ** (-n)] + extra), denominator=tuple(dens), argument=arg,
+                termination=n, base=q)
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_q_specs())
 def test_integer_path_matches_naive_and_loop_q(spec):
-    value = terminating_hyper(spec)
+    value = terminating_hyper(**spec)
     assert type(value) is F
-    assert value == _naive_q(spec.numerator, spec.denominator, spec.base, spec.argument,
-                             spec.termination)
-    loop = qhyper_sum(_loop_values(spec.numerator), _loop_values(spec.denominator),
-                      _LoopRational(spec.base), _LoopRational(spec.argument), spec.termination)
+    nums, dens, q, arg, n = (spec[key] for key in
+                             ("numerator", "denominator", "base", "argument", "termination"))
+    assert value == _naive_q(nums, dens, q, arg, n)
+    loop = qhyper_sum(_loop_values(nums), _loop_values(dens), _LoopRational(q),
+                      _LoopRational(arg), n)
     assert value == loop
 
 
@@ -289,11 +289,12 @@ def _ordinary_scan_loop(dens, n):
 @given(st.lists(st.one_of(rationals, st.integers(-9, 2)), max_size=4), small_naturals)
 def test_ordinary_spec_scan_matches_a_fraction_loop(dens, n):
     def build():
-        return HyperSeriesSpec(numerator=(-n,), denominator=tuple(dens), argument=1, termination=n)
+        return terminating_hyper(numerator=(-n,), denominator=tuple(dens), argument=1,
+                                 termination=n)
 
     expected = _outcome(_ordinary_scan_loop, [F(b) for b in dens], n)
     if expected[0] is type(None):  # the loop found no vanishing factor
-        assert _outcome(build)[0] is HyperSeriesSpec
+        assert _outcome(build)[0] is F
     else:
         assert _outcome(build) == expected
 
@@ -432,14 +433,14 @@ def test_float_and_complex_qpochhammer_are_bit_identical_to_the_loop(b, qbase, i
 ])
 def test_spec_vanishing_denominator_index_and_message(spec, index, message):
     with pytest.raises(VanishingDenominator) as err:
-        HyperSeriesSpec(**spec)
+        terminating_hyper(**spec)
     assert err.value.index == index
     assert str(err.value) == message
 
 
 @given(ordinary_specs())
 def test_results_are_canonical(spec):
-    value = terminating_hyper(spec)
+    value = terminating_hyper(**spec)
     assert value.denominator > 0
     from math import gcd
 
