@@ -315,10 +315,10 @@ RENDERERS = {"json": render_json, "text": render_text, "csv": render_csv}
 # ---------------------------------------------------------------------------
 
 
-def _parse_qparams(text: str):
+def _parse_qparams(text: str, source: str = "--qparams"):
     parts = text.split(",")
     if len(parts) != 2:
-        raise QAskeyError(f"--qparams expects 't,s', got {text!r}")
+        raise QAskeyError(f"{source} expects 't,s', got {text!r}")
     return fam.QParams(parse_rat(parts[0]), parse_rat(parts[1]))
 
 
@@ -462,13 +462,15 @@ def _read_config(path: str) -> dict:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise QAskeyError(f"config file {path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise QAskeyError(f"config file {path} cannot be read: {exc.strerror}") from None
     values = {}
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise QAskeyError(f"bad config line {line!r}")
+            raise QAskeyError(f"config file {path} has bad line {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in ("lmax", "mmax", "qparams", "alphas"):
@@ -477,25 +479,27 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _config_int(config: dict, key: str):
-    try:
-        return int(config[key]) if key in config else None
-    except ValueError:
-        raise QAskeyError(f"config key {key} expects an integer, got {config[key]!r}") from None
-
-
 def _grid_from_args(args) -> ids.ParamGrid:
     """The grid the flags and the config give; a flag overrides its config
-    key, and what neither sets is left to ParamGrid's defaults."""
+    key, whose value is then not read, and what neither sets is left to
+    ParamGrid's defaults.  An error in a config value names the file."""
     config = _read_config(args.config) if args.config else {}
-    qparams = tuple(_parse_qparams(s) for s in args.qparams or ())
-    if not qparams and "qparams" in config:
-        qparams = tuple(_parse_qparams(s) for s in config["qparams"].split(";") if s)
-    alphas = tuple(parse_rat(a) for a in args.alpha or ())
-    if not alphas and "alphas" in config:
-        alphas = tuple(parse_rat(a) for a in config["alphas"].split(",") if a)
-    lmax = args.grid_lmax if args.grid_lmax is not None else _config_int(config, "lmax")
-    mmax = args.grid_mmax if args.grid_mmax is not None else _config_int(config, "mmax")
+
+    def from_config(key: str, parse):
+        try:
+            return parse(config[key]) if key in config else None
+        except ValueError:  # only int() raises it
+            raise QAskeyError(f"config file {args.config}: key {key} expects an integer, "
+                              f"got {config[key]!r}") from None
+        except QAskeyError as exc:
+            raise QAskeyError(f"config file {args.config}: {exc}") from None
+
+    qparams = tuple(_parse_qparams(s) for s in args.qparams or ()) or from_config(
+        "qparams", lambda v: tuple(_parse_qparams(s, "key qparams") for s in v.split(";") if s))
+    alphas = tuple(parse_rat(a) for a in args.alpha or ()) or from_config(
+        "alphas", lambda v: tuple(parse_rat(a) for a in v.split(",") if a))
+    lmax = args.grid_lmax if args.grid_lmax is not None else from_config("lmax", int)
+    mmax = args.grid_mmax if args.grid_mmax is not None else from_config("mmax", int)
     return ids.ParamGrid(lmax, mmax, qparams, alphas)
 
 

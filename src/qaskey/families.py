@@ -7,7 +7,8 @@ Askey-Wilson, continuous q-ultraspherical in two representations, q-Racah
 (with weights and norms).  Both Racah families are self-dual, and a norm
 ratio h_n / h_0 is the reciprocal of the weight at the dual parameters
 (alpha, beta, gamma, delta) -> (gamma, delta, alpha, beta), so each family
-has one weight formula, for free parameters, that its norms read too.
+has one builder of weight tables, for free parameters, that its norms read
+too: both records keep the two tables, as running integer products.
 
 All q-dependent parameters are derived from a QParams pair (t, s) with
 t = q^(1/4) and s = beta^(1/2), so quarter powers of q and half powers of
@@ -16,11 +17,9 @@ over Q.
 
 The q-arithmetic is that of `series` (term ratios, vanishing scans,
 q-Pochhammer symbols), and each quantity of a q-Racah lattice is cached
-once, on its `QRacahParams`, each value too.  Its weight table and its
-norm-ratio table (the weights at the dual parameters, inverted) are
-running integer products over the whole lattice, with one reduction per
-entry.  Every q-Racah family the program evaluates is such a record:
-the one-point lattice N = 0, the shifted family of the backward shift (on
+once, on its `QRacahParams`, each value too, with one reduction per table
+entry.  Every q-Racah family the program evaluates is such a record: the
+one-point lattice N = 0, the shifted family of the backward shift (on
 0..N-1) and the linearization lattices included; what the rows of one
 linearization lattice share beyond its record is cached in `identities`.
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import ParameterError, VanishingDenominator, ZeroArgument
 from .laurent import LaurentPoly
@@ -153,6 +152,17 @@ class RacahParams:
     @property
     def gamma(self) -> Fraction:
         return Fraction(-self.N - 1)
+
+    # Cached outside the fields that eq and hash use: the unreduced pairs of the
+    # weights w(0..N) and of h_n / h_0 = 1 / w~(n), w~ the weight at the dual parameters.
+    @cached_property
+    def _weights(self) -> list:
+        return _racah_weight_pairs(self.alpha, self.beta, self.gamma, self.delta, self.N)
+
+    @cached_property
+    def _norm_ratios(self) -> list:
+        return [(den, num) for num, den in
+                _racah_weight_pairs(self.gamma, self.delta, self.alpha, self.beta, self.N)]
 
 
 @dataclass(frozen=True)
@@ -349,20 +359,22 @@ def ultraspherical_r(n: int, alpha, x) -> Fraction:
 
 def ultraspherical_coeffs(n: int, alpha) -> tuple:
     """Exact coefficient vector of the degree-n ultraspherical polynomial,
-    lowest degree first."""
+    lowest degree first: sum_k T_k ((1-x)/2)^k with T_0 = 1 and, for
+    alpha = p/r, T_(k+1) / (2 T_k) the integer pair ((k-n)(r(n+1+k)+2p),
+    2(p+r(k+1))(k+1)).  Over the product 2^n den_n of the pair denominators
+    each T_k / 2^k is an integer, one exact division from the last, and
+    each coefficient an integer sum over it, reduced once."""
     alpha = Fraction(alpha)
     if alpha <= -1:
         raise ParameterError("ultraspherical alpha must exceed -1")
-    coeffs = [Fraction(0)] * (n + 1)
-    term = Fraction(1)  # (-n)_k (n+2a+1)_k / ((a+1)_k k!)
-    for k in range(n + 1):
-        if term:
-            # term * ((1-x)/2)^k contributes binomially to powers 0..k
-            scale = term / 2 ** k
-            for i in range(k + 1):
-                coeffs[i] += scale * comb(k, i) * (-1) ** i
-        term = term * (-n + k) * (n + 2 * alpha + 1 + k) / ((alpha + 1 + k) * (k + 1))
-    return tuple(coeffs)
+    p, r = alpha.numerator, alpha.denominator
+    steps = [((k - n) * (r * (n + 1 + k) + 2 * p), 2 * (p + r * (k + 1)) * (k + 1)) for k in range(n)]
+    terms = [prod(down for _, down in steps)]  # alpha > -1 keeps each down > 0
+    for up, down in steps:
+        terms.append(terms[-1] * up // down)
+    # T_k ((1-x)/2)^k contributes binomially to the powers 0..k
+    return tuple(Fraction((-1) ** i * sum(comb(k, i) * terms[k] for k in range(i, n + 1)), terms[0])
+                 for i in range(n + 1))
 
 
 def krawtchouk(n: int, x: int, kp: KrawtchoukParams) -> Fraction:
@@ -408,21 +420,28 @@ def racah(n: int, x: int, rp: RacahParams) -> Fraction:
     return racah_phi(n, x, rp.alpha, rp.beta, rp.gamma, rp.delta)
 
 
-def _racah_weight_pair(x: int, a, b, g, d) -> tuple:
-    """The numerator and denominator of the Racah weight at free
-    parameters, neither divided out,
+def _racah_weight_pairs(a, b, g, d, top: int) -> list:
+    """Unreduced integer pairs (num, den), zero factors kept, of the Racah
+    weight at free parameters for x = 0..top, one running product each way:
 
         w(x) = (g + d + 1 + 2x) (a + 1, b + d + 1, g + 1, g + d + 1)_x
                / ((g + d + 1) x! (-a + g + d + 1, -b + g + 1, d + 1)_x)."""
-    num = (g + d + 1 + 2 * x) * pochhammer(a + 1, x) * pochhammer(b + d + 1, x)
-    num *= pochhammer(g + 1, x) * pochhammer(g + d + 1, x)
-    den = (g + d + 1) * factorial(x) * pochhammer(-a + g + d + 1, x)
-    den *= pochhammer(-b + g + 1, x) * pochhammer(d + 1, x)
-    return num, den
+    ups = [(v.numerator, v.denominator) for v in (a + 1, b + d + 1, g + 1, g + d + 1)]
+    downs = [(v.numerator, v.denominator) for v in (Fraction(1), -a + g + d + 1, -b + g + 1, d + 1)]
+    vn, vd = ups[3]  # (g + d + 1 + 2x) / (g + d + 1) = (vn + 2x vd) / vn
+    num = den = 1
+    pairs = []
+    for x in range(top + 1):
+        pairs.append((num * (vn + 2 * x * vd), den * vn))
+        for (un, ud), (dn, dd) in zip(ups, downs):  # (c)_x gains (C_num + x C_den) / C_den
+            num *= (un + x * ud) * dd
+            den *= (dn + x * dd) * ud
+    return pairs
 
 
 def racah_weight(x: int, rp: RacahParams) -> Fraction:
-    """Racah orthogonality weight at lattice index x."""
+    """Racah orthogonality weight at lattice index x: the weight table's
+    pair of `rp`, reduced, once the scan of its denominator factors passes."""
     _check_lattice(0, x, rp.N)
     a, b, g, d = rp.alpha, rp.beta, rp.gamma, rp.delta
     if g + d + 1 == 0:
@@ -431,8 +450,7 @@ def racah_weight(x: int, rp: RacahParams) -> Fraction:
         # base + i = 0 for some i < x iff base is an integer in (-x, 0]
         if base.denominator == 1 and -x < base.numerator <= 0:
             raise VanishingDenominator(-base.numerator, f"({base})_x factor vanishes")
-    num, den = _racah_weight_pair(x, a, b, g, d)
-    return num / den
+    return Fraction(*rp._weights[x])
 
 
 def racah_h0(rp: RacahParams) -> Fraction:
@@ -445,15 +463,14 @@ def racah_h0(rp: RacahParams) -> Fraction:
 
 
 def racah_norms(n: int, rp: RacahParams) -> Fraction:
-    """The norm h_n of the Racah orthogonality relation: h_n / h_0 is
-    1 / w~(n), with w~ the weight at the dual parameters (gamma, delta,
-    alpha, beta), and a vanishing numerator of w~(n) raises before h_0 is
-    read."""
+    """The norm h_n of the Racah orthogonality relation: the ratio h_n / h_0
+    from the norm table of `rp`, times h_0.  A vanishing ratio denominator
+    raises for its own n only, before h_0 is read."""
     _check_lattice(0, n, rp.N)
-    num, den = _racah_weight_pair(n, rp.gamma, rp.delta, rp.alpha, rp.beta)
-    if num == 0:
+    num, den = rp._norm_ratios[n]
+    if den == 0:
         raise VanishingDenominator(n, "Racah norm-ratio denominator vanishes")
-    return den / num * racah_h0(rp)
+    return Fraction(num, den) * racah_h0(rp)
 
 
 def wilson_dual_params(wp: WilsonParams) -> WilsonParams:

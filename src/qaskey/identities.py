@@ -610,20 +610,8 @@ def check_linearization_q(qp: QParams, l: int, m: int, mutation=None) -> CheckRe
     weight quotients."""
     if m > l:
         raise ParameterError("linearization requires l >= m")
-    q, b, qh = qp.q, qp.beta, qp.qhalf
-    qb = qh * b
     product = cqu_r(l, qp) * cqu_r(m, qp)
-    pref = qpochhammer(q, q, l) * qpochhammer(q, q, m)
-    pref /= qpochhammer(q * b * b, q, l) * qpochhammer(q * b * b, q, m)
-    explicit = []
-    for j in range(m + 1):
-        c = (1 - q ** (l + m - 2 * j) * qb) / (1 - qb)
-        c *= qpochhammer(qb, q, j) / qpochhammer(q, q, j)
-        c *= qpochhammer(qb, q, l - j) / qpochhammer(q, q, l - j)
-        c *= qpochhammer(qb, q, m - j) / qpochhammer(q, q, m - j)
-        c *= qpochhammer(q * b * b, q, l + m - j) / qpochhammer(q * qb, q, l + m - j)
-        c *= qb ** j
-        explicit.append(pref * c)
+    explicit = _linearization_coeffs_q(qp, l, m)
     lattice = _lattice(qp, l, m)
     qrp = lattice.qrp
     h0 = qrp.h0
@@ -635,6 +623,46 @@ def check_linearization_q(qp: QParams, l: int, m: int, mutation=None) -> CheckRe
     return _nonnegative(_compare("linearization-q", params, items, mutation), quotient)
 
 
+def _linearization_coeffs_q(qp: QParams, l: int, m: int) -> tuple:
+    """The explicit coefficients c_0..c_m of the q linearization as a
+    term-ratio table, none of whose denominator factors vanishes on an
+    admissible carrier, with b = beta, c = q^(1/2) b and L = l + m:
+
+        c_0 = (1 - q^L c) (c; q)_l (c; q)_m (q b^2; q)_L / ((1 - c) (q b^2; q)_l (q b^2; q)_m (q c; q)_L),
+        c_(j+1) / c_j = c (1 - q^(L-2j-2) c) (1 - q^j c) (1 - q^(l-j)) (1 - q^(m-j)) (1 - q^(L-j) c)
+            / ((1 - q^(L-2j) c) (1 - q^(j+1)) (1 - q^(l-j-1) c) (1 - q^(m-j-1) c) (1 - q^(L-j) b^2))."""
+    q, qb2, c = qp.q, qp.q * qp.beta ** 2, qp.qhalf * qp.beta
+    first = (1 - q ** (l + m) * c) / (1 - c) * qpochhammer(c, q, l) * qpochhammer(c, q, m)
+    first *= qpochhammer(qb2, q, l + m) / (
+        qpochhammer(qb2, q, l) * qpochhammer(qb2, q, m) * qpochhammer(q * c, q, l + m))
+
+    def ratio(j):  # q^i c = t^(4i+2) s^2, q^i b^2 = t^(4i) s^4
+        ups = [_one_minus(qp, e, f) for e, f in ((4 * (l + m - 2 * j) - 6, 2), (4 * j + 2, 2),
+               (4 * (l - j), 0), (4 * (m - j), 0), (4 * (l + m - j) + 2, 2))]
+        downs = [_one_minus(qp, e, f) for e, f in ((4 * (l + m - 2 * j) + 2, 2), (4 * j + 4, 0),
+                 (4 * (l - j) - 2, 2), (4 * (m - j) - 2, 2), (4 * (l + m - j), 4))]
+        return [_ts_power(qp, 2, 2), *ups], downs
+
+    return _running_products(first, map(ratio, range(m)))
+
+
+def _ultraspherical_linearization_ratios(alpha: Fraction, l: int, m: int):
+    """The term ratios c_(j+1) / c_j, j < m, of the explicit coefficients of
+    the ultraspherical linearization as integer pairs, with a = alpha + 1/2
+    and L = l + m (alpha = 0 gives the Legendre ones):
+
+        (L-2j-2+a) (a+j) (l-j) (m-j) (a+L-j) / ((L-2j+a) (j+1) (a+l-j-1) (a+m-j-1) (2 alpha+L-j))."""
+    p, r = alpha.numerator, alpha.denominator
+    a = [(2 * p + r + 2 * r * k, 2 * r) for k in range(l + m + 1)]  # a + k
+
+    def ratio(j):
+        ups = (a[l + m - 2 * j - 2], a[j], (l - j, 1), (m - j, 1), a[l + m - j])
+        downs = (a[l + m - 2 * j], (j + 1, 1), a[l - j - 1], a[m - j - 1], (2 * p + r * (l + m - j), r))
+        return ups, downs
+
+    return map(ratio, range(m))
+
+
 def check_linearization_classical(alpha, l: int, m: int, mutation=None) -> CheckReport:
     """Product of two ultraspherical polynomials expanded back into the
     family, by the explicit coefficients and by the Racah weight quotients,
@@ -643,33 +671,25 @@ def check_linearization_classical(alpha, l: int, m: int, mutation=None) -> Check
         raise ParameterError("linearization requires l >= m")
     alpha = Fraction(alpha)
     product = _upoly(l, alpha) * _upoly(m, alpha)
-    pref = F(factorial(l) * factorial(m))
-    pref /= pochhammer(2 * alpha + 1, l) * pochhammer(2 * alpha + 1, m)
-    explicit = []
-    for j in range(m + 1):
-        c = (l + m + alpha + F(1, 2) - 2 * j) / (alpha + F(1, 2))
-        c *= pochhammer(alpha + F(1, 2), j) * pochhammer(alpha + F(1, 2), l - j)
-        c *= pochhammer(alpha + F(1, 2), m - j) * pochhammer(2 * alpha + 1, l + m - j)
-        c /= factorial(j) * factorial(l - j) * factorial(m - j)
-        c /= pochhammer(alpha + F(3, 2), l + m - j)
-        explicit.append(pref * c)
+    c = F(factorial(l) * factorial(m)) / (pochhammer(2 * alpha + 1, l) * pochhammer(2 * alpha + 1, m))
+    c *= (l + m + alpha + F(1, 2)) / (alpha + F(1, 2))
+    c *= pochhammer(alpha + F(1, 2), l) * pochhammer(alpha + F(1, 2), m) * pochhammer(2 * alpha + 1, l + m)
+    c /= factorial(l) * factorial(m) * pochhammer(alpha + F(3, 2), l + m)
+    explicit = _running_products(c, _ultraspherical_linearization_ratios(alpha, l, m))
     items = _ultraspherical_linearization_items(alpha, l, m, product, explicit)
     params = {"target": "classical", "l": l, "m": m, "alpha": alpha}
     return _nonnegative(_compare("linearization-classical", params, items, mutation), explicit)
 
 
 def check_linearization_legendre(l: int, m: int, mutation=None) -> CheckReport:
-    """The Legendre case alpha = 0 of the ultraspherical linearization, with
-    the Legendre family's own explicit coefficients."""
+    """The Legendre case alpha = 0 of the ultraspherical linearization, from
+    the Legendre family's own first explicit coefficient."""
     if m > l:
         raise ParameterError("linearization requires l >= m")
     product = _upoly(l, F(0)) * _upoly(m, F(0))
-    explicit = []
-    for j in range(m + 1):
-        c = pochhammer(F(1, 2), j) * pochhammer(F(1, 2), l - j) * pochhammer(F(1, 2), m - j)
-        c *= factorial(l + m - j) * (2 * (l + m - 2 * j) + 1)
-        c /= factorial(j) * factorial(l - j) * factorial(m - j) * pochhammer(F(3, 2), l + m - j)
-        explicit.append(c)
+    c = pochhammer(F(1, 2), l) * pochhammer(F(1, 2), m) * factorial(l + m) * (2 * (l + m) + 1)
+    c /= factorial(l) * factorial(m) * pochhammer(F(3, 2), l + m)
+    explicit = _running_products(c, _ultraspherical_linearization_ratios(F(0), l, m))
     items = _ultraspherical_linearization_items(F(0), l, m, product, explicit)
     params = {"target": "legendre", "l": l, "m": m, "alpha": F(0)}
     return _nonnegative(_compare("linearization-legendre", params, items, mutation), explicit)
@@ -791,26 +811,12 @@ def check_dual_addition_classical(alpha, l: int, m: int, j: int, mutation=None) 
     return _compare("dual-addition-classical", params, items, mutation)
 
 
-def _dual_addition_coeff_a(k: int, l: int, m: int, qp: QParams) -> Fraction:
-    """The scalar part of the k-th coefficient of the dual addition
-    expansion in the parameter a = q^(1/4) beta^(1/2): the lattice
-    polynomial and the z-dependent factors are left to the caller."""
-    a, q, qh, t = qp.a, qp.q, qp.qhalf, qp.t
-    a2, a4 = a * a, a ** 4
-    c = F(-1) ** k * t ** (2 * k * (k + l + m + 1)) * a2 ** k
-    if k >= 1:  # at k = 0 the ratio is 1, also where a^4 = q makes it 0/0
-        c *= (1 - a4 * q ** (2 * k) / q) / (1 - a4 * q ** k / q)
-    c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(a4, q, k)
-    c /= qpochhammer(qh * a2, q, k) ** 2 * qpochhammer(q, q, k)
-    c /= qpochhammer(-a2, qh, 2 * k) ** 2
-    return c
-
-
 def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=None) -> CheckReport:
     """The dual addition expansion rewritten in the alternative parameter
     a = q^(1/4) beta^(1/2), as an exact Laurent identity.  Its q-Racah
     polynomials, with parameters (a^2/q, a^2/q, q^(-m-1), q^(-l)/a^2), are
-    those of the linearization lattice, since a^2 = q^(1/2) beta.
+    those of the linearization lattice, since a^2 = q^(1/2) beta; its
+    scalars are the closed dual-addition scalars written in a.
 
     Note the even-product denominator enters squared; the unsquared variant
     is inconsistent with both the original expansion and the restricted
@@ -819,16 +825,9 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
     qrp = linearization_qracah_params(qp, l, m)
-    polys, scalars = [], []
-    for k in range(m + 1):
-        c = _dual_addition_coeff_a(k, l, m, qp)
-        if not c:
-            continue
-        c *= qracah(k, j, qrp)
-        polys.append(_shifted_product(k, l, m, qp))
-        scalars.append(c)
-    rhs = linear_combination(polys, scalars)
-    items = [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]
+    scalars = [c * qracah(k, j, qrp) for k, c in enumerate(_dual_addition_scalars(qp, l, m))]
+    polys = [_shifted_product(k, l, m, qp) for k in range(m + 1)]
+    items = [(f"l={l}, m={m}, j={j}", linear_combination(polys, scalars), cqu_r(l + m - 2 * j, qp))]
     params = {"l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
     return _compare("dual-addition-a-form", params, items, mutation)
 
@@ -843,21 +842,32 @@ def _addition_kernel_params(qp: QParams, u: Fraction, v: Fraction) -> AWParams:
     return AWParams(a * u * v, a / (u * v), a * u / v, a * v / u, qp.q)
 
 
-def _addition_coeff_q(k: int, n: int, qp: QParams, u: Fraction, v: Fraction) -> Fraction:
-    """Scalar coefficient of the k-th kernel polynomial in the addition
-    expansion at fixed evaluation parameters u, v."""
-    a, q, qh = qp.a, qp.q, qp.qhalf
-    a2, a4 = a * a, a ** 4
-    c = F(-1) ** k * qh ** (k * (k + 1))
-    for base in (q ** (-n), a2, q ** n * a4):
-        c *= qpochhammer(base, q, k)
-    for base in (qh * a2, -qh * a2, -a2):
-        c /= qpochhammer(base, q, k)
-    # (a^4/q; q)_k / (a^4/q; q)_2k, cancelled so that a^4 = q stays finite
-    c /= qpochhammer(q, q, k) * qpochhammer(a4 * q ** (k - 1), q, k)
-    c *= u ** (-k) * qpochhammer(a2 * u * u, q, k)
-    c *= v ** (-k) * qpochhammer(a2 * v * v, q, k)
-    return c
+def _addition_coeffs_q(n: int, qp: QParams, u: Fraction, v: Fraction) -> tuple:
+    """The scalar coefficients c_0..c_n of the kernel polynomials in the
+    addition expansion at fixed evaluation parameters u, v, with a = ts,
+
+        c_k = (-1)^k q^(k(k+1)/2) (q^-n, a^2, q^n a^4, a^2 u^2, a^2 v^2; q)_k
+              / ((uv)^k (q, q^(1/2) a^2, -q^(1/2) a^2, -a^2; q)_k (q^(k-1) a^4; q)_k),
+
+    as a term-ratio table from c_0 = 1.  The last symbol gains 1 - a^4 at
+    k = 0, then 1 - q^(2k-1) a^4 and 1 - q^(2k) a^4 over 1 - q^(k-1) a^4, so
+    the 0/0 of a^4 = q (beta = 1) is never formed; on an admissible carrier
+    no denominator factor vanishes."""
+    uv = u * v
+    squares = [(w.numerator, w.denominator) for w in (u * u, v * v)]
+
+    def ratio(k):  # q^i a^2 = t^(4i+2) s^2, q^i a^4 = t^(4i+4) s^4
+        (p, d), (e, f) = _ts_power(qp, 4 * k + 4, 0), _ts_power(qp, 4 * k + 2, 2)
+        ups = [(-p * uv.denominator, d * uv.numerator), _one_minus(qp, 4 * (k - n), 0), (f - e, f),
+               _one_minus(qp, 4 * (n + k + 1), 4), *((f * wd - e * wn, f * wd) for wn, wd in squares)]
+        downs = [(d - p, d), _one_minus(qp, 4 * k + 4, 2), _one_minus(qp, 4 * k + 4, 2, sign=-1),
+                 (f + e, f), _one_minus(qp, 8 * k + 4, 4)]
+        if k:
+            ups.append(_one_minus(qp, 4 * k, 4))
+            downs.append(_one_minus(qp, 8 * k, 4))
+        return ups, downs
+
+    return _running_products(F(1), map(ratio, range(n)))
 
 
 def check_addition_q(qp: QParams, n: int, u, v, mutation=None) -> CheckReport:
@@ -868,8 +878,7 @@ def check_addition_q(qp: QParams, n: int, u, v, mutation=None) -> CheckReport:
         raise InadmissiblePoint("u and v must be nonzero")
     kernel = _addition_kernel_params(qp, u, v)
     polys, scalars = [], []
-    for k in range(n + 1):
-        c = _addition_coeff_q(k, n, qp, u, v)
+    for k, c in enumerate(_addition_coeffs_q(n, qp, u, v)):
         if not c:
             continue
         shifted = cqu_r(n - k, qp.beta_shift(k))
@@ -964,14 +973,13 @@ def check_restriction_equivalence(qp: QParams, l: int, m: int, j: int, n: int,
     zu, zv = t ** (-2 * l) / a, t ** (-2 * m) / a
     kernel = _restriction_kernel_params(qp, l, m) if m >= 1 else None
 
+    # the dual addition scalars, 0 past k = m, restricted to the lattice,
+    # and the addition coefficients at the lattice points u = zu, v = zv
+    scalars = _dual_addition_scalars(qp, l, m) + (F(0),) * (n - m)
     items = []
     total_r, total_a = F(0), F(0)
-    for k in range(n + 1):
-        # the dual addition coefficient restricted to the lattice, and the
-        # addition coefficient at the lattice points u = zu, v = zv
-        cr = _dual_addition_coeff_a(k, l, m, qp)
-        cr *= qpochhammer(q ** (-n), q, k) * qpochhammer(q ** n * a ** 4, q, k)
-        ca = _addition_coeff_q(k, n, qp, zu, zv)
+    for k, ca in enumerate(_addition_coeffs_q(n, qp, zu, zv)):
+        cr = scalars[k] * qpochhammer(q ** (-n), q, k) * qpochhammer(q ** n * a ** 4, q, k)
         if cr == 0 and ca == 0:
             items.append((f"term k={k}", F(0), F(0)))
             continue

@@ -1,7 +1,10 @@
 """Reference formulas the tests check the package against: closed forms
 that no suite row checks, the scalars of the closed dual-addition
-coefficients and of the closed projection sum from their q-Pochhammer
-symbols at one k, the product (a z^e; q)_k built factor by factor,
+coefficients (also in the parameter a = q^(1/4) beta^(1/2)), of the
+closed projection sum and of the q addition expansion from their
+q-Pochhammer symbols at one k, the explicit q, classical and Legendre
+linearization coefficients at one j, the ultraspherical coefficient
+vector term by term, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
 parameters, the q-Racah weight formula for one x and the norm and norm
 ratio formulas for one n, the Racah weight for one x with its vanishing
@@ -13,7 +16,7 @@ with no symmetry required, so that factors such as 1 - a z can be formed.
 A package polynomial p compares with them as `terms(p)`."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from qaskey.errors import ParameterError, VanishingDenominator
 from qaskey.families import QParams, QRacahParams, RacahParams, racah_h0
@@ -127,6 +130,92 @@ def dual_addition_scalar_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:
     c /= qpochhammer(q * b, q, k) ** 2 * qpochhammer(q, q, k)
     c /= qpochhammer(-qh * b, qh, 2 * k) ** 2
     return c
+
+
+def dual_addition_coeff_a_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:
+    """The same scalar c_k written in a = q^(1/4) beta^(1/2), from its
+    q-Pochhammer symbols at this k alone: 0 for k > m."""
+    a, q, qh, t = qp.a, qp.q, qp.qhalf, qp.t
+    a2, a4 = a * a, a ** 4
+    c = Fraction(-1) ** k * t ** (2 * k * (k + l + m + 1)) * a2 ** k
+    if k >= 1:  # at k = 0 the ratio is 1, also where a^4 = q makes it 0/0
+        c *= (1 - a4 * q ** (2 * k) / q) / (1 - a4 * q ** k / q)
+    c *= qpochhammer(q ** (-l), q, k) * qpochhammer(q ** (-m), q, k) * qpochhammer(a4, q, k)
+    c /= qpochhammer(qh * a2, q, k) ** 2 * qpochhammer(q, q, k)
+    c /= qpochhammer(-a2, qh, 2 * k) ** 2
+    return c
+
+
+def addition_coeff_q_per_k(k: int, n: int, qp: QParams, u, v) -> Fraction:
+    """The scalar coefficient of the k-th kernel polynomial in the q
+    addition expansion at fixed u, v, from its q-Pochhammer symbols at this
+    k alone."""
+    a, q, qh = qp.a, qp.q, qp.qhalf
+    a2, a4 = a * a, a ** 4
+    c = Fraction(-1) ** k * qh ** (k * (k + 1))
+    for base in (q ** (-n), a2, q ** n * a4):
+        c *= qpochhammer(base, q, k)
+    for base in (qh * a2, -qh * a2, -a2):
+        c /= qpochhammer(base, q, k)
+    # (a^4/q; q)_k / (a^4/q; q)_2k, cancelled so that a^4 = q stays finite
+    c /= qpochhammer(q, q, k) * qpochhammer(a4 * q ** (k - 1), q, k)
+    c *= u ** (-k) * qpochhammer(a2 * u * u, q, k)
+    c *= v ** (-k) * qpochhammer(a2 * v * v, q, k)
+    return c
+
+
+def linearization_coeff_q_per_j(j: int, l: int, m: int, qp: QParams) -> Fraction:
+    """The explicit q linearization coefficient at j from its q-Pochhammer
+    symbols at this j alone."""
+    q, b, qh = qp.q, qp.beta, qp.qhalf
+    qb = qh * b
+    pref = qpochhammer(q, q, l) * qpochhammer(q, q, m)
+    pref /= qpochhammer(q * b * b, q, l) * qpochhammer(q * b * b, q, m)
+    c = (1 - q ** (l + m - 2 * j) * qb) / (1 - qb)
+    c *= qpochhammer(qb, q, j) / qpochhammer(q, q, j)
+    c *= qpochhammer(qb, q, l - j) / qpochhammer(q, q, l - j)
+    c *= qpochhammer(qb, q, m - j) / qpochhammer(q, q, m - j)
+    c *= qpochhammer(q * b * b, q, l + m - j) / qpochhammer(q * qb, q, l + m - j)
+    return pref * c * qb ** j
+
+
+def linearization_coeff_classical_per_j(j: int, alpha, l: int, m: int) -> Fraction:
+    """The explicit ultraspherical linearization coefficient at j from its
+    shifted factorials at this j alone; at alpha = -1/2 it divides by 0."""
+    alpha = Fraction(alpha)
+    pref = Fraction(factorial(l) * factorial(m))
+    pref /= pochhammer(2 * alpha + 1, l) * pochhammer(2 * alpha + 1, m)
+    c = (l + m + alpha + Fraction(1, 2) - 2 * j) / (alpha + Fraction(1, 2))
+    c *= pochhammer(alpha + Fraction(1, 2), j) * pochhammer(alpha + Fraction(1, 2), l - j)
+    c *= pochhammer(alpha + Fraction(1, 2), m - j) * pochhammer(2 * alpha + 1, l + m - j)
+    c /= factorial(j) * factorial(l - j) * factorial(m - j)
+    c /= pochhammer(alpha + Fraction(3, 2), l + m - j)
+    return pref * c
+
+
+def linearization_coeff_legendre_per_j(j: int, l: int, m: int) -> Fraction:
+    """The explicit Legendre linearization coefficient at j from its
+    shifted factorials at this j alone."""
+    half = Fraction(1, 2)
+    c = pochhammer(half, j) * pochhammer(half, l - j) * pochhammer(half, m - j)
+    c *= factorial(l + m - j) * (2 * (l + m - 2 * j) + 1)
+    return c / (factorial(j) * factorial(l - j) * factorial(m - j) * pochhammer(3 * half, l + m - j))
+
+
+def ultraspherical_coeffs_per_k(n: int, alpha) -> tuple:
+    """The coefficient vector of the degree-n ultraspherical polynomial,
+    lowest degree first: each term T_k ((1-x)/2)^k of its 2F1 expanded
+    binomially, with T_k from T_(k-1) by one Fraction term ratio."""
+    alpha = Fraction(alpha)
+    coeffs = [Fraction(0)] * (n + 1)
+    term = Fraction(1)  # (-n)_k (n+2a+1)_k / ((a+1)_k k!)
+    for k in range(n + 1):
+        if term:
+            scale = term / 2 ** k
+            for i in range(k + 1):
+                coeffs[i] += scale * comb(k, i) * (-1) ** i
+        term = term * (-n + k) * (n + 2 * alpha + 1 + k) / ((alpha + 1 + k) * (k + 1))
+    return tuple(coeffs)
 
 
 def projection_prefactor_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:

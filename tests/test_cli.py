@@ -8,6 +8,7 @@ import contextlib
 import re
 import sys
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +210,38 @@ def test_every_error_record_of_the_default_grid_is_byte_identical(monkeypatch):
     assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_ALL_ERRORS
 
 
+# SHA-256 of `verify --suite all --alpha -1/2 --alpha -3/4` as json, wall time
+# removed and the text of each division by zero replaced by its class.  At
+# alpha = -1/2 the classical linearization rows divide by (2 alpha + 1)_l and
+# by alpha + 1/2: 28 error records, which on Python 3.11 read
+# "ZeroDivisionError: Fraction(1, 0)", and "Fraction(0, 0)" at l = m = 0.  At
+# alpha = -3/4 the expansions hold and 15 rows fail on a negative coefficient.
+GOLDEN_STRESS_ALPHAS = "0bbbeda851b7ec02ef0cde70a6ae7857c720a5fd0a2c927d3867e2dc0044d991"
+
+
+def _division_by_zero(numerator) -> str:
+    """The record text of Fraction(numerator) / 0 on this interpreter."""
+    try:
+        F(numerator) / F(0)
+    except ZeroDivisionError as exc:
+        return f"ZeroDivisionError: {exc}"
+
+
+def test_stress_alphas_report_is_byte_identical_to_its_recorded_digest():
+    code, out, err = run_cli(["verify", "--suite", "all", "--alpha", "-1/2", "--alpha", "-3/4"])
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    doc.pop("wallTimeMs")
+    assert doc["summary"] == {"pass": 725, "fail": 15, "error": 28}
+    for rec in (rec for rec in doc["checks"] if rec["verdict"] == "error"):
+        # the first zero divisor: (2 alpha + 1)_l (2 alpha + 1)_m under l! m!,
+        # or alpha + 1/2 under l + m + alpha + 1/2 = 0 at l = m = 0
+        l, m = int(rec["params"]["l"]), int(rec["params"]["m"])
+        assert rec["message"] == _division_by_zero(factorial(l) * factorial(m) if l else 0)
+        rec["message"] = "ZeroDivisionError"
+    assert hashlib.sha256(render_json(doc).encode()).hexdigest() == GOLDEN_STRESS_ALPHAS
+
+
 def test_every_record_id_has_a_fail_negative():
     # rows whose check takes a mutation are swept by test_mutation_is_detected;
     # the others are float probes, each with a fail-negative of its own
@@ -318,6 +351,9 @@ def test_config_file(tmp_path):
     cfg.write_text("lmax=x\n")
     code, out, err = run_cli(["verify", "--suite", "theorem-5-1", "--config", str(cfg)])
     assert code == 2 and out == "" and "lmax" in err and len(err.splitlines()) == 1
+    # a config value the flags override is not read
+    code, _, _ = run_cli(["verify", "--suite", "theorem-5-1", "--config", str(cfg), "--grid-lmax", "1"])
+    assert code == 0
 
 
 def test_config_gives_the_report_of_the_same_flags(tmp_path):
@@ -342,6 +378,32 @@ def test_config_that_is_not_utf8_is_a_configuration_error(tmp_path):
     code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--config", str(cfg)])
     assert code == 2 and out == ""
     assert err == f"error: config file {cfg} is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("oops\n", " has bad line 'oops'"),
+    ("lmax=x\n", ": key lmax expects an integer, got 'x'"),
+    ("mmax=1.5\n", ": key mmax expects an integer, got '1.5'"),
+    ("qparams=1/2\n", ": key qparams expects 't,s', got '1/2'"),
+    ("qparams=1/2,2/3;3\n", ": key qparams expects 't,s', got '3'"),
+    ("qparams=2,1/2\n", ": need 0 < t < 1, got t=2"),
+    ("alphas=0,x\n", ": cannot parse rational from 'x'"),
+])
+def test_config_errors_name_their_file(tmp_path, body, message):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(body)
+    code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config file {cfg}{message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name,reason", [("missing.cfg", "No such file or directory"),
+                                         (".", "Is a directory")])
+def test_config_file_that_cannot_be_read_is_a_configuration_error(tmp_path, name, reason):
+    path = tmp_path / name
+    code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {path} cannot be read: {reason}\n"
 
 
 def test_config_key_the_grid_does_not_read_is_a_configuration_error(tmp_path):

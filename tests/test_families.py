@@ -47,7 +47,7 @@ from qaskey.identities import (
 from closed_forms import (
     cqu_leading_z_coeff, invert_variable, laurent_phi_terms, negate_variable, qracah_at_top,
     qracah_norm_per_n, qracah_norm_ratio_per_n, qracah_phi, qracah_weight_per_x,
-    racah_norm_per_n, racah_weight_per_x, terms,
+    racah_norm_per_n, racah_weight_per_x, terms, ultraspherical_coeffs_per_k,
 )
 
 QP = QParams(F(1, 2), F(2, 3))
@@ -104,6 +104,21 @@ def test_ultraspherical_coeffs_match_values(n, x):
     alpha = F(1, 3)
     poly_value = sum(c * x ** k for k, c in enumerate(ultraspherical_coeffs(n, alpha)))
     assert poly_value == ultraspherical_r(n, alpha, x)
+
+
+# alpha in (-1, 3]: below -1/2, at -1/2 (where the (2 alpha + 1)_k of the
+# classical linearization vanish), near -1 and past 1
+ALPHAS = st.one_of(st.sampled_from([F(-3, 4), F(-1, 2), F(7, 3), F(3), F(-99, 100)]),
+                   st.fractions(min_value=F(-1), max_value=3, max_denominator=12)
+                   .filter(lambda a: a > -1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12), ALPHAS)
+def test_ultraspherical_coeffs_match_the_per_k_oracle(n, alpha):
+    got = ultraspherical_coeffs(n, alpha)
+    assert got == ultraspherical_coeffs_per_k(n, alpha)
+    assert all(type(c) is F for c in got)
 
 
 def test_krawtchouk_values():
@@ -341,6 +356,23 @@ def test_racah_norms_match_the_per_n_formula(N):
         assert _outcome(racah_norms, n, rp) == (
             VanishingDenominator, n,
             f"vanishing denominator at index {n} (Racah norm-ratio denominator vanishes)")
+
+
+# Racah parameters: half-integers, which hit every vanishing factor of the
+# weights, of the norm ratios and of h_0, and rationals that hit none
+RACAH_VALUES = st.one_of(st.sampled_from([F(v, 2) for v in range(-13, 5)]),
+                         st.fractions(min_value=-7, max_value=3, max_denominator=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(RACAH_VALUES, RACAH_VALUES, RACAH_VALUES, st.integers(min_value=0, max_value=6))
+def test_racah_tables_match_the_per_entry_formulas(alpha, beta, delta, N):
+    # each entry of the weight and norm tables against the formula at its
+    # own index, raising included: class, index and text
+    rp = RacahParams(alpha, beta, N, delta)
+    for x in range(N + 1):
+        assert _outcome(racah_weight, x, rp) == _outcome(racah_weight_per_x, x, rp)
+        assert _outcome(racah_norms, x, rp) == _outcome(racah_norm_per_n, x, rp)
 
 
 def test_free_parameter_weights_match_the_per_x_formula():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qaskey import cli, identities
 from qaskey.errors import ParameterError
@@ -54,10 +54,13 @@ from qaskey.identities import (
     linearization_qracah_params,
     linearization_racah_params,
     weight_moments,
+    ADDITION_QPARAMS,
+    _addition_coeffs_q,
     _closed_projection_prefactors,
     _compare,
     _dual_addition_scalars,
     _lattice,
+    _linearization_coeffs_q,
     _qpoch_a2z2,
     _shifted_product,
 )
@@ -67,8 +70,13 @@ from closed_forms import (
     _o,
     _o_mul,
     _o_scale,
+    addition_coeff_q_per_k,
     cqu_leading_z_coeff,
+    dual_addition_coeff_a_per_k,
     dual_addition_scalar_per_k,
+    linearization_coeff_classical_per_j,
+    linearization_coeff_legendre_per_j,
+    linearization_coeff_q_per_j,
     projection_prefactor_per_k,
     qpoch_laurent_pow,
     qracah_phi,
@@ -262,6 +270,110 @@ def test_closed_term_ratio_tables_random_carriers(t, s, l_, m_):
     if not s * t < 1:
         s = (1 - 1 / F(s.denominator + 1)) / t
     _assert_tables_match_their_per_k_oracles(QParams(t, s), max(l_, m_), min(l_, m_))
+
+
+# admissible carriers beyond the defaults: beta = 1, where a^4 = q, and two
+# of the carriers the byte-identity runs use
+TABLE_QPARAMS = DEFAULT_QPARAMS + (QParams(F(1, 2), F(1)), QParams(F(3, 5), F(1, 2)),
+                                   QParams(F(9, 10), F(1)))
+
+
+def _random_carrier(t, s) -> QParams:
+    return QParams(t, s if s * t < 1 else (1 - 1 / F(s.denominator + 1)) / t)
+
+
+def _assert_row_tables_match_their_oracles(qp, l, m):
+    # the a-form scalars are the closed dual-addition scalars, and 0 past m
+    assert _dual_addition_scalars(qp, l, m) + (0,) * (l + 1 - m) == tuple(
+        dual_addition_coeff_a_per_k(k, l, m, qp) for k in range(l + 2))
+    assert _linearization_coeffs_q(qp, l, m) == tuple(
+        linearization_coeff_q_per_j(j, l, m, qp) for j in range(m + 1))
+
+
+@pytest.mark.parametrize("qp", TABLE_QPARAMS)
+def test_row_tables_match_their_per_entry_oracles(qp):
+    for l in range(7):
+        for m in range(l + 1):
+            _assert_row_tables_match_their_oracles(qp, l, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(min_value=F(1, 5), max_value=F(19, 20), max_denominator=20),
+       st.fractions(min_value=F(1, 5), max_value=F(3, 2), max_denominator=20),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
+def test_row_tables_random_carriers(t, s, l_, m_):
+    _assert_row_tables_match_their_oracles(_random_carrier(t, s), max(l_, m_), min(l_, m_))
+
+
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TABLE_QPARAMS + ADDITION_QPARAMS), st.integers(min_value=0, max_value=6),
+       NONZERO, NONZERO)
+def test_addition_coefficient_table_matches_the_per_k_oracle(qp, n, u, v):
+    # negative u and v; the zero factors of (a^2 u^2; q)_k where
+    # a^2 u^2 = q^(-i), carried to every later k, are pinned below
+    assert _addition_coeffs_q(n, qp, u, v) == tuple(
+        addition_coeff_q_per_k(k, n, qp, u, v) for k in range(n + 1))
+
+
+def test_addition_coefficient_table_on_the_restriction_lattice_and_its_zeros():
+    qp = QParams(F(1, 2), F(1))  # beta = 1: a^4 = q
+    for n in range(6):
+        for l in range(4):
+            for m in range(l + 1):
+                u, v = qp.t ** (-2 * l) / qp.a, qp.t ** (-2 * m) / qp.a
+                assert _addition_coeffs_q(n, qp, u, -v) == tuple(
+                    addition_coeff_q_per_k(k, n, qp, u, -v) for k in range(n + 1))
+    # a^2 u^2 = q^(-2): the entries from k = 3 on vanish
+    qp = ADDITION_QPARAMS[0]
+    u = 1 / (qp.a * qp.q)
+    table = _addition_coeffs_q(5, qp, u, F(3))
+    assert [bool(c) for c in table] == [True] * 3 + [False] * 3
+    assert table == tuple(addition_coeff_q_per_k(k, 5, qp, u, F(3)) for k in range(6))
+
+
+def _explicit_coefficients(check, *args):
+    """The explicit coefficients an ultraspherical linearization check
+    builds, or the class and text of what it raises first."""
+    seen = []
+
+    def items(alpha, l, m, product, explicit):
+        seen.append(explicit)
+        return [("captured", F(0), F(0))]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_ultraspherical_linearization_items", items)
+        try:
+            check(*args)
+        except ZeroDivisionError as exc:
+            return type(exc), str(exc)
+    return seen[0]
+
+
+def _per_j(formula, m, *args):
+    try:
+        return tuple(formula(j, *args) for j in range(m + 1))
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@example(F(-1, 2), 0, 0)
+@example(F(-1, 2), 3, 2)
+@example(F(-3, 4), 2, 2)
+@example(F(7, 3), 5, 4)
+@given(st.one_of(st.sampled_from([F(-3, 4), F(-1, 2), F(7, 3), F(3), F(-99, 100)]),
+                 st.fractions(min_value=F(-1), max_value=3, max_denominator=12).filter(lambda a: a > -1)),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
+def test_ultraspherical_linearization_tables_match_the_per_j_oracles(alpha, l_, m_):
+    # alpha = -1/2 raises at the first coefficient, as the formula does
+    l, m = max(l_, m_), min(l_, m_)
+    assert _explicit_coefficients(check_linearization_classical, alpha, l, m) == _per_j(
+        linearization_coeff_classical_per_j, m, alpha, l, m)
+    assert _explicit_coefficients(check_linearization_legendre, l, m) == _per_j(
+        linearization_coeff_legendre_per_j, m, l, m)
 
 
 def test_closed_prefactor_table_is_built_once_per_lattice(monkeypatch):
