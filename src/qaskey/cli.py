@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -25,7 +26,7 @@ from . import __version__
 from . import families as fam
 from . import identities as ids
 from . import numerics as num
-from .errors import QAskeyError
+from .errors import ParameterError, QAskeyError
 from .series import parse_rat
 
 F = Fraction
@@ -482,7 +483,8 @@ def _read_config(path: str) -> dict:
 def _grid_from_args(args) -> ids.ParamGrid:
     """The grid the flags and the config give; a flag overrides its config
     key, whose value is then not read, and what neither sets is left to
-    ParamGrid's defaults.  An error in a config value names the file."""
+    ParamGrid's defaults.  An error in a config value names the file and
+    the key."""
     config = _read_config(args.config) if args.config else {}
 
     def from_config(key: str, parse):
@@ -491,16 +493,34 @@ def _grid_from_args(args) -> ids.ParamGrid:
         except ValueError:  # only int() raises it
             raise QAskeyError(f"config file {args.config}: key {key} expects an integer, "
                               f"got {config[key]!r}") from None
+        except ParameterError as exc:  # a value that does not parse or is out of range
+            raise QAskeyError(f"config file {args.config}: {exc} (key {key})") from None
         except QAskeyError as exc:
             raise QAskeyError(f"config file {args.config}: {exc}") from None
+
+    def index(key: str):
+        value = from_config(key, int)
+        if value is not None and value < 0:
+            raise QAskeyError(f"config file {args.config}: key {key} must be >= 0, got {value}")
+        return value
 
     qparams = tuple(_parse_qparams(s) for s in args.qparams or ()) or from_config(
         "qparams", lambda v: tuple(_parse_qparams(s, "key qparams") for s in v.split(";") if s))
     alphas = tuple(parse_rat(a) for a in args.alpha or ()) or from_config(
         "alphas", lambda v: tuple(parse_rat(a) for a in v.split(",") if a))
-    lmax = args.grid_lmax if args.grid_lmax is not None else from_config("lmax", int)
-    mmax = args.grid_mmax if args.grid_mmax is not None else from_config("mmax", int)
+    lmax = args.grid_lmax if args.grid_lmax is not None else index("lmax")
+    mmax = args.grid_mmax if args.grid_mmax is not None else index("mmax")
     return ids.ParamGrid(lmax, mmax, qparams, alphas)
+
+
+def _check_out(path: str) -> None:
+    """Refuse, without creating it, a report path that is a directory or
+    lies in a directory that does not exist."""
+    if os.path.isdir(path):
+        raise QAskeyError(f"--out {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise QAskeyError(f"--out {path}: directory {parent} does not exist")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,7 +592,10 @@ def main(argv=None) -> int:
             return _cmd_eval(args)
         if args.command == "table":
             return _cmd_table(args)
-        doc = run_suite(args.suite, _grid_from_args(args))
+        grid = _grid_from_args(args)
+        if args.out:
+            _check_out(args.out)
+        doc = run_suite(args.suite, grid)
         text = RENDERERS[args.format](doc)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -148,8 +148,10 @@ PYTHAGOREAN_PAIRS = (
 )
 
 # The addition-formula kernel family is inadmissible when a*u or a*v = 1,
-# so its default carriers are chosen with a = ts avoiding 1/u, 1/v for the
-# standard evaluation points u in {2, 3/2}, v in {3, 5/4}.
+# and its polynomials of degree k > i have a vanishing denominator when
+# a^2 u^2 or a^2 v^2 = q^(-i), i >= 1.  The default carriers keep a = ts
+# small enough that a^2 u^2, a^2 v^2 < 1 at the standard evaluation points
+# u in {2, 3/2}, v in {3, 5/4}.
 ADDITION_QPARAMS = (QParams(F(1, 2), F(1, 3)), QParams(F(3, 5), F(1, 2)))
 ADDITION_POINTS_U = (F(2), F(3, 2))
 ADDITION_POINTS_V = (F(3), F(5, 4))
@@ -213,10 +215,11 @@ def _check_pythagorean(pair):
 class _Lattice:
     """What the rows of one linearization lattice (carrier, l, m) share,
     each part built the first time a row asks for it: the q-Racah record;
-    the basis R_(l+m-2j), j = 0..m; the closed dual-addition coefficients;
-    the closed projection prefactors.  A part that raises is not kept, so a
-    VanishingDenominator or NonPositiveWeight surfaces on each row that
-    asks for it, with the same index and text.
+    its weights; the basis R_(l+m-2j), j = 0..m; the shifted products; the
+    closed dual-addition coefficients; the closed projection prefactors.  A
+    part that raises is not kept, so a VanishingDenominator or
+    NonPositiveWeight surfaces on each row that asks for it, with the same
+    index and text.
 
     Every sum over the basis or the closed coefficients is one
     `linear_combination`, over the lcm of den_j times the scalars'
@@ -239,18 +242,32 @@ class _Lattice:
         return QRacahParams(alpha, alpha, 1 / (qp.beta * qp.qhalf * qp.q ** l), m, qp)
 
     @cached_property
+    def weights(self) -> tuple:
+        """w(j), j = 0..m; NonPositiveWeight at the first that is <= 0."""
+        return _positive(tuple(qracah_weight(j, self.qrp) for j in range(self.m + 1)))
+
+    @cached_property
     def basis(self) -> tuple:
         """R_(l+m-2j)(z), j = 0..m."""
         return tuple(cqu_r(self.l + self.m - 2 * j, self.qp) for j in range(self.m + 1))
+
+    @cached_property
+    def shifted(self) -> tuple:
+        """(a^2 z^2, a^2 z^-2; q)_k R_(l-k)(z; q^k beta) R_(m-k)(z; q^k beta),
+        k = 0..m: the z-dependent parts of the closed projection sums and
+        of the closed coefficients."""
+        qp, l, m = self.qp, self.l, self.m
+        promoted = [qp.beta_shift(k) for k in range(m + 1)]
+        return tuple(_qpoch_a2z2(qp, k) * cqu_r(l - k, p) * cqu_r(m - k, p)
+                     for k, p in enumerate(promoted))
 
     @cached_property
     def closed(self) -> tuple:
         """The z-dependent closed coefficients multiplying the lattice
         values R_k(j), k = 0..m, in the dual addition expansion: the scalars
         of `_dual_addition_scalars` times the shifted products."""
-        qp, l, m = self.qp, self.l, self.m
-        return tuple(_shifted_product(k, l, m, qp) * c
-                     for k, c in enumerate(_dual_addition_scalars(qp, l, m)))
+        scalars = _dual_addition_scalars(self.qp, self.l, self.m)
+        return tuple(p * c for p, c in zip(self.shifted, scalars))
 
     @cached_property
     def prefactors(self) -> tuple:
@@ -368,10 +385,9 @@ def check_orthogonality_discrete(params_obj, mutation=None) -> CheckReport:
 def check_orthogonality_q_racah(qp: QParams, l: int, m: int, mutation=None) -> CheckReport:
     """Full Gram matrix of the linearization lattice (carrier, l, m) against
     its closed-form norms, and its total mass."""
-    p = linearization_qracah_params(qp, l, m)
-    lattice = range(p.N + 1)
-    weights = _positive([qracah_weight(x, p) for x in lattice])
-    values = [[qracah(n, x, p) for x in lattice] for n in lattice]
+    lattice = _lattice(qp, l, m)
+    p, weights = lattice.qrp, lattice.weights
+    values = [[qracah(n, x, p) for x in range(p.N + 1)] for n in range(p.N + 1)]
     items = _gram_items(weights, values, lambda n: qracah_norms(n, p), p.h0)
     params = {"family": "q-racah", "alpha": p.alpha, "beta": p.beta, "delta": p.delta,
               "N": p.N, "t": qp.t, "s": qp.s}
@@ -499,22 +515,13 @@ def _qpoch_a2z2(qp: QParams, k: int) -> LaurentPoly:
     return _qpoch_a2z2(qp, k - 1) * x_embed([(1 + w) ** 2, 0, -4 * w])
 
 
-def _shifted_product(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
-    """(a^2 z^2, a^2 z^-2; q)_k R_(l-k)(z; q^k beta) R_(m-k)(z; q^k beta): the
-    z-dependent part of the k-th term of the closed projection sum and of
-    the dual addition expansion."""
-    promoted = qp.beta_shift(k)
-    return _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted)
-
-
 def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     """Projection of the product R_l R_m onto the k-th element of the
     linearization lattice basis, summed over the lattice."""
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
     lattice = _lattice(qp, l, m)
-    qrp = lattice.qrp
-    weights = _positive([qracah_weight(j, qrp) for j in range(m + 1)])
+    qrp, weights = lattice.qrp, lattice.weights
     return linear_combination(lattice.basis, [w * qracah(k, j, qrp) for j, w in enumerate(weights)])
 
 
@@ -523,7 +530,8 @@ def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     one-step reduction in degree and a beta promotion by q^k."""
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
-    return _shifted_product(k, l, m, qp) * _lattice(qp, l, m).prefactors[k]
+    lattice = _lattice(qp, l, m)
+    return lattice.shifted[k] * lattice.prefactors[k]
 
 
 def _closed_projection_prefactors(qp: QParams, l: int, m: int) -> tuple:
@@ -613,9 +621,8 @@ def check_linearization_q(qp: QParams, l: int, m: int, mutation=None) -> CheckRe
     product = cqu_r(l, qp) * cqu_r(m, qp)
     explicit = _linearization_coeffs_q(qp, l, m)
     lattice = _lattice(qp, l, m)
-    qrp = lattice.qrp
-    h0 = qrp.h0
-    quotient = [w / h0 for w in _positive([qracah_weight(j, qrp) for j in range(m + 1)])]
+    h0 = lattice.qrp.h0
+    quotient = [w / h0 for w in lattice.weights]
     items = [(f"coefficient j={j}", explicit[j], quotient[j]) for j in range(m + 1)]
     items.append(("explicit-form sum", linear_combination(lattice.basis, explicit), product))
     items.append(("weight-quotient sum", linear_combination(lattice.basis, quotient), product))
@@ -757,15 +764,21 @@ def _dual_addition_scalars(qp: QParams, l: int, m: int) -> tuple:
     return _running_products(F(1), map(ratio, range(m)))
 
 
-def check_dual_addition_q_direct(qp: QParams, l: int, m: int, j: int, mutation=None) -> CheckReport:
-    """R_(l+m-2j) against its expansion over the linearization lattice
-    basis with the closed coefficients, as Laurent polynomials."""
+def _dual_addition_items(qp: QParams, l: int, m: int, j: int) -> list:
+    """The one item of a dual addition row: sum_k closed_k R_k(j) against
+    R_(l+m-2j)."""
     if not (0 <= j <= m <= l):
         raise ParameterError("need 0 <= j <= m <= l")
     lattice = _lattice(qp, l, m)
     qrp = lattice.qrp
     rhs = linear_combination(lattice.closed, [qracah(k, j, qrp) for k in range(m + 1)])
-    items = [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]
+    return [(f"l={l}, m={m}, j={j}", rhs, cqu_r(l + m - 2 * j, qp))]
+
+
+def check_dual_addition_q_direct(qp: QParams, l: int, m: int, j: int, mutation=None) -> CheckReport:
+    """R_(l+m-2j) against its expansion over the linearization lattice
+    basis with the closed coefficients, as Laurent polynomials."""
+    items = _dual_addition_items(qp, l, m, j)
     params = {"target": "q", "mode": "direct", "l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
     return _compare("dual-addition-q-direct", params, items, mutation)
 
@@ -815,19 +828,16 @@ def check_dual_addition_a_form(qp: QParams, l: int, m: int, j: int, mutation=Non
     """The dual addition expansion rewritten in the alternative parameter
     a = q^(1/4) beta^(1/2), as an exact Laurent identity.  Its q-Racah
     polynomials, with parameters (a^2/q, a^2/q, q^(-m-1), q^(-l)/a^2), are
-    those of the linearization lattice, since a^2 = q^(1/2) beta; its
-    scalars are the closed dual-addition scalars written in a.
+    those of the linearization lattice, since a^2 = q^(1/2) beta, and its
+    scalars (the oracle `dual_addition_coeff_a_per_k` of
+    tests/closed_forms.py) are the closed dual-addition scalars written in
+    a, so its item is the direct row's.
 
     Note the even-product denominator enters squared; the unsquared variant
     is inconsistent with both the original expansion and the restricted
     form derived from the addition formula.
     """
-    if not (0 <= j <= m <= l):
-        raise ParameterError("need 0 <= j <= m <= l")
-    qrp = linearization_qracah_params(qp, l, m)
-    scalars = [c * qracah(k, j, qrp) for k, c in enumerate(_dual_addition_scalars(qp, l, m))]
-    polys = [_shifted_product(k, l, m, qp) for k in range(m + 1)]
-    items = [(f"l={l}, m={m}, j={j}", linear_combination(polys, scalars), cqu_r(l + m - 2 * j, qp))]
+    items = _dual_addition_items(qp, l, m, j)
     params = {"l": l, "m": m, "j": j, "t": qp.t, "s": qp.s}
     return _compare("dual-addition-a-form", params, items, mutation)
 
@@ -879,8 +889,6 @@ def check_addition_q(qp: QParams, n: int, u, v, mutation=None) -> CheckReport:
     kernel = _addition_kernel_params(qp, u, v)
     polys, scalars = [], []
     for k, c in enumerate(_addition_coeffs_q(n, qp, u, v)):
-        if not c:
-            continue
         shifted = cqu_r(n - k, qp.beta_shift(k))
         c *= shifted.eval_at(u) * shifted.eval_at(v)
         polys.append(askey_wilson_r(k, kernel))

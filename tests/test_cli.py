@@ -27,7 +27,7 @@ from qaskey.cli import (
 from qaskey.families import (
     QParams, QRacahParams, RacahParams, qracah, qracah_weight, racah, racah_weight,
 )
-from qaskey import identities as ids
+from qaskey import cli, identities as ids
 from qaskey.identities import ParamGrid, linearization_qracah_params
 from closed_forms import qracah_at_top
 
@@ -333,6 +333,40 @@ def test_verify_out_file(tmp_path):
     assert doc["summary"]["fail"] == 0
 
 
+def test_text_report_ends_a_fail_with_its_witness_and_an_error_with_its_message(monkeypatch):
+    check = ids.check_weight_ratio
+    monkeypatch.setattr(ids, "check_weight_ratio", lambda qp: check(qp, mutation=ids.Mutation()))
+    doc = run_suite("weight-recurrence", ParamGrid(qparams=(QParams(F(1, 2), F(2, 3)),)))
+    assert render_text(doc).splitlines()[1] == (
+        "FAIL  weight-recurrence s=2/3 t=1/2  [at weight-ratio, z^0: lhs=163/81 rhs=82/81]")
+    code, out, _ = run_cli(["verify", "--suite", "orthogonality", "--qparams", "1/2,1",
+                            "--format", "text"])
+    message = ("VanishingDenominator: vanishing denominator at index 0 "
+               "(q-Racah norm-ratio denominator vanishes)")
+    assert code == 1 and [line for line in out.splitlines() if line.startswith("ERROR")] == [
+        f"ERROR orthogonality-q-racah l={l} m={m} qp=t=1/2,s=1  [{message}]"
+        for l, m in ((5, 4), (4, 3))]
+
+
+def test_a_non_positive_weight_is_the_error_record_of_its_row():
+    row = cli._row(ids.check_orthogonality_discrete,
+                   params_obj=RacahParams(F(1, 2), F(1, 3), 3, F(1, 5)))
+    assert _run_row(*row) == {
+        "id": "orthogonality-discrete", "params": {"params_obj": "alpha=1/2,beta=1/3,N=3,delta=1/5"},
+        "verdict": "error", "message": "NonPositiveWeight: weight at x=2 is -513/847 (must be positive)"}
+
+
+@pytest.mark.parametrize("name,message", [("missing/x.json", ": directory {parent} does not exist"),
+                                          (".", " is a directory")])
+def test_out_path_that_cannot_be_written_stops_before_any_suite_runs(tmp_path, monkeypatch,
+                                                                     name, message):
+    path, ran = tmp_path / name, []
+    monkeypatch.setattr(cli, "run_suite", lambda *args: ran.append(args))
+    code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--out", str(path)])
+    assert (code, out, ran) == (2, "", [])
+    assert err == f"error: --out {path}{message.format(parent=path.parent)}\n"
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("# comment\nqparams=1/2,2/3\nlmax=2\nalphas=0,1/2\n")
@@ -395,6 +429,20 @@ def test_config_errors_name_their_file(tmp_path, body, message):
     code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--config", str(cfg)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: config file {cfg}{message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("body,message", [
+    ("lmax=-1\n", ": key lmax must be >= 0, got -1"),
+    ("mmax=-2\n", ": key mmax must be >= 0, got -2"),
+    ("qparams=2,1\n", ": need 0 < t < 1, got t=2 (key qparams)"),
+    ("qparams=1/2,2/3;1/2,3\n", ": need s*t < 1 (beta < q^(-1/2)), got s*t=3/2 (key qparams)"),
+])
+def test_config_values_out_of_range_name_their_file_and_key(tmp_path, body, message):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(body)
+    code, out, err = run_cli(["verify", "--suite", "weight-recurrence", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {cfg}{message}\n"
 
 
 @pytest.mark.parametrize("name,reason", [("missing.cfg", "No such file or directory"),
@@ -732,7 +780,18 @@ def test_table_values_families():
 
 
 # The vocabulary of the fuzz test: every command, family and cheap suite,
-# with rationals (0 and negatives among them), bad numbers and bad ranges.
+# with rationals (0 and negatives among them), bad numbers and bad ranges,
+# config files and report paths.
+FILES = {
+    "grid.cfg": b"lmax=1\nqparams=1/2,2/3\n",
+    "bad-line.cfg": b"oops\n",
+    "unknown-key.cfg": b"grid-lmax=1\n",
+    "negative-lmax.cfg": b"lmax=-1\n",
+    "inadmissible-qparams.cfg": b"qparams=2,1\n",
+    "unparsable-mmax.cfg": b"mmax=x\n",
+    "unparsable-alphas.cfg": b"alphas=0,1/0\n",
+    "not-utf8.cfg": b"\xff\xfe\x00",
+}
 RATIONALS = ("0", "1", "-1", "1/2", "2/3", "-3/4", "5/2", "1e400", "-1e400", "1e-400", "1e5000",
              "1e-5000", "1/0", "abc", "")
 INTS = ("-1", "0", "1", "2", "3", "x")
@@ -745,9 +804,12 @@ FLAG_VALUES = {
     "--range": ("0:2", "1:0", "-1:1", "a:b", "5", ":", "0:x"),
     "--grid-lmax": ("-1", "0", "1"), "--grid-mmax": ("-1", "0", "1"),
     "--format": ("json", "text", "csv", "xml"),
+    # @ stands for the directory of FILES; missing.cfg and missing/ are not in it
+    "--config": (*(f"@{name}" for name in sorted(FILES)), "@missing.cfg"),
+    "--out": ("@report.json", "@missing/x.json", "@."),
 }
 COMMAND_FLAGS = {
-    "verify": ("--qparams", "--alpha", "--grid-mmax", "--format"),
+    "verify": ("--qparams", "--alpha", "--grid-mmax", "--format", "--config", "--out"),
     "eval": ("--m", "--x", "--N", "--alpha", "--beta", "--delta", "--p", "--a", "--b", "--c",
              "--d", "--qbase", "--qparams", "--at", "--at-z"),
     "table": ("--alpha", "--beta", "--delta", "--p", "--qparams", "--at", "--at-z", "--N",
@@ -780,9 +842,18 @@ def argvs(draw):
     return argv
 
 
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    path = tmp_path_factory.mktemp("files")
+    for name, body in FILES.items():
+        (path / name).write_bytes(body)
+    return path
+
+
 @settings(max_examples=150, deadline=None)
 @given(argvs())
-def test_any_argv_ends_in_an_exit_code(argv):
+def test_any_argv_ends_in_an_exit_code(files, argv):
+    argv = [arg.replace("@", f"{files}/") for arg in argv]
     try:
         code, _, err = run_cli(argv)
     except SystemExit as exc:  # argparse rejects the command line

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qaskey import cli, identities
-from qaskey.errors import ParameterError
+from qaskey.errors import NonPositiveWeight, ParameterError, VanishingDenominator
 from qaskey.families import (
     HahnParams,
     KrawtchoukParams,
@@ -62,7 +62,6 @@ from qaskey.identities import (
     _lattice,
     _linearization_coeffs_q,
     _qpoch_a2z2,
-    _shifted_product,
 )
 from qaskey.laurent import LaurentPoly, x_embed
 from qaskey.series import qpochhammer
@@ -257,7 +256,9 @@ def test_closed_term_ratio_tables_match_their_per_k_oracles(qp):
     for l, m in ((3, 2), (5, 5)):
         closed = _lattice(qp, l, m).closed
         for k, c in enumerate(_dual_addition_scalars(qp, l, m)):
-            assert closed[k] == _shifted_product(k, l, m, qp) * c
+            promoted = qp.beta_shift(k)
+            shifted = _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted)
+            assert closed[k] == shifted * c
 
 
 @settings(max_examples=25, deadline=None)
@@ -493,6 +494,55 @@ def test_dual_addition_modes_are_mutually_consistent():
         assert closed[k] * qracah_norms(k, qrp) == dual_projection_sum(k, l, m, QP)
 
 
+def test_a_non_positive_racah_weight_names_its_point():
+    with pytest.raises(NonPositiveWeight) as exc:
+        check_orthogonality_discrete(RacahParams(F(1, 2), F(1, 3), 3, F(1, 5)))
+    assert (exc.value.index, exc.value.value) == (2, F(-513, 847))
+
+
+def _counted_weights(monkeypatch, negate=None):
+    """The (x, N) of each identities call of qracah_weight, whose value is
+    negated at the (x, N) given: no admissible carrier gives a lattice a
+    non-positive weight."""
+    weight, calls = identities.qracah_weight, []
+
+    def counted(x, qrp):
+        calls.append((x, qrp.N))
+        return -weight(x, qrp) if (x, qrp.N) == negate else weight(x, qrp)
+
+    monkeypatch.setattr(identities, "qracah_weight", counted)
+    _lattice.cache_clear()
+    return calls
+
+
+def test_an_inversion_row_builds_the_lattice_weights_once(monkeypatch):
+    # its m + 1 projection sums read one weight table, not one each
+    calls = _counted_weights(monkeypatch)
+    l, m = 5, 3
+    assert check_dual_addition_q_inversion(QP, l, m).passed
+    assert calls == [(x, m) for x in range(m + 1)]
+
+
+def test_a_non_positive_lattice_weight_is_raised_on_every_row_that_reads_it(monkeypatch):
+    # the weights part that raises is not kept: each row of the lattice
+    # builds it again and raises the same error; theorem 5.1 reaches the
+    # lattice N = 3 last
+    l = m = 3
+    calls = _counted_weights(monkeypatch, negate=(2, m))
+    w = -qracah_weight(2, linearization_qracah_params(QP, l, m))
+    for row in (partial(check_dual_addition_q_inversion, QP, l, m),
+                partial(check_linearization_q, QP, l, m),
+                partial(check_orthogonality_q_racah, QP, l, m),
+                partial(check_theorem_5_1, QP, l, m)):
+        calls.clear()
+        with pytest.raises(NonPositiveWeight) as exc:
+            row()
+        assert (exc.value.index, exc.value.value, str(exc.value)) == (
+            2, w, f"weight at x=2 is {w} (must be positive)")
+        assert [x for x, N in calls if N == m] == list(range(m + 1))
+        assert "weights" not in vars(_lattice(QP, l, m))
+
+
 def test_lattice_norms_share_one_h0():
     # norm(k) = (h_k/h_0) h_0 of one lattice take h0 from the cached
     # property of its q-Racah record: one computation for all of them
@@ -507,7 +557,8 @@ def test_lattice_norms_share_one_h0():
 def test_one_record_and_one_value_memo_per_lattice(monkeypatch):
     # the inversion row and the m + 1 direct rows of one lattice get one
     # lattice and one record, and sum each of its (m + 1)^2 values once, on
-    # that record; the basis and the closed coefficients are built once
+    # that record; the weights, the basis, the shifted products and the
+    # closed coefficients are built once
     from qaskey import families, identities
 
     l, m = 4, 3
@@ -522,7 +573,7 @@ def test_one_record_and_one_value_memo_per_lattice(monkeypatch):
         assert check_dual_addition_q_direct(QP, l, m, j).passed
     lattice = lattices[0]
     assert all(lat is lattice for lat in lattices) and _lattice.cache_info().misses == 1
-    assert {"qrp", "basis", "closed"} <= set(vars(lattice))
+    assert {"qrp", "weights", "basis", "shifted", "closed"} <= set(vars(lattice))
     assert "prefactors" not in vars(lattice)  # no row of the dual addition asks for them
     assert len(sums) == (m + 1) ** 2 == len(lattice.qrp._values)
 
@@ -559,6 +610,17 @@ def test_addition_q():
     for n in range(5):
         assert check_addition_q(QPA, n, F(2), F(3)).passed
     assert check_addition_q(QPA, 3, F(3, 2), F(5, 4)).passed
+
+
+def test_addition_q_where_the_kernel_family_degenerates_is_an_error():
+    # a = 1/6 and q = 1/16 give a^2 u^2 = q^-1 at u = 24: the kernel
+    # polynomials of degree >= 2 have a vanishing denominator, and their
+    # coefficients vanish; dropping those terms read as a fail at z^-3
+    with pytest.raises(VanishingDenominator) as exc:
+        check_addition_q(QPA, 3, 24, 3)
+    assert str(exc.value) == "vanishing denominator at index 2 (Laurent q-series denominator)"
+    for u in (23, 25, F(24001, 1000)):
+        assert check_addition_q(QPA, 3, u, 3).passed
 
 
 def test_addition_classical_and_legendre():
