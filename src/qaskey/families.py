@@ -69,7 +69,16 @@ class QParams:
         if not self.s * self.t < 1:
             raise ParameterError(f"need s*t < 1 (beta < q^(-1/2)), got s*t={self.s * self.t}")
 
-    # Cached in the instance __dict__, outside the fields that eq and hash use.
+    # Cached in the instance __dict__, outside the fields that eq and hash use;
+    # the hash too, so that a cache keyed on a carrier hashes its two
+    # Fractions once per record, not once per lookup.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.t, self.s))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @cached_property
     def q(self) -> Fraction:
         return self.t ** 4
@@ -89,8 +98,17 @@ class QParams:
         return self.t * self.s
 
     def beta_shift(self, k: int) -> "QParams":
-        """The carrier of (q, q^k beta): same t, s -> t^(2k) s."""
-        return QParams(self.t, self.t ** (2 * k) * self.s)
+        """The carrier of (q, q^k beta): same t, s -> t^(2k) s; one record
+        per (carrier, k), shared by every row that promotes beta."""
+        return _beta_shifted(self, k)
+
+
+# Key (carrier, k).  Dual addition and theorem 5.1 promote each carrier by
+# k = 0..lmax, and the addition, restriction and difference rows by k <= 5,
+# so 128 entries keep every record of three carriers to lmax 41.
+@lru_cache(maxsize=128)
+def _beta_shifted(qp: QParams, k: int) -> QParams:
+    return QParams(qp.t, qp.t ** (2 * k) * qp.s)
 
 
 @dataclass(frozen=True)

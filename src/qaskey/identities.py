@@ -215,13 +215,19 @@ def _check_pythagorean(pair):
 class _Lattice:
     """What the rows of one linearization lattice (carrier, l, m) share,
     each part built the first time a row asks for it: the q-Racah record;
-    its weights; the basis R_(l+m-2j), j = 0..m; the shifted products; the
-    closed dual-addition coefficients; the closed projection prefactors.  A
-    part that raises is not kept, so a VanishingDenominator or
-    NonPositiveWeight surfaces on each row that asks for it, with the same
-    index and text.
+    its weights; the basis R_(l+m-2j), j = 0..m; the weighted basis
+    w(j) R_(l+m-2j), which the m + 1 projection sums read; the shifted
+    products; the closed dual-addition coefficients; the closed projection
+    prefactors.  A part that raises is not kept, so a VanishingDenominator
+    or NonPositiveWeight surfaces on each row that asks for it, with the
+    same index and text.
 
-    Every sum over the basis or the closed coefficients is one
+    What depends on less than the lattice is cached per carrier instead:
+    the promoted carriers (`QParams.beta_shift`, per (carrier, k)) and the
+    left factors of the shifted products (`_left_factor`, per
+    (carrier, l, k)), which the lattices of one l share.
+
+    Every sum over the (weighted) basis or the closed coefficients is one
     `linear_combination`, over the lcm of den_j times the scalars'
     denominators: over one denominator of the whole list instead, the
     projection sums of lmax 15 carry a fifth more bits (median 1253 against
@@ -252,14 +258,20 @@ class _Lattice:
         return tuple(cqu_r(self.l + self.m - 2 * j, self.qp) for j in range(self.m + 1))
 
     @cached_property
+    def weighted(self) -> tuple:
+        """w(j) R_(l+m-2j)(z), j = 0..m: the basis with the weights folded
+        in, the weights read first."""
+        return tuple(b * w for w, b in zip(self.weights, self.basis))
+
+    @cached_property
     def shifted(self) -> tuple:
         """(a^2 z^2, a^2 z^-2; q)_k R_(l-k)(z; q^k beta) R_(m-k)(z; q^k beta),
         k = 0..m: the z-dependent parts of the closed projection sums and
-        of the closed coefficients."""
-        qp, l, m = self.qp, self.l, self.m
-        promoted = [qp.beta_shift(k) for k in range(m + 1)]
-        return tuple(_qpoch_a2z2(qp, k) * cqu_r(l - k, p) * cqu_r(m - k, p)
-                     for k, p in enumerate(promoted))
+        of the closed coefficients, each the carrier's left factor of
+        (l, k) times R_(m-k)(z; q^k beta)."""
+        qp, l = self.qp, self.l
+        return tuple(_left_factor(qp, l, k) * cqu_r(self.m - k, qp.beta_shift(k))
+                     for k in range(self.m + 1))
 
     @cached_property
     def closed(self) -> tuple:
@@ -515,14 +527,23 @@ def _qpoch_a2z2(qp: QParams, k: int) -> LaurentPoly:
     return _qpoch_a2z2(qp, k - 1) * x_embed([(1 + w) ** 2, 0, -4 * w])
 
 
+# Key (carrier, l, k).  The lattices (carrier, l, m), m = 0..l, run one after
+# another and read k = 0..m, so 32 entries keep every left factor of one l
+# to l = 31.
+@lru_cache(maxsize=32)
+def _left_factor(qp: QParams, l: int, k: int) -> LaurentPoly:
+    """(a^2 z^2, a^2 z^-2; q)_k R_(l-k)(z; q^k beta), the part of the
+    shifted products that does not depend on m."""
+    return _qpoch_a2z2(qp, k) * cqu_r(l - k, qp.beta_shift(k))
+
+
 def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     """Projection of the product R_l R_m onto the k-th element of the
     linearization lattice basis, summed over the lattice."""
     if not 0 <= k <= m <= l:
         raise ParameterError("need 0 <= k <= m <= l")
     lattice = _lattice(qp, l, m)
-    qrp, weights = lattice.qrp, lattice.weights
-    return linear_combination(lattice.basis, [w * qracah(k, j, qrp) for j, w in enumerate(weights)])
+    return linear_combination(lattice.weighted, [qracah(k, j, lattice.qrp) for j in range(m + 1)])
 
 
 def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:

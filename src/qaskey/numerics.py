@@ -312,6 +312,15 @@ def refine_integral(f: Callable[[float], float], lo: float, hi: float) -> float:
     raise NonConvergence(f"quadrature did not stabilize within {2 ** 20} points")
 
 
+# Key carrier.  Every numeric-orthogonality row reads the first carrier of
+# the grid, so one entry keeps its nodes for all fifteen integrals.
+@lru_cache(maxsize=1)
+def _cqu_node_weights(qp: QParams) -> dict:
+    """theta -> the circle weight at the quadrature node theta, filled as
+    `_cqu_inner` asks: the integrals of one carrier share their nodes."""
+    return {}
+
+
 def _cqu_inner(qp: QParams, d1: int, d2: int) -> float:
     """I_(d1 d2): the integral of R_d1 R_d2 against the circle weight."""
     q, beta = float(qp.q), float(qp.beta)
@@ -319,12 +328,16 @@ def _cqu_inner(qp: QParams, d1: int, d2: int) -> float:
     for deg in {d1, d2}:
         p = cqu_r(deg, qp)
         polys[deg] = [(k, float(p.coeff(k))) for k in range(-deg, deg + 1) if p.coeff(k)]
+    weights = _cqu_node_weights(qp)
 
     def f(theta):
         z = cmath.exp(1j * theta)
         p1 = sum(c * z ** k for k, c in polys[d1]).real
         p2 = sum(c * z ** k for k, c in polys[d2]).real
-        return p1 * p2 * _cqu_circle_weight(z * z, q, beta)
+        w = weights.get(theta)
+        if w is None:
+            w = weights[theta] = _cqu_circle_weight(z * z, q, beta)
+        return p1 * p2 * w
 
     return refine_integral(f, 0.0, 2 * math.pi)
 

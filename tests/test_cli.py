@@ -290,6 +290,15 @@ def test_beta_one_error_records_of_the_default_grid():
         "(q-Racah norm-ratio denominator vanishes)"}
 
 
+def test_beta_one_error_records_on_a_carrier_read_from_the_shift_cache():
+    # the carrier t=1/2,s=1 as its beta_shift(0), a record of the shift
+    # cache: the same 17 error records, with the same index and text
+    fresh = QParams(F(1, 2), F(1))
+    docs = [run_suite("all", ParamGrid(qparams=(qp,)))["checks"] for qp in (fresh, fresh.beta_shift(0))]
+    errors = [[rec for rec in checks if rec["verdict"] == "error"] for checks in docs]
+    assert docs[0] == docs[1] and len(errors[1]) == 17
+
+
 def test_errored_check_names_itself():
     # q = 1/16, beta = 1: the q-Racah lattices of the orthogonality suite
     # have a vanishing norm denominator

@@ -79,6 +79,33 @@ def test_cached_powers_leave_equality_hash_and_text_alone():
     assert _text(qrp) == f"alpha={qrp.alpha},beta={qrp.beta},delta={qrp.delta},N=2,qp=t=1/2,s=2/3"
 
 
+def test_a_carrier_hashes_its_fractions_once(monkeypatch):
+    qp = QParams(F(1, 2), F(2, 3))
+    calls, fraction_hash = [], F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or fraction_hash(self))
+    hashes = {hash(qp) for _ in range(5)}
+    assert calls == [qp.t, qp.s] and hashes == {hash((qp.t, qp.s))}
+
+
+def test_equal_carriers_hash_equal_and_share_one_cache_entry():
+    # a carrier, one built afresh, its beta_shift(0), and a promoted record
+    # of another carrier: t = 1/2, s = (1/2)^2 * 4/3 = 1/3
+    qp = QParams(F(1, 2), F(1, 3))
+    records = (qp, QParams(F(2, 4), F(3, 9)), qp.beta_shift(0), QParams(F(1, 2), F(4, 3)).beta_shift(1))
+    assert all(r == qp for r in records) and {hash(r) for r in records} == {hash(qp)}
+    cqu_r.cache_clear()
+    values = [cqu_r(3, r) for r in records]
+    info = cqu_r.cache_info()
+    assert (info.misses, info.hits) == (1, 3) and all(v is values[0] for v in values)
+
+
+def test_one_promoted_record_per_carrier_and_k():
+    # equal carriers, however built, read one record per k
+    qp, fresh = QParams(F(2, 3), F(1, 2)), QParams(F(2, 3), F(1, 2))
+    for k in range(4):
+        assert qp.beta_shift(k) is fresh.beta_shift(k) == QParams(qp.t, qp.t ** (2 * k) * qp.s)
+
+
 def test_jacobi_normalization():
     for n in range(7):
         assert jacobi_r(n, JacobiParams(F(1, 2), F(1, 3)), F(1)) == 1

@@ -63,7 +63,7 @@ from qaskey.identities import (
     _linearization_coeffs_q,
     _qpoch_a2z2,
 )
-from qaskey.laurent import LaurentPoly, x_embed
+from qaskey.laurent import LaurentPoly, linear_combination, x_embed
 from qaskey.series import qpochhammer
 from closed_forms import (
     _o,
@@ -289,6 +289,54 @@ def _assert_row_tables_match_their_oracles(qp, l, m):
         dual_addition_coeff_a_per_k(k, l, m, qp) for k in range(l + 2))
     assert _linearization_coeffs_q(qp, l, m) == tuple(
         linearization_coeff_q_per_j(j, l, m, qp) for j in range(m + 1))
+
+
+def _outcome(call):
+    """("value", v) of a call, or ("raise", type, text) of what it raised."""
+    try:
+        return "value", call()
+    except (NonPositiveWeight, ParameterError, VanishingDenominator) as exc:
+        return "raise", type(exc), str(exc)
+
+
+def _old_projection_sum(k, l, m, qp):
+    # sum_j (w_j R_k(j)) B_j: each weight times a value, then over the basis
+    qrp = linearization_qracah_params(qp, l, m)
+    weights = [qracah_weight(j, qrp) for j in range(m + 1)]
+    for j, w in enumerate(weights):
+        if w <= 0:
+            raise NonPositiveWeight(j, w)
+    basis = [cqu_r(l + m - 2 * j, qp) for j in range(m + 1)]
+    return linear_combination(basis, [w * qracah(k, j, qrp) for j, w in enumerate(weights)])
+
+
+def _assert_lattice_parts_match_their_oracles(qp, lmax):
+    for l in range(lmax + 1):
+        for m in range(l + 1):
+            for k in range(m + 1):
+                # a promoted record built afresh, not the carrier's shared one
+                promoted = QParams(qp.t, qp.t ** (2 * k) * qp.s)
+                direct = _qpoch_a2z2(qp, k) * cqu_r(l - k, promoted) * cqu_r(m - k, promoted)
+                assert _lattice(qp, l, m).shifted[k] == direct
+                assert _outcome(partial(dual_projection_sum, k, l, m, qp)) == _outcome(
+                    partial(_old_projection_sum, k, l, m, qp))
+
+
+@pytest.mark.parametrize("qp", TABLE_QPARAMS)
+def test_weighted_basis_and_shifted_products_match_their_oracles(qp):
+    # the weights folded into the basis once per lattice, and the shifted
+    # products from the left factors of (carrier, l, k), against the sums
+    # and the triple products formed directly; an error would have to be
+    # the oracle's, with the same text
+    _assert_lattice_parts_match_their_oracles(qp, 6)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.fractions(min_value=F(1, 5), max_value=F(19, 20), max_denominator=20),
+       st.fractions(min_value=F(1, 5), max_value=F(3, 2), max_denominator=20),
+       st.integers(min_value=0, max_value=6))
+def test_weighted_basis_and_shifted_products_random_carriers(t, s, lmax):
+    _assert_lattice_parts_match_their_oracles(_random_carrier(t, s), lmax)
 
 
 @pytest.mark.parametrize("qp", TABLE_QPARAMS)

@@ -1,5 +1,6 @@
 """Float companion: Bessel series, limit schedules, weights, quadrature."""
 
+import cmath
 import math
 from contextlib import contextmanager
 
@@ -187,6 +188,27 @@ def test_numeric_orthogonality_cqu():
         residual = float(numeric_orthogonality_cqu(QP, m, n)["residual"])
         assert residual < 1e-8, (m, n, residual)
     assert _cqu_inner(QP, 0, 0) > 0
+
+
+def test_shared_node_weights_are_bit_identical_to_a_fresh_evaluation():
+    # the fifteen integrals of the numeric-orthogonality rows share one
+    # table of node weights per carrier; each entry, and each residual, has
+    # the bits of a fresh evaluation
+    pairs = [(m, n) for m in range(5) for n in range(m + 1, 5)]
+    fresh = []
+    for m, n in pairs:
+        numerics._cqu_node_weights.cache_clear()
+        numerics._cqu_diagonal.cache_clear()
+        fresh.append(numeric_orthogonality_cqu(QP, m, n)["residual"])
+    numerics._cqu_node_weights.cache_clear()
+    numerics._cqu_diagonal.cache_clear()
+    assert [numeric_orthogonality_cqu(QP, m, n)["residual"] for m, n in pairs] == fresh
+    nodes = numerics._cqu_node_weights(QP)
+    assert len(nodes) >= 64 + 128
+    q, beta = float(QP.q), float(QP.beta)
+    for theta, weight in nodes.items():
+        z = cmath.exp(1j * theta)
+        assert weight.hex() == numerics._cqu_circle_weight(z * z, q, beta).hex()
 
 
 def test_numeric_aw_h0():
