@@ -515,12 +515,14 @@ def _grid_from_args(args) -> ids.ParamGrid:
 
 def _check_out(path: str) -> None:
     """Refuse, without creating it, a report path that is a directory or
-    lies in a directory that does not exist."""
+    lies in a directory that does not exist or that this user cannot write."""
     if os.path.isdir(path):
         raise QAskeyError(f"--out {path} is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise QAskeyError(f"--out {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise QAskeyError(f"--out {path}: directory {parent} is not writable")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -97,6 +97,35 @@ class QParams:
         Rahman-Verma normalization (beta = q^(-1/2) a^2)."""
         return self.t * self.s
 
+    # The power tables, in the instance __dict__ like the hash, filled as
+    # they are asked for: q^n, and the integer pairs (N, D) of t^e and s^f,
+    # for exponents of both signs.
+    @cached_property
+    def _q_powers(self) -> dict:
+        return {}
+
+    @cached_property
+    def _t_pairs(self) -> dict:
+        return {}
+
+    @cached_property
+    def _s_pairs(self) -> dict:
+        return {}
+
+    def q_power(self, n: int) -> Fraction:
+        """q^n, from the carrier's table."""
+        powers = self._q_powers
+        value = powers.get(n)
+        if value is None:
+            value = powers[n] = self.q ** n
+        return value
+
+    def ts_power(self, e: int, f: int) -> tuple:
+        """Integers (N, D) with t^e s^f = N/D, from the carrier's tables."""
+        tn, td = _power_pair(self._t_pairs, self.t, e)
+        sn, sd = _power_pair(self._s_pairs, self.s, f)
+        return tn * sn, td * sd
+
     def beta_shift(self, k: int) -> "QParams":
         """The carrier of (q, q^k beta): same t, s -> t^(2k) s; one record
         per (carrier, k), shared by every row that promotes beta."""
@@ -109,6 +138,15 @@ class QParams:
 @lru_cache(maxsize=128)
 def _beta_shifted(qp: QParams, k: int) -> QParams:
     return QParams(qp.t, qp.t ** (2 * k) * qp.s)
+
+
+def _power_pair(table: dict, x: Fraction, e: int) -> tuple:
+    """The integer pair (N, D) of x^e = N/D, kept in `table` under e."""
+    pair = table.get(e)
+    if pair is None:
+        n, d = (x.numerator, x.denominator) if e >= 0 else (x.denominator, x.numerator)
+        pair = table[e] = (n ** abs(e), d ** abs(e))
+    return pair
 
 
 @dataclass(frozen=True)
@@ -257,27 +295,28 @@ class QRacahParams:
             raise VanishingDenominator(hit[0] + 1, f"(b; q)_x factor with b={hit[1]}")
 
     # Cached in the instance __dict__, outside the fields that eq and hash use.
+    # The powers of q below are read from the carrier's table.
     @cached_property
     def gamma(self) -> Fraction:
-        return self.qp.q ** (-self.N - 1)
+        return self.qp.q_power(-self.N - 1)
 
     @cached_property
     def _q_neg(self) -> tuple:
         """q^(-n) for n = 0..N."""
-        q = self.qp.q
-        return tuple(q ** -n for n in range(self.N + 1))
+        q_power = self.qp.q_power
+        return tuple(q_power(-n) for n in range(self.N + 1))
 
     @cached_property
     def _ab_q(self) -> tuple:
         """alpha beta q^(n+1) for n = 0..N."""
-        q = self.qp.q
-        return tuple(self.alpha * self.beta * q ** (n + 1) for n in range(self.N + 1))
+        ab, q_power = self.alpha * self.beta, self.qp.q_power
+        return tuple(ab * q_power(n + 1) for n in range(self.N + 1))
 
     @cached_property
     def _gd_q(self) -> tuple:
         """gamma delta q^(x+1) for x = 0..N."""
-        q = self.qp.q
-        return tuple(self.gamma * self.delta * q ** (x + 1) for x in range(self.N + 1))
+        gd, q_power = self.gamma * self.delta, self.qp.q_power
+        return tuple(gd * q_power(x + 1) for x in range(self.N + 1))
 
     @cached_property
     def _values(self) -> dict:

@@ -50,7 +50,7 @@ from .families import (
     wilson_dual_params,
     wilson_dual_phi,
 )
-from .laurent import LaurentPoly, linear_combination, x_embed
+from .laurent import LaurentPoly, equals_scaled, linear_combination, x_embed
 from .series import pochhammer, qpochhammer
 
 F = Fraction
@@ -571,7 +571,7 @@ def _closed_projection_prefactors(qp: QParams, l: int, m: int) -> tuple:
     q, b, qh = qp.q, qp.beta, qp.qhalf
     pref0 = qpochhammer(q * b * b, q, l) * qpochhammer(q * b * b, q, m) / qpochhammer(q * b * b, q, l + m)
     pref0 *= qpochhammer(qh * b, q, l + m) / (qpochhammer(qh * b, q, l) * qpochhammer(qh * b, q, m))
-    x = _ts_power(qp, 2 * (l + m + 1), 2)
+    x = qp.ts_power(2 * (l + m + 1), 2)
 
     def ratio(k):
         f2 = _one_minus(qp, 8 * k + 8, 4)
@@ -584,18 +584,9 @@ def _closed_projection_prefactors(qp: QParams, l: int, m: int) -> tuple:
     return _running_products(pref0, map(ratio, range(m)))
 
 
-def _ts_power(qp: QParams, e: int, f: int) -> tuple:
-    """Integers (N, D) with t^e s^f = N/D."""
-    t, s = qp.t, qp.s
-    tn, td = (t.numerator, t.denominator) if e >= 0 else (t.denominator, t.numerator)
-    sn, sd = (s.numerator, s.denominator) if f >= 0 else (s.denominator, s.numerator)
-    e, f = abs(e), abs(f)
-    return tn ** e * sn ** f, td ** e * sd ** f
-
-
 def _one_minus(qp: QParams, e: int, f: int, sign: int = 1) -> tuple:
     """Integers (N, D) with 1 - sign t^e s^f = N/D."""
-    n, d = _ts_power(qp, e, f)
+    n, d = qp.ts_power(e, f)
     return d - sign * n, d
 
 
@@ -669,7 +660,7 @@ def _linearization_coeffs_q(qp: QParams, l: int, m: int) -> tuple:
                (4 * (l - j), 0), (4 * (m - j), 0), (4 * (l + m - j) + 2, 2))]
         downs = [_one_minus(qp, e, f) for e, f in ((4 * (l + m - 2 * j) + 2, 2), (4 * j + 4, 0),
                  (4 * (l - j) - 2, 2), (4 * (m - j) - 2, 2), (4 * (l + m - j), 4))]
-        return [_ts_power(qp, 2, 2), *ups], downs
+        return [qp.ts_power(2, 2), *ups], downs
 
     return _running_products(first, map(ratio, range(m)))
 
@@ -699,7 +690,14 @@ def check_linearization_classical(alpha, l: int, m: int, mutation=None) -> Check
         raise ParameterError("linearization requires l >= m")
     alpha = Fraction(alpha)
     product = _upoly(l, alpha) * _upoly(m, alpha)
-    c = F(factorial(l) * factorial(m)) / (pochhammer(2 * alpha + 1, l) * pochhammer(2 * alpha + 1, m))
+    # both denominators vanish at alpha = -1/2 (with l >= 1 for the first);
+    # the error names the factor, not the interpreter's own division text
+    low = pochhammer(2 * alpha + 1, l) * pochhammer(2 * alpha + 1, m)
+    for factor, value in ((f"(2 alpha + 1)_{l}", low), ("alpha + 1/2", alpha + F(1, 2))):
+        if not value:
+            raise ParameterError(f"classical linearization at alpha={alpha}: "
+                                 f"the denominator factor {factor} vanishes")
+    c = F(factorial(l) * factorial(m)) / low
     c *= (l + m + alpha + F(1, 2)) / (alpha + F(1, 2))
     c *= pochhammer(alpha + F(1, 2), l) * pochhammer(alpha + F(1, 2), m) * pochhammer(2 * alpha + 1, l + m)
     c /= factorial(l) * factorial(m) * pochhammer(alpha + F(3, 2), l + m)
@@ -773,7 +771,7 @@ def _dual_addition_scalars(qp: QParams, l: int, m: int) -> tuple:
     (b < q^(-1/2)) no denominator factor vanishes."""
 
     def ratio(k):
-        n, d = _ts_power(qp, 2 * (2 * k + l + m + 3), 2)
+        n, d = qp.ts_power(2 * (2 * k + l + m + 3), 2)
         ups = [(-n, d), _one_minus(qp, 4 * (k - l), 0), _one_minus(qp, 4 * (k - m), 0)]
         plus = _one_minus(qp, 4 * k + 2, 2, sign=-1)
         downs = [_one_minus(qp, 4 * k + 4, 0), _one_minus(qp, 8 * k + 8, 4), plus, plus]
@@ -806,40 +804,62 @@ def check_dual_addition_q_direct(qp: QParams, l: int, m: int, j: int, mutation=N
 
 def check_dual_addition_q_inversion(qp: QParams, l: int, m: int, mutation=None) -> CheckReport:
     """Every closed coefficient of the dual addition expansion against its
-    independent reconstruction: the lattice's projection sum over its norm."""
+    independent reconstruction: the lattice's projection sum over its norm.
+
+    Each k takes its norm, then its projection sum, k ascending.  An
+    unmutated row whose coefficients all agree is decided by
+    `equals_scaled`, closed_k against the projection times 1/h_k, with no
+    product formed or reduced; any other row forms the quotients and
+    compares them, so its witness and residual are the quotient's."""
     if not 0 <= m <= l:
         raise ParameterError("need 0 <= m <= l")
     lattice = _lattice(qp, l, m)
     qrp = lattice.qrp
     closed = lattice.closed
-    items = []
+    sums = []  # (projection sum, 1 / norm) of each k
     for k in range(m + 1):
         # the one-point lattice's norm is 1: its record's ratio
         # (1 - alpha beta q)/(1 - alpha beta q) is 0/0 at beta = 1
         norm = F(1) if m == 0 else qracah_norms(k, qrp)
-        inv = dual_projection_sum(k, l, m, qp) * (1 / norm)
-        items.append((f"coefficient k={k}", inv, closed[k]))
+        sums.append((dual_projection_sum(k, l, m, qp), 1 / norm))
     params = {"target": "q", "mode": "inversion", "l": l, "m": m, "j": 0, "t": qp.t, "s": qp.s}
+    if mutation is None and all(equals_scaled(c, p, inv) for (p, inv), c in zip(sums, closed)):
+        return CheckReport("dual-addition-q-inversion", params, "pass")
+    items = [(f"coefficient k={k}", p * inv, c) for k, ((p, inv), c) in enumerate(zip(sums, closed))]
     return _compare("dual-addition-q-inversion", params, items, mutation)
 
 
-def check_dual_addition_classical(alpha, l: int, m: int, j: int, mutation=None) -> CheckReport:
-    """The classical dual addition expansion of the ultraspherical family,
-    as an exact Laurent identity."""
-    if not (0 <= j <= m <= l):
-        raise ParameterError("need 0 <= j <= m <= l")
-    alpha = Fraction(alpha)
+# Key (alpha, l, m).  The classical rows run j innermost, so the rows
+# j = 0..m of one (alpha, l, m) follow one another and one entry catches
+# every reuse.
+@lru_cache(maxsize=1)
+def _classical_dual_addition(alpha: Fraction, l: int, m: int) -> tuple:
+    """What the rows j = 0..m of one classical dual addition expansion
+    share: the Racah record of the linearization lattice, and for k = 0..m
+    the scalar c_k without its Racah factor R_k(j) and the product
+    (x^2 - 1)^k R_(l-k)(alpha + k) R_(m-k)(alpha + k), each scalar formed
+    before its product."""
     x2_minus_1 = x_embed([-1, 0, 1])
     rp = linearization_racah_params(alpha, l, m)
-    polys, scalars = [], []
+    scalars, polys = [], []
     for k in range(m + 1):
         c = F(1) if k == 0 else (alpha + k) / (alpha + F(k, 2))
         c *= pochhammer(F(-l), k) * pochhammer(F(-m), k) * pochhammer(2 * alpha + 1, k)
         c /= F(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2 * factorial(k)
-        c *= racah(k, j, rp)
-        polys.append(x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k))
         scalars.append(c)
-    rhs = linear_combination(polys, scalars)
+        polys.append(x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k))
+    return rp, tuple(scalars), tuple(polys)
+
+
+def check_dual_addition_classical(alpha, l: int, m: int, j: int, mutation=None) -> CheckReport:
+    """The classical dual addition expansion of the ultraspherical family,
+    as an exact Laurent identity: the products of `_classical_dual_addition`
+    summed against its scalars times the Racah values R_k(j)."""
+    if not (0 <= j <= m <= l):
+        raise ParameterError("need 0 <= j <= m <= l")
+    alpha = Fraction(alpha)
+    rp, scalars, polys = _classical_dual_addition(alpha, l, m)
+    rhs = linear_combination(polys, [c * racah(k, j, rp) for k, c in enumerate(scalars)])
     items = [(f"l={l}, m={m}, j={j}", rhs, _upoly(l + m - 2 * j, alpha))]
     params = {"target": "classical", "l": l, "m": m, "j": j, "alpha": alpha}
     return _compare("dual-addition-classical", params, items, mutation)
@@ -888,7 +908,7 @@ def _addition_coeffs_q(n: int, qp: QParams, u: Fraction, v: Fraction) -> tuple:
     squares = [(w.numerator, w.denominator) for w in (u * u, v * v)]
 
     def ratio(k):  # q^i a^2 = t^(4i+2) s^2, q^i a^4 = t^(4i+4) s^4
-        (p, d), (e, f) = _ts_power(qp, 4 * k + 4, 0), _ts_power(qp, 4 * k + 2, 2)
+        (p, d), (e, f) = qp.ts_power(4 * k + 4, 0), qp.ts_power(4 * k + 2, 2)
         ups = [(-p * uv.denominator, d * uv.numerator), _one_minus(qp, 4 * (k - n), 0), (f - e, f),
                _one_minus(qp, 4 * (n + k + 1), 4), *((f * wd - e * wn, f * wd) for wn, wd in squares)]
         downs = [(d - p, d), _one_minus(qp, 4 * k + 4, 2), _one_minus(qp, 4 * k + 4, 2, sign=-1),

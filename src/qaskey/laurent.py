@@ -12,13 +12,14 @@ Products work on integers and reduce each result with one gcd, by
 (z^i + z^-i)(z^j + z^-j) = (z^(i+j) + z^-(i+j)) + (z^|i-j| + z^-|i-j|):
 each pair (i, j) is multiplied once.  Every sum, `+` and `-` included,
 runs through `linear_combination`, which puts all its halves over one
-denominator and reduces once.  A polynomial plus an integer c (Horner's
-`+ 1`) only moves h_0 to h_0 + c den, which needs no reduction.  A
-rational scalar is the constant polynomial: it compares, and hashes,
-equal to its polynomial.  `coeff`, `eval_at` and `render` (the text of
-`__str__`, and of the float line of `eval`) read the half.  `_c` (exponent
--> nonzero reduced Fraction, ascending), a view built on each access, is
-read only by the span tracer in `bench/`, and stays for it.
+denominator and reduces once.  `equals_scaled` decides p == q * c by
+cross-multiplying the halves, with no product formed.  A polynomial plus
+an integer c (Horner's `+ 1`) only moves h_0 to h_0 + c den, which needs
+no reduction.  A rational scalar is the constant polynomial: it compares,
+and hashes, equal to its polynomial.  `coeff`, `eval_at` and `render` (the
+text of `__str__`, and of the float line of `eval`) read the half.  `_c`
+(exponent -> nonzero reduced Fraction, ascending), a view built on each
+access, is read only by the span tracer in `bench/`, and stays for it.
 Instances are immutable.
 """
 
@@ -245,6 +246,20 @@ def linear_combination(polys, scalars) -> LaurentPoly:
     rows = [h + (0,) * (width - len(h)) for h, _, _ in terms]
     mults = [c * (den // d) for _, d, c in terms]
     return _half([sum(map(mul, col, mults)) for col in zip(*rows)], den)
+
+
+def equals_scaled(p: LaurentPoly, q: LaurentPoly, c) -> bool:
+    """p == q * c for a rational c, decided on the halves without forming
+    or reducing q * c: both are canonical, so for c, q != 0 they are equal
+    exactly when their halves have one length and h_p[i] den_q c_den ==
+    h_q[i] c_num den_p for every i."""
+    hp, hq = p._h, q._h
+    if not c or not hq:
+        return not hp
+    if len(hp) != len(hq):
+        return False
+    left, right = q._den * c.denominator, p._den * c.numerator
+    return all(a * left == b * right for a, b in zip(hp, hq))
 
 
 # Unbounded: one entry per degree ever embedded; the classical checks embed degree <= 12.

@@ -8,8 +8,9 @@ vector term by term, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
 parameters, the q-Racah weight formula for one x and the norm and norm
 ratio formulas for one n, the Racah weight for one x with its vanishing
-factors tested one at a time and the Racah norm for one n, and the
-variable maps z -> 1/z and z -> -z.
+factors tested one at a time and the Racah norm for one n, a classical
+dual addition row from that row alone, and the variable maps z -> 1/z and
+z -> -z.
 
 Laurent polynomials here are oracles: dicts exponent -> nonzero Fraction,
 with no symmetry required, so that factors such as 1 - a z can be formed.
@@ -19,7 +20,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from qaskey.errors import ParameterError, VanishingDenominator
-from qaskey.families import QParams, QRacahParams, RacahParams, racah_h0
+from qaskey.families import QParams, QRacahParams, RacahParams, racah, racah_h0
+from qaskey.identities import _compare, _upoly, linearization_racah_params
+from qaskey.laurent import linear_combination, x_embed
 from qaskey.series import pochhammer, qpochhammer, terminating_hyper
 
 
@@ -144,6 +147,29 @@ def dual_addition_coeff_a_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction
     c /= qpochhammer(qh * a2, q, k) ** 2 * qpochhammer(q, q, k)
     c /= qpochhammer(-a2, qh, 2 * k) ** 2
     return c
+
+
+def dual_addition_classical_per_row(alpha, l: int, m: int, j: int, mutation=None):
+    """The report of one classical dual addition row from that row alone:
+    the Racah record, the scalars with their Racah factor R_k(j) and the
+    products (x^2 - 1)^k R_(l-k)(alpha + k) R_(m-k)(alpha + k), each k's in
+    that order, built again for every j."""
+    if not (0 <= j <= m <= l):
+        raise ParameterError("need 0 <= j <= m <= l")
+    alpha = Fraction(alpha)
+    x2_minus_1 = x_embed([-1, 0, 1])
+    rp = linearization_racah_params(alpha, l, m)
+    polys, scalars = [], []
+    for k in range(m + 1):
+        c = Fraction(1) if k == 0 else (alpha + k) / (alpha + Fraction(k, 2))
+        c *= pochhammer(Fraction(-l), k) * pochhammer(Fraction(-m), k) * pochhammer(2 * alpha + 1, k)
+        c /= Fraction(2) ** (2 * k) * pochhammer(alpha + 1, k) ** 2 * factorial(k)
+        c *= racah(k, j, rp)
+        polys.append(x2_minus_1 ** k * _upoly(l - k, alpha + k) * _upoly(m - k, alpha + k))
+        scalars.append(c)
+    items = [(f"l={l}, m={m}, j={j}", linear_combination(polys, scalars), _upoly(l + m - 2 * j, alpha))]
+    params = {"target": "classical", "l": l, "m": m, "j": j, "alpha": alpha}
+    return _compare("dual-addition-classical", params, items, mutation)
 
 
 def addition_coeff_q_per_k(k: int, n: int, qp: QParams, u, v) -> Fraction:

@@ -106,6 +106,51 @@ def test_one_promoted_record_per_carrier_and_k():
         assert qp.beta_shift(k) is fresh.beta_shift(k) == QParams(qp.t, qp.t ** (2 * k) * qp.s)
 
 
+POWER_CARRIERS = (QParams(F(1, 2), F(2, 3)), QParams(F(3, 5), F(1, 2)), QParams(F(9, 10), F(1)),
+                  QParams(F(2, 7), F(5, 3)))
+
+
+@pytest.mark.parametrize("qp", POWER_CARRIERS)
+def test_carrier_power_tables_equal_direct_powers(qp):
+    # twice over: once filling the tables, once reading them
+    t, s = qp.t, qp.s
+    for _ in range(2):
+        for e in range(-40, 41):
+            assert qp.q_power(e) == qp.q ** e
+            tn, td = (t.numerator, t.denominator) if e >= 0 else (t.denominator, t.numerator)
+            sn, sd = (s.numerator, s.denominator) if e >= 0 else (s.denominator, s.numerator)
+            assert qp.ts_power(e, 0) == (tn ** abs(e), td ** abs(e))
+            assert qp.ts_power(0, e) == (sn ** abs(e), sd ** abs(e))
+            for f in (-7, -1, 0, 3):
+                n, d = qp.ts_power(e, f)
+                assert F(n, d) == t ** e * s ** f
+
+
+@pytest.mark.parametrize("qp", POWER_CARRIERS[:3])
+def test_a_record_on_a_filled_carrier_equals_one_on_a_fresh_carrier(qp):
+    from qaskey import identities as ids
+
+    for e in range(-40, 41):
+        qp.q_power(e), qp.ts_power(e, e)
+    for l, m in ((3, 0), (4, 2), (6, 5)):
+        fresh = QParams(qp.t, qp.s)  # equal, with empty tables
+        assert fresh == qp and fresh is not qp and "_q_powers" not in vars(fresh)
+        records = []
+        for carrier in (qp, fresh):
+            alpha = carrier.beta / carrier.qhalf
+            rec = QRacahParams(alpha, alpha, 1 / (carrier.beta * carrier.qhalf * carrier.q ** l), m, carrier)
+            try:
+                values = [qracah(n, x, rec) for n in range(m + 1) for x in range(m + 1)]
+            except VanishingDenominator as exc:  # s = 1: the same error on both
+                values = str(exc)
+            records.append((rec.gamma, rec._q_neg, rec._ab_q, rec._gd_q, rec._weights,
+                            rec._norm_ratios, values, ids._dual_addition_scalars(carrier, l, m),
+                            ids._closed_projection_prefactors(carrier, l, m),
+                            ids._linearization_coeffs_q(carrier, l, m),
+                            ids._addition_coeffs_q(m, carrier, F(2), F(3))))
+        assert records[0] == records[1]
+
+
 def test_jacobi_normalization():
     for n in range(7):
         assert jacobi_r(n, JacobiParams(F(1, 2), F(1, 3)), F(1)) == 1

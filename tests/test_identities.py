@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qaskey import cli, identities
-from qaskey.errors import NonPositiveWeight, ParameterError, VanishingDenominator
+from qaskey.errors import NonPositiveWeight, ParameterError, QAskeyError, VanishingDenominator
 from qaskey.families import (
     HahnParams,
     KrawtchoukParams,
@@ -56,6 +56,7 @@ from qaskey.identities import (
     weight_moments,
     ADDITION_QPARAMS,
     _addition_coeffs_q,
+    _classical_dual_addition,
     _closed_projection_prefactors,
     _compare,
     _dual_addition_scalars,
@@ -71,6 +72,7 @@ from closed_forms import (
     _o_scale,
     addition_coeff_q_per_k,
     cqu_leading_z_coeff,
+    dual_addition_classical_per_row,
     dual_addition_coeff_a_per_k,
     dual_addition_scalar_per_k,
     linearization_coeff_classical_per_j,
@@ -396,7 +398,7 @@ def _explicit_coefficients(check, *args):
         patch.setattr(identities, "_ultraspherical_linearization_items", items)
         try:
             check(*args)
-        except ZeroDivisionError as exc:
+        except (ZeroDivisionError, ParameterError) as exc:
             return type(exc), str(exc)
     return seen[0]
 
@@ -417,10 +419,16 @@ def _per_j(formula, m, *args):
                  st.fractions(min_value=F(-1), max_value=3, max_denominator=12).filter(lambda a: a > -1)),
        st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
 def test_ultraspherical_linearization_tables_match_the_per_j_oracles(alpha, l_, m_):
-    # alpha = -1/2 raises at the first coefficient, as the formula does
+    # where the formula divides by 0 (alpha = -1/2), the check raises before
+    # its first coefficient, naming the factor that vanishes
     l, m = max(l_, m_), min(l_, m_)
-    assert _explicit_coefficients(check_linearization_classical, alpha, l, m) == _per_j(
-        linearization_coeff_classical_per_j, m, alpha, l, m)
+    expected = _per_j(linearization_coeff_classical_per_j, m, alpha, l, m)
+    if alpha == F(-1, 2):
+        assert expected[0] is ZeroDivisionError
+        factor = f"(2 alpha + 1)_{l}" if l else "alpha + 1/2"
+        expected = ParameterError, ("classical linearization at alpha=-1/2: "
+                                    f"the denominator factor {factor} vanishes")
+    assert _explicit_coefficients(check_linearization_classical, alpha, l, m) == expected
     assert _explicit_coefficients(check_linearization_legendre, l, m) == _per_j(
         linearization_coeff_legendre_per_j, m, l, m)
 
@@ -652,6 +660,108 @@ def test_classical_fail_witness_is_a_z_coefficient():
     assert (r.witness.location, r.residual) == ("explicit-form sum, z^0", "1")
     r = check_dual_addition_classical(F(1, 2), 3, 2, 1, mutation=Mutation(0))
     assert (r.witness.location, r.residual) == ("l=3, m=2, j=1, z^0", "1")
+
+
+# The classical rows in suite order, j innermost: (l, m, j) descending.
+CLASSICAL_ROWS = [(l, m, j) for l in range(4, -1, -1) for m in range(l, -1, -1)
+                  for j in range(m, -1, -1)]
+
+
+def _outcome(call):
+    """A call's report, or the type and text of what it raised."""
+    try:
+        return call()
+    except (QAskeyError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(1), F(7, 3), F(0), F(-3, 4), F(-1, 2), F(-1),
+                                   F(-3, 2)])
+def test_classical_rows_match_the_per_row_oracle(alpha):
+    # reports, mutated or not, and errors with their type and text; the
+    # record that raises is not kept, so every row that asks raises again
+    mutation = Mutation(index=0, delta=F(-3, 7))
+    _classical_dual_addition.cache_clear()
+    for l, m, j in CLASSICAL_ROWS:
+        for mut in (None, mutation):
+            assert _outcome(partial(check_dual_addition_classical, alpha, l, m, j, mut)) == \
+                _outcome(partial(dual_addition_classical_per_row, alpha, l, m, j, mut)), (l, m, j)
+
+
+def test_the_rows_of_one_classical_record_build_it_once():
+    for alpha, l, m in ((F(1, 2), 4, 3), (F(1), 3, 3), (F(7, 3), 4, 2)):
+        _classical_dual_addition.cache_clear()
+        for j in range(m, -1, -1):
+            assert check_dual_addition_classical(alpha, l, m, j).passed
+        info = _classical_dual_addition.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, m, 1)
+
+
+# (location, lhs, rhs, residual) of a mutated row, recorded at the commit
+# before the classical record and the inversion comparison: the inversion
+# row (1/2, 2/3), l = 4, m = 2 with delta -2/7 at indices 0..2 (3 wraps to
+# 0), and two classical rows with delta 3/5.
+INVERSION_WITNESSES = (
+    ('coefficient k=0, z^0', '-16288032498266/57626621828125', '176716595484/57626621828125',
+     '-2/7'),
+    ('coefficient k=1, z^0', '-5990016786790958/20821900195140625',
+     '-40902445322208/20821900195140625', '-2/7'),
+    ('coefficient k=2, z^0', '-287567036022122427483194/1006685133110645560796875',
+     '57287723776304173056/1006685133110645560796875', '-2/7'),
+)
+CLASSICAL_WITNESSES = {
+    (F(1, 2), 4, 2, 1): ('l=4, m=2, j=1, z^0', '4/5', '1/5', '3/5'),
+    (F(1), 4, 4, 3): ('l=4, m=4, j=3, z^0', '39/40', '3/8', '3/5'),
+}
+
+
+def _witness(report):
+    return report.witness.location, report.witness.lhs, report.witness.rhs, report.residual
+
+
+def test_a_mutation_at_every_index_reports_the_recorded_witness():
+    for index, expected in enumerate(INVERSION_WITNESSES + INVERSION_WITNESSES[:1]):
+        report = check_dual_addition_q_inversion(QP, 4, 2, Mutation(index=index, delta=F(-2, 7)))
+        assert _witness(report) == expected
+    for (alpha, l, m, j), expected in CLASSICAL_WITNESSES.items():
+        for index in (0, 1):
+            report = check_dual_addition_classical(alpha, l, m, j, Mutation(index, F(3, 5)))
+            assert _witness(report) == expected
+
+
+def test_an_inversion_row_that_agrees_needs_no_quotient(monkeypatch):
+    # decided by the cross-multiplied comparison alone
+    monkeypatch.setattr(identities, "_compare", lambda *args: pytest.fail("quotients formed"))
+    for l, m in ((0, 0), (3, 1), (5, 4)):
+        report = check_dual_addition_q_inversion(QP, l, m)
+        assert (report.check_id, report.verdict) == ("dual-addition-q-inversion", "pass")
+
+
+def test_an_inversion_row_that_differs_reports_the_quotient_witness(monkeypatch):
+    # a projection sum off by 1/5 at k = 1: the report is the comparison of
+    # the quotients projection / h_k against the closed coefficients
+    l, m, projection = 4, 2, identities.dual_projection_sum
+    monkeypatch.setattr(identities, "dual_projection_sum",
+                        lambda k, *args: projection(k, *args) + (F(1, 5) if k == 1 else 0))
+    lattice = _lattice(QP, l, m)
+    items = [(f"coefficient k={k}", identities.dual_projection_sum(k, l, m, QP)
+              * (1 / qracah_norms(k, lattice.qrp)), lattice.closed[k]) for k in range(m + 1)]
+    params = {"target": "q", "mode": "inversion", "l": l, "m": m, "j": 0, "t": QP.t, "s": QP.s}
+    expected = _compare("dual-addition-q-inversion", params, items)
+    report = check_dual_addition_q_inversion(QP, l, m)
+    assert report == expected and report.witness.location.startswith("coefficient k=1")
+
+
+def test_an_inversion_row_takes_each_norm_then_its_projection(monkeypatch):
+    # k ascending, the norm first, so a failing norm or projection raises
+    # where it did when each quotient was formed in turn
+    calls, norms, projection = [], identities.qracah_norms, identities.dual_projection_sum
+    monkeypatch.setattr(identities, "qracah_norms",
+                        lambda k, qrp: calls.append(("norm", k)) or norms(k, qrp))
+    monkeypatch.setattr(identities, "dual_projection_sum",
+                        lambda k, *args: calls.append(("projection", k)) or projection(k, *args))
+    assert check_dual_addition_q_inversion(QP, 5, 3).passed
+    assert calls == [(name, k) for k in range(4) for name in ("norm", "projection")]
 
 
 def test_addition_q():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qaskey.errors import ZeroArgument
-from qaskey.laurent import LaurentPoly, linear_combination, x_embed
+from qaskey.laurent import LaurentPoly, equals_scaled, linear_combination, x_embed
 from qaskey.series import qpochhammer
 from closed_forms import (
     _o, _o_add, _o_eval, _o_mul, _o_pow, _o_scale, _o_str, _o_sym, _o_x_embed, invert_variable,
@@ -267,6 +267,28 @@ def test_linear_combination_edges():
     assert linear_combination((p,), (2,)) == p + p
     with pytest.raises(ValueError):
         linear_combination([p, p], [1])
+
+
+@given(st.lists(ints, max_size=5), ints.filter(bool), st.lists(ints, max_size=5),
+       ints.filter(bool), st.one_of(fracs, st.integers(-4, 4)))
+def test_equals_scaled_agrees_with_the_scaled_product(h, hden, g, gden, c):
+    # halves of unequal lengths, zero halves, zero and negative scalars; and
+    # p = q c itself, whose halves differ from q's by their scale
+    p, q = LaurentPoly(h, hden), LaurentPoly(g, gden)
+    assert equals_scaled(p, q, c) == (p == q * c)
+    assert equals_scaled(q * c, q, c)
+    assert equals_scaled(p, q, 0) == (p == LaurentPoly())
+
+
+def test_equals_scaled_edges():
+    q = LaurentPoly((3, 0, -2), 5)
+    zero = LaurentPoly()
+    assert equals_scaled(q * F(-7, 4), q, F(-7, 4)) and not equals_scaled(q, q, F(-7, 4))
+    assert equals_scaled(zero, zero, F(2, 3)) and equals_scaled(zero, q, 0)
+    assert not equals_scaled(q, zero, F(2, 3)) and not equals_scaled(q, q, 0)
+    assert not equals_scaled(LaurentPoly((3, 0)), q, 1)  # q's half is longer
+    assert not equals_scaled(q + LaurentPoly((0, 0, 0, 1)), q, 1)
+    assert equals_scaled(LaurentPoly.constant(F(3, 2)), LaurentPoly.constant(F(1, 2)), 3)
 
 
 @given(halves, halves, halves)
