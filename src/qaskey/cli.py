@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -613,5 +614,16 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(digit_limit)
 
 
+def console() -> None:
+    """The process entry point (`qaskey`, `python -m qaskey.cli`): `main`,
+    then exit with its code after freezing the heap, whose objects are all
+    still reachable, so that the collections of interpreter shutdown skip
+    them; `atexit` and stream flushing still run.  `main` freezes nothing:
+    the tests and `bench/tracer.py` call it in-process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -256,10 +256,13 @@ def qpoch_infinite(b, qbase: float):
 
 def _cqu_circle_weight(e2: complex, q: float, beta: float) -> float:
     """|(e2; q)_inf / (q^(1/2) beta e2; q)_inf|^2 at e2 = z^2 on the unit
-    circle: the one-parameter weight without its (1-x^2)^(-1/2) factor."""
+    circle: the one-parameter weight without its (1-x^2)^(-1/2) factor.
+
+    f times its conjugate: every float step of f commutes with
+    conjugation, so this has the bits of f times f evaluated at the
+    conjugate node, for half the products."""
     f = qpoch_infinite(e2, q) / qpoch_infinite(q ** 0.5 * beta * e2, q)
-    fc = qpoch_infinite(e2.conjugate(), q) / qpoch_infinite(q ** 0.5 * beta * e2.conjugate(), q)
-    return (f * fc).real
+    return (f * f.conjugate()).real
 
 
 def _check_theta(theta: float) -> None:

@@ -2,7 +2,8 @@
 that no suite row checks, the scalars of the closed dual-addition
 coefficients (also in the parameter a = q^(1/4) beta^(1/2)), of the
 closed projection sum and of the q addition expansion from their
-q-Pochhammer symbols at one k, the explicit q, classical and Legendre
+q-Pochhammer symbols at one k, the first closed projection prefactor
+from six q-Pochhammer symbols, the explicit q, classical and Legendre
 linearization coefficients at one j, the ultraspherical coefficient
 vector term by term, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
@@ -258,6 +259,17 @@ def projection_prefactor_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:
         qpochhammer(bh, q, l - k) * qpochhammer(bh, q, m - k)
     )
     return pref
+
+
+def projection_prefactor_0(l: int, m: int, qp: QParams) -> Fraction:
+    """pref_0 of the closed projection sums of the lattice (carrier, l, m)
+    from six q-Pochhammer symbols, with b = beta:
+
+        (q b^2; q)_l (q b^2; q)_m / (q b^2; q)_(l+m)
+        * (q^(1/2) b; q)_(l+m) / ((q^(1/2) b; q)_l (q^(1/2) b; q)_m)."""
+    q, b, qh = qp.q, qp.beta, qp.qhalf
+    pref = qpochhammer(q * b * b, q, l) * qpochhammer(q * b * b, q, m) / qpochhammer(q * b * b, q, l + m)
+    return pref * qpochhammer(qh * b, q, l + m) / (qpochhammer(qh * b, q, l) * qpochhammer(qh * b, q, m))
 
 
 def laurent_phi_terms(scalar_nums, scalar_dens, a_laurent, qbase, arg, nterms) -> dict:

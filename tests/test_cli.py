@@ -1,14 +1,18 @@
 """CLI surface: suites, report formats, determinism, eval/table commands."""
 
+import ast
 import csv
 import hashlib
 import io
 import json
 import contextlib
+import gc
 import os
 import re
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -875,3 +879,39 @@ def test_any_argv_ends_in_an_exit_code(files, argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+
+
+def test_main_leaves_the_collector_unfrozen():
+    # main runs in-process (tests, the benchmark's tracer): only the process
+    # entry points freeze the heap
+    before = gc.get_freeze_count()
+    assert run_cli(["verify", "--suite", "weight-recurrence"])[0] == 0
+    assert run_cli(["verify", "--suite", "weight-recurrence", "--grid-lmax", "-1"])[0] == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_entry_freezes_the_heap_after_main_returns(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 1)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.console()
+    assert exc.value.code == 1 and events == ["main", "freeze"]
+
+
+def test_both_process_entry_points_are_the_console_entry():
+    root = Path(cli.__file__).parents[2]
+    script = re.search(r'^qaskey = "qaskey\.cli:(\w+)"$', (root / "pyproject.toml").read_text(),
+                       re.MULTILINE)
+    assert script and getattr(cli, script.group(1)) is cli.console
+    guard = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+             if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in guard[0].body] == ["console()"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for argv, code in ((["verify", "--suite", "weight-recurrence"], 0),
+                       (["verify", "--suite", "weight-recurrence", "--grid-lmax", "-1"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "qaskey.cli", *argv], env=env,
+                              capture_output=True, text=True, check=False)
+        expected = run_cli(argv)
+        assert (proc.returncode, proc.stderr) == (code, expected[2]) and expected[0] == code
+        assert re.sub(r'"wallTimeMs": \d+', "", proc.stdout) == re.sub(r'"wallTimeMs": \d+', "", expected[1])

@@ -78,6 +78,7 @@ from closed_forms import (
     linearization_coeff_classical_per_j,
     linearization_coeff_legendre_per_j,
     linearization_coeff_q_per_j,
+    projection_prefactor_0,
     projection_prefactor_per_k,
     qpoch_laurent_pow,
     qracah_phi,
@@ -449,6 +450,96 @@ def test_closed_prefactor_table_is_built_once_per_lattice(monkeypatch):
     assert info.hits == 2 * 3 * 20 - lattices  # 20 values of k per carrier
 
 
+@pytest.mark.parametrize("qp", TABLE_QPARAMS)
+def test_first_projection_prefactor_matches_its_six_pochhammer_form(qp):
+    for l in range(13):
+        for m in range(l + 1):
+            assert _closed_projection_prefactors(qp, l, m)[0] == projection_prefactor_0(l, m, qp)
+
+
+# (location, lhs, rhs, residual) of theorem 5.1 checks, recorded before the
+# check was decided on the lattice: (1/2, 2/3) to lmax 3 with delta -2/7 at
+# indices 0, 7, 19 and 20 (20 wraps to 0), and (3/5, 1/2) to lmax 4, mmax 2
+# with delta 1/3 at indices 5 and 11.
+THEOREM_5_1_WITNESSES = {
+    (QP, 3, 3, 0, F(-2, 7)): ('t=1/2, s=2/3, l=0, m=0, k=0, z^0', '5/7', '1', '-2/7'),
+    (QP, 3, 3, 7, F(-2, 7)): ('t=1/2, s=2/3, l=2, m=2, k=0, z^0',
+                              '-1615720817760277/6369766431153125',
+                              '29173206897639/909966633021875', '-2/7'),
+    (QP, 3, 3, 19, F(-2, 7)): ('t=1/2, s=2/3, l=3, m=3, k=3, z^0',
+                               '-385721039549625686270907579/103860917992524224000000',
+                               '-55098766428803974600986797/14837273998932032000000', '-2/7'),
+    (QP, 3, 3, 20, F(-2, 7)): ('t=1/2, s=2/3, l=0, m=0, k=0, z^0', '5/7', '1', '-2/7'),
+    (QParams(F(3, 5), F(1, 2)), 4, 2, 5, F(1, 3)): (
+        't=3/5, s=1/2, l=2, m=1, k=0, z^0', '1/3', '0', '1/3'),
+    (QParams(F(3, 5), F(1, 2)), 4, 2, 11, F(1, 3)): (
+        't=3/5, s=1/2, l=3, m=1, k=0, z^0', '1207527052122120893530651/3463210910653456854811953',
+        '17707805079211758420000/1154403636884485618270651', '1/3'),
+}
+# pref_1 of the lattice (1/2, 2/3), l = 3, m = 2 times 6/5, recorded likewise
+BUMPED_PREFACTOR_WITNESS = (
+    't=1/2, s=2/3, l=3, m=2, k=1, z^-5', '5283462795507/1435993116906250',
+    '15850388386521/3589982792265625',
+    '-5283462795507/7179965584531250 z^5 + 8585039991277152/1653546074117546875 z^3 '
+    '+ 38141317920765033/3307092148235093750 z + 38141317920765033/3307092148235093750 z^-1 '
+    '+ 8585039991277152/1653546074117546875 z^-3 - 5283462795507/7179965584531250 z^-5')
+
+
+def test_a_theorem_5_1_check_that_holds_forms_no_closed_product(monkeypatch):
+    # decided by cross-multiplying each sum against its shifted product and
+    # prefactor: no item, no closed product and no comparison
+    monkeypatch.setattr(identities, "dual_projection_closed", lambda *args: pytest.fail("product formed"))
+    monkeypatch.setattr(identities, "_compare", lambda *args: pytest.fail("items compared"))
+    for qp in TABLE_QPARAMS:
+        assert check_theorem_5_1(qp, 4, 3) == CheckReport(
+            "theorem-5-1", {"lmax": 4, "qparams": f"{qp.t},{qp.s}"}, "pass")
+
+
+def test_a_theorem_5_1_mutation_reports_the_recorded_witness():
+    for (qp, lmax, mmax, index, delta), expected in THEOREM_5_1_WITNESSES.items():
+        report = check_theorem_5_1(qp, lmax, mmax, Mutation(index=index, delta=delta))
+        assert (report.verdict, _witness(report)) == ("fail", expected)
+
+
+def test_a_theorem_5_1_check_that_differs_reports_the_recorded_witness(monkeypatch):
+    table = identities._closed_projection_prefactors
+
+    def bumped(qp, l, m):
+        out = table(qp, l, m)
+        return out[:1] + (out[1] * F(6, 5),) + out[2:] if (l, m) == (3, 2) else out
+
+    monkeypatch.setattr(identities, "_closed_projection_prefactors", bumped)
+    _lattice.cache_clear()
+    report = check_theorem_5_1(QP, 3, 3)
+    _lattice.cache_clear()
+    assert (report.verdict, _witness(report)) == ("fail", BUMPED_PREFACTOR_WITNESS)
+
+
+def test_theorem_5_1_takes_each_projection_then_the_closed_parts(monkeypatch):
+    # (l, m, k) ascending; at each k the projection sum first, then the
+    # shifted products and the prefactors, each built once per lattice, so
+    # an error surfaces where it did when each closed product was formed
+    calls = []
+    projection, left, table = (identities.dual_projection_sum, identities._left_factor,
+                               identities._closed_projection_prefactors)
+    monkeypatch.setattr(identities, "dual_projection_sum",
+                        lambda k, l, m, qp: calls.append(("projection", l, m, k)) or projection(k, l, m, qp))
+    monkeypatch.setattr(identities, "_left_factor",
+                        lambda qp, l, k: calls.append(("left", l, k)) or left(qp, l, k))
+    monkeypatch.setattr(identities, "_closed_projection_prefactors",
+                        lambda qp, l, m: calls.append(("prefactors", l, m)) or table(qp, l, m))
+    _lattice.cache_clear()
+    assert check_theorem_5_1(QP, 3, 2).passed
+    expected = []
+    for l in range(4):
+        for m in range(min(l, 2) + 1):
+            expected.append(("projection", l, m, 0))
+            expected += [("left", l, k) for k in range(m + 1)]
+            expected.append(("prefactors", l, m))
+            expected += [("projection", l, m, k) for k in range(1, m + 1)]
+    assert calls == expected
+
+
 def test_projection_sum_base_case_factors():
     # k = 0 reduces to the lattice mass times the plain product
     for (l, m) in [(2, 1), (3, 3), (4, 0)]:
@@ -532,6 +623,69 @@ def test_a_negative_linearization_coefficient_fails_where_the_expansion_holds():
         "fail", Witness("nonnegative j=1", "-8/11", ">= 0"), "-8/11")
     assert check_linearization_classical(F(-3, 4), 2, 2, mutation=Mutation(0)).witness.location == (
         "explicit-form sum, z^0")
+
+
+# (location, lhs, rhs, residual) of mutated linearization rows, delta 1/4,
+# recorded before a row summed its expansion once when its two coefficient
+# lists agree: the mutation of one sum leaves the other one's item intact
+LINEARIZATION_WITNESSES = {
+    (check_linearization_q, (QP, 4, 2), 0): (
+        'coefficient j=0', '10360436048357/9052830803452', '4048614173747/4526415401726', '1/4'),
+    (check_linearization_q, (QP, 4, 2), 3): (
+        'explicit-form sum, z^0', '58333488210061/230506487312500', '176716595484/57626621828125',
+        '1/4'),
+    (check_linearization_q, (QP, 4, 2), 4): (
+        'weight-quotient sum, z^0', '58333488210061/230506487312500',
+        '176716595484/57626621828125', '1/4'),
+    (check_linearization_q, (QP, 3, 3), 4): (
+        'explicit-form sum, z^0', '3657851711/14391612500', '29974293/7195806250', '1/4'),
+    (check_linearization_classical, (F(1, 2), 3, 2), 0): ('explicit-form sum, z^0', '1/4', '0', '1/4'),
+    (check_linearization_classical, (F(1, 2), 3, 2), 3): ('coefficient j=2', '5/12', '1/6', '1/4'),
+    (check_linearization_classical, (F(1, 2), 3, 2), 4): ('weight-quotient sum, z^0', '1/4', '0', '1/4'),
+    (check_linearization_legendre, (3, 2), 3): ('coefficient j=2', '71/140', '9/35', '1/4'),
+    (check_linearization_legendre, (3, 2), 4): ('weight-quotient sum, z^0', '1/4', '0', '1/4'),
+}
+
+
+def test_a_linearization_mutation_reports_the_recorded_witness():
+    for (check, args, index), expected in LINEARIZATION_WITNESSES.items():
+        report = check(*args, mutation=Mutation(index=index, delta=F(1, 4)))
+        assert _witness(report) == expected, (check.__name__, args, index)
+
+
+def _counted_sums(monkeypatch) -> list:
+    """The scalar lists of every `linear_combination` the checks form."""
+    sums, combine = [], identities.linear_combination
+    monkeypatch.setattr(identities, "linear_combination",
+                        lambda basis, scalars: sums.append(tuple(scalars)) or combine(basis, scalars))
+    return sums
+
+
+def test_a_linearization_row_whose_coefficients_agree_sums_one_expansion(monkeypatch):
+    sums = _counted_sums(monkeypatch)
+    _lattice.cache_clear()
+    for check, args in ((check_linearization_q, (QP, 4, 2)), (check_linearization_q, (QP, 3, 0)),
+                        (check_linearization_classical, (F(1, 2), 3, 2)),
+                        (check_linearization_legendre, (3, 2)), (check_linearization_legendre, (2, 0))):
+        del sums[:]
+        assert check(*args).passed
+        assert len(sums) == 1, (check.__name__, args)
+
+
+def test_a_linearization_row_whose_quotients_differ_sums_both_expansions(monkeypatch):
+    sums = _counted_sums(monkeypatch)
+    coeffs, h0 = identities._linearization_coeffs_q, identities.racah_h0
+    monkeypatch.setattr(identities, "_linearization_coeffs_q",
+                        lambda *args: (coeffs(*args)[0] + F(1, 9),) + coeffs(*args)[1:])
+    monkeypatch.setattr(identities, "racah_h0", lambda rp: 2 * h0(rp))
+    _lattice.cache_clear()
+    for check, args in ((check_linearization_q, (QP, 4, 2)),
+                        (check_linearization_classical, (F(1, 2), 3, 2)),
+                        (check_linearization_legendre, (3, 2))):
+        del sums[:]
+        report = check(*args)
+        assert (report.verdict, report.witness.location) == ("fail", "coefficient j=0")
+        assert len(sums) == 2 and sums[0] != sums[1], (check.__name__, args)
 
 
 def test_dual_addition_q_both_modes():
@@ -684,8 +838,14 @@ def test_classical_rows_match_the_per_row_oracle(alpha):
     _classical_dual_addition.cache_clear()
     for l, m, j in CLASSICAL_ROWS:
         for mut in (None, mutation):
+            expected = _outcome(partial(dual_addition_classical_per_row, alpha, l, m, j, mut))
+            if expected == (ZeroDivisionError, "Fraction(1, 0)"):
+                # (alpha + 1)/(alpha + 1/2) at k = 1, named instead of divided
+                assert alpha == F(-1, 2) and m >= 1
+                expected = ParameterError, ("classical dual addition at alpha=-1/2: "
+                                            "the denominator factor alpha + 1/2 vanishes")
             assert _outcome(partial(check_dual_addition_classical, alpha, l, m, j, mut)) == \
-                _outcome(partial(dual_addition_classical_per_row, alpha, l, m, j, mut)), (l, m, j)
+                expected, (l, m, j)
 
 
 def test_the_rows_of_one_classical_record_build_it_once():

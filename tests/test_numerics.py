@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from contextlib import contextmanager
 
 import pytest
@@ -209,6 +210,29 @@ def test_shared_node_weights_are_bit_identical_to_a_fresh_evaluation():
     for theta, weight in nodes.items():
         z = cmath.exp(1j * theta)
         assert weight.hex() == numerics._cqu_circle_weight(z * z, q, beta).hex()
+
+
+def _two_product_circle_weight(e2: complex, q: float, beta: float) -> float:
+    # f(e2) times f at the conjugate node, each from its two infinite products
+    f = qpoch_infinite(e2, q) / qpoch_infinite(q ** 0.5 * beta * e2, q)
+    fc = qpoch_infinite(e2.conjugate(), q) / qpoch_infinite(q ** 0.5 * beta * e2.conjugate(), q)
+    return (f * fc).real
+
+
+@pytest.mark.parametrize("t,s", [(F(1, 2), F(2, 3)), (F(2, 3), F(1, 2)), (F(1, 2), F(1, 3)),
+                                 (F(1, 2), F(1)), (F(3, 5), F(1, 2)), (F(9, 10), F(1)),
+                                 (F(99, 100), F(1, 2))])
+def test_circle_weight_is_bit_identical_to_its_two_product_form(t, s):
+    # |f|^2 as f times its conjugate has the bits of f times f at the
+    # conjugate node: conjugation commutes exactly with every float step
+    qp = QParams(t, s)
+    q, beta = float(qp.q), float(qp.beta)
+    rng = random.Random(f"{t},{s}")
+    thetas = [rng.uniform(0, math.pi) for _ in range(150)] + [1e-9, math.pi / 2, math.pi - 1e-9]
+    for theta in thetas:
+        e2 = cmath.exp(2j * theta)
+        assert numerics._cqu_circle_weight(e2, q, beta).hex() == \
+            _two_product_circle_weight(e2, q, beta).hex(), theta
 
 
 def test_numeric_aw_h0():
