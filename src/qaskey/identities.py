@@ -1,11 +1,12 @@
 """The verification heart: each check computes both sides of one identity
 in exact arithmetic and reports a verdict with an exact failure witness.
 
-Checks never use tolerances.  A comparison item is a (location, lhs, rhs)
-triple; the first mismatching item becomes the witness, with Laurent
-mismatches further localized to the first differing exponent.  Every check
-accepts an optional Mutation that perturbs one computed item, which the
-fail-negative suite uses to prove the comparisons are not vacuous.
+Checks never use tolerances.  Every check reaches its verdict in
+`_compare`, over (location, lhs, rhs) items read one at a time; the first
+mismatching item becomes the witness, with Laurent mismatches further
+localized to the first differing exponent.  Every check accepts an optional
+Mutation that perturbs one computed item, which the fail-negative suite
+uses to prove the comparisons are not vacuous.
 """
 
 from __future__ import annotations
@@ -158,24 +159,28 @@ ADDITION_POINTS_V = (F(3), F(5, 4))
 
 
 def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = None) -> CheckReport:
-    """Exact comparison of (location, lhs, rhs) items in order.
+    """Exact comparison of (location, lhs, rhs) items, read one at a time
+    up to the first that differs; `items` may be a generator.
 
     Values are Fractions or Laurent polynomials in z; a polynomial in
     x = (z + 1/z)/2 enters through `x_embed`, and a Fraction beside a
     polynomial as the constant polynomial, so that the witness of a
     polynomial item is the coefficient of its residual's lowest power of z
-    on both sides.  A mutation shifts one left-hand side by its delta (a
-    Laurent polynomial in its constant term)."""
-    items = list(items)
-    if not items:
-        raise ParameterError(f"check {check_id} produced no comparison items")
+    on both sides.  A pair (p, c) beside a Laurent polynomial stands for
+    p * c: it is decided by `equals_scaled` and formed only for a witness or
+    a mutation.  A mutation reads every item, to count them, and shifts one
+    left-hand side by its delta (a Laurent polynomial in its constant term)."""
     if mutation is not None:
-        i = mutation.index % len(items)
-        loc, lhs, rhs = items[i]
-        items[i] = (loc, lhs + mutation.delta, rhs)
+        items = list(items)
+        if items:
+            i = mutation.index % len(items)
+            loc, lhs, rhs = items[i]
+            items[i] = (loc, _formed(lhs) + mutation.delta, rhs)
+    loc = None  # no item read yet
     for loc, lhs, rhs in items:
-        if lhs == rhs:
+        if _agrees(lhs, rhs):
             continue
+        lhs, rhs = _formed(lhs), _formed(rhs)
         if isinstance(lhs, LaurentPoly) or isinstance(rhs, LaurentPoly):
             lhs, rhs = (v if isinstance(v, LaurentPoly) else LaurentPoly.constant(v)
                         for v in (lhs, rhs))
@@ -186,7 +191,21 @@ def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = 
             residual = lhs - rhs
             witness = Witness(loc, str(lhs), str(rhs))
         return CheckReport(check_id, params, "fail", witness, str(residual))
+    if loc is None:
+        raise ParameterError(f"check {check_id} produced no comparison items")
     return CheckReport(check_id, params, "pass")
+
+
+def _agrees(lhs, rhs) -> bool:
+    """lhs == rhs, a pair side (p, c) cross-multiplied with p * c unformed."""
+    if isinstance(lhs, tuple):
+        lhs, rhs = rhs, lhs
+    return equals_scaled(lhs, *rhs) if isinstance(rhs, tuple) else lhs == rhs
+
+
+def _formed(side):
+    """The value of an item's side: the product p * c of a pair (p, c)."""
+    return side[0] * side[1] if isinstance(side, tuple) else side
 
 
 # Key (n, alpha); `verify --suite all` asks for 81 of them over the whole run.
@@ -546,15 +565,6 @@ def dual_projection_sum(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
     return linear_combination(lattice.weighted, [qracah(k, j, lattice.qrp) for j in range(m + 1)])
 
 
-def dual_projection_closed(k: int, l: int, m: int, qp: QParams) -> LaurentPoly:
-    """The projection sum in its factored product form: an iterated
-    one-step reduction in degree and a beta promotion by q^k."""
-    if not 0 <= k <= m <= l:
-        raise ParameterError("need 0 <= k <= m <= l")
-    lattice = _lattice(qp, l, m)
-    return lattice.shifted[k] * lattice.prefactors[k]
-
-
 def _closed_projection_prefactors(qp: QParams, l: int, m: int) -> tuple:
     """The scalar prefactors pref_0..pref_m of the closed projection sums of
     one lattice, a q-hypergeometric term in k, as a term-ratio table:
@@ -610,29 +620,16 @@ def _running_products(first: Fraction, ratios) -> tuple:
     return tuple(out)
 
 
-def _projection_agrees(k: int, l: int, m: int, qp: QParams) -> bool:
-    """The k-th projection sum equals its closed form: the sum first, then
-    the lattice's shifted product and prefactor, cross-multiplied on the
-    halves with no product formed or reduced."""
-    projection = dual_projection_sum(k, l, m, qp)
-    lattice = _lattice(qp, l, m)
-    return equals_scaled(projection, lattice.shifted[k], lattice.prefactors[k])
-
-
 def check_theorem_5_1(qp: QParams, lmax: int, mmax: int, mutation=None) -> CheckReport:
     """Brute and closed projection sums agree coefficient-wise over the
     (k, m, l) grid of one carrier, 0 <= k <= m <= min(l, mmax), l <= lmax.
 
-    (l, m, k) ascending.  An unmutated check whose sums all agree is decided
-    by `_projection_agrees`; any other check forms the closed products and
-    compares them, so its witness and residual are the product's."""
-    params = {"lmax": lmax, "qparams": f"{qp.t},{qp.s}"}
-    grid = [(l, m, k) for l in range(lmax + 1) for m in range(min(l, mmax) + 1) for k in range(m + 1)]
-    if mutation is None and all(_projection_agrees(k, l, m, qp) for l, m, k in grid):
-        return CheckReport("theorem-5-1", params, "pass")
-    items = [(f"t={qp.t}, s={qp.s}, l={l}, m={m}, k={k}", dual_projection_sum(k, l, m, qp),
-              dual_projection_closed(k, l, m, qp)) for l, m, k in grid]
-    return _compare("theorem-5-1", params, items, mutation)
+    (l, m, k) ascending: the projection sum against the pair (shifted_k, pref_k)
+    of its lattice, read as a stream so that one sum at a time is alive."""
+    items = ((f"t={qp.t}, s={qp.s}, l={l}, m={m}, k={k}", dual_projection_sum(k, l, m, qp),
+              ((lattice := _lattice(qp, l, m)).shifted[k], lattice.prefactors[k]))
+             for l in range(lmax + 1) for m in range(min(l, mmax) + 1) for k in range(m + 1))
+    return _compare("theorem-5-1", {"lmax": lmax, "qparams": f"{qp.t},{qp.s}"}, items, mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -834,26 +831,20 @@ def check_dual_addition_q_inversion(qp: QParams, l: int, m: int, mutation=None) 
     """Every closed coefficient of the dual addition expansion against its
     independent reconstruction: the lattice's projection sum over its norm.
 
-    Each k takes its norm, then its projection sum, k ascending.  An
-    unmutated row whose coefficients all agree is decided by
-    `equals_scaled`, closed_k against the projection times 1/h_k, with no
-    product formed or reduced; any other row forms the quotients and
-    compares them, so its witness and residual are the quotient's."""
+    Each k takes its norm, then its projection sum, k ascending, before any
+    comparison; the item of k is the pair (projection, 1/h_k) against closed_k."""
     if not 0 <= m <= l:
         raise ParameterError("need 0 <= m <= l")
     lattice = _lattice(qp, l, m)
     qrp = lattice.qrp
     closed = lattice.closed
-    sums = []  # (projection sum, 1 / norm) of each k
+    items = []
     for k in range(m + 1):
         # the one-point lattice's norm is 1: its record's ratio
         # (1 - alpha beta q)/(1 - alpha beta q) is 0/0 at beta = 1
         norm = F(1) if m == 0 else qracah_norms(k, qrp)
-        sums.append((dual_projection_sum(k, l, m, qp), 1 / norm))
+        items.append((f"coefficient k={k}", (dual_projection_sum(k, l, m, qp), 1 / norm), closed[k]))
     params = {"target": "q", "mode": "inversion", "l": l, "m": m, "j": 0, "t": qp.t, "s": qp.s}
-    if mutation is None and all(equals_scaled(c, p, inv) for (p, inv), c in zip(sums, closed)):
-        return CheckReport("dual-addition-q-inversion", params, "pass")
-    items = [(f"coefficient k={k}", p * inv, c) for k, ((p, inv), c) in enumerate(zip(sums, closed))]
     return _compare("dual-addition-q-inversion", params, items, mutation)
 
 

@@ -2,8 +2,9 @@
 that no suite row checks, the scalars of the closed dual-addition
 coefficients (also in the parameter a = q^(1/4) beta^(1/2)), of the
 closed projection sum and of the q addition expansion from their
-q-Pochhammer symbols at one k, the first closed projection prefactor
-from six q-Pochhammer symbols, the explicit q, classical and Legendre
+q-Pochhammer symbols at one k, the closed projection sum at one k as a
+product of oracles, the first closed projection prefactor from six
+q-Pochhammer symbols, the explicit q, classical and Legendre
 linearization coefficients at one j, the ultraspherical coefficient
 vector term by term, the product (a z^e; q)_k built factor by factor,
 the Laurent q-series summed term by term, the q-Racah 4phi3 for free
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from qaskey.errors import ParameterError, VanishingDenominator
-from qaskey.families import QParams, QRacahParams, RacahParams, racah, racah_h0
+from qaskey.families import QParams, QRacahParams, RacahParams, cqu_r, racah, racah_h0
 from qaskey.identities import _compare, _upoly, linearization_racah_params
 from qaskey.laurent import linear_combination, x_embed
 from qaskey.series import pochhammer, qpochhammer, terminating_hyper
@@ -259,6 +260,20 @@ def projection_prefactor_per_k(k: int, l: int, m: int, qp: QParams) -> Fraction:
         qpochhammer(bh, q, l - k) * qpochhammer(bh, q, m - k)
     )
     return pref
+
+
+def projection_closed_per_k(k: int, l: int, m: int, qp: QParams) -> dict:
+    """The k-th closed projection sum of the lattice (carrier, l, m) as an
+    oracle: (a^2 z^2, a^2 z^-2; q)_k factor by factor, times
+    R_(l-k)(z; q^k beta) R_(m-k)(z; q^k beta) and the prefactor at this k
+    alone."""
+    if not 0 <= k <= m <= l:
+        raise ParameterError("need 0 <= k <= m <= l")
+    a2, promoted = qp.a ** 2, qp.beta_shift(k)
+    out = _o_mul(qpoch_laurent_pow(a2, 2, qp.q, k), qpoch_laurent_pow(a2, -2, qp.q, k))
+    for n in (l - k, m - k):
+        out = _o_mul(out, terms(cqu_r(n, promoted)))
+    return _o_scale(out, projection_prefactor_per_k(k, l, m, qp))
 
 
 def projection_prefactor_0(l: int, m: int, qp: QParams) -> Fraction:

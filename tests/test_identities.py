@@ -49,7 +49,6 @@ from qaskey.identities import (
     check_restriction_equivalence,
     check_theorem_5_1,
     check_weight_ratio,
-    dual_projection_closed,
     dual_projection_sum,
     linearization_qracah_params,
     linearization_racah_params,
@@ -78,6 +77,7 @@ from closed_forms import (
     linearization_coeff_classical_per_j,
     linearization_coeff_legendre_per_j,
     linearization_coeff_q_per_j,
+    projection_closed_per_k,
     projection_prefactor_0,
     projection_prefactor_per_k,
     qpoch_laurent_pow,
@@ -241,7 +241,7 @@ def test_projection_sum_closed_form_random_carriers(t, s, l_, m_, k_):
     l = max(l_, m_, k_)
     m = max(m_, k_)
     k = min(k_, m)
-    assert dual_projection_sum(k, l, m, qp) == dual_projection_closed(k, l, m, qp)
+    assert terms(dual_projection_sum(k, l, m, qp)) == projection_closed_per_k(k, l, m, qp)
 
 
 def _assert_tables_match_their_per_k_oracles(qp, l, m):
@@ -485,16 +485,6 @@ BUMPED_PREFACTOR_WITNESS = (
     '+ 8585039991277152/1653546074117546875 z^-3 - 5283462795507/7179965584531250 z^-5')
 
 
-def test_a_theorem_5_1_check_that_holds_forms_no_closed_product(monkeypatch):
-    # decided by cross-multiplying each sum against its shifted product and
-    # prefactor: no item, no closed product and no comparison
-    monkeypatch.setattr(identities, "dual_projection_closed", lambda *args: pytest.fail("product formed"))
-    monkeypatch.setattr(identities, "_compare", lambda *args: pytest.fail("items compared"))
-    for qp in TABLE_QPARAMS:
-        assert check_theorem_5_1(qp, 4, 3) == CheckReport(
-            "theorem-5-1", {"lmax": 4, "qparams": f"{qp.t},{qp.s}"}, "pass")
-
-
 def test_a_theorem_5_1_mutation_reports_the_recorded_witness():
     for (qp, lmax, mmax, index, delta), expected in THEOREM_5_1_WITNESSES.items():
         report = check_theorem_5_1(qp, lmax, mmax, Mutation(index=index, delta=delta))
@@ -505,6 +495,24 @@ def test_a_theorem_5_1_check_that_differs_reports_the_recorded_witness(monkeypat
     table = identities._closed_projection_prefactors
 
     def bumped(qp, l, m):
+        out = table(qp, l, m)
+        return out[:1] + (out[1] * F(6, 5),) + out[2:] if (l, m) == (3, 2) else out
+
+    monkeypatch.setattr(identities, "_closed_projection_prefactors", bumped)
+    _lattice.cache_clear()
+    report = check_theorem_5_1(QP, 3, 3)
+    _lattice.cache_clear()
+    assert (report.verdict, _witness(report)) == ("fail", BUMPED_PREFACTOR_WITNESS)
+
+
+def test_an_unmutated_theorem_5_1_check_stops_at_its_first_difference(monkeypatch):
+    # the items are read as a stream: the bumped pref_1 of (3, 2) decides
+    # the check before the lattice (3, 3), whose prefactors would raise
+    table = identities._closed_projection_prefactors
+
+    def bumped(qp, l, m):
+        if (l, m) == (3, 3):
+            raise VanishingDenominator(0, "injected")
         out = table(qp, l, m)
         return out[:1] + (out[1] * F(6, 5),) + out[2:] if (l, m) == (3, 2) else out
 
@@ -543,9 +551,9 @@ def test_theorem_5_1_takes_each_projection_then_the_closed_parts(monkeypatch):
 def test_projection_sum_base_case_factors():
     # k = 0 reduces to the lattice mass times the plain product
     for (l, m) in [(2, 1), (3, 3), (4, 0)]:
-        s0 = dual_projection_closed(0, l, m, QP)
-        assert s0 == cqu_r(l, QP) * cqu_r(m, QP) * linearization_qracah_params(QP, l, m).h0
-    assert dual_projection_closed(0, 0, 0, QP) == LaurentPoly.constant(1)
+        s0 = projection_closed_per_k(0, l, m, QP)
+        assert s0 == terms(cqu_r(l, QP) * cqu_r(m, QP) * linearization_qracah_params(QP, l, m).h0)
+    assert projection_closed_per_k(0, 0, 0, QP) == {0: F(1)}
     assert dual_projection_sum(0, 0, 0, QP) == LaurentPoly.constant(1)
 
 
@@ -566,7 +574,7 @@ def test_projection_sum_one_step_reduction():
 
 
 def test_projection_sum_input_validation():
-    for projection in (dual_projection_sum, dual_projection_closed):
+    for projection in (dual_projection_sum, projection_closed_per_k):
         with pytest.raises(ParameterError, match=r"need 0 <= k <= m <= l"):
             projection(2, 3, 1, QP)
 
@@ -889,14 +897,6 @@ def test_a_mutation_at_every_index_reports_the_recorded_witness():
             assert _witness(report) == expected
 
 
-def test_an_inversion_row_that_agrees_needs_no_quotient(monkeypatch):
-    # decided by the cross-multiplied comparison alone
-    monkeypatch.setattr(identities, "_compare", lambda *args: pytest.fail("quotients formed"))
-    for l, m in ((0, 0), (3, 1), (5, 4)):
-        report = check_dual_addition_q_inversion(QP, l, m)
-        assert (report.check_id, report.verdict) == ("dual-addition-q-inversion", "pass")
-
-
 def test_an_inversion_row_that_differs_reports_the_quotient_witness(monkeypatch):
     # a projection sum off by 1/5 at k = 1: the report is the comparison of
     # the quotients projection / h_k against the closed coefficients
@@ -1029,6 +1029,83 @@ def test_symmetric_residual_witness_is_at_minus_the_top_index_of_its_half():
     r = _compare("half-residual", {}, [("first", lhs, lhs), ("second", lhs, rhs)])
     assert (r.witness.location, r.witness.lhs, r.witness.rhs) == ("second, z^-3", "0", "1/40")
     assert r.residual == str(residual)
+
+
+# items with a pair side (p, c), and the same items with p * c formed
+PAIR_P = x_embed([1, F(2, 3), 3])
+PAIR_ITEMS = {
+    "pass": [("right", PAIR_P * F(-7, 4), (PAIR_P, F(-7, 4))),
+             ("left", (PAIR_P, F(5, 2)), PAIR_P * F(5, 2)),
+             ("zero", LaurentPoly(), (PAIR_P, 0))],
+    "fail": [("right", PAIR_P * F(-7, 4), (PAIR_P, F(-7, 4))),
+             ("left", (PAIR_P, F(5, 2)), PAIR_P * F(5, 3)),
+             ("later", x_embed([1]), (PAIR_P, 1))],
+}
+
+
+def _formed_items(items):
+    return [(loc, *(v[0] * v[1] if isinstance(v, tuple) else v for v in sides))
+            for loc, *sides in items]
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_ITEMS))
+def test_a_pair_side_reports_as_its_formed_product(case):
+    items = PAIR_ITEMS[case]
+    assert _compare("pairs", {}, items) == _compare("pairs", {}, _formed_items(items))
+    assert _compare("pairs", {}, items).verdict == case
+    for index in range(len(items) + 1):
+        mutation = Mutation(index=index, delta=F(-2, 7))
+        report = _compare("pairs", {}, items, mutation)
+        assert report == _compare("pairs", {}, _formed_items(items), mutation) and not report.passed
+
+
+def test_a_passing_pair_forms_no_product(monkeypatch):
+    products, multiply = [], LaurentPoly.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    assert _compare("pairs", {}, PAIR_ITEMS["pass"]).passed
+    assert products == []
+    assert not _compare("pairs", {}, PAIR_ITEMS["fail"]).passed
+    assert products == [F(5, 2)]  # the witness forms the first differing pair
+
+
+def test_a_stream_is_read_up_to_its_first_difference():
+    def items():
+        yield "first", F(1), F(2)
+        raise RuntimeError("read past the first difference")
+
+    report = _compare("stream", {}, items())
+    assert (report.verdict, _witness(report)) == ("fail", ("first", "1", "2", "-1"))
+
+
+@pytest.mark.parametrize("mutation", (None, Mutation(index=3)))
+def test_an_empty_stream_raises_as_an_empty_list(mutation):
+    for items in ([], iter(())):
+        with pytest.raises(ParameterError) as exc:
+            _compare("empty", {}, items, mutation)
+        assert str(exc.value) == "check empty produced no comparison items"
+
+
+def test_a_mutation_over_a_stream_indexes_modulo_its_length():
+    items = [(f"i={i}", F(i), F(i)) for i in range(3)]
+    for index in range(7):
+        mutation = Mutation(index=index, delta=F(1, 3))
+        report = _compare("stream", {}, iter(items), mutation)
+        assert report == _compare("stream", {}, items, mutation)
+        assert report.witness.location == f"i={index % 3}"
+
+
+def test_every_check_reaches_its_verdict_through_compare(monkeypatch):
+    # no check decides a row on a path of its own
+    sentinel = CheckReport("sentinel", {}, "pass")
+    monkeypatch.setattr(identities, "_compare", lambda *args, **kwargs: sentinel)
+    for _, _, call in MUTABLE_ROWS:
+        assert call() is sentinel, call.func.__name__
 
 
 def test_scalar_beside_a_polynomial_is_witnessed_as_a_constant():
