@@ -9,7 +9,6 @@ non-reproducible field is the wall-time summary entry.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
@@ -18,7 +17,6 @@ import os
 import re
 import sys
 import time
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -26,7 +24,6 @@ from itertools import product
 from . import __version__
 from . import families as fam
 from . import identities as ids
-from . import numerics as num
 from .errors import ParameterError, QAskeyError
 from .series import parse_rat
 
@@ -38,6 +35,8 @@ F = Fraction
 # `call` is a partial of one check or probe, and a call that raises becomes
 # the error record `name` with `params`.  Checks are looked up on their
 # modules when a row is made, so a rebound module attribute is what runs.
+# The float layer `numerics` is imported by the two suites that run it, and
+# `csv` by the commands that write it, so no other command loads them.
 # ---------------------------------------------------------------------------
 
 
@@ -166,6 +165,8 @@ def _product_formula(g):
 
 
 def _limits(g):
+    from . import numerics as num
+
     yield _row(num.limit, kind="cqu-to-ultra", alpha=0.5, n=3)
     yield _row(num.limit, kind="hahn-to-jacobi", alpha=0.0, beta=0.0, n=2)
     for lam in (1.0, 2.0):
@@ -176,6 +177,8 @@ def _limits(g):
 
 
 def _numeric_orthogonality(g):
+    from . import numerics as num
+
     qp = g.qparams[0]
     for m in range(5):
         for n in range(m + 1, 5):
@@ -217,8 +220,8 @@ SUITE_NAMES = tuple(SUITES)
 
 def _text(value) -> str:
     """Exact text of a row argument; parameter records list their fields."""
-    if is_dataclass(value):
-        return ",".join(f"{f.name}={_text(getattr(value, f.name))}" for f in fields(value))
+    if isinstance(value, fam.Record):
+        return ",".join(f"{name}={_text(getattr(value, name))}" for name in value._fields)
     if isinstance(value, tuple):
         return "(" + ",".join(_text(v) for v in value) + ")"
     return str(value)
@@ -296,6 +299,8 @@ def render_text(doc: dict) -> str:
 
 
 def render_csv(doc: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "verdict", "params", "witness_location", "lhs", "rhs"])
@@ -433,6 +438,8 @@ def _index_range(text: str) -> tuple:
 
 
 def _cmd_table(args) -> int:
+    import csv
+
     if args.family not in TABLE_FAMILIES:
         raise QAskeyError(f"unknown table family {args.family!r}")
     on_lattice = args.family.endswith(("-weights", "-norms"))

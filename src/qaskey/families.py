@@ -26,7 +26,6 @@ linearization lattice share beyond its record is cached in `identities`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, prod
@@ -48,8 +47,77 @@ from .series import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QParams:
+class Record:
+    """A frozen record, the base of every parameter and report record.
+
+    Its fields are the names a subclass annotates, in order, after those of
+    the record it extends; a field given a value in the class body takes
+    that value as its default.  Construction takes the fields by position
+    or keyword, then calls `__post_init__`, which may normalize a field
+    with `object.__setattr__`.  After that no attribute can be set or
+    deleted; a `cached_property` still works, since it writes the instance
+    dict directly.  Equality goes by class and field values, and the hash
+    is that of the tuple of field values, as for a frozen dataclass, so it
+    is the same in every process when the fields are numbers.  The program
+    does not import `dataclasses`, which pulls in `inspect` and `ast` and
+    compiles each decorated class's methods with `exec` at import.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in vars(cls).get("__annotations__", {}) if name not in cls._fields]
+        cls._fields = (*cls._fields, *own)
+        cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own
+                                             if name in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif field in self._defaults:
+                values[field] = self._defaults[field]
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    def __hash__(self):
+        return hash(_field_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in
+                           zip(self._fields, _field_values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _field_values(record: Record) -> tuple:
+    return tuple(map(record.__dict__.__getitem__, record._fields))
+
+
+class QParams(Record):
     """The exact carrier of q and beta: t = q^(1/4), s = beta^(1/2).
 
     Requires 0 < t < 1, s > 0 and s*t < 1 (the latter is the admissibility
@@ -149,8 +217,7 @@ def _power_pair(table: dict, x: Fraction, e: int) -> tuple:
     return pair
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(Record):
     alpha: Fraction
     beta: Fraction
 
@@ -161,8 +228,7 @@ class JacobiParams:
             raise ParameterError("Jacobi parameters must satisfy alpha, beta > -1")
 
 
-@dataclass(frozen=True)
-class KrawtchoukParams:
+class KrawtchoukParams(Record):
     p: Fraction
     N: int
 
@@ -174,8 +240,7 @@ class KrawtchoukParams:
             raise ParameterError("Krawtchouk N must be >= 1")
 
 
-@dataclass(frozen=True)
-class HahnParams:
+class HahnParams(Record):
     alpha: Fraction
     beta: Fraction
     N: int
@@ -189,8 +254,7 @@ class HahnParams:
             raise ParameterError("Hahn N must be >= 1")
 
 
-@dataclass(frozen=True)
-class RacahParams:
+class RacahParams(Record):
     """Racah parameters with gamma = -N-1 encoded through N."""
 
     alpha: Fraction
@@ -221,8 +285,7 @@ class RacahParams:
                 _racah_weight_pairs(self.gamma, self.delta, self.alpha, self.beta, self.N)]
 
 
-@dataclass(frozen=True)
-class WilsonParams:
+class WilsonParams(Record):
     a: Fraction
     b: Fraction
     c: Fraction
@@ -233,8 +296,7 @@ class WilsonParams:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class AWParams:
+class AWParams(Record):
     a: Fraction
     b: Fraction
     c: Fraction
@@ -255,8 +317,7 @@ class AWParams:
                     )
 
 
-@dataclass(frozen=True)
-class QRacahParams:
+class QRacahParams(Record):
     """q-Racah parameters; gamma = q^(-N-1) is encoded through N and the
     QParams carrier supplies the base q = t^4.
 

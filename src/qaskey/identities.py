@@ -11,11 +11,9 @@ uses to prove the comparisons are not vacuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
-from typing import Optional
 
 from .errors import InadmissiblePoint, NonPositiveWeight, ParameterError
 from .families import (
@@ -26,6 +24,7 @@ from .families import (
     QParams,
     QRacahParams,
     RacahParams,
+    Record,
     WilsonParams,
     askey_wilson_r,
     askey_wilson_r_at,
@@ -62,8 +61,7 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     location: str
     lhs: str
     rhs: str
@@ -72,13 +70,12 @@ class Witness:
         return {"location": self.location, "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     check_id: str
     params: dict
     verdict: str  # "pass" | "fail"
-    witness: Optional[Witness] = None
-    residual: Optional[str] = None
+    witness: Witness | None = None
+    residual: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -97,22 +94,20 @@ class CheckReport:
         return out
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(Record):
     """Perturb comparison item `index` (mod the item count) by `delta`."""
 
     index: int = 0
     delta: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
-class ParamGrid:
+class ParamGrid(Record):
     """Index ranges and parameter lists for suite runs.  Unset fields take
     their defaults at construction: lmax 5, mmax = lmax (capped by l in
     iteration), DEFAULT_QPARAMS and DEFAULT_ALPHAS."""
 
-    lmax: Optional[int] = None
-    mmax: Optional[int] = None
+    lmax: int | None = None
+    mmax: int | None = None
     qparams: tuple = ()
     alphas: tuple = ()
 
@@ -158,7 +153,7 @@ ADDITION_POINTS_U = (F(2), F(3, 2))
 ADDITION_POINTS_V = (F(3), F(5, 4))
 
 
-def _compare(check_id: str, params: dict, items, mutation: Optional[Mutation] = None) -> CheckReport:
+def _compare(check_id: str, params: dict, items, mutation: Mutation | None = None) -> CheckReport:
     """Exact comparison of (location, lhs, rhs) items, read one at a time
     up to the first that differs; `items` may be a generator.
 

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .errors import NonConvergence, NonFinite, ParameterError
-from .families import QParams, cqu_r
+from .families import QParams, Record, cqu_r
 from .series import hyper_sum, pochhammer, qhyper_sum, qpochhammer
 
 # Expected final error ratios under halving of (1-q) or doubling of N.
@@ -123,8 +122,7 @@ def hahn_float(n: int, x_real, alpha, beta, N) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Record):
     kind: str
     schedule: tuple
     errors: tuple
@@ -295,24 +293,39 @@ def aw_h0_closed(q: float, abcd: tuple) -> float:
     return num / den
 
 
-def refine_integral(f: Callable[[float], float], lo: float, hi: float) -> float:
+# The node cap of the circle integrals.  Their integrands are periodic, so
+# the midpoint sums settle geometrically: those of carrier (1/2, 199/100),
+# near the edge s*t < 1, at 8192 nodes, the others measured at 128 to 512.
+# At q = 0.99^4 a numeric-orthogonality row that never settled would reach
+# the cap in about 6 s, and the four-parameter mass, whose nodes cost 2 ms
+# each, in about 25 s.
+CIRCLE_NODE_CAP = 2 ** 13
+
+
+def refine_integral(f: Callable[[float], float], lo: float, hi: float,
+                    max_nodes: int = 2 ** 20) -> float:
     """Midpoint rule from 64 nodes with dyadic node doubling until two
-    successive refinements agree to 1e-9 (relative to the magnitude of the
-    result), up to 2^20 nodes."""
+    successive refinements agree to 1e-9 relative to the integral's scale
+    max(1, |total|, h sum |f|), up to `max_nodes` nodes.  Round-off in the
+    sum is relative to the integral of |f|, not to |total|: an integral
+    near 0 of a large integrand, such as an off-diagonal one of a carrier
+    near q = 1, would otherwise never settle."""
     n = 64
     prev = None
-    while n <= 2 ** 20:
+    while n <= max_nodes:
         h = (hi - lo) / n
-        total = 0.0
+        total = magnitude = 0.0
         for i in range(n):
-            total += f(lo + (i + 0.5) * h)
+            value = f(lo + (i + 0.5) * h)
+            total += value
+            magnitude += abs(value)
         total *= h
         _require_finite(total)
-        if prev is not None and abs(total - prev) <= 1e-9 * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) <= 1e-9 * max(1.0, abs(total), h * magnitude):
             return total
         prev = total
         n *= 2
-    raise NonConvergence(f"quadrature did not stabilize within {2 ** 20} points")
+    raise NonConvergence(f"quadrature did not stabilize within {max_nodes} points")
 
 
 # Key carrier.  Every numeric-orthogonality row reads the first carrier of
@@ -342,7 +355,7 @@ def _cqu_inner(qp: QParams, d1: int, d2: int) -> float:
             w = weights[theta] = _cqu_circle_weight(z * z, q, beta)
         return p1 * p2 * w
 
-    return refine_integral(f, 0.0, 2 * math.pi)
+    return refine_integral(f, 0.0, 2 * math.pi, CIRCLE_NODE_CAP)
 
 
 # Key (carrier, degree).  The numeric-orthogonality rows pair the degrees
@@ -415,7 +428,8 @@ def numeric_aw_h0(qp: QParams) -> dict:
     """Relative deviation of the integrated four-parameter circle weight
     from its closed-form total mass."""
     q, abcd = _aw_params_floats(qp)
-    integral = refine_integral(lambda th: _aw_weight_circle(q, abcd, th), 0.0, 2 * math.pi)
+    integral = refine_integral(lambda th: _aw_weight_circle(q, abcd, th), 0.0, 2 * math.pi,
+                               CIRCLE_NODE_CAP)
     h0 = aw_h0_closed(q, abcd)
     value = abs(integral - h0) / abs(h0)
     return _threshold_record("numeric-aw-h0", {"t": qp.t, "s": qp.s}, value, 1e-8)

@@ -28,8 +28,8 @@ numerator and every denominator factor it uses) before it sums it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ParameterError, VanishingDenominator
 

@@ -9,6 +9,7 @@ import contextlib
 import gc
 import os
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -796,7 +797,7 @@ def test_table_values_families():
 
 # The vocabulary of the fuzz test: every command, family and cheap suite,
 # with rationals (0 and negatives among them), bad numbers and bad ranges,
-# config files and report paths.
+# carriers near q = 1, config files and report paths.
 FILES = {
     "grid.cfg": b"lmax=1\nqparams=1/2,2/3\n",
     "bad-line.cfg": b"oops\n",
@@ -815,7 +816,7 @@ FLAG_VALUES = {
     "--alpha": RATIONALS, "--beta": RATIONALS, "--delta": RATIONALS, "--p": RATIONALS,
     "--a": RATIONALS, "--b": RATIONALS, "--c": RATIONALS, "--d": RATIONALS,
     "--qbase": RATIONALS, "--at": RATIONALS, "--at-z": RATIONALS,
-    "--qparams": ("1/2,2/3", "2/3,1/2", "1/2,1", "0,1", "1/2", "a,b", "1/2,-1"),
+    "--qparams": ("1/2,2/3", "2/3,1/2", "1/2,1", "99/100,1/2", "0,1", "1/2", "a,b", "1/2,-1"),
     "--range": ("0:2", "1:0", "-1:1", "a:b", "5", ":", "0:x"),
     "--grid-lmax": ("-1", "0", "1"), "--grid-mmax": ("-1", "0", "1"),
     "--format": ("json", "text", "csv", "xml"),
@@ -831,7 +832,8 @@ COMMAND_FLAGS = {
               "--range"),
 }
 CHEAP_SUITES = ("weight-recurrence", "difference", "backward-shift", "theorem-5-1",
-                "orthogonality", "product-formula", "nonsense")
+                "orthogonality", "product-formula", "numeric-orthogonality", "nonsense")
+EXAMPLE_DEADLINE_S = 10
 
 
 def _flag_value(draw, flag: str) -> list:
@@ -865,12 +867,32 @@ def files(tmp_path_factory):
     return path
 
 
+class DeadlinePassed(BaseException):
+    """Raised into a command that runs past its deadline; not an Exception,
+    so no error record or exit code of the command can swallow it."""
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    def expire(signum, frame):
+        raise DeadlinePassed(f"no exit code within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=150, deadline=None)
 @given(argvs())
 def test_any_argv_ends_in_an_exit_code(files, argv):
     argv = [arg.replace("@", f"{files}/") for arg in argv]
     try:
-        code, _, err = run_cli(argv)
+        with deadline(EXAMPLE_DEADLINE_S):
+            code, _, err = run_cli(argv)
     except SystemExit as exc:  # argparse rejects the command line
         assert exc.code in (0, 2), argv
         return
@@ -913,3 +935,40 @@ def test_both_process_entry_points_are_the_console_entry():
         expected = run_cli(argv)
         assert (proc.returncode, proc.stderr) == (code, expected[2]) and expected[0] == code
         assert re.sub(r'"wallTimeMs": \d+', "", proc.stdout) == re.sub(r'"wallTimeMs": \d+', "", expected[1])
+
+
+def test_a_carrier_near_q_one_ends_its_numeric_rows():
+    # at t = 99/100 the off-diagonal integrals are about 0 while their
+    # integrand reaches about 1e13, so the quadrature settles on the scale
+    # of the integral of |f|; on a relative scale of |total| it never did
+    with deadline(EXAMPLE_DEADLINE_S):
+        code, out, _ = run_cli(["verify", "--suite", "numeric-orthogonality",
+                                "--qparams", "99/100,1/2"])
+    assert code == 0 and json.loads(out)["summary"] == {"pass": 14, "fail": 0, "error": 0}
+
+
+# SHA-256 of stdout, the wall-time line removed, recorded before any
+# import was deferred: the commands that load `csv` and `numerics` late.
+LATE_IMPORT_DIGESTS = {
+    ("verify", "--suite", "weight-recurrence", "--format", "csv"):
+        "499b5c4d942d6b7d8a7c849375f32489836201b906c17048bc91d507762f13ac",
+    ("verify", "--suite", "limits"):
+        "43b0fad42152f5e5533882c0a4b5286eb75443fa496cfbf966acc60bc51725b6",
+}
+
+
+def test_importing_the_cli_loads_only_what_every_command_runs():
+    # -S: no site module, whose .pth files may import modules of their own
+    src = str(Path(cli.__file__).parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import qaskey.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src], capture_output=True,
+                          text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "qaskey.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "csv", "qaskey.numerics"}
+    for argv, digest in LATE_IMPORT_DIGESTS.items():
+        proc = subprocess.run([sys.executable, "-S", "-m", "qaskey.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              check=True)
+        report = re.sub(rb'  "wallTimeMs": \d+\n', b"", proc.stdout)
+        assert hashlib.sha256(report).hexdigest() == digest, argv

@@ -246,6 +246,47 @@ def test_refine_integral():
     assert abs(value - 2.0) < 1e-8
 
 
+def test_an_integral_near_zero_of_a_large_integrand_settles():
+    # the sums differ by round-off of about 1e-3 at every level, far above
+    # 1e-9 * max(1, |total|) but far below 1e-9 * h sum |f| (about 4e4)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1e13 * math.sin(x)
+
+    assert abs(refine_integral(f, 0.0, 2 * math.pi)) < 1.0
+    assert len(calls) == 64 + 128
+
+
+def test_a_quadrature_that_never_settles_ends_at_the_node_cap():
+    rng = random.Random(0)
+    calls = []
+
+    def noise(x):
+        calls.append(x)
+        return rng.random()
+
+    with pytest.raises(NonConvergence, match="within 8192 points"):
+        refine_integral(noise, 0.0, 2 * math.pi, numerics.CIRCLE_NODE_CAP)
+    assert len(calls) == 2 * 8192 - 64
+
+
+def test_every_circle_integral_stops_at_the_circle_cap(monkeypatch):
+    caps = []
+    real = numerics.refine_integral
+
+    def recorded(f, lo, hi, max_nodes=2 ** 20):
+        caps.append(max_nodes)
+        return real(f, lo, hi, max_nodes)
+
+    monkeypatch.setattr(numerics, "refine_integral", recorded)
+    numerics._cqu_diagonal.cache_clear()
+    numerics.numeric_orthogonality_cqu(QP, 1, 2)
+    numerics.numeric_aw_h0(QP)
+    assert caps == [numerics.CIRCLE_NODE_CAP] * 4
+
+
 def test_float_exact_consistency():
     gap = float(float_exact_consistency(QParams(F(19, 20), F(1, 2)), 8)["residual"])
     assert gap < 1e-12
